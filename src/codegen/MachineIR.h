@@ -237,10 +237,14 @@ private:
 class MFunction {
 public:
   MFunction(const Function *Source, uint32_t Index)
-      : Source(Source), Index(Index) {}
+      : Source(Source), Name(Source->name()), Index(Index) {}
 
+  /// The lowered IR function. Valid only while its Module lives: a
+  /// NativeModule outlives the Module it was compiled from, so nothing
+  /// reachable from NativeModule::run may dereference it.
   const Function *source() const { return Source; }
-  const std::string &name() const { return Source->name(); }
+  /// Copied at lowering, so it stays valid after the IR is freed.
+  const std::string &name() const { return Name; }
   /// Position of this function in the module's function table (the
   /// indirect-call index).
   uint32_t index() const { return Index; }
@@ -277,6 +281,7 @@ public:
 
 private:
   const Function *Source;
+  std::string Name;
   uint32_t Index;
 };
 

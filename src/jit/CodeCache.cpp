@@ -3,6 +3,7 @@
 #include "jit/CodeCache.h"
 
 #include "analysis/ProfileInfo.h"
+#include "support/IRHash.h"
 
 #include <cstdio>
 #include <functional>
@@ -26,6 +27,13 @@ std::string sxe::codeCacheKey(uint64_t IRHash, const PipelineConfig &Config) {
       static_cast<unsigned long long>(
           Config.Profile ? Config.Profile->fingerprint() : 0));
   return Buf;
+}
+
+std::string sxe::codeCacheSourceKey(const std::string &Source,
+                                    const PipelineConfig &Config) {
+  StableHasher Hasher;
+  Hasher.mix(Source);
+  return "src:" + codeCacheKey(Hasher.result(), Config);
 }
 
 CodeCache::CodeCache(CodeCacheOptions Options) {

@@ -15,9 +15,20 @@
 /// so a byte-identical module recompiled under the same target and
 /// configuration hits, while the same module compiled for another target,
 /// another variant, or with a different branch profile can never alias
-/// (the profile's digest is folded into the config fingerprint). The full
-/// key string is stored and compared on lookup — an IR-hash collision
-/// costs a spurious miss path, never a wrong artifact.
+/// (the profile's digest is folded into the config fingerprint).
+///
+/// The same cache also holds *source-key* aliases (codeCacheSourceKey):
+/// the identical config fingerprint over a hash of the raw `.sxir` bytes
+/// instead of the structural hash, tagged `src:` so it can never equal a
+/// structural key. The compile service probes it before parsing, so a
+/// repeated source is served without a parse or a structural hash.
+///
+/// Collision contract: the key string carries only the 64-bit FNV-1a
+/// hash, not the module or the source. Two different modules (or two
+/// different sources) whose hashes collide under the same configuration
+/// share one entry, and the second is served the first's artifact — a
+/// wrong artifact, with probability about 2^-64 per pair. The source key
+/// has the same strength as the structural key.
 ///
 /// Shards each carry their own mutex and LRU list, so concurrent workers
 /// only contend when they touch the same shard. Hit/miss/insert/eviction
@@ -48,6 +59,13 @@ namespace sxe {
 /// relevant config field (target, gen policy, engine, toggles, max array
 /// length) plus the profile fingerprint.
 std::string codeCacheKey(uint64_t IRHash, const PipelineConfig &Config);
+
+/// Builds the alias key for compiling the `.sxir` text \p Source under
+/// \p Config: `src:` followed by codeCacheKey() over a 64-bit FNV-1a hash
+/// of the source bytes. Byte-identical sources share it; any difference,
+/// cosmetic or not, gives another key.
+std::string codeCacheSourceKey(const std::string &Source,
+                               const PipelineConfig &Config);
 
 struct CodeCacheOptions {
   /// Total capacity in artifacts; split evenly across shards and

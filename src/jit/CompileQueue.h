@@ -39,6 +39,10 @@ struct QueuedCompile {
   /// wallNowNanos() at enqueue; the service's queue-wait span and
   /// sxe_queue_wait_seconds histogram measure from here to pop.
   uint64_t EnqueueNanos = 0;
+  /// codeCacheSourceKey() of a source request that missed the probe at
+  /// enqueue; the worker aliases it to whatever artifact it produces.
+  /// Empty when there is no source or no cache.
+  std::string SourceKey;
 };
 
 /// Thread-safe max-heap of pending compiles (hotness first, FIFO ties).

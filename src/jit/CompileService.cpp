@@ -7,7 +7,6 @@
 #include "parser/Parser.h"
 #include "pm/InstrumentedPipeline.h"
 #include "support/IRHash.h"
-#include "support/Timer.h"
 
 using namespace sxe;
 
@@ -34,6 +33,16 @@ static TraceContext requestContext(const CompileRequest &Request) {
   Ctx.TraceId = Request.TraceId;
   Ctx.RequestId = Request.RequestId;
   return Ctx;
+}
+
+static void bump(std::atomic<uint64_t> &Counter) {
+  Counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+static std::future<CompileResult> readyFuture(CompileResult Result) {
+  std::promise<CompileResult> Promise;
+  Promise.set_value(std::move(Result));
+  return Promise.get_future();
 }
 
 CompileService::CompileService(CompileServiceOptions Opts)
@@ -85,7 +94,7 @@ void CompileService::workerLoop(unsigned WorkerIndex) {
             static_cast<double>(PopNanos - Job->EnqueueNanos) * 1e-9,
             Job->Request.TraceId);
     }
-    CompileResult Result = compileOne(Job->Request);
+    CompileResult Result = compileOne(Job->Request, Job->SourceKey);
     if (Job->EnqueueNanos && PopNanos > Job->EnqueueNanos)
       Result.QueueWaitNanos = PopNanos - Job->EnqueueNanos;
     finish(*Job, std::move(Result));
@@ -101,7 +110,33 @@ void CompileService::finish(QueuedCompile &Job, CompileResult Result) {
   AllDone.notify_all();
 }
 
-CompileResult CompileService::compileOne(CompileRequest &Request) {
+CompileResult CompileService::memoryHit(const CompileRequest &Request,
+                                        uint64_t ProbeStart,
+                                        std::shared_ptr<const CompiledCode> Code,
+                                        Timer &Cost) {
+  if (Options.Trace)
+    Options.Trace->addSpan("cache-probe", "service", ProbeStart,
+                           wallNowNanos(),
+                           traceArgs(Request, {{"hit", "true"}}));
+  Cost.stop();
+  CompileResult Result;
+  Result.Name = Request.Name;
+  Result.Ok = true;
+  Result.CacheHit = true;
+  Result.Code = std::move(Code);
+  Result.WallNanos = Cost.elapsedNanos();
+  Result.CpuNanos = Cost.elapsedCpuNanos();
+  if (Metrics.CacheHits)
+    Metrics.CacheHits->inc();
+  if (Options.Events)
+    Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
+                        Request.Name, {{"tier", "memory"}}, /*Aux=*/1);
+  bump(Counters.CacheHits);
+  return Result;
+}
+
+CompileResult CompileService::compileOne(CompileRequest &Request,
+                                         const std::string &SourceKey) {
   CompileResult Result;
   Result.Name = Request.Name;
 
@@ -115,8 +150,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
     if (Options.Events)
       Options.Events->log(ObsEventKind::DeadlineExpire,
                           requestContext(Request), Request.Name);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.DeadlineMisses;
+    bump(Counters.DeadlineMisses);
     return Result;
   }
 
@@ -131,40 +165,31 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
       Result.Error = "parse error: " + Parsed.Error;
       Result.WallNanos = Cost.elapsedNanos();
       Result.CpuNanos = Cost.elapsedCpuNanos();
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.Failed;
+      bump(Counters.Failed);
       return Result;
     }
     M = std::move(Parsed.M);
   }
 
+  // Every artifact served for a source request is also remembered under
+  // its source key, so the next identical source hits at enqueue.
+  auto AliasSource = [&](const std::shared_ptr<const CompiledCode> &Code) {
+    if (!SourceKey.empty())
+      Options.Cache->insert(SourceKey, Code);
+  };
+
   uint64_t InputHash = hashModule(*M);
   std::string Key = codeCacheKey(InputHash, Request.Config);
   if (Options.Cache) {
     uint64_t ProbeStart = wallNowNanos();
-    std::shared_ptr<const CompiledCode> Hit = Options.Cache->lookup(Key);
+    if (std::shared_ptr<const CompiledCode> Hit = Options.Cache->lookup(Key)) {
+      AliasSource(Hit);
+      return memoryHit(Request, ProbeStart, std::move(Hit), Cost);
+    }
     if (Options.Trace)
       Options.Trace->addSpan("cache-probe", "service", ProbeStart,
                              wallNowNanos(),
-                             traceArgs(Request,
-                                       {{"hit", Hit ? "true" : "false"}}));
-    if (Hit) {
-      Cost.stop();
-      Result.Ok = true;
-      Result.CacheHit = true;
-      Result.Code = std::move(Hit);
-      Result.WallNanos = Cost.elapsedNanos();
-      Result.CpuNanos = Cost.elapsedCpuNanos();
-      if (Metrics.CacheHits)
-        Metrics.CacheHits->inc();
-      if (Options.Events)
-        Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
-                            Request.Name, {{"tier", "memory"}},
-                            /*Aux=*/1);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.CacheHits;
-      return Result;
-    }
+                             traceArgs(Request, {{"hit", "false"}}));
   }
 
   // Tier 2: the persistent on-disk store. A hit is promoted into the
@@ -180,6 +205,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
     if (Hit) {
       if (Options.Cache)
         Options.Cache->insert(Key, Hit);
+      AliasSource(Hit);
       Cost.stop();
       Result.Ok = true;
       Result.PersistentHit = true;
@@ -192,8 +218,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
         Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                             Request.Name, {{"tier", "persistent"}},
                             /*Aux=*/2);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.PersistentHits;
+      bump(Counters.PersistentHits);
       return Result;
     }
   }
@@ -225,8 +250,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
       Result.Error += ": " + Run.Problems.front();
     if (Metrics.Failures)
       Metrics.Failures->inc();
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.Failed;
+    bump(Counters.Failed);
     return Result;
   }
 
@@ -239,6 +263,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
 
   if (Options.Cache)
     Options.Cache->insert(Key, Code);
+  AliasSource(Code);
   if (Options.Persistent)
     Options.Persistent->insert(Key, *Code);
 
@@ -250,31 +275,42 @@ CompileResult CompileService::compileOne(CompileRequest &Request) {
     Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                         Request.Name, {{"tier", "compiled"}}, /*Aux=*/0);
 
+  bump(Counters.Compiled);
   // Per-thread stats merged on completion (pm/PassStats.h).
   std::lock_guard<std::mutex> Lock(StatsMu);
-  ++Counters.Compiled;
-  Counters.Aggregate.merge(Result.Code->Stats);
+  Aggregate.merge(Result.Code->Stats);
   return Result;
 }
 
 std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
-  auto Job = std::make_unique<QueuedCompile>();
-  Job->Request = std::move(Request);
-  std::future<CompileResult> Future = Job->Promise.get_future();
+  bump(Counters.Submitted);
+  if (ShutDown.load(std::memory_order_acquire))
+    return readyFuture(refuse(Request));
 
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.Submitted;
+  // Tier 0: the source key. A byte-identical source seen before is
+  // served right here, on the caller's thread, before any parse or
+  // structural hash.
+  std::string SourceKey;
+  if (Options.Cache && !Request.M) {
+    Timer Cost;
+    Cost.start();
+    uint64_t ProbeStart = wallNowNanos();
+    SourceKey = codeCacheSourceKey(Request.Source, Request.Config);
+    if (std::shared_ptr<const CompiledCode> Hit =
+            Options.Cache->lookup(SourceKey))
+      return readyFuture(memoryHit(Request, ProbeStart, std::move(Hit), Cost));
   }
 
   if (Options.Jobs == 0) {
     // Deterministic inline mode: serve on the caller's thread, in
     // submission order.
-    CompileResult Result = compileOne(Job->Request);
-    Job->Promise.set_value(std::move(Result));
-    return Future;
+    return readyFuture(compileOne(Request, SourceKey));
   }
 
+  auto Job = std::make_unique<QueuedCompile>();
+  Job->Request = std::move(Request);
+  Job->SourceKey = std::move(SourceKey);
+  std::future<CompileResult> Future = Job->Promise.get_future();
   {
     std::lock_guard<std::mutex> Lock(PendingMu);
     ++Pending;
@@ -285,23 +321,26 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
       Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
   } else {
     // The queue is closed (shutdown raced this enqueue): refuse politely
-    // instead of leaving the future forever unready — and account for
-    // it, so shed work is visible in stats and sxe_rejects_total.
-    countRejected();
-    CompileResult Refused;
-    Refused.Name = Job->Request.Name;
-    Refused.Rejected = true;
-    Refused.Error = "compile service is shut down";
-    finish(*Job, std::move(Refused));
+    // instead of leaving the future forever unready.
+    finish(*Job, refuse(Job->Request));
   }
   return Future;
+}
+
+CompileResult CompileService::refuse(const CompileRequest &Request) {
+  // Accounted, so shed work is visible in stats and sxe_rejects_total.
+  countRejected();
+  CompileResult Refused;
+  Refused.Name = Request.Name;
+  Refused.Rejected = true;
+  Refused.Error = "compile service is shut down";
+  return Refused;
 }
 
 void CompileService::countRejected() {
   if (Metrics.Rejects)
     Metrics.Rejects->inc();
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  ++Counters.Rejected;
+  bump(Counters.Rejected);
 }
 
 void CompileService::drain() {
@@ -310,12 +349,8 @@ void CompileService::drain() {
 }
 
 void CompileService::shutdown() {
-  {
-    std::lock_guard<std::mutex> Lock(PendingMu);
-    if (ShutDown)
-      return;
-    ShutDown = true;
-  }
+  if (ShutDown.exchange(true, std::memory_order_acq_rel))
+    return;
   Queue.close();
   for (std::thread &W : Workers)
     if (W.joinable())
@@ -325,16 +360,18 @@ void CompileService::shutdown() {
 
 CompileServiceStats CompileService::stats() const {
   CompileServiceStats Copy;
+  Copy.Submitted = Counters.Submitted.load(std::memory_order_relaxed);
+  Copy.Compiled = Counters.Compiled.load(std::memory_order_relaxed);
+  Copy.CacheHits = Counters.CacheHits.load(std::memory_order_relaxed);
+  Copy.PersistentHits =
+      Counters.PersistentHits.load(std::memory_order_relaxed);
+  Copy.Failed = Counters.Failed.load(std::memory_order_relaxed);
+  Copy.Rejected = Counters.Rejected.load(std::memory_order_relaxed);
+  Copy.DeadlineMisses =
+      Counters.DeadlineMisses.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> Lock(StatsMu);
-    Copy.Submitted = Counters.Submitted;
-    Copy.Compiled = Counters.Compiled;
-    Copy.CacheHits = Counters.CacheHits;
-    Copy.PersistentHits = Counters.PersistentHits;
-    Copy.Failed = Counters.Failed;
-    Copy.Rejected = Counters.Rejected;
-    Copy.DeadlineMisses = Counters.DeadlineMisses;
-    Copy.Aggregate.merge(Counters.Aggregate);
+    Copy.Aggregate.merge(Aggregate);
   }
   // Surface the service and cache counters in the pass-stats vocabulary
   // so `sxe.pass-stats.v1` consumers see them as pseudo-passes.

@@ -14,6 +14,13 @@
 ///
 ///   enqueue(request) -> std::future<CompileResult>
 ///
+/// A source request is first probed on the caller's thread under its
+/// source key (codeCacheSourceKey): a hit fulfils the future before
+/// enqueue returns, with no queue hop, no parse and no structural hash.
+/// A miss is queued as usual, and whatever artifact the worker then
+/// produces (fresh compile, structural memory hit, or persistent hit) is
+/// aliased under the source key so the next identical source hits.
+///
 /// Workers park on a condition variable when idle and drain the queue on
 /// shutdown (graceful: every accepted request's future is fulfilled).
 /// With Jobs = 0 the service runs in deterministic inline mode — enqueue
@@ -22,9 +29,10 @@
 ///
 /// Per-run PassStats are merged into a service-wide aggregate under a
 /// lock after each compile (per-thread stats merged on completion; see
-/// pm/PassStats.h), and cache/service counters are reported through the
-/// same `sxe.pass-stats.v1` vocabulary under the pseudo-pass names
-/// `compile-service` and `code-cache`.
+/// pm/PassStats.h); the scalar service counters are relaxed atomics, so
+/// a cache hit takes no service lock. Cache/service counters are
+/// reported through the same `sxe.pass-stats.v1` vocabulary under the
+/// pseudo-pass names `compile-service` and `code-cache`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +47,9 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "pm/PassManager.h"
+#include "support/Timer.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -67,8 +77,9 @@ struct CompileServiceOptions {
   PassManagerOptions PM;
   /// Optional trace collector (not owned; thread-safe). Workers label
   /// their tracks "worker-N" and emit queue-wait / cache-probe / compile
-  /// spans per request; the collector is also threaded into every
-  /// pipeline run for per-pass spans.
+  /// spans per request; a source-key hit emits only its cache-probe span,
+  /// on the enqueuing thread's track. The collector is also threaded into
+  /// every pipeline run for per-pass spans.
   TraceCollector *Trace = nullptr;
   /// Optional metrics registry (not owned). The service feeds
   /// sxe_compiles_total, sxe_cache_hits_total, sxe_compile_failures_total,
@@ -112,9 +123,10 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Submits \p Request; the future carries the result. In inline mode
-  /// the compile happens before this returns. After shutdown() the future
-  /// holds an Ok=false result without being queued.
+  /// Submits \p Request; the future carries the result. In inline mode,
+  /// and for a source request that hits the source-key probe, the result
+  /// is ready before this returns. After shutdown() the future holds a
+  /// Rejected, Ok=false result without being queued or probed.
   std::future<CompileResult> enqueue(CompileRequest Request);
 
   /// Blocks until every request enqueued so far has completed.
@@ -143,7 +155,21 @@ public:
 
 private:
   void workerLoop(unsigned WorkerIndex);
-  CompileResult compileOne(CompileRequest &Request);
+  /// Serves \p Request on the current thread: parse, structural probe,
+  /// persistent tier, pipeline. A non-empty \p SourceKey is aliased to
+  /// the artifact produced.
+  CompileResult compileOne(CompileRequest &Request,
+                           const std::string &SourceKey);
+  /// The memory-tier hit path shared by the source probe and the
+  /// structural probe: emits the hit's cache-probe span (from
+  /// \p ProbeStart) and cache_tier(memory) event, counts the hit, and
+  /// stops \p Cost into the result's wall and CPU times.
+  CompileResult memoryHit(const CompileRequest &Request, uint64_t ProbeStart,
+                          std::shared_ptr<const CompiledCode> Code,
+                          Timer &Cost);
+  /// Counts and builds the refusal of a request that arrived after
+  /// shutdown().
+  CompileResult refuse(const CompileRequest &Request);
   void finish(QueuedCompile &Job, CompileResult Result);
 
   /// Resolved metric handles (null when Options.Metrics is null);
@@ -166,13 +192,27 @@ private:
   CompileQueue Queue;
   std::vector<std::thread> Workers;
 
+  /// Scalar service counters, bumped with relaxed atomics from workers
+  /// and (for source hits) connection threads.
+  struct AtomicCounters {
+    std::atomic<uint64_t> Submitted{0};
+    std::atomic<uint64_t> Compiled{0};
+    std::atomic<uint64_t> CacheHits{0};
+    std::atomic<uint64_t> PersistentHits{0};
+    std::atomic<uint64_t> Failed{0};
+    std::atomic<uint64_t> Rejected{0};
+    std::atomic<uint64_t> DeadlineMisses{0};
+  };
+  AtomicCounters Counters;
+
+  /// Guards Aggregate only.
   mutable std::mutex StatsMu;
-  CompileServiceStats Counters;
+  PassStats Aggregate;
 
   std::mutex PendingMu;
   std::condition_variable AllDone;
   uint64_t Pending = 0;
-  bool ShutDown = false;
+  std::atomic<bool> ShutDown{false};
 };
 
 } // namespace sxe

@@ -11,7 +11,8 @@
 /// CompileResult a worker produces, and the CompiledCode artifact the
 /// code cache stores. Requests carry either a ready-made Module or `.sxir`
 /// source text; source is parsed on the worker thread, so a batch load
-/// parallelizes parsing too.
+/// parallelizes parsing too — unless its source key already hits the code
+/// cache at enqueue, in which case it is never parsed at all.
 ///
 /// Hotness echoes the paper's order determination: the queue serves the
 /// hottest pending job first, so under a backlog the methods the profile
@@ -52,7 +53,8 @@ struct CompileRequest {
   /// A request whose deadline has already passed when a worker picks it
   /// up fails with DeadlineMiss instead of compiling — the backstop of
   /// the serve-layer admission control: work that can no longer be
-  /// delivered in time is shed, not burned.
+  /// delivered in time is shed, not burned. A source-key hit at enqueue
+  /// never waits for a worker, so the deadline does not apply to it.
   uint64_t DeadlineNanos = 0;
   /// Distributed trace id of the originating request (0 = untraced).
   /// Stamped onto every span and lifecycle event this job produces, and
@@ -99,13 +101,14 @@ struct CompileResult {
   bool Rejected = false;
   /// The artifact (shared with the cache); null when !Ok.
   std::shared_ptr<const CompiledCode> Code;
-  /// Worker-side cost of serving the request (cache probe + compile).
+  /// Cost of serving the request (cache probe + compile), on the worker
+  /// or, for a source-key hit, on the enqueuing thread.
   uint64_t WallNanos = 0;
-  /// Thread-CPU cost on the serving worker.
+  /// Thread-CPU cost on the serving thread.
   uint64_t CpuNanos = 0;
   /// Time the request spent queued before a worker picked it up (0 in
-  /// inline mode). The serve layer feeds these into its queue-wait p99
-  /// window for admission control.
+  /// inline mode and for a source-key hit). The serve layer feeds these
+  /// into its queue-wait p99 window for admission control.
   uint64_t QueueWaitNanos = 0;
 };
 

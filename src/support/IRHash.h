@@ -17,9 +17,13 @@
 ///  - block successors and call targets are hashed by layout index, not
 ///    by pointer, so the hash is stable across processes and runs.
 ///
-/// The hash is FNV-1a over a canonical byte serialization; it is *not*
-/// cryptographic. The code cache stores the full key alongside the hash,
-/// so a collision costs a spurious recompile, never a wrong code hit.
+/// The hash is 64-bit FNV-1a over a canonical byte serialization; it is
+/// *not* cryptographic. The code-cache key holds only this hash (plus the
+/// configuration), not the module, so two different modules that collide
+/// under one configuration share a cache entry and the second is served
+/// the first's artifact — a wrong artifact, with probability about 2^-64
+/// per pair. The code cache's source key (jit/CodeCache.h), the same
+/// hasher over raw `.sxir` bytes, has the same strength.
 ///
 //===----------------------------------------------------------------------===//
 

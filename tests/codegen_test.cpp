@@ -548,6 +548,43 @@ TEST(NativeTest, CallsPassArgumentsAndReturnValues) {
   expectNativeMatchesInterp(M, {13});
 }
 
+TEST(NativeTest, RunsAfterTheSourceModuleIsDestroyed) {
+  // A NativeModule must not read the IR it was compiled from: run() looks
+  // functions up by name, so names have to be owned by the machine IR.
+  if (!NativeModule::hostSupported())
+    GTEST_SKIP() << "host cannot execute emitted x86-64 code";
+  auto M = std::make_unique<Module>("m");
+  Function *Callee = M->createFunction("scale_by_three", Type::I64);
+  {
+    Reg A = Callee->addParam(Type::I64, "a");
+    IRBuilder Bld(Callee);
+    Bld.startBlock("entry");
+    Bld.ret(Bld.mul64(A, Bld.constI64(3), "r"));
+  }
+  Function *F = M->createFunction("main", Type::I64);
+  Reg P = F->addParam(Type::I64, "p");
+  Reg Q = F->addParam(Type::I64, "q");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  Reg Scaled = Bld.call(Callee, {P}, "scaled");
+  Bld.ret(Bld.add64(Scaled, Q, "sum"));
+
+  const std::vector<uint64_t> Args = {14, 5};
+  ExecResult Want = Interpreter(*M, x86MachineOptions()).run("main", Args);
+  ASSERT_EQ(Want.Trap, TrapKind::None);
+
+  std::string Error;
+  auto NM = NativeModule::compile(*M, {}, &Error);
+  ASSERT_NE(NM, nullptr) << Error;
+  M.reset();
+
+  ExecResult Got = NM->run("main", Args);
+  EXPECT_EQ(Got.Trap, TrapKind::None) << trapKindName(Got.Trap);
+  EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+  EXPECT_EQ(NM->machineModule().find("scale_by_three")->name(),
+            "scale_by_three");
+}
+
 TEST(NativeTest, RecursionHitsStackOverflowInLockstep) {
   // f(n) = n <= 0 ? 0 : f(n-1)+n; driven past the depth limit.
   Module M("m");

@@ -10,6 +10,9 @@
 //     with 8 workers produces byte-identical IR and identical
 //     sext_eliminated counts to the serial (jobs=0) run;
 //   - worker shutdown is graceful (every accepted future resolves);
+//   - a repeated source is served at enqueue by its source key (no queue
+//     hop, no parse), never aliases another configuration, and is
+//     refused after shutdown like any other request;
 //   - the tiered controller closes the interpret -> profile -> recompile
 //     loop with a real interpreter profile;
 //   - PassStats::merge and the Timer thread-CPU clock behave (the two
@@ -27,12 +30,16 @@
 #include "jit/TieredController.h"
 #include "parser/Parser.h"
 #include "pm/InstrumentedPipeline.h"
+#include "obs/TraceContext.h"
 #include "support/IRHash.h"
+#include "support/Json.h"
 #include "support/Timer.h"
 #include "tests/TestHelpers.h"
 
+#include <chrono>
 #include <fstream>
 #include <set>
+#include <thread>
 #include <sstream>
 #include <gtest/gtest.h>
 
@@ -76,6 +83,45 @@ std::string loadCorpusSource(const std::string &Name) {
 
 const char *const CorpusNames[] = {"generated_small", "generated_medium",
                                    "generated_large"};
+
+/// \p Text with every occurrence of \p From replaced by \p To.
+std::string replaceAll(std::string Text, const std::string &From,
+                       const std::string &To) {
+  for (size_t Pos = Text.find(From); Pos != std::string::npos;
+       Pos = Text.find(From, Pos + To.size()))
+    Text.replace(Pos, From.size(), To);
+  return Text;
+}
+
+/// A source request for \p Source under \p Config, traced as \p TraceId.
+CompileRequest sourceRequest(const std::string &Source, uint64_t TraceId,
+                             const PipelineConfig &Config =
+                                 PipelineConfig::forVariant(Variant::All)) {
+  CompileRequest Request;
+  Request.Name = "src" + std::to_string(TraceId);
+  Request.Source = Source;
+  Request.Config = Config;
+  Request.TraceId = TraceId;
+  return Request;
+}
+
+/// Names of the spans in \p Trace whose args carry \p TraceId, with
+/// multiplicity.
+std::multiset<std::string> spansOf(const TraceCollector &Trace,
+                                   uint64_t TraceId) {
+  JsonValue Doc;
+  std::string Error;
+  EXPECT_TRUE(parseJson(Trace.toJson(), Doc, Error)) << Error;
+  std::multiset<std::string> Names;
+  if (const JsonValue *Events = Doc.find("traceEvents"))
+    for (const JsonValue &Event : Events->array()) {
+      const JsonValue *Args = Event.find("args");
+      if (Event.stringField("ph") == "X" && Args &&
+          Args->stringField("trace_id") == traceIdHex(TraceId))
+        Names.insert(Event.stringField("name"));
+    }
+  return Names;
+}
 
 } // namespace
 
@@ -412,6 +458,205 @@ TEST(CompileService, AggregateStatsSumPerRunCounters) {
   // vocabulary (docs/OBSERVABILITY.md).
   EXPECT_EQ(Stats.Aggregate.value("compile-service", "compiled"), 3u);
   EXPECT_EQ(Stats.Aggregate.value("compile-service", "submitted"), 3u);
+}
+
+//===----------------------------------------------------------------------===//
+// Source-key probe at enqueue
+//===----------------------------------------------------------------------===//
+
+TEST(SourceKeyProbe, RepeatedSourceIsServedAtEnqueue) {
+  std::string Source = loadCorpusSource("generated_small");
+  for (unsigned Jobs : {0u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    CodeCache Cache;
+    TraceCollector Trace;
+    CompileServiceOptions Options;
+    Options.Jobs = Jobs;
+    Options.Cache = &Cache;
+    Options.Trace = &Trace;
+    CompileService Service(Options);
+
+    CompileResult First = Service.enqueue(sourceRequest(Source, 1)).get();
+    std::future<CompileResult> Future =
+        Service.enqueue(sourceRequest(Source, 2));
+    // No queue hop: the hit is resolved before enqueue returns.
+    ASSERT_EQ(std::future_status::ready,
+              Future.wait_for(std::chrono::seconds(0)));
+    CompileResult Second = Future.get();
+
+    ASSERT_TRUE(First.Ok && Second.Ok) << First.Error << Second.Error;
+    EXPECT_FALSE(First.CacheHit);
+    EXPECT_TRUE(Second.CacheHit);
+    EXPECT_EQ(First.Code.get(), Second.Code.get());
+    EXPECT_EQ(0u, Second.QueueWaitNanos);
+
+    std::multiset<std::string> Spans = spansOf(Trace, 2);
+    EXPECT_EQ(0u, Spans.count("queue-wait"));
+    EXPECT_EQ(1u, Spans.count("cache-probe"));
+    EXPECT_EQ(0u, Spans.count("compile"));
+
+    CompileServiceStats Stats = Service.stats();
+    EXPECT_EQ(2u, Stats.Submitted);
+    EXPECT_EQ(1u, Stats.Compiled);
+    EXPECT_EQ(1u, Stats.CacheHits);
+    // First: source miss + structural miss; second: one source hit. The
+    // structural key and the source alias are two entries.
+    CodeCacheStats CacheStats = Cache.stats();
+    EXPECT_EQ(1u, CacheStats.Hits);
+    EXPECT_EQ(2u, CacheStats.Misses);
+    EXPECT_EQ(2u, CacheStats.Entries);
+  }
+}
+
+TEST(SourceKeyProbe, NeverAliasesAcrossTargetsVariantsOrProfiles) {
+  std::string Source = loadCorpusSource("generated_small");
+  ParseResult Parsed = parseModule(Source);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  ProfileInfo Profile;
+  for (const Instruction &Inst :
+       *Parsed.M->findFunction("main")->blocks().front()) {
+    Profile.recordBranch(&Inst, true);
+    break;
+  }
+  ASSERT_FALSE(Profile.empty());
+  PipelineConfig Profiled = PipelineConfig::forVariant(Variant::All);
+  Profiled.Profile = &Profile;
+  const PipelineConfig Configs[] = {
+      PipelineConfig::forVariant(Variant::All),
+      PipelineConfig::forVariant(Variant::All, TargetInfo::ppc64()),
+      PipelineConfig::forVariant(Variant::Baseline), Profiled};
+
+  std::set<std::string> Keys;
+  for (const PipelineConfig &Config : Configs) {
+    std::string Key = codeCacheSourceKey(Source, Config);
+    EXPECT_EQ(0u, Key.rfind("src:", 0)) << Key;
+    Keys.insert(Key);
+  }
+  EXPECT_EQ(4u, Keys.size());
+  // The tag keeps a source key from ever equalling a structural key.
+  EXPECT_NE(codeCacheSourceKey(Source, Configs[0]),
+            codeCacheKey(hashModule(*Parsed.M), Configs[0]));
+
+  CodeCache Cache;
+  CompileServiceOptions Options;
+  Options.Jobs = 0;
+  Options.Cache = &Cache;
+  CompileService Service(Options);
+  std::vector<std::shared_ptr<const CompiledCode>> Artifacts;
+  uint64_t TraceId = 1;
+  for (const PipelineConfig &Config : Configs) {
+    CompileResult Result =
+        Service.enqueue(sourceRequest(Source, TraceId++, Config)).get();
+    ASSERT_TRUE(Result.Ok) << Result.Error;
+    EXPECT_FALSE(Result.CacheHit) << "aliased another configuration";
+    Artifacts.push_back(Result.Code);
+  }
+  for (size_t Index = 0; Index < 4; ++Index) {
+    CompileResult Again =
+        Service.enqueue(sourceRequest(Source, TraceId++, Configs[Index])).get();
+    ASSERT_TRUE(Again.Ok) << Again.Error;
+    EXPECT_TRUE(Again.CacheHit);
+    EXPECT_EQ(Artifacts[Index].get(), Again.Code.get()) << "config " << Index;
+  }
+  EXPECT_EQ(4u, Service.stats().Compiled);
+}
+
+TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
+  std::string Source = loadCorpusSource("generated_small");
+  std::string Renamed = replaceAll(Source, "%lcg.", "%rng.");
+  ASSERT_NE(Source, Renamed);
+
+  CodeCache Cache;
+  CompileServiceOptions Options;
+  Options.Jobs = 2;
+  Options.Cache = &Cache;
+  CompileService Service(Options);
+  CompileResult First = Service.enqueue(sourceRequest(Source, 1)).get();
+  ASSERT_TRUE(First.Ok) << First.Error;
+
+  // Second: a source-key miss, then a structural hit on the same bytes.
+  CodeCacheStats Before = Cache.stats();
+  CompileResult Cosmetic = Service.enqueue(sourceRequest(Renamed, 2)).get();
+  CodeCacheStats After = Cache.stats();
+  ASSERT_TRUE(Cosmetic.Ok) << Cosmetic.Error;
+  EXPECT_TRUE(Cosmetic.CacheHit);
+  EXPECT_EQ(First.Code.get(), Cosmetic.Code.get());
+  EXPECT_EQ(First.Code->IRText, Cosmetic.Code->IRText);
+  EXPECT_EQ(1u, After.Misses - Before.Misses);
+  EXPECT_EQ(1u, After.Hits - Before.Hits);
+  EXPECT_EQ(3u, After.Entries); // Structural key plus two source aliases.
+
+  // Third: the renamed source now hits its own alias at enqueue.
+  std::future<CompileResult> Future =
+      Service.enqueue(sourceRequest(Renamed, 3));
+  ASSERT_EQ(std::future_status::ready,
+            Future.wait_for(std::chrono::seconds(0)));
+  CompileResult Third = Future.get();
+  CodeCacheStats Last = Cache.stats();
+  EXPECT_TRUE(Third.CacheHit);
+  EXPECT_EQ(First.Code.get(), Third.Code.get());
+  EXPECT_EQ(0u, Last.Misses - After.Misses);
+  EXPECT_EQ(1u, Last.Hits - After.Hits);
+  EXPECT_EQ(1u, Service.stats().Compiled);
+}
+
+TEST(SourceKeyProbe, CachedSourceAfterShutdownIsRefused) {
+  std::string Source = loadCorpusSource("generated_small");
+  for (unsigned Jobs : {0u, 1u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    CodeCache Cache;
+    MetricsRegistry Metrics;
+    CompileServiceOptions Options;
+    Options.Jobs = Jobs;
+    Options.Cache = &Cache;
+    Options.Metrics = &Metrics;
+    CompileService Service(Options);
+    ASSERT_TRUE(Service.enqueue(sourceRequest(Source, 1)).get().Ok);
+    Service.shutdown();
+
+    CompileResult Late = Service.enqueue(sourceRequest(Source, 2)).get();
+    EXPECT_FALSE(Late.Ok);
+    EXPECT_TRUE(Late.Rejected);
+    EXPECT_EQ(nullptr, Late.Code);
+    CompileServiceStats Stats = Service.stats();
+    EXPECT_EQ(1u, Stats.Rejected);
+    EXPECT_EQ(0u, Stats.CacheHits);
+    EXPECT_EQ(1u, Metrics.counter("sxe_rejects_total").value());
+    EXPECT_EQ(0u, Metrics.counter("sxe_cache_hits_total").value());
+  }
+}
+
+TEST(SourceKeyProbe, ConcurrentHitsKeepCountersExact) {
+  // Hits now run on the submitting threads; the relaxed-atomic counters
+  // must still add up exactly once everything has resolved.
+  std::string Source = loadCorpusSource("generated_small");
+  CodeCache Cache;
+  CompileServiceOptions Options;
+  Options.Jobs = 2;
+  Options.Cache = &Cache;
+  CompileService Service(Options);
+  const unsigned Threads = 4, PerThread = 50;
+  std::vector<std::thread> Submitters;
+  std::atomic<unsigned> Bad{0};
+  for (unsigned T = 0; T < Threads; ++T)
+    Submitters.emplace_back([&, T] {
+      for (unsigned N = 0; N < PerThread; ++N) {
+        CompileResult R =
+            Service.enqueue(sourceRequest(Source, 1 + T * PerThread + N))
+                .get();
+        if (!R.Ok || !R.Code)
+          ++Bad;
+      }
+    });
+  for (std::thread &T : Submitters)
+    T.join();
+  EXPECT_EQ(0u, Bad.load());
+  CompileServiceStats Stats = Service.stats();
+  EXPECT_EQ(Threads * PerThread, Stats.Submitted);
+  EXPECT_EQ(Threads * PerThread, Stats.Compiled + Stats.CacheHits);
+  EXPECT_GE(Stats.Compiled, 1u);
+  EXPECT_EQ(Stats.Compiled, Stats.Aggregate.value("compile-service",
+                                                   "compiled"));
 }
 
 //===----------------------------------------------------------------------===//

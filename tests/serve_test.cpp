@@ -12,7 +12,8 @@
 //     reference service, typed parse/protocol errors, deadline expiry
 //     under a saturated queue, load-shed rejection sharing the service's
 //     Rejected ledger, graceful drain (every accepted request answered,
-//     socket unlinked), and restart-with-warm-persistent-cache;
+//     socket unlinked), restart-with-warm-persistent-cache, and a
+//     source-key hit whose reply and lifecycle match a structural hit's;
 //   - request-scoped tracing: trace/request ids round-trip the wire (and
 //     legacy id-less payloads decode to absent), the daemon echoes a
 //     client-minted id and mints one for legacy clients, lifecycle events
@@ -630,6 +631,90 @@ TEST(ServeDaemon, RestartServesFromWarmPersistentCache) {
   EXPECT_FALSE(Reply.RemarksJsonl.empty());
   EXPECT_EQ(0u, Daemon.service().stats().Compiled);
   EXPECT_EQ(1u, Daemon.service().stats().PersistentHits);
+  Daemon.stop();
+}
+
+TEST(ServeDaemon, SourceHitReplyMatchesStructuralHitReply) {
+  TempDir Dir("srchit");
+  ServeDaemonOptions Options;
+  Options.SocketPath = Dir.sock();
+  Options.Jobs = 2;
+  ServeDaemon Daemon(Options);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(Error)) << Error;
+  ServeClient Client;
+  ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
+
+  auto Send = [&](const std::string &Source) {
+    ServeRequest Request;
+    Request.Name = "hit.sxir";
+    Request.Source = Source;
+    Request.CollectRemarks = true;
+    ServeReply Reply;
+    EXPECT_TRUE(Client.compile(Request, Reply, Error)) << Error;
+    EXPECT_TRUE(Reply.Ok) << Reply.Error;
+    return Reply;
+  };
+  // Register names are cosmetic: same structural key, different source
+  // bytes.
+  std::string Source = smallSource(/*Bias=*/61);
+  std::string Renamed = Source;
+  for (size_t Pos = Renamed.find("%v"); Pos != std::string::npos;
+       Pos = Renamed.find("%v", Pos + 1))
+    Renamed.replace(Pos, 2, "%w");
+  ASSERT_NE(Source, Renamed);
+
+  ServeReply Compiled = Send(Source);
+  ServeReply Structural = Send(Renamed); // Source miss, structural hit.
+  ServeReply BySource = Send(Source);    // Source hit at enqueue.
+  EXPECT_EQ(ServeTier::Compiled, Compiled.Tier);
+  EXPECT_EQ(ServeTier::Memory, Structural.Tier);
+  EXPECT_EQ(ServeTier::Memory, BySource.Tier);
+  EXPECT_EQ(0u, BySource.QueueWaitNanos);
+  EXPECT_EQ(1u, Daemon.service().stats().Compiled);
+  EXPECT_EQ(2u, Daemon.service().stats().CacheHits);
+
+  // Byte-identical on the wire once the per-request fields (ids and
+  // measured times) are set aside.
+  for (ServeReply *Reply : {&Structural, &BySource}) {
+    Reply->TraceId = Reply->RequestId = 0;
+    Reply->QueueWaitNanos = Reply->WallNanos = 0;
+  }
+  EXPECT_EQ(encodeServeReply(Structural), encodeServeReply(BySource));
+  EXPECT_FALSE(BySource.RemarksJsonl.empty());
+
+  // The source hit keeps its lifecycle: admit -> cache_tier(memory) ->
+  // reply, all under its own request id.
+  std::vector<const ObsEvent *> Lifecycle;
+  std::vector<ObsEvent> Events = Daemon.eventLog().snapshot();
+  for (const ObsEvent &Event : Events)
+    if (Event.Ctx.RequestId == 3)
+      Lifecycle.push_back(&Event);
+  ASSERT_EQ(3u, Lifecycle.size());
+  EXPECT_EQ(ObsEventKind::Admit, Lifecycle[0]->Kind);
+  EXPECT_EQ(ObsEventKind::CacheTier, Lifecycle[1]->Kind);
+  EXPECT_EQ(ObsEventKind::Reply, Lifecycle[2]->Kind);
+  auto FieldOf = [](const ObsEvent &Event, const std::string &Key) {
+    for (const auto &Field : Event.Fields)
+      if (Field.first == Key)
+        return Field.second;
+    return std::string();
+  };
+  EXPECT_EQ("memory", FieldOf(*Lifecycle[1], "tier"));
+  EXPECT_EQ("memory", FieldOf(*Lifecycle[2], "tier"));
+
+  // Its spans: the probe and the serve span, no queue wait.
+  std::set<std::string> Spans;
+  JsonValue Doc;
+  ASSERT_TRUE(parseJson(Daemon.traceCollector().toJson(), Doc, Error))
+      << Error;
+  for (const JsonValue &Event : Doc.find("traceEvents")->array()) {
+    const JsonValue *Args = Event.find("args");
+    if (Event.stringField("ph") == "X" && Args &&
+        Args->stringField("request_id") == "3")
+      Spans.insert(Event.stringField("name"));
+  }
+  EXPECT_EQ((std::set<std::string>{"cache-probe", "serve-request"}), Spans);
   Daemon.stop();
 }
 
