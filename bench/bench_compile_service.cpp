@@ -10,7 +10,8 @@
 //   3. determinism: every parallel run's output is compared against the
 //      serial (jobs=0) reference compile, byte for byte.
 //
-// `--daemon` switches to the serve-daemon warm-cache benchmark and
+// `--daemon` switches to the serve-daemon warm-cache benchmark (plus a
+// printed warm-hit split: ping RTT, codec halves, round trip) and
 // `--overhead[-gate=PCT]` to an A/B measurement of what request-scoped
 // tracing + the event log cost the warm serve path (CI gates at 5%).
 //
@@ -209,6 +210,65 @@ DaemonRun sweepDaemon(const std::string &SocketPath,
   return Out;
 }
 
+/// Prints where one warm hit's round trip goes (median µs over \p Rounds
+/// passes of the corpus on one connection): the bare Ping round trip, the
+/// compile round trip, and each codec half timed on its own over the
+/// request sent and the reply received. Requests are stats-only, like the
+/// warm loops. Stdout only: the JSON report keeps its gated shape.
+void printWarmHitSplit(const std::string &SocketPath,
+                       const std::vector<CorpusModule> &Corpus,
+                       unsigned Rounds) {
+  ServeClient Client;
+  std::string Error;
+  if (!Client.connectTo(SocketPath, Error, /*RetryMillis=*/2000))
+    return;
+  enum { Ping, RoundTrip, RequestEncode, RequestDecode, ReplyEncode,
+         ReplyDecode, NumLayers };
+  std::vector<uint64_t> Nanos[NumLayers];
+  uint64_t SourceBytes = 0, ReplyBytes = 0;
+  auto Time = [&Nanos](int Layer, auto &&Body) {
+    uint64_t Start = wallNowNanos();
+    Body();
+    Nanos[Layer].push_back(wallNowNanos() - Start);
+  };
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    for (const CorpusModule &M : Corpus) {
+      ServeRequest Request;
+      Request.Name = M.Name;
+      Request.Source = M.Source;
+      Request.WantIR = false;
+      ServeReply Reply;
+      Time(Ping, [&] { Client.ping(Error); });
+      Time(RoundTrip, [&] { Client.compile(Request, Reply, Error); });
+      std::string Payload, ReplyPayload;
+      ServeRequest DecodedRequest;
+      ServeReply DecodedReply;
+      Time(RequestEncode, [&] { Payload = encodeServeRequest(Request); });
+      Time(RequestDecode,
+           [&] { decodeServeRequest(Payload, DecodedRequest, Error); });
+      Time(ReplyEncode, [&] { ReplyPayload = encodeServeReply(Reply); });
+      Time(ReplyDecode,
+           [&] { decodeServeReply(ReplyPayload, DecodedReply, Error); });
+      SourceBytes += M.Source.size();
+      ReplyBytes += ReplyPayload.size();
+    }
+  }
+  auto Median = [&Nanos](int Layer) {
+    std::sort(Nanos[Layer].begin(), Nanos[Layer].end());
+    return static_cast<double>(percentileNanos(Nanos[Layer], 50)) / 1e3;
+  };
+  uint64_t Samples = Nanos[Ping].size();
+  std::printf("warm-hit split, median us over %llu hits (%llu-byte source, "
+              "%llu-byte reply on average): ping %.1f, round trip %.1f, "
+              "request encode %.1f / decode %.1f, reply encode %.1f / "
+              "decode %.1f\n",
+              static_cast<unsigned long long>(Samples),
+              static_cast<unsigned long long>(SourceBytes / Samples),
+              static_cast<unsigned long long>(ReplyBytes / Samples),
+              Median(Ping), Median(RoundTrip), Median(RequestEncode),
+              Median(RequestDecode), Median(ReplyEncode), Median(ReplyDecode));
+}
+
 /// `--daemon`: starts an in-process ServeDaemon on a temp socket with a
 /// temp persistent-cache dir, warms the corpus through one connection,
 /// then measures warm-cache request throughput and the latency curve at
@@ -277,6 +337,7 @@ int runDaemonBench(const BenchContext &Ctx) {
                 Run.P90Nanos / 1e3, Run.P99Nanos / 1e3);
     Runs.push_back(Run);
   }
+  printWarmHitSplit(SocketPath, Corpus, Ctx.Smoke ? 2 : 100);
 
   // Per request, not per probe: a source request that misses probes the
   // memory tier twice (source key, then structural key).

@@ -64,11 +64,6 @@ uint64_t checksumCompiledCode(const CompiledCode &Code) {
   return H.result();
 }
 
-uint64_t numField(const JsonValue &V, const char *Name) {
-  const JsonValue *F = V.find(Name);
-  return F && F->isNumber() ? static_cast<uint64_t>(F->numberValue()) : 0;
-}
-
 } // namespace
 
 std::string sxe::encodePersistentEntry(const std::string &Key,
@@ -124,7 +119,7 @@ std::string sxe::encodePersistentEntry(const std::string &Key,
   }
   J.endArray();
   J.endObject();
-  return J.str();
+  return J.take();
 }
 
 bool sxe::decodePersistentEntry(const std::string &Text,
@@ -141,13 +136,12 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     Error = "entry stores a different key (filename collision)";
     return false;
   }
-  const JsonValue *Ir = V.find("ir");
-  if (!Ir || !Ir->isString()) {
+  if (const JsonValue *Ir = V.find("ir"); !Ir || !Ir->isString()) {
     Error = "missing ir text";
     return false;
   }
   Out = CompiledCode();
-  Out.IRText = Ir->stringValue();
+  Out.IRText = V.takeStringField("ir");
   Out.InputIRHash =
       std::strtoull(V.stringField("ir_hash").c_str(), nullptr, 16);
 
@@ -159,7 +153,7 @@ bool sxe::decodePersistentEntry(const std::string &Text,
   for (const JsonValue &E : Stats->array()) {
     std::string Pass = E.stringField("pass");
     std::string Name = E.stringField("name");
-    uint64_t Value = numField(E, "value");
+    uint64_t Value = E.uint64Field("value");
     const JsonValue *Flag = E.find("flag");
     if (Flag && Flag->isBool() && Flag->boolValue())
       Out.Stats.flag(Pass, Name) = Value;
@@ -174,32 +168,32 @@ bool sxe::decodePersistentEntry(const std::string &Text,
   }
   PipelineStats &L = Out.Legacy;
   L.ExtensionsGenerated =
-      static_cast<unsigned>(numField(*Legacy, "extensions_generated"));
+      static_cast<unsigned>(Legacy->uint64Field("extensions_generated"));
   L.ExtensionsInserted =
-      static_cast<unsigned>(numField(*Legacy, "extensions_inserted"));
+      static_cast<unsigned>(Legacy->uint64Field("extensions_inserted"));
   L.DummiesInserted =
-      static_cast<unsigned>(numField(*Legacy, "dummies_inserted"));
+      static_cast<unsigned>(Legacy->uint64Field("dummies_inserted"));
   L.ExtensionsEliminated =
-      static_cast<unsigned>(numField(*Legacy, "extensions_eliminated"));
+      static_cast<unsigned>(Legacy->uint64Field("extensions_eliminated"));
   L.DummiesRemoved =
-      static_cast<unsigned>(numField(*Legacy, "dummies_removed"));
+      static_cast<unsigned>(Legacy->uint64Field("dummies_removed"));
   L.GeneralOptRewrites =
-      static_cast<unsigned>(numField(*Legacy, "general_opt_rewrites"));
+      static_cast<unsigned>(Legacy->uint64Field("general_opt_rewrites"));
   L.SubscriptExtended =
-      static_cast<unsigned>(numField(*Legacy, "subscript_extended"));
+      static_cast<unsigned>(Legacy->uint64Field("subscript_extended"));
   L.SubscriptTheorem1 =
-      static_cast<unsigned>(numField(*Legacy, "theorem1_fired"));
+      static_cast<unsigned>(Legacy->uint64Field("theorem1_fired"));
   L.SubscriptTheorem2 =
-      static_cast<unsigned>(numField(*Legacy, "theorem2_fired"));
+      static_cast<unsigned>(Legacy->uint64Field("theorem2_fired"));
   L.SubscriptTheorem3 =
-      static_cast<unsigned>(numField(*Legacy, "theorem3_fired"));
+      static_cast<unsigned>(Legacy->uint64Field("theorem3_fired"));
   L.SubscriptTheorem4 =
-      static_cast<unsigned>(numField(*Legacy, "theorem4_fired"));
-  L.ConversionNanos = numField(*Legacy, "conversion_ns");
-  L.GeneralOptsNanos = numField(*Legacy, "general_opts_ns");
-  L.ChainCreationNanos = numField(*Legacy, "chain_creation_ns");
-  L.SxeOptNanos = numField(*Legacy, "sxe_opt_ns");
-  L.TotalNanos = numField(*Legacy, "total_ns");
+      static_cast<unsigned>(Legacy->uint64Field("theorem4_fired"));
+  L.ConversionNanos = Legacy->uint64Field("conversion_ns");
+  L.GeneralOptsNanos = Legacy->uint64Field("general_opts_ns");
+  L.ChainCreationNanos = Legacy->uint64Field("chain_creation_ns");
+  L.SxeOptNanos = Legacy->uint64Field("sxe_opt_ns");
+  L.TotalNanos = Legacy->uint64Field("total_ns");
 
   const JsonValue *Remarks = V.find("remarks");
   if (!Remarks || !Remarks->isArray()) {
@@ -305,8 +299,8 @@ void PersistentCache::loadIndexLocked() {
     std::string Key = E.stringField("key");
     Entry Item;
     Item.File = E.stringField("file");
-    Item.Bytes = numField(E, "bytes");
-    Item.AccessTick = numField(E, "access");
+    Item.Bytes = E.uint64Field("bytes");
+    Item.AccessTick = E.uint64Field("access");
     if (Key.empty() || Item.File.empty())
       continue;
     // Trust but verify: an entry another process evicted is dropped here.

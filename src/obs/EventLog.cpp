@@ -41,21 +41,32 @@ std::string EventLog::toJsonl() const {
   Out += "\"}\n";
   for (const ObsEvent &Event : Copy) {
     // One single-line record per event; JsonWriter pretty-prints, so the
-    // line is assembled from quoted pieces directly (same approach as the
+    // line is assembled in place from quoted pieces (same approach as the
     // remark stream).
-    std::string Line = "{\"ts_ns\": " + std::to_string(Event.Nanos) +
-                       ", \"event\": " +
-                       JsonWriter::quote(obsEventKindName(Event.Kind));
-    if (Event.Ctx.TraceId)
-      Line += ", \"trace_id\": \"" + traceIdHex(Event.Ctx.TraceId) + "\"";
-    if (Event.Ctx.RequestId)
-      Line += ", \"request_id\": " + std::to_string(Event.Ctx.RequestId);
-    if (!Event.Name.empty())
-      Line += ", \"name\": " + JsonWriter::quote(Event.Name);
-    for (const auto &[Key, Value] : Event.Fields)
-      Line += ", " + JsonWriter::quote(Key) + ": " + JsonWriter::quote(Value);
-    Line += "}\n";
-    Out += Line;
+    Out += "{\"ts_ns\": ";
+    Out += std::to_string(Event.Nanos);
+    Out += ", \"event\": ";
+    JsonWriter::appendQuoted(Out, obsEventKindName(Event.Kind));
+    if (Event.Ctx.TraceId) {
+      Out += ", \"trace_id\": \"";
+      Out += traceIdHex(Event.Ctx.TraceId);
+      Out += '"';
+    }
+    if (Event.Ctx.RequestId) {
+      Out += ", \"request_id\": ";
+      Out += std::to_string(Event.Ctx.RequestId);
+    }
+    if (!Event.Name.empty()) {
+      Out += ", \"name\": ";
+      JsonWriter::appendQuoted(Out, Event.Name);
+    }
+    for (const auto &[Key, Value] : Event.Fields) {
+      Out += ", ";
+      JsonWriter::appendQuoted(Out, Key);
+      Out += ": ";
+      JsonWriter::appendQuoted(Out, Value);
+    }
+    Out += "}\n";
   }
   return Out;
 }

@@ -38,23 +38,26 @@ std::string sxe::remarksHeaderLine() {
   return std::string("{\"schema\": \"") + kRemarksSchema + "\"}\n";
 }
 
-/// Appends `, "key": value` (or the bare pair when \p First).
-static void field(std::string &Out, bool &First, const std::string &Key,
-                  const std::string &Quoted) {
+/// Appends `, "key": ` (or the bare `"key": ` when \p First).
+static void fieldKey(std::string &Out, bool &First, const char *Key) {
   if (!First)
     Out += ", ";
   First = false;
-  Out += "\"" + Key + "\": " + Quoted;
+  Out += '"';
+  Out += Key;
+  Out += "\": ";
 }
 
-static void strField(std::string &Out, bool &First, const std::string &Key,
-                     const std::string &Value) {
-  field(Out, First, Key, JsonWriter::quote(Value));
+static void strField(std::string &Out, bool &First, const char *Key,
+                     std::string_view Value) {
+  fieldKey(Out, First, Key);
+  JsonWriter::appendQuoted(Out, Value);
 }
 
-static void numField(std::string &Out, bool &First, const std::string &Key,
+static void numField(std::string &Out, bool &First, const char *Key,
                      uint64_t Value) {
-  field(Out, First, Key, std::to_string(Value));
+  fieldKey(Out, First, Key);
+  Out += std::to_string(Value);
 }
 
 std::string sxe::remarkToJsonLine(const Remark &R) {
@@ -135,14 +138,9 @@ bool sxe::remarkFromJsonLine(const std::string &Line, Remark &Out,
     return false;
   }
   Out = Remark();
-  auto num = [&V](const char *Name, uint64_t Default) -> uint64_t {
-    const JsonValue *F = V.find(Name);
-    return F && F->isNumber() ? static_cast<uint64_t>(F->numberValue())
-                              : Default;
-  };
   Out.Pass = V.stringField("pass");
   Out.Function = V.stringField("function");
-  Out.InstId = static_cast<uint32_t>(num("inst", kRemarkNoInst));
+  Out.InstId = static_cast<uint32_t>(V.uint64Field("inst", kRemarkNoInst));
   Out.Op = V.stringField("op");
   if (!decisionByName(V.stringField("decision"), Out.Decision)) {
     Error = "unknown remark decision '" + V.stringField("decision") + "'";
@@ -152,15 +150,16 @@ bool sxe::remarkFromJsonLine(const std::string &Line, Remark &Out,
     Error = "unknown remark analysis '" + V.stringField("analysis") + "'";
     return false;
   }
-  Out.Count = num("count", 1);
+  Out.Count = V.uint64Field("count", 1);
   Out.Reason = V.stringField("reason");
-  Out.BlockingInst = static_cast<uint32_t>(num("blocking_inst", kRemarkNoInst));
+  Out.BlockingInst =
+      static_cast<uint32_t>(V.uint64Field("blocking_inst", kRemarkNoInst));
   Out.BlockingOp = V.stringField("blocking_op");
-  Out.SubscriptExtended = num("subscript_extended", 0);
-  Out.Theorem1 = num("theorem1", 0);
-  Out.Theorem2 = num("theorem2", 0);
-  Out.Theorem3 = num("theorem3", 0);
-  Out.Theorem4 = num("theorem4", 0);
-  Out.ArrayUsesProven = num("array_uses_proven", 0);
+  Out.SubscriptExtended = V.uint64Field("subscript_extended");
+  Out.Theorem1 = V.uint64Field("theorem1");
+  Out.Theorem2 = V.uint64Field("theorem2");
+  Out.Theorem3 = V.uint64Field("theorem3");
+  Out.Theorem4 = V.uint64Field("theorem4");
+  Out.ArrayUsesProven = V.uint64Field("array_uses_proven");
   return true;
 }

@@ -103,26 +103,34 @@ std::string TraceCollector::toJson() const {
       Out += ",\n";
     First = false;
     Out += "    {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-           "\"tid\": " +
-           std::to_string(Tid) +
-           ", \"args\": {\"name\": " + JsonWriter::quote(Label) + "}}";
+           "\"tid\": ";
+    Out += std::to_string(Tid);
+    Out += ", \"args\": {\"name\": ";
+    JsonWriter::appendQuoted(Out, Label);
+    Out += "}}";
   }
   for (const TraceEvent &Event : Sorted) {
     if (!First)
       Out += ",\n";
     First = false;
-    Out += "    {\"name\": " + JsonWriter::quote(Event.Name) +
-           ", \"cat\": " + JsonWriter::quote(Event.Category) +
-           ", \"ph\": \"X\", \"pid\": 1, \"tid\": " +
-           std::to_string(Event.Tid) + ", \"ts\": " + micros(Event.StartNanos) +
-           ", \"dur\": " + micros(Event.DurNanos);
+    Out += "    {\"name\": ";
+    JsonWriter::appendQuoted(Out, Event.Name);
+    Out += ", \"cat\": ";
+    JsonWriter::appendQuoted(Out, Event.Category);
+    Out += ", \"ph\": \"X\", \"pid\": 1, \"tid\": ";
+    Out += std::to_string(Event.Tid);
+    Out += ", \"ts\": ";
+    Out += micros(Event.StartNanos);
+    Out += ", \"dur\": ";
+    Out += micros(Event.DurNanos);
     if (!Event.Args.empty()) {
       Out += ", \"args\": {";
       for (size_t Index = 0; Index < Event.Args.size(); ++Index) {
         if (Index)
           Out += ", ";
-        Out += JsonWriter::quote(Event.Args[Index].first) + ": " +
-               JsonWriter::quote(Event.Args[Index].second);
+        JsonWriter::appendQuoted(Out, Event.Args[Index].first);
+        Out += ": ";
+        JsonWriter::appendQuoted(Out, Event.Args[Index].second);
       }
       Out += "}";
     }

@@ -91,27 +91,28 @@ bool ServeClient::roundTrip(FrameType Send, const std::string &Payload,
 bool ServeClient::compile(const ServeRequest &Request, ServeReply &Reply,
                           std::string &Error) {
   // Mint the trace identity client-side so the daemon's spans and events
-  // for this request join back to the client's record of it.
-  ServeRequest Traced = Request;
-  if (!Traced.TraceId)
-    Traced.TraceId = mintTraceId();
-  if (!Traced.ClientRequestId)
-    Traced.ClientRequestId = NextClientRequestId++;
+  // for this request join back to the client's record of it. The ids are
+  // stamped at encode time; the request (and its source) is not copied.
+  uint64_t TraceId = Request.TraceId ? Request.TraceId : mintTraceId();
+  uint64_t ClientRequestId = Request.ClientRequestId
+                                 ? Request.ClientRequestId
+                                 : NextClientRequestId++;
 
   uint64_t Start = wallNowNanos();
   std::string Payload;
-  if (!roundTrip(FrameType::Compile, encodeServeRequest(Traced),
+  if (!roundTrip(FrameType::Compile,
+                 encodeServeRequest(Request, TraceId, ClientRequestId),
                  FrameType::CompileReply, Payload, Error))
     return false;
   if (!decodeServeReply(Payload, Reply, Error))
     return false;
   if (Trace) {
     std::vector<std::pair<std::string, std::string>> Args;
-    Args.emplace_back("trace_id", traceIdHex(Traced.TraceId));
+    Args.emplace_back("trace_id", traceIdHex(TraceId));
     if (Reply.RequestId)
       Args.emplace_back("request_id", std::to_string(Reply.RequestId));
-    if (!Traced.Name.empty())
-      Args.emplace_back("module", Traced.Name);
+    if (!Request.Name.empty())
+      Args.emplace_back("module", Request.Name);
     Args.emplace_back("status",
                       Reply.Ok ? "ok" : serveErrorKindName(Reply.ErrorKind));
     Trace->addSpan("request", "client", Start, wallNowNanos(),

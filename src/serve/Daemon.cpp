@@ -264,7 +264,7 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
       J.keyValue("schema", kServeSchema);
       J.keyValue("prometheus", Metrics.toPrometheus());
       J.endObject();
-      WroteReply = writeFrame(Fd, FrameType::MetricsReply, J.str(),
+      WroteReply = writeFrame(Fd, FrameType::MetricsReply, J.take(),
                               WriteError);
       break;
     }

@@ -188,9 +188,9 @@ static std::string hex16(uint64_t Value) {
   return Buf;
 }
 
-/// Optional trace id: absent or malformed decodes as 0 so pre-trace
-/// peers interoperate.
-static uint64_t traceIdField(const JsonValue &Doc, const char *Name) {
+/// A hex id (trace id, IR hash): absent or malformed decodes as 0 so
+/// pre-trace peers interoperate.
+static uint64_t hexField(const JsonValue &Doc, const char *Name) {
   const JsonValue *Field = Doc.find(Name);
   if (!Field || !Field->isString())
     return 0;
@@ -198,6 +198,11 @@ static uint64_t traceIdField(const JsonValue &Doc, const char *Name) {
 }
 
 std::string encodeServeRequest(const ServeRequest &Request) {
+  return encodeServeRequest(Request, Request.TraceId, Request.ClientRequestId);
+}
+
+std::string encodeServeRequest(const ServeRequest &Request, uint64_t TraceId,
+                               uint64_t ClientRequestId) {
   JsonWriter J;
   J.beginObject();
   J.keyValue("schema", kServeSchema);
@@ -213,20 +218,12 @@ std::string encodeServeRequest(const ServeRequest &Request) {
     J.keyValue("collect_remarks", true);
   if (!Request.WantIR)
     J.keyValue("want_ir", false);
-  if (Request.TraceId)
-    J.keyValue("trace_id", hex16(Request.TraceId));
-  if (Request.ClientRequestId)
-    J.keyValue("client_request_id", Request.ClientRequestId);
+  if (TraceId)
+    J.keyValue("trace_id", hex16(TraceId));
+  if (ClientRequestId)
+    J.keyValue("client_request_id", ClientRequestId);
   J.endObject();
-  return J.str();
-}
-
-static uint64_t numberField(const JsonValue &Doc, const char *Name) {
-  const JsonValue *Field = Doc.find(Name);
-  if (!Field || !Field->isNumber())
-    return 0;
-  double Value = Field->numberValue();
-  return Value > 0 ? static_cast<uint64_t>(Value) : 0;
+  return J.take();
 }
 
 static bool boolField(const JsonValue &Doc, const char *Name, bool Default) {
@@ -262,22 +259,22 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
     return false;
   }
   Out = ServeRequest();
-  Out.Name = Doc.stringField("name");
-  Out.Source = Source->stringValue();
+  Out.Name = Doc.takeStringField("name");
+  Out.Source = Doc.takeStringField("source");
   if (const JsonValue *Target = Doc.find("target"))
     if (Target->isString())
-      Out.Target = Target->stringValue();
+      Out.Target = Doc.takeStringField("target");
   if (const JsonValue *Variant = Doc.find("variant"))
     if (Variant->isString())
-      Out.Variant = Variant->stringValue();
+      Out.Variant = Doc.takeStringField("variant");
   if (const JsonValue *Hotness = Doc.find("hotness"))
     if (Hotness->isNumber())
       Out.Hotness = Hotness->numberValue();
-  Out.DeadlineMillis = numberField(Doc, "deadline_ms");
+  Out.DeadlineMillis = Doc.uint64Field("deadline_ms");
   Out.CollectRemarks = boolField(Doc, "collect_remarks", false);
   Out.WantIR = boolField(Doc, "want_ir", true);
-  Out.TraceId = traceIdField(Doc, "trace_id");
-  Out.ClientRequestId = numberField(Doc, "client_request_id");
+  Out.TraceId = hexField(Doc, "trace_id");
+  Out.ClientRequestId = Doc.uint64Field("client_request_id");
   return true;
 }
 
@@ -321,7 +318,7 @@ std::string encodeServeReply(const ServeReply &Reply) {
   if (Reply.RequestId)
     J.keyValue("request_id", Reply.RequestId);
   J.endObject();
-  return J.str();
+  return J.take();
 }
 
 bool decodeServeReply(const std::string &Payload, ServeReply &Out,
@@ -336,37 +333,36 @@ bool decodeServeReply(const std::string &Payload, ServeReply &Out,
   if (!Out.Ok) {
     if (!serveErrorKindByName(Doc.stringField("error_kind"), Out.ErrorKind))
       Out.ErrorKind = ServeErrorKind::Protocol;
-    Out.Error = Doc.stringField("error");
+    Out.Error = Doc.takeStringField("error");
   } else {
     if (!serveTierByName(Doc.stringField("tier"), Out.Tier))
       Out.Tier = ServeTier::Compiled;
-    Out.InputIRHash =
-        std::strtoull(Doc.stringField("ir_hash").c_str(), nullptr, 16);
-    Out.IRText = Doc.stringField("ir");
-    Out.RemarksJsonl = Doc.stringField("remarks_jsonl");
-    if (const JsonValue *Stats = Doc.find("stats")) {
+    Out.InputIRHash = hexField(Doc, "ir_hash");
+    Out.IRText = Doc.takeStringField("ir");
+    Out.RemarksJsonl = Doc.takeStringField("remarks_jsonl");
+    if (JsonValue *Stats = Doc.find("stats")) {
       if (!Stats->isArray()) {
         Error = "reply field 'stats' is not an array";
         return false;
       }
-      for (const JsonValue &Item : Stats->array()) {
+      Out.Stats.reserve(Stats->array().size());
+      for (JsonValue &Item : Stats->array()) {
         if (!Item.isObject()) {
           Error = "reply stats entry is not an object";
           return false;
         }
-        StatEntry Entry;
-        Entry.Pass = Item.stringField("pass");
-        Entry.Name = Item.stringField("name");
-        Entry.Value = numberField(Item, "value");
+        StatEntry &Entry = Out.Stats.emplace_back();
+        Entry.Pass = Item.takeStringField("pass");
+        Entry.Name = Item.takeStringField("name");
+        Entry.Value = Item.uint64Field("value");
         Entry.IsFlag = boolField(Item, "flag", false);
-        Out.Stats.push_back(std::move(Entry));
       }
     }
   }
-  Out.QueueWaitNanos = numberField(Doc, "queue_wait_ns");
-  Out.WallNanos = numberField(Doc, "wall_ns");
-  Out.TraceId = traceIdField(Doc, "trace_id");
-  Out.RequestId = numberField(Doc, "request_id");
+  Out.QueueWaitNanos = Doc.uint64Field("queue_wait_ns");
+  Out.WallNanos = Doc.uint64Field("wall_ns");
+  Out.TraceId = hexField(Doc, "trace_id");
+  Out.RequestId = Doc.uint64Field("request_id");
   return true;
 }
 

@@ -154,6 +154,10 @@ bool readFrame(int Fd, FrameType &Type, std::string &Payload,
 //===----------------------------------------------------------------------===//
 
 std::string encodeServeRequest(const ServeRequest &Request);
+/// Encodes \p Request under the given trace identity instead of its own,
+/// so a client can stamp ids without copying the request and its source.
+std::string encodeServeRequest(const ServeRequest &Request, uint64_t TraceId,
+                               uint64_t ClientRequestId);
 bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
                         std::string &Error);
 

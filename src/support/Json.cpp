@@ -2,7 +2,11 @@
 
 #include "support/Json.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 
 using namespace sxe;
@@ -57,28 +61,34 @@ void JsonWriter::endArray() {
   Out += ']';
 }
 
-void JsonWriter::key(const std::string &Name) {
+void JsonWriter::key(std::string_view Name) {
   separate();
-  Out += quote(Name);
+  appendQuoted(Out, Name);
   Out += ": ";
   AfterKey = true;
 }
 
-void JsonWriter::value(const std::string &Text) {
+void JsonWriter::value(std::string_view Text) {
   separate();
-  Out += quote(Text);
+  appendQuoted(Out, Text);
 }
 
-void JsonWriter::value(const char *Text) { value(std::string(Text)); }
+/// Appends the decimal digits of \p Number without a temporary string.
+template <typename Int>
+static void appendInteger(std::string &Out, Int Number) {
+  char Buffer[24];
+  auto Result = std::to_chars(Buffer, Buffer + sizeof(Buffer), Number);
+  Out.append(Buffer, Result.ptr);
+}
 
 void JsonWriter::value(uint64_t Number) {
   separate();
-  Out += std::to_string(Number);
+  appendInteger(Out, Number);
 }
 
 void JsonWriter::value(int64_t Number) {
   separate();
-  Out += std::to_string(Number);
+  appendInteger(Out, Number);
 }
 
 void JsonWriter::value(double Number) {
@@ -96,7 +106,7 @@ void JsonWriter::value(bool Flag) {
 /// Length of the valid UTF-8 sequence starting at \p Text[Index], or 0
 /// when the bytes there do not form one (truncated, overlong, surrogate,
 /// or out-of-range encodings all count as invalid).
-static size_t utf8SequenceLength(const std::string &Text, size_t Index) {
+static size_t utf8SequenceLength(std::string_view Text, size_t Index) {
   auto Byte = [&](size_t Offset) -> unsigned {
     return static_cast<unsigned char>(Text[Index + Offset]);
   };
@@ -131,65 +141,132 @@ static size_t utf8SequenceLength(const std::string &Text, size_t Index) {
   return 0;
 }
 
-std::string JsonWriter::quote(const std::string &Raw) {
-  std::string Quoted = "\"";
-  for (size_t Index = 0; Index < Raw.size();) {
-    char C = Raw[Index];
-    switch (C) {
-    case '"':
-      Quoted += "\\\"";
-      ++Index;
-      continue;
-    case '\\':
-      Quoted += "\\\\";
-      ++Index;
-      continue;
-    case '\n':
-      Quoted += "\\n";
-      ++Index;
-      continue;
-    case '\r':
-      Quoted += "\\r";
-      ++Index;
-      continue;
-    case '\t':
-      Quoted += "\\t";
-      ++Index;
-      continue;
-    default:
+//===----------------------------------------------------------------------===//
+// Byte runs
+//===----------------------------------------------------------------------===//
+//
+// Both the escaper and the string parser copy runs of bytes that need no
+// attention. Most text has no such byte for long stretches, so a run is
+// scanned eight bytes per step with word-wide (SWAR) lane tests, then
+// finished byte by byte.
+
+/// \p Byte broadcast to all eight byte lanes of a word.
+static constexpr uint64_t lanes(uint8_t Byte) {
+  return 0x0101010101010101ull * Byte;
+}
+
+/// True when some byte lane of \p Word is below \p Bound (at most 0x80).
+/// Exact: a borrow only crosses into a lane above a lane that matched.
+static constexpr bool anyLaneBelow(uint64_t Word, uint8_t Bound) {
+  return ((Word - lanes(Bound)) & ~Word & lanes(0x80)) != 0;
+}
+
+static constexpr bool anyLaneIs(uint64_t Word, uint8_t Byte) {
+  return anyLaneBelow(Word ^ lanes(Byte), 1);
+}
+
+/// Index of the first byte at or after \p Index in \p Text for which
+/// \p Stops holds, or Text.size(). \p WordStops must hold exactly for the
+/// words that contain such a byte.
+template <typename WordPred, typename BytePred>
+static size_t skipRun(std::string_view Text, size_t Index, WordPred WordStops,
+                      BytePred Stops) {
+  for (; Index + 8 <= Text.size(); Index += 8) {
+    uint64_t Word;
+    std::memcpy(&Word, Text.data() + Index, sizeof(Word));
+    if (WordStops(Word))
       break;
-    }
-    unsigned char Byte = static_cast<unsigned char>(C);
-    if (Byte < 0x20) {
-      // Control characters must be escaped (RFC 8259 §7).
-      char Buffer[8];
-      std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                    static_cast<unsigned>(Byte));
-      Quoted += Buffer;
-      ++Index;
-      continue;
-    }
-    if (Byte < 0x80) {
-      Quoted += C;
-      ++Index;
-      continue;
-    }
-    // Non-ASCII: pass valid UTF-8 through untouched; map each invalid
-    // byte to its Latin-1 code point (U+0080..U+00FF) so arbitrary
-    // (fuzzer- or user-supplied) names still produce a valid document.
-    size_t Length = utf8SequenceLength(Raw, Index);
-    if (Length > 0) {
-      Quoted.append(Raw, Index, Length);
-      Index += Length;
-    } else {
-      char Buffer[8];
-      std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                    static_cast<unsigned>(Byte));
-      Quoted += Buffer;
-      ++Index;
-    }
   }
-  Quoted += '"';
+  while (Index < Text.size() &&
+         !Stops(static_cast<unsigned char>(Text[Index])))
+    ++Index;
+  return Index;
+}
+
+/// The escaper's run: printable ASCII other than '"' and '\\', the bytes
+/// a string literal carries verbatim without further inspection.
+static size_t skipPlainAscii(std::string_view Text, size_t Index) {
+  return skipRun(
+      Text, Index,
+      [](uint64_t Word) {
+        return (Word & lanes(0x80)) || anyLaneBelow(Word, 0x20) ||
+               anyLaneIs(Word, '"') || anyLaneIs(Word, '\\');
+      },
+      [](unsigned char Byte) {
+        return Byte < 0x20 || Byte >= 0x80 || Byte == '"' || Byte == '\\';
+      });
+}
+
+/// The parser's run inside a string literal: everything but control
+/// characters, '"' and '\\' (UTF-8 is not validated on input).
+static size_t skipUnescaped(std::string_view Text, size_t Index) {
+  return skipRun(
+      Text, Index,
+      [](uint64_t Word) {
+        return anyLaneBelow(Word, 0x20) || anyLaneIs(Word, '"') ||
+               anyLaneIs(Word, '\\');
+      },
+      [](unsigned char Byte) {
+        return Byte < 0x20 || Byte == '"' || Byte == '\\';
+      });
+}
+
+/// Appends the escape sequence of one byte that cannot appear verbatim.
+static void appendEscape(std::string &Out, unsigned char Byte) {
+  switch (Byte) {
+  case '"':
+    Out += "\\\"";
+    return;
+  case '\\':
+    Out += "\\\\";
+    return;
+  case '\n':
+    Out += "\\n";
+    return;
+  case '\r':
+    Out += "\\r";
+    return;
+  case '\t':
+    Out += "\\t";
+    return;
+  default:
+    break;
+  }
+  // Control characters must be escaped (RFC 8259 §7); an invalid UTF-8
+  // byte is mapped to its Latin-1 code point (U+0080..U+00FF) so arbitrary
+  // (fuzzer- or user-supplied) names still produce a valid document.
+  static constexpr char Hex[] = "0123456789abcdef";
+  const char Escape[6] = {'\\', 'u', '0', '0', Hex[Byte >> 4],
+                          Hex[Byte & 0xF]};
+  Out.append(Escape, sizeof(Escape));
+}
+
+void JsonWriter::appendQuoted(std::string &Out, std::string_view Raw) {
+  Out.reserve(Out.size() + Raw.size() + 2);
+  Out += '"';
+  // [RunStart, Index) is the pending run of bytes that need no escape:
+  // plain ASCII and complete valid UTF-8 sequences.
+  size_t RunStart = 0;
+  for (size_t Index = skipPlainAscii(Raw, 0); Index < Raw.size();
+       Index = skipPlainAscii(Raw, Index)) {
+    unsigned char Byte = static_cast<unsigned char>(Raw[Index]);
+    if (Byte >= 0x80) {
+      if (size_t Length = utf8SequenceLength(Raw, Index)) {
+        Index += Length;
+        continue;
+      }
+    }
+    Out.append(Raw.data() + RunStart, Index - RunStart);
+    appendEscape(Out, Byte);
+    RunStart = ++Index;
+  }
+  Out.append(Raw.data() + RunStart, Raw.size() - RunStart);
+  Out += '"';
+}
+
+std::string JsonWriter::quote(std::string_view Raw) {
+  std::string Quoted;
+  appendQuoted(Quoted, Raw);
   return Quoted;
 }
 
@@ -205,61 +282,86 @@ bool sxe::writeTextFile(const std::string &Path, const std::string &Text) {
 // JsonValue + parseJson
 //===----------------------------------------------------------------------===//
 
-const JsonValue *JsonValue::find(const std::string &Name) const {
-  if (K != Kind::Object)
+bool JsonValue::boolValue() const {
+  const bool *Flag = std::get_if<bool>(&Data);
+  return Flag && *Flag;
+}
+
+double JsonValue::numberValue() const {
+  const double *Number = std::get_if<double>(&Data);
+  return Number ? *Number : 0;
+}
+
+const std::string &JsonValue::stringValue() const {
+  static const std::string Empty;
+  const std::string *Text = std::get_if<std::string>(&Data);
+  return Text ? *Text : Empty;
+}
+
+const JsonValue::Array &JsonValue::array() const {
+  static const Array Empty;
+  const Array *Elements = std::get_if<Array>(&Data);
+  return Elements ? *Elements : Empty;
+}
+
+const JsonValue::Object &JsonValue::members() const {
+  static const Object Empty;
+  const Object *Members = std::get_if<Object>(&Data);
+  return Members ? *Members : Empty;
+}
+
+const JsonValue *JsonValue::find(std::string_view Name) const {
+  const Object *Members = std::get_if<Object>(&Data);
+  if (!Members)
     return nullptr;
-  for (const auto &[Key, Value] : Members)
+  for (const auto &[Key, Value] : *Members)
     if (Key == Name)
       return &Value;
   return nullptr;
 }
 
-std::string JsonValue::stringField(const std::string &Name) const {
+JsonValue *JsonValue::find(std::string_view Name) {
+  return const_cast<JsonValue *>(std::as_const(*this).find(Name));
+}
+
+std::string JsonValue::stringField(std::string_view Name) const {
   const JsonValue *Member = find(Name);
-  return Member && Member->isString() ? Member->stringValue() : std::string();
+  return Member ? Member->stringValue() : std::string();
 }
 
-JsonValue JsonValue::makeBool(bool V) {
-  JsonValue Out;
-  Out.K = Kind::Bool;
-  Out.Flag = V;
-  return Out;
-}
-JsonValue JsonValue::makeNumber(double V) {
-  JsonValue Out;
-  Out.K = Kind::Number;
-  Out.Number = V;
-  return Out;
-}
-JsonValue JsonValue::makeString(std::string V) {
-  JsonValue Out;
-  Out.K = Kind::String;
-  Out.Text = std::move(V);
-  return Out;
-}
-JsonValue JsonValue::makeArray(std::vector<JsonValue> V) {
-  JsonValue Out;
-  Out.K = Kind::Array;
-  Out.Elements = std::move(V);
-  return Out;
-}
-JsonValue
-JsonValue::makeObject(std::vector<std::pair<std::string, JsonValue>> V) {
-  JsonValue Out;
-  Out.K = Kind::Object;
-  Out.Members = std::move(V);
-  return Out;
+std::string JsonValue::takeStringField(std::string_view Name) {
+  JsonValue *Member = find(Name);
+  std::string *Text = Member ? std::get_if<std::string>(&Member->Data)
+                             : nullptr;
+  if (!Text)
+    return std::string();
+  std::string Taken = std::move(*Text);
+  Text->clear();
+  return Taken;
 }
 
-namespace {
+uint64_t JsonValue::uint64Field(std::string_view Name,
+                                uint64_t Default) const {
+  const JsonValue *Member = find(Name);
+  if (!Member || !Member->isNumber())
+    return Default;
+  // 2^64 is exact as a double. The negated test also rejects NaN, so the
+  // cast below only ever sees values it is defined for.
+  double Value = Member->numberValue();
+  if (!(Value >= 0 && Value < 18446744073709551616.0))
+    return Default;
+  return static_cast<uint64_t>(Value);
+}
 
 /// Strict RFC 8259 recursive-descent parser over an in-memory document.
-class JsonParser {
+/// Values are parsed in place into default-constructed nodes.
+class sxe::JsonParser {
 public:
-  JsonParser(const std::string &Text, std::string &Error)
+  JsonParser(std::string_view Text, std::string &Error)
       : Text(Text), Error(Error) {}
 
   bool parseDocument(JsonValue &Out) {
+    Out = JsonValue();
     skipWhitespace();
     if (!parseValue(Out, 0))
       return false;
@@ -293,6 +395,14 @@ private:
     return true;
   }
 
+  bool literal(std::string_view Word) {
+    if (Text.compare(Pos, Word.size(), Word) != 0)
+      return fail("malformed literal");
+    Pos += Word.size();
+    return true;
+  }
+
+  /// Parses one value into the default-constructed \p Out.
   bool parseValue(JsonValue &Out, unsigned Depth) {
     if (Depth > MaxDepth)
       return fail("nesting too deep");
@@ -303,58 +413,44 @@ private:
       return parseObject(Out, Depth);
     case '[':
       return parseArray(Out, Depth);
-    case '"': {
-      std::string S;
-      if (!parseString(S))
-        return false;
-      Out = JsonValue::makeString(std::move(S));
-      return true;
-    }
+    case '"':
+      return parseString(Out.Data.emplace<std::string>());
     case 't':
-      if (Text.compare(Pos, 4, "true") != 0)
-        return fail("malformed literal");
-      Pos += 4;
-      Out = JsonValue::makeBool(true);
-      return true;
+      Out.Data.emplace<bool>(true);
+      return literal("true");
     case 'f':
-      if (Text.compare(Pos, 5, "false") != 0)
-        return fail("malformed literal");
-      Pos += 5;
-      Out = JsonValue::makeBool(false);
-      return true;
+      Out.Data.emplace<bool>(false);
+      return literal("false");
     case 'n':
-      if (Text.compare(Pos, 4, "null") != 0)
-        return fail("malformed literal");
-      Pos += 4;
-      Out = JsonValue::makeNull();
-      return true;
+      return literal("null");
     default:
-      return parseNumber(Out);
+      return parseNumber(Out.Data.emplace<double>());
     }
   }
 
+  // Containers parse each child in place into a slot appended to their
+  // own vector: a child never touches its parent's vector, so the slot
+  // stays put while the child (and its subtree) is parsed.
+
   bool parseObject(JsonValue &Out, unsigned Depth) {
     ++Pos; // '{'
-    std::vector<std::pair<std::string, JsonValue>> Members;
+    JsonValue::Object &Members = Out.Data.emplace<JsonValue::Object>();
     skipWhitespace();
     if (Pos < Text.size() && Text[Pos] == '}') {
       ++Pos;
-      Out = JsonValue::makeObject(std::move(Members));
       return true;
     }
     while (true) {
       skipWhitespace();
-      std::string Key;
+      auto &[Key, Value] = Members.emplace_back();
       if (!parseString(Key))
         return false;
       skipWhitespace();
       if (!consume(':', "':'"))
         return false;
       skipWhitespace();
-      JsonValue Value;
       if (!parseValue(Value, Depth + 1))
         return false;
-      Members.emplace_back(std::move(Key), std::move(Value));
       skipWhitespace();
       if (Pos >= Text.size())
         return fail("unterminated object");
@@ -364,7 +460,6 @@ private:
       }
       if (Text[Pos] == '}') {
         ++Pos;
-        Out = JsonValue::makeObject(std::move(Members));
         return true;
       }
       return fail("expected ',' or '}'");
@@ -373,19 +468,16 @@ private:
 
   bool parseArray(JsonValue &Out, unsigned Depth) {
     ++Pos; // '['
-    std::vector<JsonValue> Elements;
+    JsonValue::Array &Elements = Out.Data.emplace<JsonValue::Array>();
     skipWhitespace();
     if (Pos < Text.size() && Text[Pos] == ']') {
       ++Pos;
-      Out = JsonValue::makeArray(std::move(Elements));
       return true;
     }
     while (true) {
       skipWhitespace();
-      JsonValue Value;
-      if (!parseValue(Value, Depth + 1))
+      if (!parseValue(Elements.emplace_back(), Depth + 1))
         return false;
-      Elements.push_back(std::move(Value));
       skipWhitespace();
       if (Pos >= Text.size())
         return fail("unterminated array");
@@ -395,7 +487,6 @@ private:
       }
       if (Text[Pos] == ']') {
         ++Pos;
-        Out = JsonValue::makeArray(std::move(Elements));
         return true;
       }
       return fail("expected ',' or ']'");
@@ -446,20 +537,18 @@ private:
       return false;
     Out.clear();
     while (true) {
+      size_t RunStart = Pos;
+      Pos = skipUnescaped(Text, Pos);
+      Out.append(Text.data() + RunStart, Pos - RunStart);
       if (Pos >= Text.size())
         return fail("unterminated string");
-      unsigned char C = static_cast<unsigned char>(Text[Pos]);
+      char C = Text[Pos];
       if (C == '"') {
         ++Pos;
         return true;
       }
-      if (C < 0x20)
+      if (C != '\\')
         return fail("raw control character in string");
-      if (C != '\\') {
-        Out += static_cast<char>(C);
-        ++Pos;
-        continue;
-      }
       ++Pos; // backslash
       if (Pos >= Text.size())
         return fail("truncated escape");
@@ -490,7 +579,7 @@ private:
         Out += '\t';
         break;
       case 'u': {
-        unsigned Code;
+        unsigned Code = 0;
         if (!parseHex4(Code))
           return false;
         if (Code >= 0xD800 && Code <= 0xDBFF) {
@@ -499,7 +588,7 @@ private:
               Text[Pos + 1] != 'u')
             return fail("unpaired high surrogate");
           Pos += 2;
-          unsigned Low;
+          unsigned Low = 0;
           if (!parseHex4(Low))
             return false;
           if (Low < 0xDC00 || Low > 0xDFFF)
@@ -517,7 +606,7 @@ private:
     }
   }
 
-  bool parseNumber(JsonValue &Out) {
+  bool parseNumber(double &Out) {
     size_t Start = Pos;
     if (Pos < Text.size() && Text[Pos] == '-')
       ++Pos;
@@ -544,18 +633,30 @@ private:
       if (!Digits())
         return fail("malformed number exponent");
     }
-    Out = JsonValue::makeNumber(std::stod(Text.substr(Start, Pos - Start)));
+    // The grammar above already holds, so from_chars consumes exactly
+    // [Start, Pos). It reports out of range for a result that overflows to
+    // infinity or underflows to zero (subnormals parse normally).
+    const char *First = Text.data() + Start;
+    const char *Last = Text.data() + Pos;
+    if (std::from_chars(First, Last, Out).ec ==
+        std::errc::result_out_of_range) {
+      // strtod rounds both ways without failing: keep its underflow (the
+      // nearest double, a signed zero) and refuse its overflow.
+      Out = std::strtod(std::string(First, Last).c_str(), nullptr);
+      if (std::isinf(Out)) {
+        Pos = Start;
+        return fail("number out of range");
+      }
+    }
     return true;
   }
 
-  const std::string &Text;
+  std::string_view Text;
   std::string &Error;
   size_t Pos = 0;
 };
 
-} // namespace
-
-bool sxe::parseJson(const std::string &Text, JsonValue &Out,
+bool sxe::parseJson(std::string_view Text, JsonValue &Out,
                     std::string &Error) {
   return JsonParser(Text, Error).parseDocument(Out);
 }

@@ -11,6 +11,7 @@
 //     the in-memory tier;
 //   - truncated/corrupted/key-mismatched entries load as a clean miss
 //     (and are dropped), after which the service compiles normally;
+//   - a stored count no uint64_t holds (negative, huge) reads as 0;
 //   - LRU eviction enforces the byte budget;
 //   - enqueue after shutdown() counts Rejected and feeds
 //     sxe_rejects_total (shared ledger with serve-layer load shedding).
@@ -26,6 +27,7 @@
 #include "support/IRHash.h"
 #include "tests/TestHelpers.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -158,6 +160,39 @@ TEST(PersistentEntry, RejectsTamperedPayload) {
   CompiledCode Loaded;
   std::string Error;
   EXPECT_FALSE(decodePersistentEntry(Text, Key, Loaded, Error));
+}
+
+TEST(PersistentEntry, OutOfRangeCountsReadAsZero) {
+  // A stat stored as 0 whose text is replaced by a value no uint64_t
+  // holds: the checked read gives 0 again, so the checksum still matches.
+  CompiledCode Code;
+  Code.IRText = "func";
+  Code.Stats.counter("pass", "zero") = 0;
+  std::string Text = encodePersistentEntry("k", Code);
+  size_t Pos = Text.find("\"value\": 0");
+  ASSERT_NE(Pos, std::string::npos);
+  for (const char *Stored : {"-1", "1e300", "18446744073709551616"}) {
+    std::string Edited = Text;
+    Edited.replace(Pos, std::strlen("\"value\": 0"),
+                   std::string("\"value\": ") + Stored);
+    CompiledCode Loaded;
+    std::string Error;
+    ASSERT_TRUE(decodePersistentEntry(Edited, "k", Loaded, Error))
+        << Stored << ": " << Error;
+    ASSERT_EQ(1u, Loaded.Stats.entries().size());
+    EXPECT_EQ(0u, Loaded.Stats.entries().front().Value) << Stored;
+  }
+
+  // A nonzero count replaced by -1 no longer matches: a clean rejection.
+  Code.Stats.counter("pass", "zero") = 5;
+  Text = encodePersistentEntry("k", Code);
+  Pos = Text.find("\"value\": 5");
+  ASSERT_NE(Pos, std::string::npos);
+  Text.replace(Pos, std::strlen("\"value\": 5"), "\"value\": -1");
+  CompiledCode Loaded;
+  std::string Error;
+  EXPECT_FALSE(decodePersistentEntry(Text, "k", Loaded, Error));
+  EXPECT_EQ("checksum mismatch", Error);
 }
 
 //===----------------------------------------------------------------------===//

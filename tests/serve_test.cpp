@@ -5,14 +5,16 @@
 //   - framing: header/payload round trips over a socketpair; bad magic,
 //     unknown type, oversize length, and truncation fail cleanly;
 //   - payload codecs: ServeRequest/ServeReply round-trip including error
-//     kinds, tiers, stats, and remark streams;
+//     kinds, tiers, stats, and remark streams; an overflowing number is a
+//     decode error and out-of-range counts read as absent;
 //   - admission control: depth bound and queue-wait-p99-vs-budget gate,
 //     typed OverloadError causes, sliding-window bookkeeping;
 //   - the daemon: ping, compile replies byte-identical to the inline
 //     reference service, typed parse/protocol errors, deadline expiry
-//     under a saturated queue, load-shed rejection sharing the service's
-//     Rejected ledger, graceful drain (every accepted request answered,
-//     socket unlinked), restart-with-warm-persistent-cache, and a
+//     under a saturated queue, a typed protocol reply (and a live daemon)
+//     after a frame whose number overflows, load-shed rejection sharing the
+//     service's Rejected ledger, graceful drain (every accepted request
+//     answered, socket unlinked), restart-with-warm-persistent-cache, and a
 //     source-key hit whose reply and lifecycle match a structural hit's;
 //   - request-scoped tracing: trace/request ids round-trip the wire (and
 //     legacy id-less payloads decode to absent), the daemon echoes a
@@ -92,6 +94,24 @@ std::string makeHeavySource(unsigned Funcs, unsigned Chain,
     B.ret(V);
   }
   return printModule(M);
+}
+
+/// A raw stream connection to \p Sock, for tests that speak the wire
+/// protocol directly; -1 on failure.
+int connectRaw(const std::string &Sock) {
+  sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  if (Sock.size() >= sizeof(Addr.sun_path))
+    return -1;
+  std::memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd >= 0 &&
+      ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    ::close(Fd);
+    Fd = -1;
+  }
+  return Fd;
 }
 
 std::string smallSource(int32_t Bias = 1) {
@@ -279,6 +299,36 @@ TEST(ServeProtocol, ReplyRoundTripsOkAndError) {
   EXPECT_FALSE(Loaded.Ok);
   EXPECT_EQ(ServeErrorKind::Overload, Loaded.ErrorKind);
   EXPECT_EQ("queue full", Loaded.Error);
+}
+
+TEST(ServeProtocol, OutOfRangeNumbersDecodeWithoutUndefinedCasts) {
+  ServeRequest Loaded;
+  std::string Error;
+  // A double overflow is a decode error, not an exception.
+  EXPECT_FALSE(decodeServeRequest("{\"schema\":\"sxe.serve.v1\",\"source\":"
+                                  "\"x\",\"hotness\": 1e999}",
+                                  Loaded, Error));
+  EXPECT_NE(std::string::npos, Error.find("number out of range")) << Error;
+
+  // Counts outside uint64_t read as absent.
+  for (const char *Value : {"1e300", "-5", "18446744073709551616"}) {
+    std::string Payload = std::string("{\"schema\":\"sxe.serve.v1\","
+                                      "\"source\":\"x\",\"deadline_ms\": ") +
+                          Value + ", \"client_request_id\": " + Value + "}";
+    ASSERT_TRUE(decodeServeRequest(Payload, Loaded, Error)) << Error;
+    EXPECT_EQ(0u, Loaded.DeadlineMillis) << Value;
+    EXPECT_EQ(0u, Loaded.ClientRequestId) << Value;
+  }
+
+  ServeReply Reply;
+  ASSERT_TRUE(decodeServeReply(
+      "{\"schema\":\"sxe.serve.v1\",\"ok\":true,\"stats\":[{\"pass\":"
+      "\"p\",\"name\":\"n\",\"value\":-1}],\"wall_ns\":1e300}",
+      Reply, Error))
+      << Error;
+  ASSERT_EQ(1u, Reply.Stats.size());
+  EXPECT_EQ(0u, Reply.Stats[0].Value);
+  EXPECT_EQ(0u, Reply.WallNanos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -844,16 +894,8 @@ TEST(ServeDaemon, MintsTraceIdsForLegacyClients) {
 
   // Speak the wire protocol directly, as a pre-tracing client would: no
   // trace_id field in the request at all.
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  std::string Sock = Dir.sock();
-  ASSERT_LT(Sock.size(), sizeof(Addr.sun_path));
-  std::memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int Fd = connectRaw(Dir.sock());
   ASSERT_GE(Fd, 0);
-  ASSERT_EQ(0, ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                         sizeof(Addr)));
 
   ServeRequest Request;
   Request.Name = "legacy.sxir";
@@ -872,6 +914,48 @@ TEST(ServeDaemon, MintsTraceIdsForLegacyClients) {
   // The daemon minted an id so even this request is joinable.
   EXPECT_NE(0u, Reply.TraceId);
   EXPECT_EQ(1u, Reply.RequestId);
+  ::close(Fd);
+  Daemon.stop();
+}
+
+TEST(ServeDaemon, OutOfRangeNumberGetsTypedProtocolReply) {
+  TempDir Dir("range");
+  ServeDaemonOptions Options;
+  Options.SocketPath = Dir.sock();
+  Options.Jobs = 1;
+  ServeDaemon Daemon(Options);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(Error)) << Error;
+  int Fd = connectRaw(Dir.sock());
+  ASSERT_GE(Fd, 0);
+
+  // A hostile frame: hotness overflows a double. The handler must answer
+  // with a typed protocol error, not terminate the daemon.
+  std::string Source = smallSource(/*Bias=*/41);
+  std::string Hostile = "{\"schema\": \"sxe.serve.v1\", \"source\": " +
+                        JsonWriter::quote(Source) + ", \"hotness\": 1e999}";
+  ASSERT_TRUE(writeFrame(Fd, FrameType::Compile, Hostile, Error)) << Error;
+  FrameType Type;
+  std::string Payload;
+  ASSERT_TRUE(readFrame(Fd, Type, Payload, Error)) << Error;
+  ASSERT_EQ(FrameType::CompileReply, Type);
+  ServeReply Reply;
+  ASSERT_TRUE(decodeServeReply(Payload, Reply, Error)) << Error;
+  EXPECT_FALSE(Reply.Ok);
+  EXPECT_EQ(ServeErrorKind::Protocol, Reply.ErrorKind);
+  EXPECT_NE(std::string::npos, Reply.Error.find("number out of range"))
+      << Reply.Error;
+
+  // The same connection still serves the next request.
+  ServeRequest Request;
+  Request.Name = "after.sxir";
+  Request.Source = Source;
+  ASSERT_TRUE(writeFrame(Fd, FrameType::Compile, encodeServeRequest(Request),
+                         Error))
+      << Error;
+  ASSERT_TRUE(readFrame(Fd, Type, Payload, Error)) << Error;
+  ASSERT_TRUE(decodeServeReply(Payload, Reply, Error)) << Error;
+  EXPECT_TRUE(Reply.Ok) << Reply.Error;
   ::close(Fd);
   Daemon.stop();
 }

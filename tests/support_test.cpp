@@ -9,7 +9,11 @@
 #include "target/CostModel.h"
 #include "ir/IRBuilder.h"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 #include <gtest/gtest.h>
 
 using namespace sxe;
@@ -191,6 +195,212 @@ TEST(JsonTest, QuoteFuzzEveryByteValueParsesBack) {
   EXPECT_EQ(quoteRoundTrip("caf\xC3\xA9"), "caf\xC3\xA9");
 }
 
+/// The per-byte escaper JsonWriter::quote replaced, kept as the reference
+/// the run-based writer must match byte for byte.
+size_t referenceUtf8Length(const std::string &Text, size_t Index) {
+  auto Byte = [&](size_t Offset) -> unsigned {
+    return static_cast<unsigned char>(Text[Index + Offset]);
+  };
+  auto IsCont = [&](size_t Offset) {
+    return Index + Offset < Text.size() && (Byte(Offset) & 0xC0) == 0x80;
+  };
+  unsigned Lead = Byte(0);
+  if (Lead < 0x80)
+    return 1;
+  if (Lead < 0xC2)
+    return 0;
+  if (Lead < 0xE0)
+    return IsCont(1) ? 2 : 0;
+  if (Lead < 0xF0) {
+    if (!IsCont(1) || !IsCont(2))
+      return 0;
+    unsigned Code = ((Lead & 0x0F) << 12) | ((Byte(1) & 0x3F) << 6);
+    return Code < 0x800 || (Code >= 0xD800 && Code <= 0xDFFF) ? 0 : 3;
+  }
+  if (Lead < 0xF5) {
+    if (!IsCont(1) || !IsCont(2) || !IsCont(3))
+      return 0;
+    unsigned Code = ((Lead & 0x07) << 18) | ((Byte(1) & 0x3F) << 12);
+    return Code < 0x10000 || Code > 0x10FFFF ? 0 : 4;
+  }
+  return 0;
+}
+
+std::string referenceQuote(const std::string &Raw) {
+  std::string Quoted = "\"";
+  for (size_t Index = 0; Index < Raw.size();) {
+    char C = Raw[Index];
+    unsigned char Byte = static_cast<unsigned char>(C);
+    const char *Short = C == '"'    ? "\\\""
+                        : C == '\\' ? "\\\\"
+                        : C == '\n' ? "\\n"
+                        : C == '\r' ? "\\r"
+                        : C == '\t' ? "\\t"
+                                    : nullptr;
+    if (Short) {
+      Quoted += Short;
+      ++Index;
+      continue;
+    }
+    size_t Length = Byte < 0x20 ? 0 : referenceUtf8Length(Raw, Index);
+    if (Length > 0) {
+      Quoted.append(Raw, Index, Length);
+      Index += Length;
+      continue;
+    }
+    char Buffer[8];
+    std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
+                  static_cast<unsigned>(Byte));
+    Quoted += Buffer;
+    ++Index;
+  }
+  Quoted += '"';
+  return Quoted;
+}
+
+TEST(JsonTest, QuoteMatchesPerByteReference) {
+  // Run boundaries: escapes at the first and last byte, adjacent escapes,
+  // UTF-8 right after a run, an invalid lead byte at the end, and specials
+  // on either side of an 8-byte word edge.
+  std::vector<std::string> Cases = {
+      "",
+      "\"abc",
+      "abc\"",
+      "\n\n\\\"\t\r",
+      "abcdefgh\xC3\xA9",
+      "abcdefg\xE2\x82\xAC tail",
+      "abcdefghij\xC3",
+      "0123456789abcde\xF0",
+      std::string("1234567\0" "89abcdef", 16),
+      "12345678\"9abcdef\\",
+      "1234567\x7f\x80" "9abcdefgh",
+      "\xF0\x9F\x98\x80\xF0\x9F\x98\x80\xF0\x9F\x98\x80",
+  };
+  RNG Rng(0xb17e);
+  for (unsigned Round = 0; Round < 2000; ++Round) {
+    std::string Raw;
+    unsigned Len = static_cast<unsigned>(Rng.nextBelow(48));
+    // Half the rounds are mostly plain ASCII, so long runs cross word
+    // edges; the rest draw every byte value uniformly.
+    bool Sparse = Round % 2 == 0;
+    for (unsigned I = 0; I < Len; ++I)
+      Raw.push_back(static_cast<char>(
+          Sparse && Rng.nextBelow(8) != 0 ? 'a' + Rng.nextBelow(26)
+                                          : Rng.nextBelow(256)));
+    Cases.push_back(Raw);
+  }
+  for (const std::string &Raw : Cases) {
+    ASSERT_EQ(referenceQuote(Raw), JsonWriter::quote(Raw))
+        << "for " << referenceQuote(Raw);
+    // appendQuoted extends an existing buffer with the same bytes.
+    std::string Buffer = "prefix:";
+    JsonWriter::appendQuoted(Buffer, Raw);
+    ASSERT_EQ("prefix:" + referenceQuote(Raw), Buffer);
+  }
+}
+
+/// Appends code point \p Code to \p Out as UTF-8.
+void appendCodePoint(std::string &Out, unsigned Code) {
+  if (Code < 0x80) {
+    Out += static_cast<char>(Code);
+  } else if (Code < 0x800) {
+    Out += static_cast<char>(0xC0 | (Code >> 6));
+    Out += static_cast<char>(0x80 | (Code & 0x3F));
+  } else if (Code < 0x10000) {
+    Out += static_cast<char>(0xE0 | (Code >> 12));
+    Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (Code & 0x3F));
+  } else {
+    Out += static_cast<char>(0xF0 | (Code >> 18));
+    Out += static_cast<char>(0x80 | ((Code >> 12) & 0x3F));
+    Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+    Out += static_cast<char>(0x80 | (Code & 0x3F));
+  }
+}
+
+TEST(JsonTest, QuoteThenParseRoundTripsValidUtf8) {
+  RNG Rng(0x0cf8);
+  for (unsigned Round = 0; Round < 1000; ++Round) {
+    std::string Raw;
+    unsigned Len = static_cast<unsigned>(Rng.nextBelow(40));
+    for (unsigned I = 0; I < Len; ++I) {
+      unsigned Pick = static_cast<unsigned>(Rng.nextBelow(4));
+      unsigned Code = Pick == 0   ? Rng.nextBelow(0x80)
+                      : Pick == 1 ? 0x80 + Rng.nextBelow(0x780)
+                      : Pick == 2 ? 0x800 + Rng.nextBelow(0xF800)
+                                  : 0x10000 + Rng.nextBelow(0x100000);
+      if (Code >= 0xD800 && Code <= 0xDFFF)
+        Code = '"'; // Surrogates are not scalar values.
+      appendCodePoint(Raw, Code);
+    }
+    JsonValue V;
+    std::string Error;
+    ASSERT_TRUE(parseJson(JsonWriter::quote(Raw), V, Error)) << Error;
+    ASSERT_EQ(Raw, V.stringValue()) << "round " << Round;
+  }
+}
+
+TEST(JsonTest, OutOfRangeNumbersNeverThrow) {
+  // Overflow is a parse error, wherever the number sits.
+  for (const char *Text : {"1e999", "-1e999", "[1, 1e400]",
+                           "{\"hotness\": 1e999}", "123456789e305"}) {
+    JsonValue V;
+    std::string Error;
+    EXPECT_FALSE(parseJson(Text, V, Error)) << "accepted: " << Text;
+    EXPECT_NE(std::string::npos, Error.find("number out of range")) << Error;
+  }
+  // Underflow reads as the nearest double: a subnormal, or a signed zero.
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(parseJson("[1e-320, 1e-400, -1e-400, 0.5e-323]", V, Error))
+      << Error;
+  EXPECT_EQ(std::strtod("1e-320", nullptr), V.array()[0].numberValue());
+  EXPECT_GT(V.array()[0].numberValue(), 0.0);
+  EXPECT_EQ(0.0, V.array()[1].numberValue());
+  EXPECT_TRUE(std::signbit(V.array()[2].numberValue()));
+  EXPECT_EQ(std::strtod("0.5e-323", nullptr), V.array()[3].numberValue());
+}
+
+TEST(JsonTest, Uint64FieldReadsOnlyRepresentableCounts) {
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(parseJson(
+      "{\"neg\": -1, \"tiny_neg\": -0.5, \"big\": 1e300, "
+      "\"two64\": 18446744073709551616, \"top\": 18446744073709549568, "
+      "\"frac\": 7.9, \"zero\": -0, \"str\": \"5\", \"ok\": 42}",
+      V, Error))
+      << Error;
+  EXPECT_EQ(9u, V.uint64Field("neg", 9));
+  EXPECT_EQ(9u, V.uint64Field("tiny_neg", 9));
+  EXPECT_EQ(9u, V.uint64Field("big", 9));
+  EXPECT_EQ(9u, V.uint64Field("two64", 9));
+  EXPECT_EQ(18446744073709549568ull, V.uint64Field("top", 9));
+  EXPECT_EQ(7u, V.uint64Field("frac", 9));
+  EXPECT_EQ(0u, V.uint64Field("zero", 9));
+  EXPECT_EQ(9u, V.uint64Field("str", 9));
+  EXPECT_EQ(9u, V.uint64Field("absent", 9));
+  EXPECT_EQ(42u, V.uint64Field("ok"));
+  EXPECT_EQ(0u, V.uint64Field("neg"));
+}
+
+TEST(JsonTest, TakeMovesStringsAndBuffersOut) {
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(parseJson("{\"s\": \"payload\", \"n\": 1}", V, Error)) << Error;
+  EXPECT_EQ("payload", V.takeStringField("s"));
+  EXPECT_EQ("", V.stringField("s"));
+  EXPECT_EQ("", V.takeStringField("n")); // Not a string: left alone.
+  EXPECT_EQ(1.0, V.find("n")->numberValue());
+
+  JsonWriter J;
+  J.beginObject();
+  J.keyValue("k", "v");
+  J.endObject();
+  std::string Expected = J.str();
+  EXPECT_EQ(Expected, J.take());
+  EXPECT_TRUE(J.str().empty());
+}
+
 TEST(JsonTest, ParserAcceptsDocuments) {
   JsonValue V;
   std::string Error;
@@ -221,6 +431,7 @@ TEST(JsonTest, ParserRejectsMalformedInput) {
       "+1",         "\"unclosed",  "tru",       "nul",
       "{} garbage", "\"\\ud800\"", // Lone high surrogate.
       "\"\\x41\"",                 // Invalid escape.
+      "\"0123456789\nabcdef\"",    // Raw control byte inside a run.
   };
   for (const char *Text : Bad) {
     JsonValue V;
