@@ -106,22 +106,10 @@ inline void emitVariantRowJson(JsonWriter &J, const VariantRow &Row) {
   J.keyValue("instructions", Row.Instructions);
   J.keyValue("static_sext", Row.StaticSext);
   J.keyValue("checksum_ok", Row.ChecksumOK);
-  J.key("pipeline");
+  J.key("counters");
   J.beginObject();
-  J.keyValue("extensions_generated", Row.Pipeline.ExtensionsGenerated);
-  J.keyValue("extensions_inserted", Row.Pipeline.ExtensionsInserted);
-  J.keyValue("dummies_inserted", Row.Pipeline.DummiesInserted);
-  J.keyValue("extensions_eliminated", Row.Pipeline.ExtensionsEliminated);
-  J.keyValue("dummies_removed", Row.Pipeline.DummiesRemoved);
-  J.keyValue("general_opt_rewrites", Row.Pipeline.GeneralOptRewrites);
-  J.keyValue("subscript_extended", Row.Pipeline.SubscriptExtended);
-  J.keyValue("theorem1_fired", Row.Pipeline.SubscriptTheorem1);
-  J.keyValue("theorem2_fired", Row.Pipeline.SubscriptTheorem2);
-  J.keyValue("theorem3_fired", Row.Pipeline.SubscriptTheorem3);
-  J.keyValue("theorem4_fired", Row.Pipeline.SubscriptTheorem4);
-  J.keyValue("sxe_opt_ns", Row.Pipeline.SxeOptNanos);
-  J.keyValue("chain_creation_ns", Row.Pipeline.ChainCreationNanos);
-  J.keyValue("total_ns", Row.Pipeline.TotalNanos);
+  for (const StatEntry &E : Row.Stats.entries())
+    J.keyValue(E.Pass + "/" + E.Name, E.Value);
   J.endObject();
   J.keyValue("interp_wall_ns", Row.InterpWallNanos);
   if (Row.NativeExecuted) {

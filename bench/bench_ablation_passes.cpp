@@ -12,6 +12,7 @@
 #include "analysis/ValueRange.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Conversion64.h"
 #include "sxe/Elimination.h"
 #include "sxe/FirstAlgorithm.h"
@@ -178,7 +179,7 @@ void BM_FullPipelineAll(benchmark::State &State) {
     State.PauseTiming();
     auto Clone = cloneModule(*Pristine);
     State.ResumeTiming();
-    runPipeline(*Clone, PipelineConfig::forVariant(Variant::All));
+    runInstrumentedPipeline(*Clone, PipelineConfig::forVariant(Variant::All));
   }
 }
 BENCHMARK(BM_FullPipelineAll);

@@ -16,6 +16,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 #include "target/StaticCounts.h"
 
@@ -133,7 +134,8 @@ int main() {
   {
     auto M = buildFigure9();
     auto WithOrder = cloneModule(*M);
-    runPipeline(*WithOrder, PipelineConfig::forVariant(Variant::ArrayOrder));
+    runInstrumentedPipeline(*WithOrder,
+                            PipelineConfig::forVariant(Variant::ArrayOrder));
     std::printf("=== Figure 9 with array theorems + order determination ===\n"
                 "%s(loop extensions: %u — Result 1: the hot extension is "
                 "gone)\n\n",
@@ -144,7 +146,7 @@ int main() {
   // --- Count-down loops: Theorem 4 with j = -1 >= (maxlen-1)-0x7fffffff. --
   {
     auto M = buildCountdown();
-    runPipeline(*M, PipelineConfig::forVariant(Variant::All));
+    runInstrumentedPipeline(*M, PipelineConfig::forVariant(Variant::All));
     std::printf("=== Count-down loop under the new algorithm ===\n"
                 "%s(loop extensions: %u — Theorem 4 covers i-1)\n\n",
                 printFunction(*M->findFunction("countdown")).c_str(),
@@ -158,12 +160,12 @@ int main() {
     auto JavaLimit = cloneModule(*M);
     PipelineConfig Full = PipelineConfig::forVariant(Variant::All);
     Full.MaxArrayLen = 0x7FFFFFFF; // The Java limit: NOT removable.
-    runPipeline(*JavaLimit, Full);
+    runInstrumentedPipeline(*JavaLimit, Full);
 
     auto Limited = cloneModule(*M);
     PipelineConfig Small = PipelineConfig::forVariant(Variant::All);
     Small.MaxArrayLen = 0x7FFF0001; // The paper's example limit: removable.
-    runPipeline(*Limited, Small);
+    runInstrumentedPipeline(*Limited, Small);
 
     std::printf("=== Figure 10: subscript i-2 from a zero-extended load ===\n");
     std::printf("maxlen = 0x7fffffff: loop extensions = %u (kept — a[i] "

@@ -13,6 +13,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 #include "target/StaticCounts.h"
 
@@ -113,13 +114,15 @@ int main() {
 
   // Baseline: conversion + general optimizations, no elimination.
   auto BaselineModule = cloneModule(*Pristine);
-  runPipeline(*BaselineModule, PipelineConfig::forVariant(Variant::Baseline));
+  runInstrumentedPipeline(*BaselineModule,
+                          PipelineConfig::forVariant(Variant::Baseline));
   std::printf("=== baseline (64-bit conversion, no elimination) ===\n%s\n",
               printFunction(*BaselineModule->findFunction("fig7")).c_str());
 
   // The paper's new algorithm, everything enabled.
   auto Optimized = cloneModule(*Pristine);
-  runPipeline(*Optimized, PipelineConfig::forVariant(Variant::All));
+  runInstrumentedPipeline(*Optimized,
+                          PipelineConfig::forVariant(Variant::All));
   std::printf("=== new algorithm (all) ===\n%s\n",
               printFunction(*Optimized->findFunction("fig7")).c_str());
 

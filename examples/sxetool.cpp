@@ -89,6 +89,12 @@ void usage() {
     std::fprintf(stderr, "  %s\n", variantName(V));
 }
 
+/// Conversions the elimination engines removed, over all kinds.
+uint64_t conversionsEliminated(const PassStats &Stats) {
+  return Stats.total("sext_eliminated") + Stats.total("zext_eliminated") +
+         Stats.total("trunc_eliminated");
+}
+
 /// Where to write the observability artifacts ("" = off, "-" = stdout).
 struct ObsFiles {
   std::string TraceFile;
@@ -293,9 +299,7 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
     std::fprintf(stderr, "  %-28s eliminated=%-5llu %s\n",
                  Result.Name.c_str(),
                  static_cast<unsigned long long>(
-                     Result.Code->Stats.total("sext_eliminated") +
-                     Result.Code->Stats.total("zext_eliminated") +
-                     Result.Code->Stats.total("trunc_eliminated")),
+                     conversionsEliminated(Result.Code->Stats)),
                  Result.CacheHit ? "[cache hit]" : "");
     if (!OutDir.empty()) {
       fs::path OutPath = fs::path(OutDir) / Files[Index].filename();
@@ -489,16 +493,18 @@ int main(int argc, char **argv) {
                                          : Result.Problems.front().c_str());
     return 3;
   }
-  const PipelineStats &Stats = Result.Legacy;
-
   StaticExtensionCounts Counts = countStaticExtensions(*Parsed.M);
   std::fprintf(stderr,
-               "variant: %s | target: %s | generated: %u | inserted: %u | "
-               "eliminated: %u | remaining static sxt: %llu | remaining "
+               "variant: %s | target: %s | generated: %llu | inserted: %llu "
+               "| eliminated: %llu | remaining static sxt: %llu | remaining "
                "conversions: %llu\n",
                variantName(V), Target->name().c_str(),
-               Stats.ExtensionsGenerated, Stats.ExtensionsInserted,
-               Stats.ExtensionsEliminated,
+               static_cast<unsigned long long>(
+                   Result.Stats.value("conversion64", "sext_generated")),
+               static_cast<unsigned long long>(
+                   Result.Stats.value("insertion", "sext_inserted")),
+               static_cast<unsigned long long>(
+                   conversionsEliminated(Result.Stats)),
                static_cast<unsigned long long>(Counts.totalSext()),
                static_cast<unsigned long long>(Counts.totalConversions()));
 

@@ -27,8 +27,7 @@
 ///
 /// The shape follows dreavm's register_allocation_pass.c: linear scan over
 /// live intervals with spill handling runs on this IR, then the emitter
-/// turns it into executable bytes (codegen/Emitter.h) or a weighted cycle
-/// estimate (codegen/CycleModel.h) on hosts that cannot execute x86-64.
+/// turns it into executable bytes (codegen/Emitter.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,7 +92,7 @@ inline uint32_t slotRef(uint32_t Slot) { return SlotBase + Slot; }
 const char *physRegName(uint32_t R);
 
 /// Runtime helpers compiled code calls into (codegen/NativeEngine.cpp
-/// binds them to addresses; codegen/CycleModel.cpp charges them cycles).
+/// binds them to addresses).
 enum class MHelper : uint8_t {
   None,
   NewArray,   ///< dest = rt_new_array(ctx, len, elemty)

@@ -21,8 +21,8 @@
 ///
 /// Native execution is gated twice: hostSupported() requires an x86-64
 /// POSIX host, and compile() can still fail at mprotect time (W^X-hostile
-/// environments); callers fall back to the interpreter or the machine-IR
-/// cycle model (codegen/CycleModel.h).
+/// environments); callers then skip native execution and report it as
+/// unavailable.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,6 +5,7 @@
 #include "codegen/NativeEngine.h"
 #include "ir/Cloner.h"
 #include "ir/Verifier.h"
+#include "pm/InstrumentedPipeline.h"
 
 using namespace sxe;
 
@@ -88,7 +89,7 @@ DiffResult sxe::runDifferentialTest(const Module &Pristine,
       auto Clone = cloneModule(Pristine);
       PipelineConfig PC = PipelineConfig::forVariant(V, *Target);
       PC.MaxArrayLen = Config.MaxArrayLen;
-      runPipeline(*Clone, PC);
+      runInstrumentedPipeline(*Clone, PC);
       ++Result.PipelinesRun;
       if (Config.PostPipelineMutator)
         Config.PostPipelineMutator(*Clone, V, *Target);

@@ -257,7 +257,6 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   auto Code = std::make_shared<CompiledCode>();
   Code->IRText = printModule(*M);
   Code->Stats = std::move(Run.Stats);
-  Code->Legacy = Run.Legacy;
   Code->Remarks = Run.Remarks.take();
   Code->InputIRHash = InputHash;
 

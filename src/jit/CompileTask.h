@@ -72,8 +72,6 @@ struct CompiledCode {
   std::string IRText;
   /// Per-pass named counters of the producing run.
   PassStats Stats;
-  /// Legacy aggregate view of the same run.
-  PipelineStats Legacy;
   /// Structured optimization remarks of the producing run (empty unless
   /// the service collected remarks). Stored in the artifact so a cache
   /// hit replays the identical remark stream.

@@ -46,21 +46,6 @@ uint64_t checksumCompiledCode(const CompiledCode &Code) {
   }
   for (const Remark &R : Code.Remarks)
     H.mix(remarkToJsonLine(R));
-  const PipelineStats &L = Code.Legacy;
-  for (uint64_t Word :
-       {static_cast<uint64_t>(L.ExtensionsGenerated),
-        static_cast<uint64_t>(L.ExtensionsInserted),
-        static_cast<uint64_t>(L.DummiesInserted),
-        static_cast<uint64_t>(L.ExtensionsEliminated),
-        static_cast<uint64_t>(L.DummiesRemoved),
-        static_cast<uint64_t>(L.GeneralOptRewrites),
-        static_cast<uint64_t>(L.SubscriptExtended),
-        static_cast<uint64_t>(L.SubscriptTheorem1),
-        static_cast<uint64_t>(L.SubscriptTheorem2),
-        static_cast<uint64_t>(L.SubscriptTheorem3),
-        static_cast<uint64_t>(L.SubscriptTheorem4), L.ConversionNanos,
-        L.GeneralOptsNanos, L.ChainCreationNanos, L.SxeOptNanos, L.TotalNanos})
-    H.mix(Word);
   return H.result();
 }
 
@@ -87,26 +72,6 @@ std::string sxe::encodePersistentEntry(const std::string &Key,
     J.endObject();
   }
   J.endArray();
-  const PipelineStats &L = Code.Legacy;
-  J.key("legacy");
-  J.beginObject();
-  J.keyValue("extensions_generated", L.ExtensionsGenerated);
-  J.keyValue("extensions_inserted", L.ExtensionsInserted);
-  J.keyValue("dummies_inserted", L.DummiesInserted);
-  J.keyValue("extensions_eliminated", L.ExtensionsEliminated);
-  J.keyValue("dummies_removed", L.DummiesRemoved);
-  J.keyValue("general_opt_rewrites", L.GeneralOptRewrites);
-  J.keyValue("subscript_extended", L.SubscriptExtended);
-  J.keyValue("theorem1_fired", L.SubscriptTheorem1);
-  J.keyValue("theorem2_fired", L.SubscriptTheorem2);
-  J.keyValue("theorem3_fired", L.SubscriptTheorem3);
-  J.keyValue("theorem4_fired", L.SubscriptTheorem4);
-  J.keyValue("conversion_ns", L.ConversionNanos);
-  J.keyValue("general_opts_ns", L.GeneralOptsNanos);
-  J.keyValue("chain_creation_ns", L.ChainCreationNanos);
-  J.keyValue("sxe_opt_ns", L.SxeOptNanos);
-  J.keyValue("total_ns", L.TotalNanos);
-  J.endObject();
   // Remarks as their canonical JSONL lines (minus the newline), so the
   // replayed stream is byte-identical to the producing run's.
   J.key("remarks");
@@ -160,40 +125,6 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     else
       Out.Stats.counter(Pass, Name) = Value;
   }
-
-  const JsonValue *Legacy = V.find("legacy");
-  if (!Legacy || !Legacy->isObject()) {
-    Error = "missing legacy stats";
-    return false;
-  }
-  PipelineStats &L = Out.Legacy;
-  L.ExtensionsGenerated =
-      static_cast<unsigned>(Legacy->uint64Field("extensions_generated"));
-  L.ExtensionsInserted =
-      static_cast<unsigned>(Legacy->uint64Field("extensions_inserted"));
-  L.DummiesInserted =
-      static_cast<unsigned>(Legacy->uint64Field("dummies_inserted"));
-  L.ExtensionsEliminated =
-      static_cast<unsigned>(Legacy->uint64Field("extensions_eliminated"));
-  L.DummiesRemoved =
-      static_cast<unsigned>(Legacy->uint64Field("dummies_removed"));
-  L.GeneralOptRewrites =
-      static_cast<unsigned>(Legacy->uint64Field("general_opt_rewrites"));
-  L.SubscriptExtended =
-      static_cast<unsigned>(Legacy->uint64Field("subscript_extended"));
-  L.SubscriptTheorem1 =
-      static_cast<unsigned>(Legacy->uint64Field("theorem1_fired"));
-  L.SubscriptTheorem2 =
-      static_cast<unsigned>(Legacy->uint64Field("theorem2_fired"));
-  L.SubscriptTheorem3 =
-      static_cast<unsigned>(Legacy->uint64Field("theorem3_fired"));
-  L.SubscriptTheorem4 =
-      static_cast<unsigned>(Legacy->uint64Field("theorem4_fired"));
-  L.ConversionNanos = Legacy->uint64Field("conversion_ns");
-  L.GeneralOptsNanos = Legacy->uint64Field("general_opts_ns");
-  L.ChainCreationNanos = Legacy->uint64Field("chain_creation_ns");
-  L.SxeOptNanos = Legacy->uint64Field("sxe_opt_ns");
-  L.TotalNanos = Legacy->uint64Field("total_ns");
 
   const JsonValue *Remarks = V.find("remarks");
   if (!Remarks || !Remarks->isArray()) {

@@ -16,7 +16,7 @@
 /// Directory layout (docs/JIT.md):
 ///
 ///     <dir>/index.json            sxe.pcache-index.v1 (LRU bookkeeping)
-///     <dir>/objects/<fnv16>.json  one sxe.pcache.v1 entry per key
+///     <dir>/objects/<fnv16>.json  one sxe.pcache.v2 entry per key
 ///
 /// Durability discipline:
 ///  - every write goes to `<file>.tmp` in the same directory and is
@@ -55,7 +55,7 @@
 namespace sxe {
 
 /// Schema tags of the on-disk documents.
-inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v1";
+inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v2";
 inline constexpr const char *kPCacheIndexSchema = "sxe.pcache-index.v1";
 
 struct PersistentCacheOptions {
@@ -79,7 +79,7 @@ struct PersistentCacheStats {
   uint64_t Bytes = 0;
 };
 
-/// Serializes \p Code as one sxe.pcache.v1 entry document for \p Key.
+/// Serializes \p Code as one sxe.pcache.v2 entry document for \p Key.
 std::string encodePersistentEntry(const std::string &Key,
                                   const CompiledCode &Code);
 

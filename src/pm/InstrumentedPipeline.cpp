@@ -39,60 +39,6 @@ void sxe::buildPipelinePasses(PassManager &PM, const PipelineConfig &Config) {
   }
 }
 
-PipelineStats sxe::legacyStats(const PassStats &Stats,
-                               const std::vector<PassTiming> &Timings,
-                               uint64_t ChainCreationNanos) {
-  PipelineStats Legacy;
-  Legacy.ExtensionsGenerated =
-      static_cast<unsigned>(Stats.value("conversion64", "sext_generated"));
-  Legacy.ExtensionsInserted =
-      static_cast<unsigned>(Stats.value("insertion", "sext_inserted"));
-  Legacy.DummiesInserted =
-      static_cast<unsigned>(Stats.value("dummy-insertion", "dummy_added"));
-  Legacy.ExtensionsEliminated =
-      static_cast<unsigned>(Stats.total("sext_eliminated") +
-                            Stats.total("zext_eliminated") +
-                            Stats.total("trunc_eliminated"));
-  Legacy.DummiesRemoved =
-      static_cast<unsigned>(Stats.value("elimination", "dummy_removed"));
-  Legacy.GeneralOptRewrites =
-      static_cast<unsigned>(Stats.value("general-opts", "rewrites"));
-  Legacy.SubscriptExtended =
-      static_cast<unsigned>(Stats.value("elimination", "subscript_extended"));
-  Legacy.SubscriptTheorem1 =
-      static_cast<unsigned>(Stats.value("elimination", "theorem1_fired"));
-  Legacy.SubscriptTheorem2 =
-      static_cast<unsigned>(Stats.value("elimination", "theorem2_fired"));
-  Legacy.SubscriptTheorem3 =
-      static_cast<unsigned>(Stats.value("elimination", "theorem3_fired"));
-  Legacy.SubscriptTheorem4 =
-      static_cast<unsigned>(Stats.value("elimination", "theorem4_fired"));
-
-  uint64_t Conversion = 0, Opts = 0, Sxe = 0, Total = 0;
-  for (const PassTiming &T : Timings) {
-    Total += T.WallNanos;
-    switch (T.Group) {
-    case Pass::Group::Conversion:
-      Conversion += T.WallNanos;
-      break;
-    case Pass::Group::GeneralOpts:
-      Opts += T.WallNanos;
-      break;
-    case Pass::Group::SignExt:
-      Sxe += T.WallNanos;
-      break;
-    }
-  }
-  Legacy.ConversionNanos = Conversion;
-  Legacy.GeneralOptsNanos = Opts;
-  Legacy.ChainCreationNanos = ChainCreationNanos;
-  // Chain creation runs inside the elimination pass's timer; carve it out
-  // so the two Table 3 columns do not overlap.
-  Legacy.SxeOptNanos = Sxe > ChainCreationNanos ? Sxe - ChainCreationNanos : 0;
-  Legacy.TotalNanos = Total;
-  return Legacy;
-}
-
 InstrumentedPipelineResult
 sxe::runInstrumentedPipeline(Module &M, const PipelineConfig &Config,
                              const PassManagerOptions &Options) {
@@ -111,11 +57,5 @@ sxe::runInstrumentedPipeline(Module &M, const PipelineConfig &Config,
   Result.Timings = PM.timings();
   Result.Snapshots = PM.snapshots();
   Result.ChainCreationNanos = Ctx.chainTimer().elapsedNanos();
-  Result.Legacy =
-      legacyStats(Result.Stats, Result.Timings, Result.ChainCreationNanos);
   return Result;
-}
-
-PipelineStats sxe::runPipeline(Module &M, const PipelineConfig &Config) {
-  return runInstrumentedPipeline(M, Config).Legacy;
 }

@@ -8,10 +8,10 @@
 /// \file
 /// Builds the pass sequence for any PipelineConfig (the twelve Table 1/2
 /// variants and every ablation) and runs it through the instrumented
-/// PassManager. This is the engine behind sxe::runPipeline — the legacy
-/// PipelineStats struct is now a projection of the per-pass counters and
-/// timers — and behind `sxetool --stats/--stats-json/--verify-each/
-/// --dump-after-each` and the golden-file tests.
+/// PassManager. Every pipeline run goes through here: the workload
+/// runner, the benches, the compile service, `sxetool
+/// --stats/--stats-json/--verify-each/--dump-after-each` and the
+/// golden-file tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,8 +41,6 @@ struct InstrumentedPipelineResult {
   std::vector<PassSnapshot> Snapshots;
   /// UD/DU chain-creation share of the elimination pass (Table 3 column).
   uint64_t ChainCreationNanos = 0;
-  /// The legacy aggregate view (sxe/Pipeline.h), derived from the above.
-  PipelineStats Legacy;
   /// False when verify-each caught a broken pass.
   bool Ok = true;
   std::string FailedPass;
@@ -60,11 +58,6 @@ void buildPipelinePasses(PassManager &PM, const PipelineConfig &Config);
 InstrumentedPipelineResult
 runInstrumentedPipeline(Module &M, const PipelineConfig &Config,
                         const PassManagerOptions &Options = {});
-
-/// Projects per-pass stats/timings onto the legacy aggregate struct.
-PipelineStats legacyStats(const PassStats &Stats,
-                          const std::vector<PassTiming> &Timings,
-                          uint64_t ChainCreationNanos);
 
 } // namespace sxe
 

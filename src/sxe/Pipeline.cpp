@@ -1,9 +1,8 @@
 //===- sxe/Pipeline.cpp - The full compilation pipeline -----------------------===//
 //
-// Variant naming and configuration only. The execution engine behind
-// runPipeline lives in pm/InstrumentedPipeline.cpp: every phase runs as a
-// Pass under the instrumented PassManager, and the PipelineStats returned
-// here are a projection of its per-pass counters and timers.
+// Variant naming and configuration only. The execution engine lives in
+// pm/InstrumentedPipeline.cpp: every phase runs as a Pass under the
+// instrumented PassManager.
 //
 //===----------------------------------------------------------------------------===//
 

@@ -13,15 +13,10 @@
 ///   basic ud-du / insert / order / insert,order / array / array,insert /
 ///   array,order / all,using PDE (reference) / new algorithm (all)
 ///
-/// Per-phase wall-clock timers reproduce Table 3's compilation-time
-/// breakdown (sign extension optimizations vs UD/DU chain creation vs
-/// everything else).
-///
-/// runPipeline executes through the instrumented pass manager
-/// (pm/InstrumentedPipeline.h); PipelineStats is the backward-compatible
-/// aggregate of its per-pass counters and timers. New code that wants
-/// per-pass detail (named counters, wall/CPU per pass, verify-each, IR
-/// snapshots) should call runInstrumentedPipeline directly.
+/// runInstrumentedPipeline (pm/InstrumentedPipeline.h) executes a
+/// configuration as a pass stack and reports its named per-pass counters
+/// (pm/PassStats.h) and per-pass wall/CPU timers, from which Table 3's
+/// compilation-time breakdown is derived.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +29,6 @@
 #include "target/TargetInfo.h"
 
 #include <cstdint>
-#include <string>
 
 namespace sxe {
 
@@ -91,36 +85,6 @@ struct PipelineConfig {
                                    const TargetInfo &Target =
                                        TargetInfo::ia64());
 };
-
-/// Work counters and Table 3 timers for one pipeline run.
-struct PipelineStats {
-  unsigned ExtensionsGenerated = 0; ///< Step 1 conversion.
-  unsigned ExtensionsInserted = 0;  ///< Phase (3)-1 insertion.
-  unsigned DummiesInserted = 0;
-  unsigned ExtensionsEliminated = 0;
-  unsigned DummiesRemoved = 0;
-  unsigned GeneralOptRewrites = 0;
-  // Per-theorem subscript discharge counts (Section 3 ablation).
-  unsigned SubscriptExtended = 0;
-  unsigned SubscriptTheorem1 = 0;
-  unsigned SubscriptTheorem2 = 0;
-  unsigned SubscriptTheorem3 = 0;
-  unsigned SubscriptTheorem4 = 0;
-
-  uint64_t ConversionNanos = 0;
-  uint64_t GeneralOptsNanos = 0;
-  uint64_t ChainCreationNanos = 0; ///< Table 3 "UD/DU chain creation".
-  uint64_t SxeOptNanos = 0;        ///< Table 3 "sign extension opts (all)".
-  uint64_t TotalNanos = 0;
-
-  uint64_t othersNanos() const {
-    uint64_t Accounted = ChainCreationNanos + SxeOptNanos;
-    return TotalNanos > Accounted ? TotalNanos - Accounted : 0;
-  }
-};
-
-/// Runs the configured pipeline over every function of \p M, in place.
-PipelineStats runPipeline(Module &M, const PipelineConfig &Config);
 
 } // namespace sxe
 

@@ -5,6 +5,7 @@
 #include "codegen/NativeEngine.h"
 #include "ir/Cloner.h"
 #include "ir/Verifier.h"
+#include "pm/InstrumentedPipeline.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
@@ -44,7 +45,7 @@ WorkloadReport sxe::runWorkload(const Workload &W,
 
     VariantRow Row;
     Row.V = V;
-    Row.Pipeline = runPipeline(*Clone, Config);
+    Row.Stats = runInstrumentedPipeline(*Clone, Config).Stats;
 
     VerifierOptions VOptions;
     VOptions.AllowDummyExtends = false;

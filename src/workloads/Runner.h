@@ -16,8 +16,8 @@
 ///  3. per variant: clone, compile with the variant's configuration
 ///     (profile supplied to order determination), execute under machine
 ///     semantics, and record the dynamic counts of remaining sign
-///     extensions (Tables 1/2), estimated cycles (Figures 13/14),
-///     compile-time breakdown (Table 3), and checksum agreement.
+///     extensions (Tables 1/2), estimated cycles (Figures 13/14), the
+///     pipeline's per-pass counters, and checksum agreement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,7 @@
 #define SXE_WORKLOADS_RUNNER_H
 
 #include "interp/Interpreter.h"
+#include "pm/PassStats.h"
 #include "sxe/Pipeline.h"
 #include "target/StaticCounts.h"
 #include "workloads/Workload.h"
@@ -60,7 +61,8 @@ struct VariantRow {
   uint64_t Checksum = 0;
   bool ChecksumOK = false;
   TrapKind Trap = TrapKind::None;
-  PipelineStats Pipeline;
+  /// Named per-pass counters of the variant's pipeline run.
+  PassStats Stats;
   /// Wall-clock nanoseconds of the machine-semantics interpreter run.
   uint64_t InterpWallNanos = 0;
   /// Native x86-64 execution (RunnerOptions::Native on a capable host).

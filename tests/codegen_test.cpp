@@ -11,7 +11,6 @@
 //
 //===---------------------------------------------------------------------------===//
 
-#include "codegen/CycleModel.h"
 #include "codegen/LiveIntervals.h"
 #include "codegen/Lowering.h"
 #include "codegen/MachineVerifier.h"
@@ -682,26 +681,5 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusNativeParity,
                                            "generated_small",
                                            "generated_medium",
                                            "generated_large"));
-
-// --- Cycle model ------------------------------------------------------------
-
-TEST(CycleModelTest, WeighsLoopsHotterAndCountsSpills) {
-  auto M = manyLiveValuesModule(10);
-  auto MIR = lowerModule(*M);
-  MFunction &MF = *MIR->Functions[0];
-  RegAllocOptions Tight;
-  Tight.MaxCalleeSaved = 1;
-  Tight.MaxCallerSaved = 1;
-  allocateRegisters(MF, Tight);
-
-  CycleEstimate E = estimateFunctionCycles(MF, TargetInfo::x86_64());
-  EXPECT_GT(E.Cycles, 0.0);
-  EXPECT_GT(E.SpillCycles, 0.0); // The tight pool forced spill traffic.
-  EXPECT_GT(E.Insts, 0u);
-  EXPECT_LE(E.SpillCycles, E.Cycles);
-
-  CycleEstimate Module = estimateModuleCycles(*MIR, TargetInfo::x86_64());
-  EXPECT_DOUBLE_EQ(Module.Cycles, E.Cycles);
-}
 
 } // namespace

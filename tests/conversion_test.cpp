@@ -15,6 +15,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Elimination.h"
 #include "sxe/ExtensionFacts.h"
 #include "sxe/Insertion.h"
@@ -580,9 +581,11 @@ TEST(ConversionCensusTest, PipelineNeverIncreasesConversionCensus) {
     std::unique_ptr<Module> Pristine = buildUnsignedEdgeModule();
 
     auto Base = cloneModule(*Pristine);
-    runPipeline(*Base, PipelineConfig::forVariant(Variant::Baseline, *T));
+    runInstrumentedPipeline(*Base,
+                            PipelineConfig::forVariant(Variant::Baseline, *T));
     auto All = cloneModule(*Pristine);
-    runPipeline(*All, PipelineConfig::forVariant(Variant::All, *T));
+    runInstrumentedPipeline(*All,
+                            PipelineConfig::forVariant(Variant::All, *T));
 
     EXPECT_TRUE(moduleVerifies(*All, /*AllowDummies=*/false)) << T->name();
     EXPECT_LE(countStaticExtensions(*All).totalConversions(),

@@ -68,7 +68,7 @@ TEST_P(CorpusReplay, AllVariantsMatchJavaOracle) {
   uint64_t BaselineSext = 0;
   for (Variant V : AllVariants) {
     auto Clone = cloneModule(*Pristine);
-    runPipeline(*Clone, PipelineConfig::forVariant(V));
+    runInstrumentedPipeline(*Clone, PipelineConfig::forVariant(V));
 
     VerifierOptions Options;
     Options.AllowDummyExtends = false;

@@ -12,6 +12,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Conversion64.h"
 #include "sxe/Elimination.h"
 #include "sxe/FirstAlgorithm.h"
@@ -372,13 +373,21 @@ TEST(PipelineTest, StatsAccountPhases) {
   B.copyTo(W, I);
   B.ret(W);
 
-  PipelineStats Stats =
-      runPipeline(*M, PipelineConfig::forVariant(Variant::All));
-  EXPECT_GT(Stats.ExtensionsGenerated, 0u);
-  EXPECT_GT(Stats.DummiesInserted, 0u);
-  EXPECT_EQ(Stats.DummiesInserted, Stats.DummiesRemoved);
-  EXPECT_GT(Stats.TotalNanos, 0u);
-  EXPECT_LE(Stats.ChainCreationNanos + Stats.SxeOptNanos, Stats.TotalNanos);
+  InstrumentedPipelineResult R =
+      runInstrumentedPipeline(*M, PipelineConfig::forVariant(Variant::All));
+  EXPECT_GT(R.Stats.value("conversion64", "sext_generated"), 0u);
+  uint64_t DummiesAdded = R.Stats.value("dummy-insertion", "dummy_added");
+  EXPECT_GT(DummiesAdded, 0u);
+  EXPECT_EQ(DummiesAdded, R.Stats.value("elimination", "dummy_removed"));
+  // Chain creation is timed inside the sign-extension passes' wall time.
+  uint64_t TotalNanos = 0, SignExtNanos = 0;
+  for (const PassTiming &T : R.Timings) {
+    TotalNanos += T.WallNanos;
+    if (T.Group == Pass::Group::SignExt)
+      SignExtNanos += T.WallNanos;
+  }
+  EXPECT_GT(TotalNanos, 0u);
+  EXPECT_LE(R.ChainCreationNanos, SignExtNanos);
   ASSERT_TRUE(moduleVerifies(*M, /*AllowDummies=*/false));
 }
 
@@ -427,11 +436,11 @@ TEST(PipelineTest, Generic64WithoutWordComparesKeepsMore) {
   };
 
   auto IA64 = build();
-  runPipeline(*IA64, PipelineConfig::forVariant(Variant::All,
-                                                TargetInfo::ia64()));
+  runInstrumentedPipeline(
+      *IA64, PipelineConfig::forVariant(Variant::All, TargetInfo::ia64()));
   auto Generic = build();
-  runPipeline(*Generic, PipelineConfig::forVariant(
-                            Variant::All, TargetInfo::generic64()));
+  runInstrumentedPipeline(*Generic, PipelineConfig::forVariant(
+                                        Variant::All, TargetInfo::generic64()));
 
   // The comparison operand (acc or i) needs extension on generic64 but
   // not on IA64: strictly more extensions survive.
@@ -463,11 +472,11 @@ TEST(PipelineTest, PPC64NeedsFewerExtensionsThanIA64AtBaseline) {
   };
 
   auto IA64 = build();
-  runPipeline(*IA64, PipelineConfig::forVariant(Variant::Baseline,
-                                                TargetInfo::ia64()));
+  runInstrumentedPipeline(
+      *IA64, PipelineConfig::forVariant(Variant::Baseline, TargetInfo::ia64()));
   auto PPC = build();
-  runPipeline(*PPC, PipelineConfig::forVariant(Variant::Baseline,
-                                               TargetInfo::ppc64()));
+  runInstrumentedPipeline(
+      *PPC, PipelineConfig::forVariant(Variant::Baseline, TargetInfo::ppc64()));
   EXPECT_GT(countSext(*IA64->findFunction("main")),
             countSext(*PPC->findFunction("main")));
 }

@@ -3,6 +3,7 @@
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 #include "target/TargetInfo.h"
 
@@ -297,7 +298,7 @@ void expectTrapParity(const Module &Pristine, TrapKind ExpectedTrap,
        {&TargetInfo::ia64(), &TargetInfo::ppc64(), &TargetInfo::generic64()}) {
     for (Variant V : AllVariants) {
       auto Clone = cloneModule(Pristine);
-      runPipeline(*Clone, PipelineConfig::forVariant(V, *Target));
+      runInstrumentedPipeline(*Clone, PipelineConfig::forVariant(V, *Target));
       InterpOptions Machine;
       Machine.Target = Target;
       ExecResult Got = Interpreter(*Clone, Machine).run("main");

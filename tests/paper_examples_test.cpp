@@ -17,6 +17,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 #include "target/StaticCounts.h"
 #include "tests/TestHelpers.h"
@@ -114,7 +115,7 @@ TEST(PaperExamples, Figure7NewAlgorithmLeavesOneExtendOutsideLoop) {
   ASSERT_TRUE(moduleVerifies(*M));
 
   PipelineConfig Config = PipelineConfig::forVariant(Variant::All);
-  runPipeline(*M, Config);
+  runInstrumentedPipeline(*M, Config);
   ASSERT_TRUE(moduleVerifies(*M, /*AllowDummies=*/false));
 
   Function *F = M->findFunction("fig7");
@@ -132,7 +133,7 @@ TEST(PaperExamples, Figure7NewAlgorithmLeavesOneExtendOutsideLoop) {
 TEST(PaperExamples, Figure8aWithoutInsertionExtendStaysInLoop) {
   auto M = buildFigure7WithMain();
   PipelineConfig Config = PipelineConfig::forVariant(Variant::ArrayOrder);
-  runPipeline(*M, Config);
+  runInstrumentedPipeline(*M, Config);
 
   Function *F = M->findFunction("fig7");
   // Figure 8(a): without insertion, t's extension stays inside the loop.
@@ -143,7 +144,7 @@ TEST(PaperExamples, Figure8aWithoutInsertionExtendStaysInLoop) {
 TEST(PaperExamples, Figure3FirstAlgorithmKeepsArrayIndexExtension) {
   auto M = buildFigure7WithMain();
   PipelineConfig Config = PipelineConfig::forVariant(Variant::FirstAlgorithm);
-  runPipeline(*M, Config);
+  runInstrumentedPipeline(*M, Config);
 
   Function *F = M->findFunction("fig7");
   // Footnote 1: (3) for the subscript and (9) for t stay in the loop;
@@ -165,7 +166,7 @@ TEST(PaperExamples, Figure7AllVariantsComputeTheSameResult) {
   for (Variant V : AllVariants) {
     auto Clone = cloneModule(*Pristine);
     PipelineConfig Config = PipelineConfig::forVariant(V);
-    runPipeline(*Clone, Config);
+    runInstrumentedPipeline(*Clone, Config);
 
     Interpreter Interp(*Clone, InterpOptions{});
     ExecResult Actual = Interp.run("main");
@@ -180,7 +181,7 @@ TEST(PaperExamples, Figure7DynamicCountsShrinkAcrossVariants) {
   auto dynamicSext = [&](Variant V) {
     auto Clone = cloneModule(*Pristine);
     PipelineConfig Config = PipelineConfig::forVariant(V);
-    runPipeline(*Clone, Config);
+    runInstrumentedPipeline(*Clone, Config);
     Interpreter Interp(*Clone, InterpOptions{});
     ExecResult R = Interp.run("main");
     EXPECT_EQ(R.Trap, TrapKind::None) << variantName(V);
@@ -231,7 +232,7 @@ TEST(PaperExamples, Figure9OrderDeterminationPrefersLoopExtension) {
   B.ret(Zero);
 
   PipelineConfig Config = PipelineConfig::forVariant(Variant::ArrayOrder);
-  runPipeline(*M, Config);
+  runInstrumentedPipeline(*M, Config);
   ASSERT_TRUE(moduleVerifies(*M, /*AllowDummies=*/false));
 
   // Result 1 (Figure 9(b)): the loop extension is gone, the entry one
@@ -249,7 +250,7 @@ TEST(PaperExamples, Figure7MachineOracleMatchesJavaOracle) {
   // The unconverted 32-bit form is not generally executable with machine
   // semantics, but after baseline conversion it must match Java exactly.
   PipelineConfig Config = PipelineConfig::forVariant(Variant::Baseline);
-  runPipeline(*M, Config);
+  runInstrumentedPipeline(*M, Config);
 
   ExecResult RM = Interpreter(*M, Machine).run("main");
   ExecResult RJ = Interpreter(*M, Java).run("main");

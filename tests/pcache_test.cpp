@@ -3,14 +3,15 @@
 // Locks the jit/PersistentCache contracts:
 //
 //   - an entry document round-trips byte-identically (IR text, per-pass
-//     stats, legacy aggregate, remark stream, input hash);
+//     stats, remark stream, input hash);
 //   - artifacts survive the process boundary: a fresh cache instance on
 //     the same directory (with and without index.json) serves them back;
 //   - the compile service's tier-two probe returns byte-identical IR and
 //     a byte-identical replayed remark stream, and promotes the hit into
 //     the in-memory tier;
-//   - truncated/corrupted/key-mismatched entries load as a clean miss
-//     (and are dropped), after which the service compiles normally;
+//   - truncated/corrupted/key-mismatched entries, and entries in the
+//     previous sxe.pcache.v1 layout, load as a clean miss (and are
+//     dropped), after which the service compiles normally;
 //   - a stored count no uint64_t holds (negative, huge) reads as 0;
 //   - LRU eviction enforces the byte budget;
 //   - enqueue after shutdown() counts Rejected and feeds
@@ -25,8 +26,10 @@
 #include "obs/Metrics.h"
 #include "obs/Remarks.h"
 #include "support/IRHash.h"
+#include "support/Json.h"
 #include "tests/TestHelpers.h"
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -103,6 +106,79 @@ fs::path soleObjectFile(const std::string &Dir) {
   return {};
 }
 
+/// Encodes \p Code in the previous entry layout, sxe.pcache.v1: the
+/// current fields plus a "legacy" aggregate object, all covered by a
+/// checksum that is valid for that layout.
+std::string encodeV1Entry(const std::string &Key, const CompiledCode &Code) {
+  const std::pair<const char *, uint64_t> Legacy[] = {
+      {"extensions_generated",
+       Code.Stats.value("conversion64", "sext_generated")},
+      {"extensions_inserted", Code.Stats.value("insertion", "sext_inserted")},
+      {"dummies_inserted", Code.Stats.value("dummy-insertion", "dummy_added")},
+      {"extensions_eliminated", Code.Stats.total("sext_eliminated")},
+      {"dummies_removed", Code.Stats.value("elimination", "dummy_removed")},
+      {"general_opt_rewrites", Code.Stats.value("general-opts", "rewrites")},
+      {"subscript_extended", 0}, {"theorem1_fired", 0}, {"theorem2_fired", 0},
+      {"theorem3_fired", 0},     {"theorem4_fired", 0}, {"conversion_ns", 10},
+      {"general_opts_ns", 20},   {"chain_creation_ns", 30},
+      {"sxe_opt_ns", 40},        {"total_ns", 100}};
+
+  StableHasher H;
+  H.mix(Code.IRText);
+  H.mix(Code.InputIRHash);
+  for (const StatEntry &E : Code.Stats.entries()) {
+    H.mix(E.Pass);
+    H.mix(E.Name);
+    H.mix(E.Value);
+    H.mix(static_cast<uint64_t>(E.IsFlag));
+  }
+  for (const Remark &R : Code.Remarks)
+    H.mix(remarkToJsonLine(R));
+  for (const auto &[Name, Value] : Legacy)
+    H.mix(Value);
+  char Checksum[17], IrHash[17];
+  std::snprintf(Checksum, sizeof(Checksum), "%016llx",
+                static_cast<unsigned long long>(H.result()));
+  std::snprintf(IrHash, sizeof(IrHash), "%016llx",
+                static_cast<unsigned long long>(Code.InputIRHash));
+
+  JsonWriter J;
+  J.beginObject();
+  J.keyValue("schema", "sxe.pcache.v1");
+  J.keyValue("key", Key);
+  J.keyValue("checksum", Checksum);
+  J.keyValue("ir_hash", IrHash);
+  J.keyValue("ir", Code.IRText);
+  J.key("stats");
+  J.beginArray();
+  for (const StatEntry &E : Code.Stats.entries()) {
+    J.beginObject();
+    J.keyValue("pass", E.Pass);
+    J.keyValue("name", E.Name);
+    J.keyValue("value", E.Value);
+    if (E.IsFlag)
+      J.keyValue("flag", true);
+    J.endObject();
+  }
+  J.endArray();
+  J.key("legacy");
+  J.beginObject();
+  for (const auto &[Name, Value] : Legacy)
+    J.keyValue(Name, Value);
+  J.endObject();
+  J.key("remarks");
+  J.beginArray();
+  for (const Remark &R : Code.Remarks) {
+    std::string Line = remarkToJsonLine(R);
+    if (!Line.empty() && Line.back() == '\n')
+      Line.pop_back();
+    J.value(Line);
+  }
+  J.endArray();
+  J.endObject();
+  return J.take();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -132,9 +208,6 @@ TEST(PersistentEntry, RoundTripsByteIdentically) {
     EXPECT_EQ(Entry.IsFlag, It->IsFlag);
     ++It;
   }
-  EXPECT_EQ(Code->Legacy.ExtensionsEliminated,
-            Loaded.Legacy.ExtensionsEliminated);
-  EXPECT_EQ(Code->Legacy.TotalNanos, Loaded.Legacy.TotalNanos);
   // The replayed remark stream is byte-identical.
   EXPECT_EQ(remarksToJsonl(Code->Remarks), remarksToJsonl(Loaded.Remarks));
 }
@@ -297,7 +370,8 @@ TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
   fs::path Object = soleObjectFile(Dir.str());
   {
     std::ofstream Out(Object, std::ios::trunc);
-    Out << "{\"schema\":\"sxe.pcache.v1\",\"key\":\"garbage\"";
+    Out << "{\"schema\":\"" << kPCacheEntrySchema
+        << "\",\"key\":\"garbage\"";
   }
 
   // A service over the corrupted tier compiles cleanly: same IR as the
@@ -318,6 +392,49 @@ TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
   EXPECT_FALSE(Result.PersistentHit);
   EXPECT_EQ(Reference->IRText, Result.Code->IRText);
   EXPECT_GE(Cache.stats().CorruptDropped, 1u);
+}
+
+TEST(PersistentCache, PreviousSchemaEntryIsACleanMiss) {
+  TempDir Dir("v1");
+  std::string Key;
+  std::shared_ptr<const CompiledCode> Reference = compileReference(Key);
+  {
+    PersistentCache Writer({Dir.str(), 64ull << 20});
+    Writer.insert(Key, *Reference);
+  }
+  // Overwrite the entry with the same artifact in the v1 layout, as a
+  // cache directory left behind by an older build would hold it.
+  fs::path Object = soleObjectFile(Dir.str());
+  ASSERT_TRUE(writeTextFile(Object.string(), encodeV1Entry(Key, *Reference)));
+
+  PersistentCache Cache({Dir.str(), 64ull << 20});
+  EXPECT_EQ(nullptr, Cache.lookup(Key));
+  EXPECT_EQ(1u, Cache.stats().Misses);
+  EXPECT_EQ(1u, Cache.stats().CorruptDropped);
+  EXPECT_FALSE(fs::exists(Object));
+
+  // A service over that tier recompiles and writes a current entry back.
+  CodeCache Memory;
+  CompileServiceOptions Options;
+  Options.Jobs = 0;
+  Options.Cache = &Memory;
+  Options.Persistent = &Cache;
+  Options.CollectRemarks = true;
+  CompileService Service(Options);
+  CompileRequest Request;
+  Request.Name = "small";
+  Request.M = buildSmallModule();
+  Request.Config = PipelineConfig::forVariant(Variant::All);
+  CompileResult Result = Service.enqueue(std::move(Request)).get();
+  ASSERT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_FALSE(Result.PersistentHit);
+  EXPECT_EQ(Reference->IRText, Result.Code->IRText);
+
+  std::shared_ptr<const CompiledCode> Reloaded = Cache.lookup(Key);
+  ASSERT_TRUE(Reloaded);
+  EXPECT_EQ(Reference->IRText, Reloaded->IRText);
+  EXPECT_EQ(1u, Cache.stats().Hits);
+  EXPECT_EQ(1u, Cache.stats().CorruptDropped);
 }
 
 //===----------------------------------------------------------------------===//

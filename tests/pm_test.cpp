@@ -10,8 +10,7 @@
 //  - verify-each names a deliberately-broken injected pass, both for IR
 //    corruption and for a silent extension-census regression;
 //  - timers cover exactly the pipeline's pass sequence;
-//  - the JSON report carries the locked `sxe.pass-stats.v1` envelope and
-//    the legacy PipelineStats projection agrees with the raw counters.
+//  - the JSON report carries the locked `sxe.pass-stats.v1` envelope.
 //
 //===---------------------------------------------------------------------------===//
 
@@ -297,22 +296,4 @@ TEST(ReportTest, JsonCarriesTheLockedSchema) {
   EXPECT_NE(Golden.find("\"wall_ns\": 0"), std::string::npos);
   EXPECT_NE(Golden.find("\"chain_creation_ns\": 0"), std::string::npos);
   EXPECT_EQ(Golden.find("\"wall_ns\": 1"), std::string::npos);
-}
-
-TEST(ReportTest, LegacyProjectionAgreesWithCounters) {
-  auto M = parseFixture("mfg", std::string(FuncF) + FuncG);
-  PipelineConfig Config = PipelineConfig::forVariant(Variant::All);
-  InstrumentedPipelineResult R = runInstrumentedPipeline(*M, Config);
-
-  EXPECT_EQ(R.Legacy.ExtensionsGenerated,
-            R.Stats.value("conversion64", "sext_generated"));
-  EXPECT_EQ(R.Legacy.ExtensionsInserted,
-            R.Stats.value("insertion", "sext_inserted"));
-  EXPECT_EQ(R.Legacy.DummiesInserted,
-            R.Stats.value("dummy-insertion", "dummy_added"));
-  EXPECT_EQ(R.Legacy.ExtensionsEliminated, R.Stats.total("sext_eliminated"));
-  EXPECT_EQ(R.Legacy.DummiesRemoved,
-            R.Stats.value("elimination", "dummy_removed"));
-  EXPECT_EQ(R.Legacy.SubscriptTheorem4,
-            R.Stats.value("elimination", "theorem4_fired"));
 }

@@ -18,6 +18,7 @@
 #include "ir/Cloner.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
+#include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 
 #include <gtest/gtest.h>
@@ -46,7 +47,7 @@ TEST_P(RandomProgramSweep, AllVariantsMatchJavaOracle) {
   uint64_t BaselineSext = 0;
   for (Variant V : AllVariants) {
     auto Clone = cloneModule(*Pristine);
-    runPipeline(*Clone, PipelineConfig::forVariant(V));
+    runInstrumentedPipeline(*Clone, PipelineConfig::forVariant(V));
 
     // Invariant 1: verifier-clean with no dummy extensions left behind.
     VerifierOptions Options;
@@ -85,7 +86,8 @@ TEST_P(RandomProgramSweep, AllVariantsMatchJavaOracle) {
   for (const TargetInfo *Target :
        {&TargetInfo::ppc64(), &TargetInfo::generic64()}) {
     auto Clone = cloneModule(*Pristine);
-    runPipeline(*Clone, PipelineConfig::forVariant(Variant::All, *Target));
+    runInstrumentedPipeline(*Clone,
+                            PipelineConfig::forVariant(Variant::All, *Target));
     InterpOptions Machine;
     Machine.Target = Target;
     Machine.MaxSteps = 1u << 22;
