@@ -6,6 +6,7 @@
 #include "interp/Interpreter.h"
 #include "support/Error.h"
 
+#include <cstddef>
 #include <map>
 
 using namespace sxe;
@@ -16,12 +17,6 @@ uint64_t HelperTable::address(MHelper H) const {
     break;
   case MHelper::NewArray:
     return NewArray;
-  case MHelper::ArrayLen:
-    return ArrayLen;
-  case MHelper::ArrayLoad:
-    return ArrayLoad;
-  case MHelper::ArrayStore:
-    return ArrayStore;
   case MHelper::Div32:
     return Div32;
   case MHelper::Rem32:
@@ -49,10 +44,16 @@ int32_t slotDisp(uint32_t Slot) {
   return -56 - 8 * static_cast<int32_t>(Slot);
 }
 
+/// log2(sizeof(NativeArrayDesc)): scales handle - 1 to a table offset.
+constexpr uint8_t ArrayDescShift = 4;
+static_assert(sizeof(NativeArrayDesc) == 1u << ArrayDescShift,
+              "array table scaling disagrees with NativeArrayDesc");
+
 class FunctionEmitter {
 public:
-  FunctionEmitter(const MFunction &MF, const HelperTable &Helpers)
-      : MF(MF), Helpers(Helpers) {}
+  FunctionEmitter(const MFunction &MF, const HelperTable &Helpers,
+                  bool CheckWildAddresses)
+      : MF(MF), Helpers(Helpers), CheckWildAddresses(CheckWildAddresses) {}
 
   std::vector<uint8_t> emit();
 
@@ -62,22 +63,31 @@ private:
   void emitInst(const MInst &I, const MBlock &B);
   void emitStagedArgs(const std::vector<uint32_t> &Uses);
   void emitCallResult(uint32_t Def);
+  uint32_t stage(uint32_t Operand, uint32_t Scratch);
+  void emitArrayDesc(uint32_t Handle, uint64_t NullTrap);
+  void emitArrayIndex(uint32_t Index);
+  void emitArrayAccess(const MInst &I);
   /// Records a pending jump to \p Target's block head.
   void branchTo(size_t Fixup, const MBlock *Target) {
     BlockFixups.push_back({Fixup, Target->id()});
   }
-  /// Jcc into the out-of-line stub that raises \p Kind.
+  /// Jcc into the out-of-line stub that calls rt_trap with \p Code (a
+  /// TrapKind, possibly with TrapFromArrayLen).
+  void trapIf(X86Cond Cond, uint64_t Code) {
+    TrapFixups[Code].push_back(A.jccRel32(Cond));
+  }
   void trapIf(X86Cond Cond, TrapKind Kind) {
-    TrapFixups[Kind].push_back(A.jccRel32(Cond));
+    trapIf(Cond, static_cast<uint64_t>(Kind));
   }
 
   const MFunction &MF;
   const HelperTable &Helpers;
+  bool CheckWildAddresses;
   X86Assembler A;
   int32_t FrameBytes = 0;
   std::vector<size_t> BlockOffsets;
   std::vector<std::pair<size_t, uint32_t>> BlockFixups;
-  std::map<TrapKind, std::vector<size_t>> TrapFixups;
+  std::map<uint64_t, std::vector<size_t>> TrapFixups;
 };
 
 void FunctionEmitter::emitPrologue() {
@@ -141,6 +151,111 @@ void FunctionEmitter::emitCallResult(uint32_t Def) {
     A.movMR64(RBP, slotDisp(slotOfRef(Def)), RAX);
   else if (Def != RAX)
     A.movRR64(Def, RAX);
+}
+
+/// Returns where \p Operand can be read as a register: itself, or
+/// \p Scratch after loading it when it is a slot reference.
+uint32_t FunctionEmitter::stage(uint32_t Operand, uint32_t Scratch) {
+  if (!isSlotRef(Operand))
+    return Operand;
+  A.movRM64(Scratch, RBP, slotDisp(slotOfRef(Operand)));
+  return Scratch;
+}
+
+/// RAX = &table[Handle - 1] once Handle - 1 <u count; a null handle wraps
+/// to 2^64 - 1 and fails the same unsigned compare.
+void FunctionEmitter::emitArrayDesc(uint32_t Handle, uint64_t NullTrap) {
+  A.leaRM(RAX, stage(Handle, RAX), -1);
+  A.cmpRM64(RAX, R15, NativeCtxLayout::ArrayCountOffset);
+  trapIf(X86Cond::AE, NullTrap);
+  A.shlImm64(RAX, ArrayDescShift);
+  A.addRM64(RAX, R15, NativeCtxLayout::ArrayTableOffset);
+}
+
+/// RCX = low32(Index) once it is below the length of RAX's array: the
+/// Java bounds check compares 32 bits. The address then uses the full
+/// register, so with wild-address checking a disagreeing upper half traps;
+/// one 64-bit compare suffices because the length is below 2^31.
+void FunctionEmitter::emitArrayIndex(uint32_t Index) {
+  if (isSlotRef(Index))
+    A.movRM32(RCX, RBP, slotDisp(slotOfRef(Index)));
+  else
+    A.movRR32(RCX, Index);
+  A.cmpRM64(RCX, RAX, static_cast<int32_t>(offsetof(NativeArrayDesc, Len)));
+  trapIf(X86Cond::AE, TrapKind::BoundsCheck);
+  if (!CheckWildAddresses)
+    return;
+  if (isSlotRef(Index))
+    A.cmpRM64(RCX, RBP, slotDisp(slotOfRef(Index)));
+  else
+    A.cmpRR(/*W64=*/true, RCX, Index);
+  trapIf(X86Cond::NE, TrapKind::WildAddress);
+}
+
+/// ArrLen/ArrLoad/ArrStore: the checks in the interpreter's order (null,
+/// bounds, wild address), then a [data + index*8] access with the element
+/// type's mask. Operands are registers or slot references; RAX, RCX and
+/// RDX, which the allocator never hands out, stage them.
+void FunctionEmitter::emitArrayAccess(const MInst &I) {
+  if (I.Op == MOp::ArrLen) {
+    emitArrayDesc(I.Uses[0], static_cast<uint64_t>(TrapKind::NullArray) |
+                                 TrapFromArrayLen);
+    uint32_t Dst = isSlotRef(I.Def) ? RAX : I.Def;
+    A.movRM64(Dst, RAX, static_cast<int32_t>(offsetof(NativeArrayDesc, Len)));
+    if (Dst != I.Def)
+      A.movMR64(RBP, slotDisp(slotOfRef(I.Def)), RAX);
+    return;
+  }
+
+  emitArrayDesc(I.Uses[0], static_cast<uint64_t>(TrapKind::NullArray));
+  emitArrayIndex(I.Uses[1]);
+  A.movRM64(RAX, RAX, static_cast<int32_t>(offsetof(NativeArrayDesc, Data)));
+  Type ElemTy = static_cast<Type>(I.Imm);
+
+  if (I.Op == MOp::ArrLoad) {
+    uint32_t Dst = isSlotRef(I.Def) ? RAX : I.Def;
+    // Narrow loads zero-extend: the x86_64 model (loadSignExtends is
+    // false), and the same mask the store applied.
+    switch (ElemTy) {
+    case Type::I8:
+      A.movzx8RMIdx(Dst, RAX, RCX);
+      break;
+    case Type::I16:
+    case Type::U16:
+      A.movzx16RMIdx(Dst, RAX, RCX);
+      break;
+    case Type::I32:
+      A.movRMIdx32(Dst, RAX, RCX);
+      break;
+    default:
+      A.movRMIdx64(Dst, RAX, RCX);
+      break;
+    }
+    if (Dst != I.Def)
+      A.movMR64(RBP, slotDisp(slotOfRef(I.Def)), RAX);
+    return;
+  }
+
+  // Every slot holds 64 bits; a narrow element is stored zero-extended.
+  uint32_t Value = stage(I.Uses[2], RDX);
+  switch (ElemTy) {
+  case Type::I8:
+    A.movzx8(RDX, Value);
+    Value = RDX;
+    break;
+  case Type::I16:
+  case Type::U16:
+    A.movzx16(RDX, Value);
+    Value = RDX;
+    break;
+  case Type::I32:
+    A.movRR32(RDX, Value);
+    Value = RDX;
+    break;
+  default:
+    break;
+  }
+  A.movMIdxR64(RAX, RCX, Value);
 }
 
 void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
@@ -250,6 +365,12 @@ void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
     A.movRM64(I.Def, RAX, 8 * static_cast<int32_t>(I.Imm));
     return;
 
+  case MOp::ArrLen:
+  case MOp::ArrLoad:
+  case MOp::ArrStore:
+    emitArrayAccess(I);
+    return;
+
   case MOp::CallFn: {
     emitStagedArgs(I.Uses);
     A.movRR64(RDI, R15);
@@ -269,12 +390,9 @@ void FunctionEmitter::emitInst(const MInst &I, const MBlock &B) {
     A.movRR64(RDI, R15);
     for (unsigned Index = 0; Index < NumArgs; ++Index)
       A.movRM64(AbiRegs[Index], RSP, 8 * static_cast<int32_t>(Index));
-    // NewArray/ArrayLoad/ArrayStore/FCmp/Trap carry a payload (element
-    // type, predicate, or trap kind) as the trailing argument.
-    bool HasPayload = I.Helper == MHelper::NewArray ||
-                      I.Helper == MHelper::ArrayLoad ||
-                      I.Helper == MHelper::ArrayStore ||
-                      I.Helper == MHelper::FCmp || I.Helper == MHelper::Trap;
+    // FCmp and Trap carry a payload (predicate or trap kind) as the
+    // trailing argument.
+    bool HasPayload = I.Helper == MHelper::FCmp || I.Helper == MHelper::Trap;
     if (HasPayload)
       A.movImm64(AbiRegs[NumArgs], static_cast<uint64_t>(I.Imm));
     A.movImm64(RAX, Helpers.address(I.Helper));
@@ -339,7 +457,7 @@ std::vector<uint8_t> FunctionEmitter::emit() {
     for (size_t Fixup : Entry.second)
       A.patchRel32(Fixup, StubOffset);
     A.movRR64(RDI, R15);
-    A.movImm64(RSI, static_cast<uint64_t>(Entry.first));
+    A.movImm64(RSI, Entry.first);
     A.movImm64(RAX, Helpers.Trap);
     A.callR(RAX);
     A.ud2();
@@ -353,11 +471,13 @@ std::vector<uint8_t> FunctionEmitter::emit() {
 
 } // namespace
 
-EmittedModule sxe::emitModule(const MModule &MM, const HelperTable &Helpers) {
+EmittedModule sxe::emitModule(const MModule &MM, const HelperTable &Helpers,
+                              bool CheckWildAddresses) {
   EmittedModule EM;
   for (const auto &MF : MM.Functions) {
     EM.FunctionOffsets.push_back(EM.Code.size());
-    std::vector<uint8_t> Bytes = FunctionEmitter(*MF, Helpers).emit();
+    std::vector<uint8_t> Bytes =
+        FunctionEmitter(*MF, Helpers, CheckWildAddresses).emit();
     EM.Code.insert(EM.Code.end(), Bytes.begin(), Bytes.end());
   }
   return EM;

@@ -19,7 +19,10 @@
 /// per-function out-of-line stubs into rt_trap, which longjmps back to
 /// NativeModule::run. Internal calls go through the per-run function table
 /// in the context (no relocations — the code is position-independent),
-/// helper calls through absolute addresses bound at emission.
+/// helper calls through absolute addresses bound at emission. Array access
+/// is inline: the context's descriptor table maps handle - 1 to the
+/// array's data and length, and the null, bounds and wild-address checks
+/// branch to the same trap stubs.
 ///
 /// Frame layout (rbp-relative):
 ///
@@ -44,9 +47,6 @@ namespace sxe {
 /// Absolute addresses of the runtime helpers, bound by NativeEngine.
 struct HelperTable {
   uint64_t NewArray = 0;
-  uint64_t ArrayLen = 0;
-  uint64_t ArrayLoad = 0;
-  uint64_t ArrayStore = 0;
   uint64_t Div32 = 0;
   uint64_t Rem32 = 0;
   uint64_t Div64 = 0;
@@ -65,7 +65,24 @@ struct NativeCtxLayout {
   static constexpr int32_t DepthOffset = 8;
   static constexpr int32_t MaxDepthOffset = 12;
   static constexpr int32_t FnTableOffset = 16;
+  static constexpr int32_t ArrayTableOffset = 32; ///< NativeArrayDesc *
+  static constexpr int32_t ArrayCountOffset = 40; ///< uint64_t
 };
+
+/// One entry of the context's array table; the entry for handle H is at
+/// index H - 1 (handle 0 is the null reference). Emitted code scales the
+/// index by a shift, so the entry must stay 16 bytes.
+struct NativeArrayDesc {
+  uint64_t *Data;
+  uint64_t Len; ///< At most 2^31 - 1, so a zero-extended index compares.
+};
+static_assert(sizeof(NativeArrayDesc) == 16,
+              "emitted code disagrees with NativeArrayDesc size");
+
+/// rt_trap's argument is the TrapKind to raise. A NullArray raised by an
+/// array length also carries this bit, so that its message can name the
+/// operation the way the interpreter's does.
+constexpr uint64_t TrapFromArrayLen = 0x100;
 
 /// One emitted module: flat code plus each function's entry offset.
 struct EmittedModule {
@@ -73,8 +90,12 @@ struct EmittedModule {
   std::vector<size_t> FunctionOffsets; ///< Indexed by MFunction::index().
 };
 
-/// Emits every (allocated, verified) function of \p MM.
-EmittedModule emitModule(const MModule &MM, const HelperTable &Helpers);
+/// Emits every (allocated, verified) function of \p MM. With
+/// \p CheckWildAddresses an array index whose upper half disagrees with
+/// the bounds-checked low half traps WildAddress; without it the low half
+/// is used, as the interpreter does under the same option.
+EmittedModule emitModule(const MModule &MM, const HelperTable &Helpers,
+                         bool CheckWildAddresses = true);
 
 } // namespace sxe
 

@@ -86,11 +86,18 @@ std::vector<LiveInterval> sxe::computeLiveIntervals(MFunction &MF) {
       continue;
     uint32_t BlockStart = B->Insts.front().Pos;
     uint32_t BlockEnd = B->Insts.back().Pos;
+    // A live-in value is live on entry, before the block's first
+    // instruction: the odd position just ahead of it. Starting it *at* that
+    // instruction would hide a call there from the CrossesCall check below,
+    // which only counts calls strictly after the start (so that a call's
+    // own def does not cross it). The entry block has no live-ins once
+    // lowering has zero-initialized them.
+    uint32_t LiveInStart = BlockStart == 0 ? 0 : BlockStart - 1;
     const std::vector<bool> &In = L.LiveIn[B->id()];
     const std::vector<bool> &Out = L.LiveOut[B->id()];
     for (uint32_t R = 0; R < NumVRegs; ++R) {
       if (In[R])
-        Extend(FirstVirtReg + R, BlockStart);
+        Extend(FirstVirtReg + R, LiveInStart);
       if (Out[R]) {
         Extend(FirstVirtReg + R, BlockStart);
         Extend(FirstVirtReg + R, BlockEnd);

@@ -40,7 +40,9 @@ BlockLiveness computeBlockLiveness(const MFunction &MF);
 /// One virtual register's conservative live range.
 struct LiveInterval {
   uint32_t VReg = MNoReg;
-  uint32_t Start = 0; ///< First position where the vreg is live.
+  /// First position where the vreg is live: odd, just ahead of the
+  /// block's first instruction, when the value is live into that block.
+  uint32_t Start = 0;
   uint32_t End = 0;   ///< Last position where the vreg is live (inclusive).
   /// True when a call instruction lies strictly inside (Start, End): the
   /// value must survive the call, so only callee-saved registers qualify.

@@ -43,6 +43,7 @@ private:
   void lowerConversion(MOp Op, const Instruction &I);
   void lowerHelperCall(MHelper Helper, const Instruction &I, unsigned NumArgs,
                        int64_t Payload);
+  void lowerArrayAccess(MOp Op, const Instruction &I, unsigned NumOperands);
   void lowerInst(const Instruction &I);
   void insertZeroInits();
 
@@ -121,6 +122,16 @@ void FunctionLowering::lowerHelperCall(MHelper Helper, const Instruction &I,
     M.Uses.push_back(vreg(I.operand(Index)));
   if (NumArgs > MF.MaxCallArgs)
     MF.MaxCallArgs = NumArgs;
+}
+
+void FunctionLowering::lowerArrayAccess(MOp Op, const Instruction &I,
+                                        unsigned NumOperands) {
+  MInst &M = emit(Op);
+  M.Imm = static_cast<int64_t>(I.type());
+  if (I.hasDest())
+    M.Def = vreg(I.dest());
+  for (unsigned Index = 0; Index < NumOperands; ++Index)
+    M.Uses.push_back(vreg(I.operand(Index)));
 }
 
 void FunctionLowering::lowerInst(const Instruction &I) {
@@ -282,16 +293,16 @@ void FunctionLowering::lowerInst(const Instruction &I) {
     return;
 
   case Opcode::NewArray:
-    lowerHelperCall(MHelper::NewArray, I, 1, static_cast<int64_t>(I.type()));
+    lowerHelperCall(MHelper::NewArray, I, 1, 0);
     return;
   case Opcode::ArrayLen:
-    lowerHelperCall(MHelper::ArrayLen, I, 1, 0);
+    lowerArrayAccess(MOp::ArrLen, I, 1);
     return;
   case Opcode::ArrayLoad:
-    lowerHelperCall(MHelper::ArrayLoad, I, 2, static_cast<int64_t>(I.type()));
+    lowerArrayAccess(MOp::ArrLoad, I, 2);
     return;
   case Opcode::ArrayStore:
-    lowerHelperCall(MHelper::ArrayStore, I, 3, static_cast<int64_t>(I.type()));
+    lowerArrayAccess(MOp::ArrStore, I, 3);
     return;
   }
   sxeUnreachable("invalid Opcode enumerator in lowering");

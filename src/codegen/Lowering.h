@@ -17,10 +17,14 @@
 ///  - W32 arithmetic selects the 32-bit instruction forms, whose implicit
 ///    zero extension reproduces the interpreter's x86-64 Machine-mode
 ///    masking rule exactly;
-///  - division, floating-point compares, D2I, traps, and all array
-///    operations lower to runtime-helper call pseudos whose C
-///    implementations (codegen/NativeEngine.cpp) mirror interpreter
-///    semantics including trap behaviour;
+///  - array length, load and store become the inline ArrLen/ArrLoad/
+///    ArrStore machine ops, which the emitter expands into the
+///    interpreter's null, bounds and wild-address checks followed by a
+///    scaled-index access;
+///  - division, floating-point compares, D2I, array allocation and traps
+///    lower to runtime-helper call pseudos whose C implementations
+///    (codegen/NativeEngine.cpp) mirror interpreter semantics including
+///    trap behaviour;
 ///  - any vreg live into the entry block that is not a parameter gets an
 ///    explicit zero initialization, matching the interpreter's JVM-like
 ///    zeroed locals.
@@ -43,7 +47,7 @@ struct LoweringStats {
   uint64_t Functions = 0;
   uint64_t Blocks = 0;
   uint64_t MachineInsts = 0;
-  uint64_t HelperCalls = 0;  ///< Div/array/FP-compare/trap call pseudos.
+  uint64_t HelperCalls = 0;  ///< Div/new-array/FP/trap call pseudos.
   uint64_t Conversions = 0;  ///< movsx/movzx/movl emitted.
   uint64_t ZeroInits = 0;    ///< Entry-block zeroing of live-in locals.
 };

@@ -21,12 +21,6 @@ const char *sxe::helperName(MHelper H) {
     return "none";
   case MHelper::NewArray:
     return "new_array";
-  case MHelper::ArrayLen:
-    return "array_len";
-  case MHelper::ArrayLoad:
-    return "array_load";
-  case MHelper::ArrayStore:
-    return "array_store";
   case MHelper::Div32:
     return "div32";
   case MHelper::Rem32:
@@ -101,6 +95,12 @@ const char *sxe::mopName(MOp Op) {
     return "cvtsi2sd";
   case MOp::LoadParam:
     return "loadparam";
+  case MOp::ArrLen:
+    return "arrlen";
+  case MOp::ArrLoad:
+    return "arrload";
+  case MOp::ArrStore:
+    return "arrstore";
   case MOp::CallFn:
     return "call";
   case MOp::CallHelper:
@@ -138,6 +138,8 @@ void printInst(std::ostream &OS, const MInst &I) {
     OS << (I.W == Width::W32 ? ".w32" : ".w64");
   if (I.Op == MOp::CmpSet)
     OS << "." << cmpPredName(I.Pred);
+  if (I.Op == MOp::ArrLoad || I.Op == MOp::ArrStore)
+    OS << "." << typeName(static_cast<Type>(I.Imm));
   if (I.Op == MOp::CallHelper)
     OS << " " << helperName(I.Helper);
   if (I.Def != MNoReg)

@@ -18,12 +18,14 @@
 ///   [0, NumPhysRegs)          physical GPRs (x86-64 encoding order)
 ///   [FirstVirtReg, SlotBase)  virtual registers (IR regs + lowering temps)
 ///   [SlotBase, ...)           spill-slot references, written by the
-///                             register allocator (call pseudos read their
-///                             operands straight from the frame)
+///                             register allocator (call pseudos and inline
+///                             array accesses read their operands straight
+///                             from the frame)
 ///
 /// Before register allocation every register operand is virtual; after
 /// allocation and spill rewriting the machine verifier checks that only
-/// physical registers (plus slot references on call pseudos) remain.
+/// physical registers (plus slot references on the instructions that
+/// stage them) remain.
 ///
 /// The shape follows dreavm's register_allocation_pass.c: linear scan over
 /// live intervals with spill handling runs on this IR, then the emitter
@@ -74,7 +76,8 @@ constexpr uint32_t FirstVirtReg = 16;
 
 /// Register numbers at or above this encode a spill-slot reference:
 /// `SlotBase + N` is frame slot N. Only the register allocator writes
-/// these, and only call-family pseudos may carry them into emission.
+/// these, and only instructions whose acceptsSlotRefs() holds may carry
+/// them into emission.
 constexpr uint32_t SlotBase = 1u << 30;
 
 /// "No register" sentinel for machine operands.
@@ -95,11 +98,8 @@ const char *physRegName(uint32_t R);
 /// binds them to addresses).
 enum class MHelper : uint8_t {
   None,
-  NewArray,   ///< dest = rt_new_array(ctx, len, elemty)
-  ArrayLen,   ///< dest = rt_array_len(ctx, handle)
-  ArrayLoad,  ///< dest = rt_array_load(ctx, handle, index, elemty)
-  ArrayStore, ///< rt_array_store(ctx, handle, index, value, elemty)
-  Div32,      ///< dest = rt_div32(ctx, a, b); Java semantics, may trap
+  NewArray, ///< dest = rt_new_array(ctx, len)
+  Div32,    ///< dest = rt_div32(ctx, a, b); Java semantics, may trap
   Rem32,
   Div64,
   Rem64,
@@ -154,10 +154,17 @@ enum class MOp : uint8_t {
 
   LoadParam, ///< dst = incoming argument #Imm
 
+  // Inline array access through the context's descriptor table, with the
+  // interpreter's null, bounds and wild-address checks. Not calls: they
+  // clobber only the RAX/RCX/RDX scratches. Imm is the element type.
+  ArrLen,   ///< dst = length(src0)
+  ArrLoad,  ///< dst = src0[src1], masked to the element type
+  ArrStore, ///< src0[src1] = src2, masked to the element type
+
   // Calls.
   CallFn,     ///< [dst =] module function #Callee(src0, src1, ...)
   CallHelper, ///< [dst =] Helper(ctx, src0, ...); Imm carries the payload
-              ///< (element type, trap kind, or compare predicate)
+              ///< (trap kind or compare predicate)
 
   // Control flow (must terminate their block).
   TestJnz, ///< if (src0 != 0) goto Succs[0] else Succs[1]
@@ -194,6 +201,13 @@ struct MInst {
   explicit MInst(MOp Op) : Op(Op) {}
 
   bool isCall() const { return Op == MOp::CallFn || Op == MOp::CallHelper; }
+  /// Operands may stay spill-slot references after allocation: the
+  /// emitter stages them from the frame itself. ArrStore has three
+  /// operands, one more than the spill rewriter has scratches.
+  bool acceptsSlotRefs() const {
+    return isCall() || Op == MOp::ArrLen || Op == MOp::ArrLoad ||
+           Op == MOp::ArrStore;
+  }
   bool isTerminator() const {
     return Op == MOp::TestJnz || Op == MOp::JmpB || Op == MOp::RetR ||
            (Op == MOp::CallHelper && Helper == MHelper::Trap);

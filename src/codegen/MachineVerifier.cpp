@@ -26,8 +26,9 @@ std::string checkOperand(const MFunction &MF, const MBlock &B, const MInst &I,
                         std::to_string(Reg - FirstVirtReg) + " survives as " +
                         Role);
   if (isSlotRef(Reg)) {
-    if (!I.isCall())
-      return describe(MF, B, I, "slot reference on a non-call instruction");
+    if (!I.acceptsSlotRefs())
+      return describe(MF, B, I,
+                      "slot reference on an instruction that cannot stage it");
     if (slotOfRef(Reg) >= MF.NumSpillSlots)
       return describe(MF, B, I,
                       "slot reference " + std::to_string(slotOfRef(Reg)) +

@@ -11,8 +11,9 @@
 ///
 ///  - every block is non-empty and ends in exactly one terminator;
 ///  - no operand is an unallocated virtual register;
-///  - slot references appear only on call pseudos (the emitter stages them
-///    from the frame) and lie inside the function's spill area;
+///  - slot references appear only on call pseudos and inline array
+///    accesses (the emitter stages them from the frame) and lie inside the
+///    function's spill area;
 ///  - reserved registers (RAX/RCX/RDX/RSP/RBP/R15) never appear as
 ///    allocated operands outside the rewriter's own spill fixups;
 ///  - no two live intervals assigned to the same physical register overlap.

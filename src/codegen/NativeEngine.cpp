@@ -1,15 +1,17 @@
 //===- codegen/NativeEngine.cpp - Native x86-64 execution engine -------------===//
 //
 // The runtime half of the baseline backend: the NativeCtx struct the
-// emitted code addresses by fixed offsets, the C runtime helpers that
-// reproduce the interpreter's trap-visible semantics (Machine mode on the
-// x86_64 target) bit for bit, and the compile/run pipeline.
+// emitted code addresses by fixed offsets, the array heap whose descriptor
+// table inline array access reads, the C runtime helpers that reproduce
+// the interpreter's trap-visible semantics (Machine mode on the x86_64
+// target) bit for bit, and the compile/run pipeline.
 //
-// Traps unwind by longjmp: every helper that detects a trap condition
-// records the kind and message in the per-run runtime state and jumps
-// straight back to NativeModule::run, abandoning the native frames. The
-// native frames own no resources (the heap lives in NativeRuntime), so
-// the non-local exit is safe.
+// Traps unwind by longjmp: every helper that detects a trap condition, and
+// rt_trap, which the emitted checks branch to, records the kind and
+// message in the per-run runtime state and jumps straight back to
+// NativeModule::run, abandoning the native frames. The native frames own
+// no resources (the heap lives in NativeRuntime), so the non-local exit is
+// safe.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +36,6 @@ using namespace sxe;
 
 namespace {
 
-/// One heap-allocated array (same representation as the interpreter's:
-/// one 64-bit slot per element regardless of element type).
-struct NativeArray {
-  Type ElemTy;
-  std::vector<uint64_t> Data;
-};
-
 struct NativeRuntime;
 
 /// The struct emitted code addresses through R15. Field offsets are part
@@ -52,6 +47,10 @@ struct NativeCtx {
   int32_t MaxDepth;   ///< Depth limit (exceeded => StackOverflow).
   void **FnTable;     ///< Entry pointer per module function index.
   NativeRuntime *RT;  ///< The C++ runtime state behind the helpers.
+  /// Array table: entry H - 1 describes handle H. rt_new_array refreshes
+  /// both fields, because appending can move the table.
+  NativeArrayDesc *Arrays;
+  uint64_t NumArrays;
 };
 
 static_assert(offsetof(NativeCtx, Fuel) == NativeCtxLayout::FuelOffset,
@@ -62,11 +61,22 @@ static_assert(offsetof(NativeCtx, MaxDepth) == NativeCtxLayout::MaxDepthOffset,
               "emitted code disagrees with NativeCtx layout");
 static_assert(offsetof(NativeCtx, FnTable) == NativeCtxLayout::FnTableOffset,
               "emitted code disagrees with NativeCtx layout");
+static_assert(offsetof(NativeCtx, Arrays) ==
+                  NativeCtxLayout::ArrayTableOffset,
+              "emitted code disagrees with NativeCtx layout");
+static_assert(offsetof(NativeCtx, NumArrays) ==
+                  NativeCtxLayout::ArrayCountOffset,
+              "emitted code disagrees with NativeCtx layout");
 
 /// Per-run state the helpers mutate; reset for every NativeModule::run.
 struct NativeRuntime {
   const NativeOptions *Opts = nullptr;
-  std::vector<NativeArray> Heap;
+  /// Element storage, one 64-bit slot per element regardless of element
+  /// type (the interpreter's representation). Growing Heap moves the
+  /// inner vectors without moving their elements, so Arrays' data
+  /// pointers stay valid.
+  std::vector<std::vector<uint64_t>> Heap;
+  std::vector<NativeArrayDesc> Arrays;
   uint64_t HeapElements = 0;
   TrapKind Trap = TrapKind::None;
   std::string TrapMessage;
@@ -95,7 +105,7 @@ double bitsAsDouble(uint64_t Bits) {
 // the post-execute W32 masking the x86_64 target model applies (division
 // and d2i return zero-extended 32-bit results).
 
-uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len, uint64_t ElemTy) {
+uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len) {
   NativeRuntime &RT = *Ctx->RT;
   int32_t LenLow = static_cast<int32_t>(Len);
   if (LenLow < 0)
@@ -111,77 +121,11 @@ uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len, uint64_t ElemTy) {
   if (RT.HeapElements + N > RT.Opts->MaxHeapElements)
     reportFatalError("native heap limit exceeded (workload bug)");
   RT.HeapElements += N;
-  RT.Heap.push_back(
-      NativeArray{static_cast<Type>(ElemTy), std::vector<uint64_t>(N, 0)});
-  return RT.Heap.size(); // Handle: index + 1; 0 is the null reference.
-}
-
-uint64_t rtArrayLen(NativeCtx *Ctx, uint64_t Handle) {
-  NativeRuntime &RT = *Ctx->RT;
-  if (Handle == 0 || Handle > RT.Heap.size())
-    raiseTrap(Ctx, TrapKind::NullArray, "arraylen of null");
-  return RT.Heap[Handle - 1].Data.size();
-}
-
-/// Shared access checks; returns the element index on success.
-uint32_t checkAccess(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                     NativeArray *&Array) {
-  NativeRuntime &RT = *Ctx->RT;
-  if (Handle == 0 || Handle > RT.Heap.size())
-    raiseTrap(Ctx, TrapKind::NullArray, "array access through null");
-  Array = &RT.Heap[Handle - 1];
-  uint32_t IndexLow = static_cast<uint32_t>(Index);
-  if (IndexLow >= Array->Data.size())
-    raiseTrap(Ctx, TrapKind::BoundsCheck, "array index out of bounds");
-  int64_t IndexFull = static_cast<int64_t>(Index);
-  if (RT.Opts->CheckWildAddresses &&
-      IndexFull != static_cast<int64_t>(IndexLow))
-    raiseTrap(Ctx, TrapKind::WildAddress,
-              "effective address disagrees with bounds-checked index");
-  return IndexLow;
-}
-
-uint64_t rtArrayLoad(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                     uint64_t ElemTy) {
-  NativeArray *Array = nullptr;
-  uint32_t At = checkAccess(Ctx, Handle, Index, Array);
-  uint64_t Raw = Array->Data[At];
-  // x86-64 load widening: byte and word loads zero-extend (movzx is the
-  // natural form), dword loads zero-extend implicitly — exactly the
-  // x86_64 TargetInfo model (loadSignExtends is false for I16/I32).
-  switch (static_cast<Type>(ElemTy)) {
-  case Type::I8:
-    return Raw & 0xFF;
-  case Type::I16:
-  case Type::U16:
-    return Raw & 0xFFFF;
-  case Type::I32:
-    return Raw & 0xFFFFFFFF;
-  default:
-    return Raw;
-  }
-}
-
-uint64_t rtArrayStore(NativeCtx *Ctx, uint64_t Handle, uint64_t Index,
-                      uint64_t Value, uint64_t ElemTy) {
-  NativeArray *Array = nullptr;
-  uint32_t At = checkAccess(Ctx, Handle, Index, Array);
-  switch (static_cast<Type>(ElemTy)) {
-  case Type::I8:
-    Value &= 0xFF;
-    break;
-  case Type::I16:
-  case Type::U16:
-    Value &= 0xFFFF;
-    break;
-  case Type::I32:
-    Value &= 0xFFFFFFFF;
-    break;
-  default:
-    break;
-  }
-  Array->Data[At] = Value;
-  return 0;
+  RT.Heap.emplace_back(N, 0);
+  RT.Arrays.push_back(NativeArrayDesc{RT.Heap.back().data(), N});
+  Ctx->Arrays = RT.Arrays.data();
+  Ctx->NumArrays = RT.Arrays.size();
+  return RT.Arrays.size(); // Handle: index + 1; 0 is the null reference.
 }
 
 /// W32 division, Java semantics on x86-64: idiv consumes the low 32 bits
@@ -276,8 +220,20 @@ uint64_t rtFCmp(NativeCtx *, uint64_t ABits, uint64_t BBits, uint64_t Pred) {
   return Truth ? 1 : 0;
 }
 
-[[noreturn]] void rtTrap(NativeCtx *Ctx, uint64_t Kind) {
-  switch (static_cast<TrapKind>(Kind)) {
+/// Raises the trap the emitted code detected (\p Code is a TrapKind,
+/// possibly with TrapFromArrayLen), with the interpreter's message.
+[[noreturn]] void rtTrap(NativeCtx *Ctx, uint64_t Code) {
+  if (Code == (static_cast<uint64_t>(TrapKind::NullArray) | TrapFromArrayLen))
+    raiseTrap(Ctx, TrapKind::NullArray, "arraylen of null");
+  TrapKind Kind = static_cast<TrapKind>(Code);
+  switch (Kind) {
+  case TrapKind::NullArray:
+    raiseTrap(Ctx, Kind, "array access through null");
+  case TrapKind::BoundsCheck:
+    raiseTrap(Ctx, Kind, "array index out of bounds");
+  case TrapKind::WildAddress:
+    raiseTrap(Ctx, Kind,
+              "effective address disagrees with bounds-checked index");
   case TrapKind::ExplicitTrap:
     raiseTrap(Ctx, TrapKind::ExplicitTrap, "trap instruction executed");
   case TrapKind::StackOverflow:
@@ -285,7 +241,7 @@ uint64_t rtFCmp(NativeCtx *, uint64_t ABits, uint64_t BBits, uint64_t Pred) {
   case TrapKind::StepLimit:
     raiseTrap(Ctx, TrapKind::StepLimit, "instruction budget exhausted");
   default:
-    raiseTrap(Ctx, static_cast<TrapKind>(Kind), "native trap");
+    raiseTrap(Ctx, Kind, "native trap");
   }
 }
 
@@ -299,10 +255,6 @@ uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t, uint64_t,
                                    uint64_t)) {
   return reinterpret_cast<uint64_t>(Fn);
 }
-uint64_t helperAddr(uint64_t (*Fn)(NativeCtx *, uint64_t, uint64_t, uint64_t,
-                                   uint64_t)) {
-  return reinterpret_cast<uint64_t>(Fn);
-}
 uint64_t helperAddr(void (*Fn)(NativeCtx *, uint64_t)) {
   return reinterpret_cast<uint64_t>(Fn);
 }
@@ -310,9 +262,6 @@ uint64_t helperAddr(void (*Fn)(NativeCtx *, uint64_t)) {
 HelperTable makeHelperTable() {
   HelperTable T;
   T.NewArray = helperAddr(rtNewArray);
-  T.ArrayLen = helperAddr(rtArrayLen);
-  T.ArrayLoad = helperAddr(rtArrayLoad);
-  T.ArrayStore = helperAddr(rtArrayStore);
   T.Div32 = helperAddr(rtDiv32);
   T.Rem32 = helperAddr(rtRem32);
   T.Div64 = helperAddr(rtDiv64);
@@ -380,7 +329,8 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
       reportFatalError("machine verifier: " + MF->name() + ": " + Problem);
   }
 
-  EmittedModule EM = emitModule(MIR, makeHelperTable());
+  EmittedModule EM =
+      emitModule(MIR, makeHelperTable(), Opts.CheckWildAddresses);
   NM->P->Info.CodeBytes = EM.Code.size();
 
   if (!NM->P->Code.allocate(EM.Code.size()))
@@ -452,6 +402,8 @@ ExecResult NativeModule::run(const std::string &FuncName,
   Ctx.MaxDepth = static_cast<int32_t>(P->Opts.MaxCallDepth);
   Ctx.FnTable = P->FnTable.data();
   Ctx.RT = &RT;
+  Ctx.Arrays = nullptr;
+  Ctx.NumArrays = 0;
 
   ExecResult Result;
   uint64_t Ret = 0;

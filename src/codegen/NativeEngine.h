@@ -14,10 +14,15 @@
 ///
 /// Semantics are the interpreter's Machine mode on the x86_64 target,
 /// which the hardware now enforces for free: 32-bit instruction forms
-/// implicitly zero-extend, movsx/movzx cost real instructions, and every
-/// operation with observable trap behaviour (division, array access,
-/// explicit traps) goes through C runtime helpers that reproduce the
-/// interpreter's checks bit for bit and longjmp out on a trap.
+/// implicitly zero-extend and movsx/movzx cost real instructions. Array
+/// length, load and store run inline: the emitted code performs the
+/// interpreter's null, bounds and wild-address checks in its order and
+/// then indexes the element with a scaled-index address, so the index
+/// register the sign-extension optimizer left behind is the one the
+/// hardware uses. The other operations with observable trap behaviour
+/// (array allocation, division, explicit traps) go through C runtime
+/// helpers that reproduce the interpreter's checks bit for bit. Either
+/// way a trap longjmps out through rt_trap or the helper.
 ///
 /// Native execution is gated twice: hostSupported() requires an x86-64
 /// POSIX host, and compile() can still fail at mprotect time (W^X-hostile

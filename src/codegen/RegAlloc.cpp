@@ -92,8 +92,9 @@ void runLinearScan(std::vector<LiveInterval> &Intervals,
 }
 
 /// Post-scan rewrite: replaces vregs with physical registers, inserts
-/// SpillLoad/SpillStore through the reserved scratches, and turns spilled
-/// call operands into slot references the emitter stages from the frame.
+/// SpillLoad/SpillStore through the reserved scratches, and turns the spilled
+/// operands of calls and array accesses into slot references the emitter
+/// stages from the frame.
 class SpillRewriter {
 public:
   SpillRewriter(MFunction &MF, const std::vector<LiveInterval> &Intervals,
@@ -120,16 +121,16 @@ private:
   uint32_t physOf(uint32_t VReg) const { return Phys[VReg - FirstVirtReg]; }
   uint32_t slotOf(uint32_t VReg) const { return Slot[VReg - FirstVirtReg]; }
 
-  /// Call pseudos carry spilled operands as slot references; the emitter
-  /// stages them via its own scratch, one at a time.
-  uint32_t mapCallOperand(uint32_t VReg) const {
+  /// Calls and array accesses carry spilled operands as slot references;
+  /// the emitter stages them through its own scratches.
+  uint32_t mapStagedOperand(uint32_t VReg) const {
     if (!isVirtReg(VReg))
       return VReg;
     if (isSpilled(VReg))
       return slotRef(slotOf(VReg));
     uint32_t Reg = physOf(VReg);
     if (Reg == MNoReg)
-      sxeUnreachable("call operand vreg has no assignment");
+      sxeUnreachable("staged operand vreg has no assignment");
     return Reg;
   }
 
@@ -137,17 +138,17 @@ private:
     std::vector<MInst> Out;
     Out.reserve(B.Insts.size());
     for (MInst I : B.Insts) {
-      if (I.isCall()) {
+      if (I.acceptsSlotRefs()) {
         for (uint32_t &U : I.Uses)
-          U = mapCallOperand(U);
+          U = mapStagedOperand(U);
         if (I.Def != MNoReg)
-          I.Def = mapCallOperand(I.Def);
+          I.Def = mapStagedOperand(I.Def);
         Out.push_back(std::move(I));
         continue;
       }
 
       // Distinct spilled use vregs take the scratches in appearance order.
-      // Non-call instructions have at most two use operands, so two
+      // Every other instruction has at most two use operands, so two
       // scratches always suffice.
       uint32_t SpilledUse[2] = {MNoReg, MNoReg};
       const uint32_t Scratch[2] = {RAX, RDX};

@@ -15,7 +15,8 @@
 /// Register conventions (see docs/CODEGEN.md):
 ///
 ///   RAX, RDX     reserved spill-rewrite scratches
-///   RCX          reserved emitter scratch (shift counts, setcc, FP masks)
+///   RCX          reserved emitter scratch (shift counts, setcc, FP masks,
+///                array indices)
 ///   RSP, RBP     frame
 ///   R15          native context pointer
 ///   RBX R12-R14  allocatable, callee-saved (survive calls)
@@ -24,12 +25,13 @@
 ///
 /// Intervals that cross a call may only take callee-saved registers — the
 /// emitted code never saves registers around calls, so everything else must
-/// either end before the call or live in a spill slot.
+/// either end before the call or live in a spill slot. Inline array
+/// accesses are not calls: they clobber only RAX/RCX/RDX.
 ///
 /// After assignment the rewriter replaces every vreg: ordinary instructions
 /// get SpillLoad/SpillStore fixups through the scratch registers; call
-/// pseudos keep spilled operands as slot references, which the emitter
-/// stages straight from the frame.
+/// pseudos and array accesses keep spilled operands as slot references,
+/// which the emitter stages straight from the frame.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -47,12 +47,14 @@ void X86Assembler::imm64(uint64_t V) {
     byte((V >> Shift) & 0xFF);
 }
 
-void X86Assembler::rex(bool W, uint32_t Reg, uint32_t Rm) {
+void X86Assembler::rex(bool W, uint32_t Reg, uint32_t Rm, uint32_t Index) {
   uint8_t Rex = 0x40;
   if (W)
     Rex |= 0x08;
   if (Reg >= 8)
     Rex |= 0x04;
+  if (Index >= 8)
+    Rex |= 0x02;
   if (Rm >= 8)
     Rex |= 0x01;
   if (Rex != 0x40)
@@ -69,6 +71,18 @@ void X86Assembler::modRM(uint32_t Reg, uint32_t Base, int32_t Disp) {
   if ((Base & 7) == 4) // RSP/R12 demand a SIB byte.
     byte(0x24);
   imm32(Disp);
+}
+
+void X86Assembler::modSib8(uint32_t Reg, uint32_t Base, uint32_t Index) {
+  if (Index == 4) // Index 100 without REX.X encodes "no index", not RSP.
+    reportFatalError("codegen: rsp cannot be a scaled index");
+  // mod=00 with base 101 means "disp32, no base", so an RBP/R13 base takes
+  // mod=01 and a zero disp8.
+  bool ZeroDisp8 = (Base & 7) == 5;
+  byte((ZeroDisp8 ? 0x44 : 0x04) | ((Reg & 7) << 3)); // rm=100: SIB follows.
+  byte(0xC0 | ((Index & 7) << 3) | (Base & 7));       // scale 8.
+  if (ZeroDisp8)
+    byte(0);
 }
 
 void X86Assembler::movRR64(uint32_t Dst, uint32_t Src) {
@@ -140,6 +154,12 @@ void X86Assembler::shiftCl(uint8_t Ext, bool W64, uint32_t Reg) {
 }
 
 void X86Assembler::shlCl(bool W64, uint32_t Reg) { shiftCl(4, W64, Reg); }
+void X86Assembler::shlImm64(uint32_t Reg, uint8_t Count) {
+  rex(true, 0, Reg);
+  byte(0xC1);
+  modRR(4, Reg);
+  byte(Count);
+}
 void X86Assembler::shrCl(bool W64, uint32_t Reg) { shiftCl(5, W64, Reg); }
 void X86Assembler::sarCl(bool W64, uint32_t Reg) { shiftCl(7, W64, Reg); }
 
@@ -220,6 +240,18 @@ void X86Assembler::cmpM32R(uint32_t Base, int32_t Disp, uint32_t Src) {
   modRM(Src, Base, Disp);
 }
 
+void X86Assembler::cmpRM64(uint32_t A, uint32_t Base, int32_t Disp) {
+  rex(true, A, Base);
+  byte(0x3B);
+  modRM(A, Base, Disp);
+}
+
+void X86Assembler::addRM64(uint32_t Dst, uint32_t Base, int32_t Disp) {
+  rex(true, Dst, Base);
+  byte(0x03);
+  modRM(Dst, Base, Disp);
+}
+
 void X86Assembler::incM32(uint32_t Base, int32_t Disp) {
   rex(false, 0, Base);
   byte(0xFF);
@@ -243,6 +275,38 @@ void X86Assembler::leaRM(uint32_t Dst, uint32_t Base, int32_t Disp) {
   rex(true, Dst, Base);
   byte(0x8D);
   modRM(Dst, Base, Disp);
+}
+
+void X86Assembler::movRMIdx64(uint32_t Dst, uint32_t Base, uint32_t Index) {
+  rex(true, Dst, Base, Index);
+  byte(0x8B);
+  modSib8(Dst, Base, Index);
+}
+
+void X86Assembler::movRMIdx32(uint32_t Dst, uint32_t Base, uint32_t Index) {
+  rex(false, Dst, Base, Index);
+  byte(0x8B);
+  modSib8(Dst, Base, Index);
+}
+
+void X86Assembler::movzx8RMIdx(uint32_t Dst, uint32_t Base, uint32_t Index) {
+  rex(false, Dst, Base, Index);
+  byte(0x0F);
+  byte(0xB6);
+  modSib8(Dst, Base, Index);
+}
+
+void X86Assembler::movzx16RMIdx(uint32_t Dst, uint32_t Base, uint32_t Index) {
+  rex(false, Dst, Base, Index);
+  byte(0x0F);
+  byte(0xB7);
+  modSib8(Dst, Base, Index);
+}
+
+void X86Assembler::movMIdxR64(uint32_t Base, uint32_t Index, uint32_t Src) {
+  rex(true, Src, Base, Index);
+  byte(0x89);
+  modSib8(Src, Base, Index);
 }
 
 void X86Assembler::pushR(uint32_t Reg) {

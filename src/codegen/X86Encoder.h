@@ -9,13 +9,16 @@
 /// A minimal x86-64 byte assembler covering exactly what the baseline
 /// emitter needs: 32/64-bit register ALU, the explicit conversion family
 /// (movsx/movzx/movsxd/movl — the instructions this project measures),
-/// moves against [base+disp32] memory, scalar double arithmetic through
-/// xmm0/xmm1, and rel32 control flow with post-hoc patching.
+/// moves against [base+disp32] memory, the scaled-index [base+index*8]
+/// loads and stores of inline array access, scalar double arithmetic
+/// through xmm0/xmm1, and rel32 control flow with post-hoc patching.
 ///
 /// Register numbers are the hardware encodings of codegen/MachineIR.h's
-/// X86Reg (REX.R/B are derived from bit 3). Memory operands are always
-/// encoded with a disp32 for simplicity; RSP/R12 bases get their SIB byte
-/// automatically.
+/// X86Reg (REX.R/X/B are derived from bit 3). [base+disp32] operands are
+/// always encoded with a disp32 for simplicity; RSP/R12 bases get their
+/// SIB byte automatically. [base+index*8] operands carry no displacement,
+/// except that an RBP/R13 base, which has no displacement-free form, gets
+/// a zero disp8.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +74,7 @@ public:
   void shlCl(bool W64, uint32_t Reg);
   void shrCl(bool W64, uint32_t Reg);
   void sarCl(bool W64, uint32_t Reg);
+  void shlImm64(uint32_t Reg, uint8_t Count); ///< shl r64, imm8
 
   // --- Conversions -------------------------------------------------------
   void movsx8(uint32_t Dst, uint32_t Src);  ///< movsx r64, r8
@@ -90,10 +94,19 @@ public:
   void movMR64(uint32_t Base, int32_t Disp, uint32_t Src);
   void movRM32(uint32_t Dst, uint32_t Base, int32_t Disp);
   void cmpM32R(uint32_t Base, int32_t Disp, uint32_t Src);
+  void cmpRM64(uint32_t A, uint32_t Base, int32_t Disp); ///< flags = A - [m]
+  void addRM64(uint32_t Dst, uint32_t Base, int32_t Disp);
   void incM32(uint32_t Base, int32_t Disp);
   void decM32(uint32_t Base, int32_t Disp);
   void subM64Imm32(uint32_t Base, int32_t Disp, int32_t Imm);
   void leaRM(uint32_t Dst, uint32_t Base, int32_t Disp);
+
+  // --- Scaled-index memory ([Base + Index*8]; Index must not be RSP) ----
+  void movRMIdx64(uint32_t Dst, uint32_t Base, uint32_t Index);
+  void movRMIdx32(uint32_t Dst, uint32_t Base, uint32_t Index); ///< mov r32
+  void movzx8RMIdx(uint32_t Dst, uint32_t Base, uint32_t Index);  ///< m8
+  void movzx16RMIdx(uint32_t Dst, uint32_t Base, uint32_t Index); ///< m16
+  void movMIdxR64(uint32_t Base, uint32_t Index, uint32_t Src);
 
   // --- Stack / frame -----------------------------------------------------
   void pushR(uint32_t Reg);
@@ -126,11 +139,13 @@ private:
   void byte(uint8_t B) { Code.push_back(B); }
   void imm32(int32_t V);
   void imm64(uint64_t V);
-  /// REX prefix; emitted when any bit is set or \p Force (r8..r15 byte
-  /// registers would be wrong without it, but we only touch cl).
-  void rex(bool W, uint32_t Reg, uint32_t Rm);
+  /// REX prefix; emitted only when a bit is set (W, or an r8..r15 in the
+  /// reg, SIB index or rm/base field). A byte operand in spl..dil needs one
+  /// regardless; every byte-register form here sets REX.W.
+  void rex(bool W, uint32_t Reg, uint32_t Rm, uint32_t Index = 0);
   void modRR(uint32_t Reg, uint32_t Rm);
   void modRM(uint32_t Reg, uint32_t Base, int32_t Disp);
+  void modSib8(uint32_t Reg, uint32_t Base, uint32_t Index);
   void aluRR(uint8_t Opcode, bool W64, uint32_t Dst, uint32_t Src);
   void grp3(uint8_t Ext, bool W64, uint32_t Reg);
   void shiftCl(uint8_t Ext, bool W64, uint32_t Reg);

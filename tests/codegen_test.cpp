@@ -4,10 +4,11 @@
 // machine IR, live-interval construction on branchy and loopy CFGs,
 // linear-scan allocation under artificially tight register pools (the
 // k+1-values-on-k-registers spill round-trips), the machine verifier's
-// structural checks, and — on hosts that can execute x86-64 — full
-// native-vs-interpreter parity on hand-built functions and the pinned
-// corpus programs, including trap kinds, the call-depth guard, and the
-// fuel-based step limit.
+// structural checks, byte-exact encodings of the array-access forms, and —
+// on hosts that can execute x86-64 — full native-vs-interpreter parity on
+// hand-built functions and the pinned corpus programs, including trap
+// kinds, the call-depth guard, and the fuel-based step limit. The inline
+// array access gets one trigger per emitted check and element mask.
 //
 //===---------------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #include "codegen/MachineVerifier.h"
 #include "codegen/NativeEngine.h"
 #include "codegen/RegAlloc.h"
+#include "codegen/X86Encoder.h"
 #include "interp/Interpreter.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
@@ -62,6 +64,14 @@ void expectNativeMatchesInterp(Module &M, const std::vector<uint64_t> &Args = {}
       << trapKindName(Want.Trap) << "'";
   if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None)
     EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+}
+
+/// Parses \p Text, which must be a valid module.
+std::unique_ptr<Module> parseOrDie(const std::string &Text) {
+  ParseResult Parsed = parseModule(Text);
+  if (!Parsed.ok())
+    ADD_FAILURE() << Parsed.Error;
+  return std::move(Parsed.M);
 }
 
 // --- Lowering ---------------------------------------------------------------
@@ -120,6 +130,30 @@ TEST(LoweringTest, ConversionsBecomeExplicitInstructions) {
   std::string Text = printMachineFunction(*MIR->Functions[0]);
   EXPECT_NE(Text.find("movsx16"), std::string::npos);
   EXPECT_NE(Text.find("movl"), std::string::npos);
+}
+
+TEST(LoweringTest, ArrayAccessIsInlineNotAHelperCall) {
+  auto M = parseOrDie(R"(
+func @main(%i: i32, %x: i32) -> i32 {
+  reg %a: arrayref
+  reg %l: i32
+  reg %v: i32
+entry:
+  %a = newarray.i16 %x
+  arraystore.i16 %a, %i, %x
+  %v = arrayload.i16 %a, %i
+  %l = arraylen %a
+  %v = add.w32 %v, %l
+  ret %v
+}
+)");
+  LoweringStats Stats;
+  auto MIR = lowerModule(*M, &Stats);
+  EXPECT_EQ(Stats.HelperCalls, 1u); // new_array only.
+  std::string Text = printMachineFunction(*MIR->Functions[0]);
+  EXPECT_NE(Text.find("arrstore.i16 v2 v0 v1"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("arrload.i16 v4 = v2 v0"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("arrlen v3 = v2"), std::string::npos) << Text;
 }
 
 // --- Live intervals ---------------------------------------------------------
@@ -224,6 +258,84 @@ TEST(LiveIntervalTest, LoopCarriedValueCoversWholeLoop) {
   EXPECT_GE(SumLI->End, BodyEnd);
 }
 
+/// The interval of IR register \p R, or null when it has none.
+const LiveInterval *intervalOf(const std::vector<LiveInterval> &Intervals,
+                               Reg R) {
+  for (const LiveInterval &LI : Intervals)
+    if (LI.VReg == FirstVirtReg + R)
+      return &LI;
+  return nullptr;
+}
+
+TEST(LiveIntervalTest, LiveInValueCrossesCallAtBlockHead) {
+  // %x is live into `use`, whose first instruction is the call. Its
+  // interval must count that call as crossed, or %x may sit in a
+  // caller-saved register the call clobbers.
+  auto M = parseOrDie(R"(
+func @id(%a: i32) -> i32 {
+entry:
+  ret %a
+}
+func @main() -> i64 {
+  reg %x: i64
+  reg %k: i32
+  reg %r: i32
+entry:
+  jmp def
+use:
+  %r = call @id(%k)
+  ret %x
+def:
+  %x = const.i64 5
+  jmp use
+}
+)");
+  auto MIR = lowerModule(*M);
+  MFunction &MF = *MIR->find("main");
+  auto Intervals = computeLiveIntervals(MF);
+  const LiveInterval *X = intervalOf(Intervals, 0);
+  ASSERT_NE(X, nullptr);
+  const MInst &Call = MF.Blocks[1]->Insts.front();
+  ASSERT_TRUE(Call.isCall());
+  EXPECT_LT(X->Start, Call.Pos);
+  EXPECT_TRUE(X->CrossesCall);
+
+  RegAllocResult RA = allocateRegisters(MF);
+  const LiveInterval *Assigned = intervalOf(RA.Intervals, 0);
+  ASSERT_NE(Assigned, nullptr);
+  EXPECT_TRUE(Assigned->spilled() || Assigned->PhysReg == RBX ||
+              Assigned->PhysReg >= R12)
+      << physRegName(Assigned->PhysReg) << " does not survive the call";
+}
+
+TEST(LiveIntervalTest, CallDefDoesNotCrossItsOwnCall) {
+  // %r is born at the call: the call does not clobber it, so it may take a
+  // caller-saved register. %x, live into the call's block, may not.
+  auto M = parseOrDie(R"(
+func @id(%a: i32) -> i32 {
+entry:
+  ret %a
+}
+func @main(%x: i32) -> i32 {
+  reg %r: i32
+entry:
+  jmp use
+use:
+  %r = call @id(%x)
+  %r = add.w32 %r, %x
+  ret %r
+}
+)");
+  auto MIR = lowerModule(*M);
+  auto Intervals = computeLiveIntervals(*MIR->find("main"));
+  const LiveInterval *R = intervalOf(Intervals, 1);
+  const LiveInterval *X = intervalOf(Intervals, 0);
+  ASSERT_NE(R, nullptr);
+  ASSERT_NE(X, nullptr);
+  EXPECT_FALSE(R->CrossesCall);
+  EXPECT_TRUE(X->CrossesCall);
+}
+
 // --- Register allocation ----------------------------------------------------
 
 /// Builds a function keeping \p Live values simultaneously live, then
@@ -269,6 +381,30 @@ TEST(RegAllocTest, AmpleRegistersSpillNothing) {
   auto MIR = lowerModule(*M);
   RegAllocResult RA = allocateRegisters(*MIR->Functions[0]);
   EXPECT_EQ(RA.NumSpilledIntervals, 0u);
+  EXPECT_EQ(verifyMachineFunction(*MIR->Functions[0], &RA.Intervals), "");
+}
+
+TEST(RegAllocTest, ArrayAccessLeavesCallerSavedRegistersUsable) {
+  // %x lives across a store and a load. Neither is a call, so nothing
+  // forces %x into the callee-saved pool.
+  auto M = parseOrDie(R"(
+func @main(%a: arrayref, %i: i32, %x: i32) -> i32 {
+  reg %v: i32
+entry:
+  arraystore.i32 %a, %i, %x
+  %v = arrayload.i32 %a, %i
+  %v = add.w32 %v, %x
+  ret %v
+}
+)");
+  auto MIR = lowerModule(*M);
+  RegAllocResult RA = allocateRegisters(*MIR->Functions[0]);
+  const LiveInterval *X = intervalOf(RA.Intervals, 2);
+  ASSERT_NE(X, nullptr);
+  EXPECT_FALSE(X->CrossesCall);
+  EXPECT_TRUE(X->PhysReg == RSI || X->PhysReg == RDI ||
+              (X->PhysReg >= R8 && X->PhysReg <= R11))
+      << physRegName(X->PhysReg);
   EXPECT_EQ(verifyMachineFunction(*MIR->Functions[0], &RA.Intervals), "");
 }
 
@@ -337,6 +473,75 @@ TEST(MachineVerifierTest, RejectsReservedRegisters) {
   Bad.Uses.push_back(RAX);
   MF.Blocks.front()->Insts.insert(MF.Blocks.front()->Insts.begin(), Bad);
   EXPECT_NE(verifyMachineFunction(MF), "");
+}
+
+// --- x86-64 encodings of the array-access forms -----------------------------
+
+using Bytes = std::vector<uint8_t>;
+
+Bytes encode(void (*Emit)(X86Assembler &)) {
+  X86Assembler A;
+  Emit(A);
+  return A.code();
+}
+
+TEST(X86EncoderTest, ScaledIndexLoads) {
+  // mov rax, [rax+rcx*8]: the emitter's own form.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movRMIdx64(RAX, RAX, RCX); }),
+            (Bytes{0x48, 0x8B, 0x04, 0xC8}));
+  // mov r9, [r13+r12*8]: REX.R/X/B, and R13 needs a zero disp8.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movRMIdx64(R9, R13, R12); }),
+            (Bytes{0x4F, 0x8B, 0x4C, 0xE5, 0x00}));
+  // mov rdx, [rbp+rsi*8]: so does RBP.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movRMIdx64(RDX, RBP, RSI); }),
+            (Bytes{0x48, 0x8B, 0x54, 0xF5, 0x00}));
+  // mov esi, [rax+rcx*8]: no REX at all.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movRMIdx32(RSI, RAX, RCX); }),
+            (Bytes{0x8B, 0x34, 0xC8}));
+  // movzx edi, byte [rax+rcx*8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movzx8RMIdx(RDI, RAX, RCX); }),
+            (Bytes{0x0F, 0xB6, 0x3C, 0xC8}));
+  // movzx eax, byte [r13+r9*8]: REX.X/B without W.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movzx8RMIdx(RAX, R13, R9); }),
+            (Bytes{0x43, 0x0F, 0xB6, 0x44, 0xCD, 0x00}));
+  // movzx r10d, word [rax+rcx*8]: REX.R only.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movzx16RMIdx(R10, RAX, RCX); }),
+            (Bytes{0x44, 0x0F, 0xB7, 0x14, 0xC8}));
+}
+
+TEST(X86EncoderTest, ScaledIndexStores) {
+  // mov [rax+rcx*8], r11
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movMIdxR64(RAX, RCX, R11); }),
+            (Bytes{0x4C, 0x89, 0x1C, 0xC8}));
+  // mov [r13+r9*8], rdx
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movMIdxR64(R13, R9, RDX); }),
+            (Bytes{0x4B, 0x89, 0x54, 0xCD, 0x00}));
+  // mov [rbp+rcx*8], rsi
+  EXPECT_EQ(encode([](X86Assembler &A) { A.movMIdxR64(RBP, RCX, RSI); }),
+            (Bytes{0x48, 0x89, 0x74, 0xCD, 0x00}));
+}
+
+TEST(X86EncoderTest, MemoryOperandAluAndImmediateShift) {
+  // cmp rax, [r15+40] (disp32, as every [base+disp] operand).
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRM64(RAX, R15, 40); }),
+            (Bytes{0x49, 0x3B, 0x87, 0x28, 0x00, 0x00, 0x00}));
+  // cmp rcx, [rbp-56]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRM64(RCX, RBP, -56); }),
+            (Bytes{0x48, 0x3B, 0x8D, 0xC8, 0xFF, 0xFF, 0xFF}));
+  // cmp r9, [r12+8]: an R12 base takes a SIB byte.
+  EXPECT_EQ(encode([](X86Assembler &A) { A.cmpRM64(R9, R12, 8); }),
+            (Bytes{0x4D, 0x3B, 0x8C, 0x24, 0x08, 0x00, 0x00, 0x00}));
+  // add rax, [r15+32]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.addRM64(RAX, R15, 32); }),
+            (Bytes{0x49, 0x03, 0x87, 0x20, 0x00, 0x00, 0x00}));
+  // add r8, [r13+8]
+  EXPECT_EQ(encode([](X86Assembler &A) { A.addRM64(R8, R13, 8); }),
+            (Bytes{0x4D, 0x03, 0x85, 0x08, 0x00, 0x00, 0x00}));
+  // shl rax, 4 and shl r11, 3
+  EXPECT_EQ(encode([](X86Assembler &A) { A.shlImm64(RAX, 4); }),
+            (Bytes{0x48, 0xC1, 0xE0, 0x04}));
+  EXPECT_EQ(encode([](X86Assembler &A) { A.shlImm64(R11, 3); }),
+            (Bytes{0x49, 0xC1, 0xE3, 0x03}));
 }
 
 // --- Native execution: arithmetic parity ------------------------------------
@@ -514,6 +719,329 @@ TEST(NativeTest, OutOfBoundsTrapsIdentically) {
   expectNativeMatchesInterp(M, {static_cast<uint64_t>(-1)});
 }
 
+// --- Native execution: inline array access, one trigger per check -----------
+
+/// Runs \p M's main on both engines, the interpreter with the same
+/// wild-address option, and expects the same trap kind, trap message and
+/// return value. The interpreter's wild-address message also names the
+/// function, so the native message must be a prefix of the interpreter's.
+/// Returns the native result.
+ExecResult expectArrayParity(const Module &M, const std::vector<uint64_t> &Args,
+                             const NativeOptions &NOpts = {}) {
+  InterpOptions IOpts = x86MachineOptions();
+  IOpts.CheckWildAddresses = NOpts.CheckWildAddresses;
+  ExecResult Want = Interpreter(M, IOpts).run("main", Args);
+
+  std::string Error;
+  auto NM = NativeModule::compile(M, NOpts, &Error);
+  if (!NM) {
+    ADD_FAILURE() << Error;
+    return {};
+  }
+  ExecResult Got = NM->run("main", Args);
+  EXPECT_EQ(Got.Trap, Want.Trap)
+      << "native trap '" << trapKindName(Got.Trap) << "' vs interpreter '"
+      << trapKindName(Want.Trap) << "'";
+  EXPECT_EQ(Want.TrapMessage.compare(0, Got.TrapMessage.size(),
+                                     Got.TrapMessage),
+            0)
+      << "native '" << Got.TrapMessage << "' vs interpreter '"
+      << Want.TrapMessage << "'";
+  if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None) {
+    EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+  }
+  return Got;
+}
+
+#define REQUIRE_NATIVE_HOST()                                                  \
+  do {                                                                         \
+    if (!NativeModule::hostSupported())                                        \
+      GTEST_SKIP() << "host cannot execute emitted x86-64 code";               \
+  } while (false)
+
+/// main(%a, %i): loads and stores through a handle the caller chooses,
+/// after allocating one array (handle 1) of four elements.
+const char *const HandleAccessModule = R"(
+func @main(%a: arrayref, %i: i32, %store: i32) -> i32 {
+  reg %n: i32
+  reg %b: arrayref
+  reg %v: i32
+entry:
+  %n = const.i32 4
+  %b = newarray.i32 %n
+  arraystore.i32 %b, %i, %n
+  br %store, st, ld
+st:
+  arraystore.i32 %a, %i, %n
+  ret %n
+ld:
+  %v = arrayload.i32 %a, %i
+  ret %v
+}
+)";
+
+TEST(NativeArrayTest, NullHandleTraps) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(HandleAccessModule);
+  for (uint64_t Store : {0, 1}) {
+    ExecResult R = expectArrayParity(*M, {0, 1, Store});
+    EXPECT_EQ(R.Trap, TrapKind::NullArray);
+    EXPECT_EQ(R.TrapMessage, "array access through null");
+  }
+  // The live handle works through the same code.
+  EXPECT_EQ(expectArrayParity(*M, {1, 1, 0}).ReturnValue, 4u);
+}
+
+TEST(NativeArrayTest, HandleBeyondTheTableTraps) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(HandleAccessModule);
+  for (uint64_t Handle : {uint64_t(2), (uint64_t(1) << 32) | 1}) {
+    for (uint64_t Store : {0, 1}) {
+      ExecResult R = expectArrayParity(*M, {Handle, 1, Store});
+      EXPECT_EQ(R.Trap, TrapKind::NullArray) << Handle;
+      EXPECT_EQ(R.TrapMessage, "array access through null");
+    }
+  }
+}
+
+/// main(%i): a[%i] over a five-element i32 array whose a[3] holds 77,
+/// loaded or (with %store set) stored to and then a[3] loaded.
+const char *const IndexAccessModule = R"(
+func @main(%i: i32, %store: i32) -> i32 {
+  reg %n: i32
+  reg %a: arrayref
+  reg %k: i32
+  reg %x: i32
+  reg %v: i32
+entry:
+  %n = const.i32 5
+  %a = newarray.i32 %n
+  %k = const.i32 3
+  %x = const.i32 77
+  arraystore.i32 %a, %k, %x
+  br %store, st, ld
+st:
+  %x = const.i32 88
+  arraystore.i32 %a, %i, %x
+  %v = arrayload.i32 %a, %k
+  ret %v
+ld:
+  %v = arrayload.i32 %a, %i
+  ret %v
+}
+)";
+
+TEST(NativeArrayTest, IndexEqualToLengthTraps) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(IndexAccessModule);
+  for (uint64_t Store : {0, 1}) {
+    ExecResult R = expectArrayParity(*M, {5, Store});
+    EXPECT_EQ(R.Trap, TrapKind::BoundsCheck);
+    EXPECT_EQ(R.TrapMessage, "array index out of bounds");
+  }
+  EXPECT_EQ(expectArrayParity(*M, {3, 0}).ReturnValue, 77u);
+  EXPECT_EQ(expectArrayParity(*M, {3, 1}).ReturnValue, 88u);
+}
+
+TEST(NativeArrayTest, NegativeIndexTraps) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(IndexAccessModule);
+  // Both the sign-extended and the zero-extended -1: the 32-bit bounds
+  // check fires before the wild-address check could.
+  for (uint64_t Index : {~uint64_t(0), uint64_t(0xFFFFFFFF)}) {
+    for (uint64_t Store : {0, 1}) {
+      ExecResult R = expectArrayParity(*M, {Index, Store});
+      EXPECT_EQ(R.Trap, TrapKind::BoundsCheck);
+      EXPECT_EQ(R.TrapMessage, "array index out of bounds");
+    }
+  }
+}
+
+TEST(NativeArrayTest, WildIndexTrapsOnlyWhenChecked) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(IndexAccessModule);
+  // An in-range low half (3) under nonzero upper bits.
+  const uint64_t Wild = (uint64_t(1) << 32) | 3;
+  for (uint64_t Store : {0, 1}) {
+    ExecResult R = expectArrayParity(*M, {Wild, Store});
+    EXPECT_EQ(R.Trap, TrapKind::WildAddress);
+    EXPECT_EQ(R.TrapMessage,
+              "effective address disagrees with bounds-checked index");
+  }
+  NativeOptions Unchecked;
+  Unchecked.CheckWildAddresses = false;
+  ExecResult Load = expectArrayParity(*M, {Wild, 0}, Unchecked);
+  EXPECT_EQ(Load.Trap, TrapKind::None);
+  EXPECT_EQ(Load.ReturnValue, 77u);
+  ExecResult Store = expectArrayParity(*M, {Wild, 1}, Unchecked);
+  EXPECT_EQ(Store.Trap, TrapKind::None);
+  EXPECT_EQ(Store.ReturnValue, 88u);
+}
+
+TEST(NativeArrayTest, NullArrayLenTraps) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(R"(
+func @main(%a: arrayref) -> i32 {
+  reg %l: i32
+entry:
+  %l = arraylen %a
+  ret %l
+}
+)");
+  // No array exists, so the table is empty: every handle is null.
+  for (uint64_t Handle : {0, 1}) {
+    ExecResult R = expectArrayParity(*M, {Handle});
+    EXPECT_EQ(R.Trap, TrapKind::NullArray);
+    EXPECT_EQ(R.TrapMessage, "arraylen of null");
+  }
+}
+
+TEST(NativeArrayTest, StoreThenLoadMasksEachElementType) {
+  REQUIRE_NATIVE_HOST();
+  // The stored register carries all 64 bits; the element keeps its width.
+  // An i64 load of a[1] shows what the narrow store wrote, and a narrow
+  // load of a[2], written by an i64 store, shows the load's own mask.
+  const uint64_t Value = 0xFEDCBA9876543285ull;
+  const std::pair<const char *, uint64_t> Cases[] = {
+      {"i8", Value & 0xFF},    {"i16", Value & 0xFFFF},
+      {"u16", Value & 0xFFFF}, {"i32", Value & 0xFFFFFFFF},
+      {"i64", Value},
+  };
+  for (const auto &[Ty, Masked] : Cases) {
+    std::string T = Ty;
+    auto M = parseOrDie("func @main(%v: i64) -> i64 {\n"
+                        "  reg %n: i32\n"
+                        "  reg %a: arrayref\n"
+                        "  reg %k: i32\n"
+                        "  reg %j: i32\n"
+                        "  reg %s: " + T + "\n"
+                        "  reg %raw: i64\n"
+                        "  reg %w: i64\n"
+                        "entry:\n"
+                        "  %n = const.i32 3\n"
+                        "  %a = newarray." + T + " %n\n"
+                        "  %k = const.i32 1\n"
+                        "  %j = const.i32 2\n"
+                        "  arraystore." + T + " %a, %k, %v\n"
+                        "  %raw = arrayload.i64 %a, %k\n"
+                        "  arraystore.i64 %a, %j, %v\n"
+                        "  %s = arrayload." + T + " %a, %j\n"
+                        "  %w = copy %s\n"
+                        "  %w = add.w64 %w, %raw\n"
+                        "  ret %w\n"
+                        "}\n");
+    ExecResult R = expectArrayParity(*M, {Value});
+    EXPECT_EQ(R.Trap, TrapKind::None) << T;
+    EXPECT_EQ(R.ReturnValue, Masked + Masked) << T;
+  }
+}
+
+TEST(NativeArrayTest, TableRefreshesWhileTheLoopAllocates) {
+  REQUIRE_NATIVE_HOST();
+  // Each iteration allocates an array, which can move the descriptor
+  // table; the loop keeps reading and writing the first array and the
+  // newest one, so a stale table pointer or count would show.
+  auto M = parseOrDie(R"(
+func @main(%n: i32) -> i32 {
+  reg %four: i32
+  reg %three: i32
+  reg %one: i32
+  reg %first: arrayref
+  reg %t: arrayref
+  reg %i: i32
+  reg %k: i32
+  reg %v: i32
+  reg %c: i32
+  reg %sum: i32
+entry:
+  %four = const.i32 4
+  %three = const.i32 3
+  %one = const.i32 1
+  %first = newarray.i32 %four
+  %i = const.i32 0
+  %sum = const.i32 0
+  jmp head
+head:
+  %c = cmp.w32 slt %i, %n
+  br %c, body, exit
+body:
+  %t = newarray.i32 %four
+  %k = and.w32 %i, %three
+  %v = arrayload.i32 %first, %k
+  %v = add.w32 %v, %i
+  arraystore.i32 %first, %k, %v
+  arraystore.i32 %t, %k, %i
+  %v = arrayload.i32 %t, %k
+  %sum = add.w32 %sum, %v
+  %i = add.w32 %i, %one
+  jmp head
+exit:
+  %v = arrayload.i32 %first, %three
+  %sum = add.w32 %sum, %v
+  %v = arraylen %t
+  %sum = add.w32 %sum, %v
+  ret %sum
+}
+)");
+  ExecResult R = expectArrayParity(*M, {1000});
+  EXPECT_EQ(R.Trap, TrapKind::None);
+  // The sum of every i, plus first[3] (the sum of i = 3, 7, ..., 999),
+  // plus the newest array's length.
+  EXPECT_EQ(R.ReturnValue, 499500u + 125250u + 4u);
+}
+
+TEST(NativeArrayTest, SpilledOperandsAreStagedFromTheFrame) {
+  REQUIRE_NATIVE_HOST();
+  auto M = parseOrDie(R"(
+func @main(%i: i32, %x: i32) -> i32 {
+  reg %n: i32
+  reg %a: arrayref
+  reg %v: i32
+  reg %l: i32
+entry:
+  %n = const.i32 8
+  %a = newarray.i16 %n
+  arraystore.i16 %a, %i, %x
+  %v = arrayload.i16 %a, %i
+  %l = arraylen %a
+  %v = add.w32 %v, %l
+  ret %v
+}
+)");
+  // No allocatable registers at all: every operand lives in a slot.
+  NativeOptions NoRegs;
+  NoRegs.RegAlloc.MaxCalleeSaved = 0;
+  NoRegs.RegAlloc.MaxCallerSaved = 0;
+  std::string Error;
+  auto NM = NativeModule::compile(*M, NoRegs, &Error);
+  ASSERT_NE(NM, nullptr) << Error;
+  bool StoreAllSlots = false, LoadSlotDef = false, LenSlotDef = false;
+  for (const auto &B : NM->machineModule().Functions[0]->Blocks)
+    for (const MInst &I : B->Insts) {
+      if (I.Op == MOp::ArrStore)
+        StoreAllSlots = I.Uses.size() == 3 && isSlotRef(I.Uses[0]) &&
+                        isSlotRef(I.Uses[1]) && isSlotRef(I.Uses[2]);
+      if (I.Op == MOp::ArrLoad)
+        LoadSlotDef = isSlotRef(I.Def) && isSlotRef(I.Uses[0]) &&
+                      isSlotRef(I.Uses[1]);
+      if (I.Op == MOp::ArrLen)
+        LenSlotDef = isSlotRef(I.Def) && isSlotRef(I.Uses[0]);
+    }
+  EXPECT_TRUE(StoreAllSlots);
+  EXPECT_TRUE(LoadSlotDef);
+  EXPECT_TRUE(LenSlotDef);
+
+  EXPECT_EQ(expectArrayParity(*M, {5, 0x12345}, NoRegs).ReturnValue,
+            0x2345u + 8u);
+  const uint64_t Wild = (uint64_t(1) << 32) | 5;
+  EXPECT_EQ(expectArrayParity(*M, {Wild, 1}, NoRegs).Trap,
+            TrapKind::WildAddress);
+  EXPECT_EQ(expectArrayParity(*M, {8, 1}, NoRegs).Trap,
+            TrapKind::BoundsCheck);
+  NoRegs.CheckWildAddresses = false;
+  EXPECT_EQ(expectArrayParity(*M, {Wild, 7}, NoRegs).ReturnValue, 7u + 8u);
+}
+
 TEST(NativeTest, ExplicitTrapPropagates) {
   Module M("m");
   Function *F = M.createFunction("main", Type::I64);
@@ -680,6 +1208,7 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusNativeParity,
                                            "reduced_w32_inductive_sext",
                                            "generated_small",
                                            "generated_medium",
-                                           "generated_large"));
+                                           "generated_large",
+                                           "reduced_live_in_call"));
 
 } // namespace
