@@ -7,9 +7,7 @@
 //
 //===-----------------------------------------------------------------------------===//
 
-#include "analysis/CFG.h"
-#include "analysis/UseDefChains.h"
-#include "analysis/ValueRange.h"
+#include "analysis/AnalysisCache.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
 #include "pm/InstrumentedPipeline.h"
@@ -112,7 +110,8 @@ void BM_ValueRange(benchmark::State &State) {
   CFG Cfg(F);
   UseDefChains Chains(F, Cfg);
   for (auto _ : State) {
-    ValueRange Ranges(F, Chains, TargetInfo::ia64(), 0x7FFFFFFF);
+    CFG GuardCfg(F); // The guard walk's CFG is part of the timed cost.
+    ValueRange Ranges(F, GuardCfg, Chains, TargetInfo::ia64(), 0x7FFFFFFF);
     benchmark::DoNotOptimize(&Ranges);
   }
   State.SetItemsProcessed(State.iterations() * F.countInstructions());
@@ -126,7 +125,8 @@ void BM_FirstAlgorithm(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runFirstAlgorithm(F, TargetInfo::ia64());
+    AnalysisCache A(F, TargetInfo::ia64());
+    runFirstAlgorithm(A);
   }
 }
 BENCHMARK(BM_FirstAlgorithm)->Arg(4)->Arg(16)->Arg(64);
@@ -138,12 +138,18 @@ void BM_EliminationUdDu(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     insertDummyExtends(F);
-    std::vector<Instruction *> Order = extensionsInReverseDFS(F);
+    std::vector<Instruction *> Order;
+    {
+      AnalysisCache OrderCache(F, TargetInfo::ia64());
+      Order = extensionsInReverseDFS(OrderCache);
+    }
     State.ResumeTiming();
+    // A fresh cache, so the timed region builds the CFG, chains and
+    // ranges the elimination reads.
+    AnalysisCache A(F, TargetInfo::ia64());
     EliminationOptions Options;
-    Options.Target = &TargetInfo::ia64();
     Options.EnableArrayTheorems = true;
-    runElimination(F, Order, Options);
+    runElimination(A, Order, Options);
   }
 }
 BENCHMARK(BM_EliminationUdDu)->Arg(4)->Arg(16)->Arg(64);
@@ -155,7 +161,8 @@ void BM_SimpleInsertion(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runSimpleInsertion(F, TargetInfo::ia64());
+    AnalysisCache A(F, TargetInfo::ia64());
+    runSimpleInsertion(A);
   }
 }
 BENCHMARK(BM_SimpleInsertion);
@@ -167,7 +174,8 @@ void BM_PDEInsertion(benchmark::State &State) {
     auto Clone = cloneModule(*Pristine);
     Function &F = *Clone->findFunction("synth");
     State.ResumeTiming();
-    runPDEInsertion(F, TargetInfo::ia64());
+    AnalysisCache A(F, TargetInfo::ia64());
+    runPDEInsertion(A);
   }
 }
 BENCHMARK(BM_PDEInsertion);

@@ -2,8 +2,6 @@
 
 #include "analysis/AnalysisCache.h"
 
-#include "support/Error.h"
-
 using namespace sxe;
 
 void AnalysisCache::validateBlockTier() {
@@ -81,12 +79,10 @@ UseDefChains &AnalysisCache::chains() {
 }
 
 ValueRange &AnalysisCache::ranges() {
-  if (!Target)
-    reportFatalError("AnalysisCache::ranges() needs a target");
   UseDefChains &C = chains(); // Validates the tier and pins the snapshot.
   if (!Ranges) {
-    Ranges = std::make_unique<ValueRange>(F, C, *Target, MaxArrayLen,
-                                          UseGuards, &cfg());
+    Ranges = std::make_unique<ValueRange>(F, cfg(), C, Target, MaxArrayLen,
+                                          UseGuards);
     ++Stats.RangeBuilds;
   } else {
     ++Stats.RangeHits;

@@ -73,14 +73,14 @@ struct AnalysisCacheStats {
 
 /// Lazily built, epoch-validated analyses for one function.
 ///
-/// The configuration parameters (target, profile, array-length limit,
-/// guard toggle) are fixed at construction and must match what the
-/// consumers would have used to build their own copies — the pass
-/// pipeline constructs the cache from the same PipelineConfig it hands
-/// the passes, which guarantees that.
+/// The configuration (target, profile, array-length limit, guard toggle)
+/// is fixed at construction. Every pipeline phase takes its analyses and
+/// that configuration from the cache, so there is one owner of each
+/// analysis and one place its parameters are set: the pass pipeline
+/// constructs the cache from its PipelineConfig (PassContext::cache).
 class AnalysisCache {
 public:
-  explicit AnalysisCache(Function &F, const TargetInfo *Target = nullptr,
+  explicit AnalysisCache(Function &F, const TargetInfo &Target,
                          const ProfileInfo *Profile = nullptr,
                          uint32_t MaxArrayLen = 0x7FFFFFFF,
                          bool UseGuards = true)
@@ -91,6 +91,7 @@ public:
   AnalysisCache &operator=(const AnalysisCache &) = delete;
 
   Function &function() const { return F; }
+  const TargetInfo &target() const { return Target; }
 
   // Block tier — valid while cfgEpoch() is unchanged.
   const CFG &cfg();
@@ -105,7 +106,7 @@ public:
   // each splice accompanies an IR mutation, so the snapshot invalidates
   // before any later consumer can observe the spliced state.
   UseDefChains &chains();
-  ValueRange &ranges(); ///< Requires a target; fatal error without one.
+  ValueRange &ranges();
 
   const AnalysisCacheStats &stats() const { return Stats; }
 
@@ -114,7 +115,7 @@ private:
   void validateInstTier();
 
   Function &F;
-  const TargetInfo *Target;
+  const TargetInfo &Target;
   const ProfileInfo *Profile;
   uint32_t MaxArrayLen;
   bool UseGuards;

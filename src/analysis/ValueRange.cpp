@@ -64,21 +64,15 @@ ValueInterval negInterval(ValueInterval A) {
 
 } // namespace
 
-ValueRange::ValueRange(Function &F, const UseDefChains &Chains,
-                       const TargetInfo &Target, uint32_t MaxArrayLen,
-                       bool UseGuards, const CFG *PrecomputedCfg)
+ValueRange::ValueRange(Function &F, const CFG &Cfg,
+                       const UseDefChains &Chains, const TargetInfo &Target,
+                       uint32_t MaxArrayLen, bool UseGuards)
     : F(F), Chains(Chains), Target(Target), MaxLen(MaxArrayLen) {
   const Function::Numbering &Numbers = F.numberInstructions();
   DefRanges.assign(Numbers.NumInsts, ValueInterval());
   HasRange.assign(Numbers.NumInsts, 0);
-  if (UseGuards) {
-    if (PrecomputedCfg) {
-      collectGuards(*PrecomputedCfg);
-    } else {
-      CFG Cfg(F);
-      collectGuards(Cfg);
-    }
-  }
+  if (UseGuards)
+    collectGuards(Cfg);
   runFixpoint();
 }
 

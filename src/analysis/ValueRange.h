@@ -82,14 +82,13 @@ struct ValueInterval {
 /// hash-table representation.
 class ValueRange {
 public:
-  /// Computes ranges for every definition of \p F. \p MaxArrayLen is the
-  /// configured maximum array length (Java: 0x7fffffff; Theorem 4 also
-  /// covers smaller configured limits). When the caller already has a CFG
-  /// for the current shape of \p F it can pass it as \p PrecomputedCfg to
-  /// spare guard collection a rebuild.
-  ValueRange(Function &F, const UseDefChains &Chains,
+  /// Computes ranges for every definition of \p F. \p Cfg must describe
+  /// the current shape of \p F; guard collection walks it. \p MaxArrayLen
+  /// is the configured maximum array length (Java: 0x7fffffff; Theorem 4
+  /// also covers smaller configured limits).
+  ValueRange(Function &F, const CFG &Cfg, const UseDefChains &Chains,
              const TargetInfo &Target, uint32_t MaxArrayLen,
-             bool UseGuards = true, const CFG *PrecomputedCfg = nullptr);
+             bool UseGuards = true);
 
   uint32_t maxArrayLen() const { return MaxLen; }
 

@@ -374,7 +374,6 @@ void FunctionLowering::lower() {
 
   for (const auto &BB : F.blocks()) {
     MBlock *MB = MF.createBlock(BB->name());
-    MB->Source = BB.get();
     MB->FuelCost = static_cast<uint32_t>(BB->size());
     BlockMap[BB.get()] = MB;
   }
@@ -410,7 +409,6 @@ std::unique_ptr<MModule> sxe::lowerModule(const Module &M,
   LoweringStats &S = Stats ? *Stats : Local;
 
   auto MM = std::make_unique<MModule>();
-  MM->Source = &M;
 
   std::unordered_map<const Function *, uint32_t> FunctionIndex;
   for (const auto &F : M.functions())

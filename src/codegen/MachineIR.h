@@ -237,10 +237,6 @@ public:
   /// this amount at the block head).
   uint32_t FuelCost = 0;
 
-  /// The source IR block (for frequency-weighted cycle estimates); null
-  /// for synthetic blocks.
-  const BasicBlock *Source = nullptr;
-
 private:
   uint32_t Id;
   std::string Name;
@@ -301,7 +297,6 @@ private:
 /// A lowered module: one MFunction per IR function, in module order (the
 /// function-table index space).
 struct MModule {
-  const Module *Source = nullptr;
   std::vector<std::unique_ptr<MFunction>> Functions;
 
   MFunction *find(const std::string &Name) const {

@@ -22,8 +22,6 @@
 #include "codegen/LiveIntervals.h"
 #include "codegen/MachineVerifier.h"
 #include "ir/Verifier.h"
-#include "obs/Metrics.h"
-#include "pm/PassStats.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
@@ -346,38 +344,6 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
 
   NM->P->Info.CompileNanos = wallNowNanos() - Start;
 
-  if (Opts.Metrics) {
-    Opts.Metrics->counter("sxe_native_compiles_total",
-                          "Modules compiled to native x86-64 code")
-        .inc();
-    Opts.Metrics
-        ->counter("sxe_native_code_bytes_total",
-                  "Bytes of executable x86-64 code emitted")
-        .inc(NM->P->Info.CodeBytes);
-    Opts.Metrics
-        ->counter("sxe_regalloc_spilled_intervals_total",
-                  "Live intervals the linear-scan allocator spilled")
-        .inc(NM->P->Info.SpilledIntervals);
-    Opts.Metrics
-        ->counter("sxe_regalloc_spill_slots_total",
-                  "Frame spill slots allocated across compiles")
-        .inc(NM->P->Info.SpillSlots);
-  }
-  if (Opts.Stats) {
-    Opts.Stats->counter("codegen", "machine_insts") +=
-        NM->P->Info.Lowering.MachineInsts;
-    Opts.Stats->counter("codegen", "helper_calls") +=
-        NM->P->Info.Lowering.HelperCalls;
-    Opts.Stats->counter("codegen", "conversions_emitted") +=
-        NM->P->Info.Lowering.Conversions;
-    Opts.Stats->counter("codegen", "spilled_intervals") +=
-        NM->P->Info.SpilledIntervals;
-    Opts.Stats->counter("codegen", "spill_loads") +=
-        NM->P->Info.SpillLoads;
-    Opts.Stats->counter("codegen", "spill_stores") +=
-        NM->P->Info.SpillStores;
-    Opts.Stats->counter("codegen", "code_bytes") += NM->P->Info.CodeBytes;
-  }
   return NM;
 }
 
@@ -421,11 +387,5 @@ ExecResult NativeModule::run(const std::string &FuncName,
   // slightly overcounts a block a trap cut short.
   Result.ExecutedInstructions =
       static_cast<uint64_t>(Fuel - (Ctx.Fuel < 0 ? 0 : Ctx.Fuel));
-
-  if (P->Opts.Metrics)
-    P->Opts.Metrics
-        ->counter("sxe_native_executions_total",
-                  "Function executions completed by native code")
-        .inc();
   return Result;
 }

@@ -44,9 +44,6 @@
 
 namespace sxe {
 
-class MetricsRegistry;
-class PassStats;
-
 /// Compilation and execution limits; the execution limits mirror
 /// InterpOptions so differential runs configure both engines identically.
 struct NativeOptions {
@@ -56,8 +53,6 @@ struct NativeOptions {
   uint64_t MaxHeapElements = 1ULL << 28;
   bool CheckWildAddresses = true;
   RegAllocOptions RegAlloc;
-  MetricsRegistry *Metrics = nullptr; ///< Optional codegen/exec counters.
-  PassStats *Stats = nullptr;         ///< Optional "codegen" pseudo-pass.
 };
 
 /// What one compile produced (test/bench introspection).

@@ -12,8 +12,8 @@
 /// decision was taken, which analysis (AnalyzeUSE / AnalyzeDEF) proved
 /// it, which of the paper's Theorems 1-4 fired for its array subscripts,
 /// and for retained extensions the blocking instruction — while the
-/// generation-side passes (conversion64, insertion, extension-pre) emit
-/// per-function generation/hoist summaries.
+/// generation-side passes (conversion64, insertion) emit per-function
+/// generation/insertion summaries.
 ///
 /// Serialization is JSON Lines under the schema tag `sxe.remarks.v1`:
 /// the first line of a stream is the header record, every following line
@@ -48,7 +48,7 @@ inline constexpr uint32_t kRemarkNoInst = ~static_cast<uint32_t>(0);
 enum class RemarkDecision : uint8_t {
   Generated,  ///< conversion64 created extensions in this function.
   Inserted,   ///< insertion placed extensions (phase 3-1).
-  Moved,      ///< extension-pre removed-as-redundant or hoisted extensions.
+  Moved,      ///< Hoisted extensions; part of the schema, emitted by no pass.
   Eliminated, ///< elimination removed this extension.
   Retained,   ///< elimination analyzed this extension and kept it.
 };

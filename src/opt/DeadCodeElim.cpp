@@ -105,14 +105,9 @@ unsigned sweepOnce(Function &F, AnalysisCache &Cache) {
 
 } // namespace
 
-unsigned sxe::runDeadCodeElim(Function &F, AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+unsigned sxe::runDeadCodeElim(AnalysisCache &A) {
   unsigned Total = 0;
-  while (unsigned Removed = sweepOnce(F, *Cache))
+  while (unsigned Removed = sweepOnce(A.function(), A))
     Total += Removed;
   return Total;
 }

@@ -17,16 +17,14 @@
 #ifndef SXE_OPT_DEADCODEELIM_H
 #define SXE_OPT_DEADCODEELIM_H
 
-#include "ir/Function.h"
-
 namespace sxe {
 
 class AnalysisCache;
 
-/// Removes dead pure definitions from \p F until a fixpoint. Returns the
-/// number of instructions removed. \p Cache, when given, supplies the CFG
+/// Removes dead pure definitions from \p A's function until a fixpoint.
+/// Returns the number of instructions removed. \p A supplies the CFG
 /// (removal preserves the block graph, so sweeps after the first hit it).
-unsigned runDeadCodeElim(Function &F, AnalysisCache *Cache = nullptr);
+unsigned runDeadCodeElim(AnalysisCache &A);
 
 } // namespace sxe
 

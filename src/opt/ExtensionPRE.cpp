@@ -181,17 +181,12 @@ unsigned runLoopHoisting(Function &F, AnalysisCache &Cache) {
 
 } // namespace
 
-unsigned sxe::runExtensionPRE(Function &F, const TargetInfo &Target,
-                              AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+unsigned sxe::runExtensionPRE(AnalysisCache &A) {
+  Function &F = A.function();
   unsigned Total = 0;
   // Hoisting moves instructions between existing blocks, so the CSE phase
   // reuses the same cached CFG.
-  Total += runLoopHoisting(F, *Cache);
-  Total += runAvailabilityCSE(F, Target, *Cache);
+  Total += runLoopHoisting(F, A);
+  Total += runAvailabilityCSE(F, A.target(), A);
   return Total;
 }

@@ -28,19 +28,15 @@
 #ifndef SXE_OPT_EXTENSIONPRE_H
 #define SXE_OPT_EXTENSIONPRE_H
 
-#include "ir/Function.h"
-#include "target/TargetInfo.h"
-
 namespace sxe {
 
 class AnalysisCache;
 
-/// Runs extension CSE + hoisting on \p F. Returns the number of extension
-/// instructions removed or moved. \p Cache, when given, supplies the CFG,
-/// dominators, and loops (hoisting preserves the block graph, so the CSE
-/// phase reuses its CFG).
-unsigned runExtensionPRE(Function &F, const TargetInfo &Target,
-                         AnalysisCache *Cache = nullptr);
+/// Runs extension CSE + hoisting on \p A's function for \p A's target.
+/// Returns the number of extension instructions removed or moved. \p A
+/// supplies the CFG, dominators, and loops (hoisting preserves the block
+/// graph, so the CSE phase reuses its CFG).
+unsigned runExtensionPRE(AnalysisCache &A);
 
 } // namespace sxe
 

@@ -10,22 +10,16 @@
 
 using namespace sxe;
 
-unsigned sxe::runGeneralOpts(Function &F, const TargetInfo &Target,
-                             AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+unsigned sxe::runGeneralOpts(AnalysisCache &A) {
   unsigned Total = 0;
   // Two rounds are enough in practice: folding exposes dead code, DCE
   // exposes further folding opportunities once.
   for (unsigned Round = 0; Round < 2; ++Round) {
     unsigned RoundWork = 0;
-    RoundWork += runSimplifyCFG(F, Cache);
-    RoundWork += runLocalOpts(F);
-    RoundWork += runExtensionPRE(F, Target, Cache);
-    RoundWork += runDeadCodeElim(F, Cache);
+    RoundWork += runSimplifyCFG(A);
+    RoundWork += runLocalOpts(A.function());
+    RoundWork += runExtensionPRE(A);
+    RoundWork += runDeadCodeElim(A);
     Total += RoundWork;
     if (RoundWork == 0)
       break;

@@ -15,18 +15,15 @@
 #ifndef SXE_OPT_GENERALOPTS_H
 #define SXE_OPT_GENERALOPTS_H
 
-#include "ir/Function.h"
-#include "target/TargetInfo.h"
-
 namespace sxe {
 
 class AnalysisCache;
 
-/// Runs the step-2 optimizations over \p F. Returns the total number of
-/// rewrites/removals performed. \p Cache, when given, is shared by every
-/// constituent pass so analyses rebuild only when the IR actually moved.
-unsigned runGeneralOpts(Function &F, const TargetInfo &Target,
-                        AnalysisCache *Cache = nullptr);
+/// Runs the step-2 optimizations over \p A's function for \p A's target.
+/// Returns the total number of rewrites/removals performed. Every
+/// constituent pass shares \p A, so analyses rebuild only when the IR
+/// actually moved.
+unsigned runGeneralOpts(AnalysisCache &A);
 
 } // namespace sxe
 

@@ -111,14 +111,9 @@ unsigned simplifyOnce(Function &F, AnalysisCache &Cache) {
 
 } // namespace
 
-unsigned sxe::runSimplifyCFG(Function &F, AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
+unsigned sxe::runSimplifyCFG(AnalysisCache &A) {
   unsigned Total = 0;
-  while (unsigned Removed = simplifyOnce(F, *Cache))
+  while (unsigned Removed = simplifyOnce(A.function(), A))
     Total += Removed;
   return Total;
 }

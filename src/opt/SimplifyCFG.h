@@ -19,17 +19,14 @@
 #ifndef SXE_OPT_SIMPLIFYCFG_H
 #define SXE_OPT_SIMPLIFYCFG_H
 
-#include "ir/Function.h"
-
 namespace sxe {
 
 class AnalysisCache;
 
-/// Simplifies \p F's CFG. Returns the number of blocks removed. When the
-/// caller passes its shared \p Cache the cleanup rounds reuse its CFG,
-/// rebuilding only when a round actually erased or merged blocks;
-/// otherwise a private cache is used.
-unsigned runSimplifyCFG(Function &F, AnalysisCache *Cache = nullptr);
+/// Simplifies the CFG of \p A's function. Returns the number of blocks
+/// removed. The cleanup rounds reuse \p A's CFG, rebuilding only when a
+/// round actually erased or merged blocks.
+unsigned runSimplifyCFG(AnalysisCache &A);
 
 } // namespace sxe
 

@@ -7,7 +7,7 @@ using namespace sxe;
 AnalysisCache &PassContext::cache(Function &F) {
   auto &Slot = Caches[&F];
   if (!Slot)
-    Slot = std::make_unique<AnalysisCache>(F, Config.Target, Config.Profile,
+    Slot = std::make_unique<AnalysisCache>(F, *Config.Target, Config.Profile,
                                            Config.MaxArrayLen,
                                            Config.EnableGuardRanges);
   return *Slot;

@@ -10,12 +10,12 @@
 /// context object threaded through a PassManager run. The context owns:
 ///
 ///  - the stat registry (pm/PassStats.h) the SXE_PASS_STAT macro targets;
-///  - a per-function AnalysisCache (analysis/AnalysisCache.h) shared by
-///    every phase. Invalidation is by the function's mutation epochs, not
+///  - a per-function AnalysisCache (analysis/AnalysisCache.h), the only
+///    source of every phase's CFG, dominators, loops, frequencies, chains
+///    and ranges. Invalidation is by the function's mutation epochs, not
 ///    by pass declarations: a pass that does not change the block
 ///    structure leaves cfgEpoch() alone and the block-tier analyses
-///    survive it automatically (preservesCFG() remains as declarative
-///    metadata);
+///    survive it automatically;
 ///  - the inter-pass plumbing the Figure 5 phases hand each other: the
 ///    list of extensions phase (3)-1 inserted and the elimination order
 ///    phase (3)-2 chose;
@@ -113,10 +113,6 @@ public:
 
   /// Runs the pass over one function.
   virtual void run(Function &F, PassContext &Ctx) = 0;
-
-  /// True when the pass never adds, removes, or relinks basic blocks, so
-  /// cached CFG-derived analyses survive it.
-  virtual bool preservesCFG() const { return false; }
 
   /// True for passes whose job is to *add* extension instructions
   /// (conversion, insertion); the verify-each extension census exempts

@@ -3,11 +3,7 @@
 #include "pm/Passes.h"
 
 #include "obs/Remarks.h"
-#include "opt/DeadCodeElim.h"
-#include "opt/ExtensionPRE.h"
 #include "opt/GeneralOpts.h"
-#include "opt/LocalOpts.h"
-#include "opt/SimplifyCFG.h"
 #include "sxe/Elimination.h"
 #include "sxe/FirstAlgorithm.h"
 #include "sxe/Insertion.h"
@@ -41,7 +37,6 @@ public:
   explicit Conversion64Pass(GenPolicy Policy) : Policy(Policy) {}
   const char *name() const override { return "conversion64"; }
   Group group() const override { return Group::Conversion; }
-  bool preservesCFG() const override { return true; }
   bool mayAddExtensions() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
     unsigned Generated = runConversion64(F, *Ctx.config().Target, Policy);
@@ -58,55 +53,13 @@ public:
   const char *name() const override { return "general-opts"; }
   Group group() const override { return Group::GeneralOpts; }
   void run(Function &F, PassContext &Ctx) override {
-    SXE_PASS_STAT(Ctx, rewrites) += runGeneralOpts(F, *Ctx.config().Target, &Ctx.cache(F));
-  }
-};
-
-class SimplifyCFGPass : public Pass {
-public:
-  const char *name() const override { return "simplify-cfg"; }
-  Group group() const override { return Group::GeneralOpts; }
-  void run(Function &F, PassContext &Ctx) override {
-    SXE_PASS_STAT(Ctx, blocks_removed) += runSimplifyCFG(F, &Ctx.cache(F));
-  }
-};
-
-class LocalOptsPass : public Pass {
-public:
-  const char *name() const override { return "local-opts"; }
-  Group group() const override { return Group::GeneralOpts; }
-  bool preservesCFG() const override { return true; }
-  void run(Function &F, PassContext &Ctx) override {
-    SXE_PASS_STAT(Ctx, rewrites) += runLocalOpts(F);
-  }
-};
-
-class ExtensionPREPass : public Pass {
-public:
-  const char *name() const override { return "extension-pre"; }
-  Group group() const override { return Group::GeneralOpts; }
-  bool preservesCFG() const override { return true; }
-  void run(Function &F, PassContext &Ctx) override {
-    unsigned Moved = runExtensionPRE(F, *Ctx.config().Target, &Ctx.cache(F));
-    SXE_PASS_STAT(Ctx, ext_removed_or_hoisted) += Moved;
-    addSummaryRemark(Ctx, name(), F, RemarkDecision::Moved, Moved);
-  }
-};
-
-class DeadCodeElimPass : public Pass {
-public:
-  const char *name() const override { return "dce"; }
-  Group group() const override { return Group::GeneralOpts; }
-  bool preservesCFG() const override { return true; }
-  void run(Function &F, PassContext &Ctx) override {
-    SXE_PASS_STAT(Ctx, instrs_removed) += runDeadCodeElim(F, &Ctx.cache(F));
+    SXE_PASS_STAT(Ctx, rewrites) += runGeneralOpts(Ctx.cache(F));
   }
 };
 
 class DummyInsertionPass : public Pass {
 public:
   const char *name() const override { return "dummy-insertion"; }
-  bool preservesCFG() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
     SXE_PASS_STAT(Ctx, dummy_added) += insertDummyExtends(F);
   }
@@ -116,19 +69,16 @@ class InsertionPass : public Pass {
 public:
   explicit InsertionPass(bool UsePDE) : UsePDE(UsePDE) {}
   const char *name() const override { return "insertion"; }
-  bool preservesCFG() const override { return true; }
   bool mayAddExtensions() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
     std::vector<Instruction *> &Inserted = Ctx.inserted(F);
     unsigned Placed = 0;
     if (UsePDE) {
       SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 1;
-      Placed = runPDEInsertion(F, *Ctx.config().Target, &Inserted,
-                              &Ctx.cache(F));
+      Placed = runPDEInsertion(Ctx.cache(F), &Inserted);
     } else {
       SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 0;
-      Placed = runSimpleInsertion(F, *Ctx.config().Target, &Inserted,
-                                  &Ctx.cache(F).loops());
+      Placed = runSimpleInsertion(Ctx.cache(F), &Inserted);
     }
     SXE_PASS_STAT(Ctx, sext_inserted) += Placed;
     addSummaryRemark(Ctx, name(), F, RemarkDecision::Inserted, Placed);
@@ -143,7 +93,6 @@ public:
   explicit OrderDeterminationPass(bool ByFrequency)
       : ByFrequency(ByFrequency) {}
   const char *name() const override { return "order-determination"; }
-  bool preservesCFG() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
     std::vector<Instruction *> &Order = Ctx.order(F);
     if (ByFrequency) {
@@ -151,12 +100,10 @@ public:
       const std::vector<Instruction *> &Inserted = Ctx.inserted(F);
       std::unordered_set<Instruction *> InsertedSet(Inserted.begin(),
                                                     Inserted.end());
-      AnalysisCache &A = Ctx.cache(F);
-      Order = extensionsByFrequency(F, Ctx.config().Profile, &InsertedSet,
-                                    &A.cfg(), &A.frequencies());
+      Order = extensionsByFrequency(Ctx.cache(F), &InsertedSet);
     } else {
       SXE_PASS_STAT_FLAG(Ctx, by_frequency) = 0;
-      Order = extensionsInReverseDFS(F, &Ctx.cache(F).cfg());
+      Order = extensionsInReverseDFS(Ctx.cache(F));
     }
     SXE_PASS_STAT(Ctx, extensions_ordered) += Order.size();
   }
@@ -168,24 +115,19 @@ private:
 class EliminationPass : public Pass {
 public:
   const char *name() const override { return "elimination"; }
-  bool preservesCFG() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
     const PipelineConfig &Config = Ctx.config();
+    AnalysisCache &A = Ctx.cache(F);
     // A preceding order-determination pass normally decides the order;
     // standalone stacks fall back to the order-off default (reverse DFS).
     std::vector<Instruction *> Order =
-        Ctx.hasOrder(F) ? Ctx.order(F)
-                        : extensionsInReverseDFS(F, &Ctx.cache(F).cfg());
+        Ctx.hasOrder(F) ? Ctx.order(F) : extensionsInReverseDFS(A);
     EliminationOptions Options;
-    Options.Target = Config.Target;
     Options.EnableArrayTheorems = Config.EnableArrayTheorems;
-    Options.MaxArrayLen = Config.MaxArrayLen;
     Options.EnableInductiveArith = Config.EnableInductiveArith;
-    Options.EnableGuardRanges = Config.EnableGuardRanges;
-    Options.Cache = &Ctx.cache(F);
     Options.ChainTimer = &Ctx.chainTimer();
     Options.Remarks = Ctx.remarks();
-    EliminationStats ES = runElimination(F, Order, Options);
+    EliminationStats ES = runElimination(A, Order, Options);
     SXE_PASS_STAT(Ctx, analyzed) += ES.Analyzed;
     SXE_PASS_STAT(Ctx, sext_eliminated) += ES.EliminatedSext;
     SXE_PASS_STAT(Ctx, zext_eliminated) += ES.EliminatedZext;
@@ -205,10 +147,8 @@ public:
 class FirstAlgorithmPass : public Pass {
 public:
   const char *name() const override { return "first-algorithm"; }
-  bool preservesCFG() const override { return true; }
   void run(Function &F, PassContext &Ctx) override {
-    SXE_PASS_STAT(Ctx, sext_eliminated) +=
-        runFirstAlgorithm(F, *Ctx.config().Target, &Ctx.cache(F));
+    SXE_PASS_STAT(Ctx, sext_eliminated) += runFirstAlgorithm(Ctx.cache(F));
   }
 };
 
@@ -219,18 +159,6 @@ std::unique_ptr<Pass> sxe::createConversion64Pass(GenPolicy Policy) {
 }
 std::unique_ptr<Pass> sxe::createGeneralOptsPass() {
   return std::make_unique<GeneralOptsPass>();
-}
-std::unique_ptr<Pass> sxe::createSimplifyCFGPass() {
-  return std::make_unique<SimplifyCFGPass>();
-}
-std::unique_ptr<Pass> sxe::createLocalOptsPass() {
-  return std::make_unique<LocalOptsPass>();
-}
-std::unique_ptr<Pass> sxe::createExtensionPREPass() {
-  return std::make_unique<ExtensionPREPass>();
-}
-std::unique_ptr<Pass> sxe::createDeadCodeElimPass() {
-  return std::make_unique<DeadCodeElimPass>();
 }
 std::unique_ptr<Pass> sxe::createDummyInsertionPass() {
   return std::make_unique<DummyInsertionPass>();

@@ -11,10 +11,6 @@
 ///
 ///   conversion64        sext_generated
 ///   general-opts        rewrites
-///   simplify-cfg        blocks_removed          (standalone building block)
-///   local-opts          rewrites                (standalone building block)
-///   extension-pre       ext_removed_or_hoisted  (standalone building block)
-///   dce                 instrs_removed          (standalone building block)
 ///   dummy-insertion     dummy_added
 ///   insertion           sext_inserted, pde_variant
 ///   order-determination extensions_ordered, by_frequency
@@ -25,10 +21,8 @@
 ///                       theorem1_fired .. theorem4_fired
 ///   first-algorithm     sext_eliminated
 ///
-/// The default pipelines (pm/InstrumentedPipeline.h) use the composite
-/// general-opts driver; the four standalone step-2 wrappers exist so
-/// custom PassManager stacks (tests, tools) can run and measure them
-/// individually.
+/// Every wrapper reads its analyses and target from the context's
+/// per-function AnalysisCache (PassContext::cache).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,15 +39,9 @@ namespace sxe {
 /// Step 1: 32-bit to 64-bit conversion under the configured GenPolicy.
 std::unique_ptr<Pass> createConversion64Pass(GenPolicy Policy);
 
-/// Step 2: the composite general-optimization driver (simplify-cfg,
-/// local-opts, extension-pre, dce to a fixpoint).
+/// Step 2: the general-optimization driver (CFG cleanup, local folding,
+/// extension PRE and dead code elimination to a fixpoint).
 std::unique_ptr<Pass> createGeneralOptsPass();
-
-// Standalone step-2 building blocks.
-std::unique_ptr<Pass> createSimplifyCFGPass();
-std::unique_ptr<Pass> createLocalOptsPass();
-std::unique_ptr<Pass> createExtensionPREPass();
-std::unique_ptr<Pass> createDeadCodeElimPass();
 
 /// Phase (3)-1a: dummy just_extended markers after array accesses.
 std::unique_ptr<Pass> createDummyInsertionPass();

@@ -10,7 +10,6 @@
 #include "support/Error.h"
 
 #include <deque>
-#include <memory>
 
 using namespace sxe;
 
@@ -59,31 +58,19 @@ struct ScopedVisit {
 /// The elimination engine for one function.
 class Eliminator {
 public:
-  Eliminator(Function &F, const EliminationOptions &Options)
-      : F(F), Options(Options) {
+  Eliminator(AnalysisCache &A, const EliminationOptions &Options)
+      : F(A.function()), Target(A.target()), Options(Options) {
     // The chains and the range analysis are shared analysis
     // infrastructure (the paper keeps "UD/DU chain creation" out of the
     // sign-extension-optimization column because other optimizations use
-    // the chains too); both are timed under the analysis bucket.
+    // the chains too); both are timed under the analysis bucket. Cache
+    // hits cost (and therefore time) nothing here — exactly the point: a
+    // pipeline that kept the snapshot valid since the last build skips
+    // chain creation entirely.
     if (Options.ChainTimer)
       Options.ChainTimer->start();
-    if (Options.Cache) {
-      // Cache hits cost (and therefore time) nothing here — exactly the
-      // point: a pipeline that kept the snapshot valid since the last
-      // build skips chain creation entirely.
-      Chains = &Options.Cache->chains();
-      Ranges = &Options.Cache->ranges();
-    } else {
-      OwnCfg = std::make_unique<CFG>(F);
-      OwnChains = std::make_unique<UseDefChains>(F, *OwnCfg);
-      OwnRanges = std::make_unique<ValueRange>(F, *OwnChains,
-                                               *Options.Target,
-                                               Options.MaxArrayLen,
-                                               Options.EnableGuardRanges,
-                                               OwnCfg.get());
-      Chains = OwnChains.get();
-      Ranges = OwnRanges.get();
-    }
+    Chains = &A.chains();
+    Ranges = &A.ranges();
     if (Options.ChainTimer)
       Options.ChainTimer->stop();
     const size_t NumInsts = F.numberInstructions().NumInsts;
@@ -163,11 +150,8 @@ private:
   }
 
   Function &F;
+  const TargetInfo &Target;
   const EliminationOptions &Options;
-  /// Private analyses, used only when no shared cache was supplied.
-  std::unique_ptr<CFG> OwnCfg;
-  std::unique_ptr<UseDefChains> OwnChains;
-  std::unique_ptr<ValueRange> OwnRanges;
   UseDefChains *Chains = nullptr;
   ValueRange *Ranges = nullptr;
   EliminationStats Stats;
@@ -280,8 +264,7 @@ bool Eliminator::defExtended(const Instruction *Def, unsigned Bits,
   if (Def == CurrentExt)
     return useExtended(Def, 0, Bits, Visited);
 
-  if (defKnownExtendedStructural(F, *Def, *Options.Target, ExtKind::Sign,
-                                 Bits))
+  if (defKnownExtendedStructural(F, *Def, Target, ExtKind::Sign, Bits))
     return true;
 
   // Range-assisted facts. Ranges describe the lower-32 signed value, which
@@ -350,7 +333,7 @@ bool Eliminator::defExtended(const Instruction *Def, unsigned Bits,
     // register equals the mathematical value only when that value is
     // non-negative; an in-range negative result (e.g. 0 + -1) sits
     // zero-extended in the register, which is not sign-extended.
-    if (Options.Target->w32ResultsZeroExtend() && MathLo < 0)
+    if (Target.w32ResultsZeroExtend() && MathLo < 0)
       break;
     if (useExtended(Def, 0, 32, Visited) &&
         useExtended(Def, 1, 32, Visited))
@@ -395,7 +378,7 @@ bool Eliminator::defExtended(const Instruction *Def, unsigned Bits,
 
   // AnalyzeDEF Case 2: propagation through copies and W32 bitwise ops.
   std::vector<unsigned> PropIndices =
-      defPropagatesExtension(F, *Def, *Options.Target, ExtKind::Sign, Bits);
+      defPropagatesExtension(F, *Def, Target, ExtKind::Sign, Bits);
   if (!PropIndices.empty()) {
     for (unsigned Index : PropIndices)
       if (!useExtended(Def, Index, Bits, Visited))
@@ -435,8 +418,7 @@ bool Eliminator::defZero(const Instruction *Def, unsigned Bits,
   if (Def == CurrentExt)
     return useZero(Def, 0, Bits, Visited);
 
-  if (defKnownExtendedStructural(F, *Def, *Options.Target, ExtKind::Zero,
-                                 Bits))
+  if (defKnownExtendedStructural(F, *Def, Target, ExtKind::Zero, Bits))
     return true;
 
   // Range-assisted narrowing: a 32-zero-extended value whose (lower-32)
@@ -469,7 +451,7 @@ bool Eliminator::defZero(const Instruction *Def, unsigned Bits,
   // AnalyzeDEF Case 2 for the zero kind: propagation through copies,
   // bitwise operations, and wider conversions.
   std::vector<unsigned> PropIndices =
-      defPropagatesExtension(F, *Def, *Options.Target, ExtKind::Zero, Bits);
+      defPropagatesExtension(F, *Def, Target, ExtKind::Zero, Bits);
   if (!PropIndices.empty()) {
     bool AllOK = true;
     size_t Mark = Visited.watermark();
@@ -642,7 +624,7 @@ bool Eliminator::analyzeArray(Instruction *Access) {
   // Theorem 4's maxlen: the configured limit, sharpened by a statically
   // known array length (Figure 10's size-dependent elimination).
   uint32_t MaxLen =
-      std::min(Options.MaxArrayLen, Ranges->arrayLengthBound(Access, 0));
+      std::min(Ranges->maxArrayLen(), Ranges->arrayLengthBound(Access, 0));
   if (MaxLen == 0)
     return false; // Every execution traps on the bounds check.
 
@@ -670,7 +652,7 @@ bool Eliminator::analyzeUse(Instruction *User, unsigned OpIndex,
     return false;
 
   // Case 1: the instruction never reads the bits the extension fixes.
-  if (upperBitsIrrelevant(F, *User, OpIndex, CurrentBits, Options.Target))
+  if (upperBitsIrrelevant(F, *User, OpIndex, CurrentBits, &Target))
     return false;
 
   // The effective address of an array access.
@@ -825,9 +807,8 @@ EliminationStats Eliminator::run(const std::vector<Instruction *> &Order) {
 } // namespace
 
 EliminationStats
-sxe::runElimination(Function &F, const std::vector<Instruction *> &Order,
+sxe::runElimination(AnalysisCache &A, const std::vector<Instruction *> &Order,
                     const EliminationOptions &Options) {
-  assert(Options.Target && "elimination needs a target");
-  Eliminator E(F, Options);
+  Eliminator E(A, Options);
   return E.run(Order);
 }

@@ -45,36 +45,24 @@
 #ifndef SXE_SXE_ELIMINATION_H
 #define SXE_SXE_ELIMINATION_H
 
-#include "analysis/ProfileInfo.h"
 #include "ir/Function.h"
 #include "support/Timer.h"
-#include "target/TargetInfo.h"
 
 #include <cstdint>
 #include <vector>
 
 namespace sxe {
 
+class AnalysisCache;
 class RemarkCollector;
 
-/// Configuration of the elimination phase.
+/// Configuration of the elimination phase. The target, the array-length
+/// limit and the guard toggle are the AnalysisCache's.
 struct EliminationOptions {
-  const TargetInfo *Target = nullptr;
-  /// When set, the CFG, UD/DU chains, and value ranges come from this
-  /// shared cache instead of private builds; its configuration (target,
-  /// array-length limit, guard toggle) must match these options. The
-  /// phase mutates the cached chains incrementally as it eliminates; each
-  /// splice accompanies an IR mutation, so the snapshot epoch-invalidates
-  /// before any later consumer reads it.
-  class AnalysisCache *Cache = nullptr;
   bool EnableArrayTheorems = false;
-  uint32_t MaxArrayLen = 0x7FFFFFFF;
   /// Ablation toggle: the inductive add/sub/mul rule in the live
   /// extendedness query (DESIGN.md decision 5).
   bool EnableInductiveArith = true;
-  /// Ablation toggle: branch-guard refinement in the value ranges
-  /// (DESIGN.md decision 4).
-  bool EnableGuardRanges = true;
   /// When set, accumulates the UD/DU chain (and range analysis) build
   /// time, reported separately in Table 3 ("UD/DU chain creation").
   Timer *ChainTimer = nullptr;
@@ -105,10 +93,14 @@ struct EliminationStats {
   unsigned SubscriptTheorem4 = 0;   ///< i+j, maxlen-derived bound < 0.
 };
 
-/// Runs EliminateOneExtend over the extensions of \p F in the given
-/// \p Order (from sxe/OrderDetermination.h), then removes the dummy
-/// markers. Entries in \p Order must be extension instructions of \p F.
-EliminationStats runElimination(Function &F,
+/// Runs EliminateOneExtend over the extensions of \p A's function in the
+/// given \p Order (from sxe/OrderDetermination.h), then removes the dummy
+/// markers. Entries in \p Order must be extension instructions of that
+/// function. The UD/DU chains and value ranges come from \p A; the phase
+/// splices the cached chains as it eliminates, and each splice
+/// accompanies an IR mutation, so the snapshot epoch-invalidates before
+/// any later consumer reads it.
+EliminationStats runElimination(AnalysisCache &A,
                                 const std::vector<Instruction *> &Order,
                                 const EliminationOptions &Options);
 

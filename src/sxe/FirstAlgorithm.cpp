@@ -54,14 +54,10 @@ void applyTransfer(const Function &F, const TargetInfo &Target,
 
 } // namespace
 
-unsigned sxe::runFirstAlgorithm(Function &F, const TargetInfo &Target,
-                                AnalysisCache *Cache) {
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
-  const CFG &Cfg = Cache->cfg();
+unsigned sxe::runFirstAlgorithm(AnalysisCache &A) {
+  Function &F = A.function();
+  const TargetInfo &Target = A.target();
+  const CFG &Cfg = A.cfg();
   const auto &RPO = Cfg.reversePostOrder();
   size_t Words = (F.numRegs() + 63) / 64;
 

@@ -22,17 +22,14 @@
 #ifndef SXE_SXE_FIRSTALGORITHM_H
 #define SXE_SXE_FIRSTALGORITHM_H
 
-#include "ir/Function.h"
-#include "target/TargetInfo.h"
-
 namespace sxe {
 
 class AnalysisCache;
 
-/// Runs the backward-dataflow elimination over \p F. Returns the number of
-/// extensions removed. \p Cache, when given, supplies the CFG.
-unsigned runFirstAlgorithm(Function &F, const TargetInfo &Target,
-                           AnalysisCache *Cache = nullptr);
+/// Runs the backward-dataflow elimination over \p A's function on
+/// \p A's target, with \p A's CFG. Returns the number of extensions
+/// removed.
+unsigned runFirstAlgorithm(AnalysisCache &A);
 
 } // namespace sxe
 

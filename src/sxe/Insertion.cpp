@@ -5,8 +5,6 @@
 #include "analysis/AnalysisCache.h"
 #include "sxe/ExtensionFacts.h"
 
-#include <memory>
-
 #include <vector>
 
 using namespace sxe;
@@ -75,25 +73,15 @@ collectRequiringUses(Function &F, const TargetInfo &Target) {
 
 } // namespace
 
-unsigned sxe::runSimpleInsertion(Function &F, const TargetInfo &Target,
-                                 std::vector<Instruction *> *Inserted,
-                                 const LoopInfo *Loops) {
+unsigned sxe::runSimpleInsertion(AnalysisCache &A,
+                                 std::vector<Instruction *> *Inserted) {
   // "To balance compilation time and effectiveness, we apply this
-  // insertion only to those methods which include a loop." The caller
-  // may share precomputed block-level analyses (insertion never changes
-  // the block structure).
-  std::unique_ptr<CFG> OwnCfg;
-  std::unique_ptr<Dominators> OwnDom;
-  std::unique_ptr<LoopInfo> OwnLoops;
-  if (!Loops) {
-    OwnCfg = std::make_unique<CFG>(F);
-    OwnDom = std::make_unique<Dominators>(*OwnCfg);
-    OwnLoops = std::make_unique<LoopInfo>(*OwnCfg, *OwnDom);
-    Loops = OwnLoops.get();
-  }
-  if (!Loops->hasLoops())
+  // insertion only to those methods which include a loop."
+  if (!A.loops().hasLoops())
     return 0;
 
+  Function &F = A.function();
+  const TargetInfo &Target = A.target();
   unsigned Count = 0;
   for (const auto &[Use, R] : collectRequiringUses(F, Target)) {
     CanonicalExt CE = canonicalRegExt(F, R);
@@ -108,21 +96,17 @@ unsigned sxe::runSimpleInsertion(Function &F, const TargetInfo &Target,
   return Count;
 }
 
-unsigned sxe::runPDEInsertion(Function &F, const TargetInfo &Target,
-                              std::vector<Instruction *> *Inserted,
-                              AnalysisCache *Cache) {
+unsigned sxe::runPDEInsertion(AnalysisCache &A,
+                              std::vector<Instruction *> *Inserted) {
   // Sinking variant: only place an extension before a requiring use when
   // every reaching definition of the register is itself an extension of
   // that register — i.e. the extension is fully available and the insert
   // merely moves it forward without lengthening any path. All chain
   // queries happen in the planning loop, before any insertion mutates the
   // function, so a cached snapshot is safe to use.
-  std::unique_ptr<AnalysisCache> Own;
-  if (!Cache) {
-    Own = std::make_unique<AnalysisCache>(F);
-    Cache = Own.get();
-  }
-  const UseDefChains &Chains = Cache->chains();
+  Function &F = A.function();
+  const TargetInfo &Target = A.target();
+  const UseDefChains &Chains = A.chains();
 
   std::vector<std::pair<Instruction *, Reg>> Planned;
   for (const auto &[Use, R] : collectRequiringUses(F, Target)) {
@@ -194,19 +178,4 @@ unsigned sxe::insertDummyExtends(Function &F) {
     }
   }
   return Inserted;
-}
-
-unsigned sxe::removeDummyExtends(Function &F) {
-  unsigned Removed = 0;
-  for (const auto &BB : F.blocks()) {
-    std::vector<Instruction *> Dummies;
-    for (Instruction &I : *BB)
-      if (I.isDummyExtend())
-        Dummies.push_back(&I);
-    for (Instruction *Dummy : Dummies) {
-      BB->erase(Dummy);
-      ++Removed;
-    }
-  }
-  return Removed;
 }

@@ -31,33 +31,28 @@
 #define SXE_SXE_INSERTION_H
 
 #include "ir/Function.h"
-#include "target/TargetInfo.h"
 
 namespace sxe {
 
-/// Runs simple insertion over \p F (only when \p F contains a loop).
-/// Returns the number of extensions inserted; the new instructions are
-/// appended to \p Inserted when non-null (order determination gives them
-/// elimination priority within a frequency tier).
-unsigned runSimpleInsertion(Function &F, const TargetInfo &Target,
-                            std::vector<Instruction *> *Inserted = nullptr,
-                            const class LoopInfo *Loops = nullptr);
+class AnalysisCache;
 
-/// Runs the PDE-variant insertion over \p F. Returns the number of
-/// extensions inserted (appended to \p Inserted when non-null). \p Cache,
-/// when given, supplies the CFG and UD/DU chains for the planning phase.
-unsigned runPDEInsertion(Function &F, const TargetInfo &Target,
-                         std::vector<Instruction *> *Inserted = nullptr,
-                         class AnalysisCache *Cache = nullptr);
+/// Runs simple insertion over \p A's function for \p A's target (only
+/// when \p A's loops say the function contains one). Returns the number
+/// of extensions inserted; the new instructions are appended to
+/// \p Inserted when non-null (order determination gives them elimination
+/// priority within a frequency tier).
+unsigned runSimpleInsertion(AnalysisCache &A,
+                            std::vector<Instruction *> *Inserted = nullptr);
+
+/// Runs the PDE-variant insertion over \p A's function for \p A's target.
+/// Returns the number of extensions inserted (appended to \p Inserted
+/// when non-null). The planning phase reads \p A's UD/DU chains.
+unsigned runPDEInsertion(AnalysisCache &A,
+                         std::vector<Instruction *> *Inserted = nullptr);
 
 /// Inserts dummy just_extended markers after array accesses. Returns the
 /// number of dummies inserted.
 unsigned insertDummyExtends(Function &F);
-
-/// Removes every dummy just_extended from \p F (the trivial final step of
-/// the elimination phase). Returns the number removed. Prefer the
-/// chain-aware removal inside the elimination pass when chains are live.
-unsigned removeDummyExtends(Function &F);
 
 } // namespace sxe
 

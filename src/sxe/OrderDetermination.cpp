@@ -2,34 +2,17 @@
 
 #include "sxe/OrderDetermination.h"
 
-#include "analysis/BlockFrequency.h"
-#include "analysis/CFG.h"
-#include "analysis/Dominators.h"
-#include "analysis/LoopInfo.h"
+#include "analysis/AnalysisCache.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace sxe;
 
-std::vector<Instruction *> sxe::extensionsByFrequency(
-    Function &F, const ProfileInfo *Profile,
-    const std::unordered_set<Instruction *> *Inserted,
-    const CFG *PrecomputedCfg, const BlockFrequency *PrecomputedFreq) {
-  std::unique_ptr<CFG> OwnCfg;
-  std::unique_ptr<Dominators> OwnDom;
-  std::unique_ptr<LoopInfo> OwnLoops;
-  std::unique_ptr<BlockFrequency> OwnFreq;
-  if (!PrecomputedCfg || !PrecomputedFreq) {
-    OwnCfg = std::make_unique<CFG>(F);
-    OwnDom = std::make_unique<Dominators>(*OwnCfg);
-    OwnLoops = std::make_unique<LoopInfo>(*OwnCfg, *OwnDom);
-    OwnFreq = std::make_unique<BlockFrequency>(*OwnCfg, *OwnLoops, Profile);
-    PrecomputedCfg = OwnCfg.get();
-    PrecomputedFreq = OwnFreq.get();
-  }
-  const CFG &Cfg = *PrecomputedCfg;
-  const BlockFrequency &Freq = *PrecomputedFreq;
+std::vector<Instruction *>
+sxe::extensionsByFrequency(AnalysisCache &A,
+                           const std::unordered_set<Instruction *> *Inserted) {
+  const CFG &Cfg = A.cfg();
+  const BlockFrequency &Freq = A.frequencies();
 
   struct Entry {
     Instruction *Ext;
@@ -65,14 +48,8 @@ std::vector<Instruction *> sxe::extensionsByFrequency(
   return Result;
 }
 
-std::vector<Instruction *>
-sxe::extensionsInReverseDFS(Function &F, const CFG *PrecomputedCfg) {
-  std::unique_ptr<CFG> OwnCfg;
-  if (!PrecomputedCfg) {
-    OwnCfg = std::make_unique<CFG>(F);
-    PrecomputedCfg = OwnCfg.get();
-  }
-  const auto &DFO = PrecomputedCfg->depthFirstOrder();
+std::vector<Instruction *> sxe::extensionsInReverseDFS(AnalysisCache &A) {
+  const auto &DFO = A.cfg().depthFirstOrder();
 
   std::vector<Instruction *> Result;
   for (auto It = DFO.rbegin(); It != DFO.rend(); ++It) {

@@ -30,7 +30,6 @@
 #ifndef SXE_SXE_ORDERDETERMINATION_H
 #define SXE_SXE_ORDERDETERMINATION_H
 
-#include "analysis/ProfileInfo.h"
 #include "ir/Function.h"
 
 #include <unordered_set>
@@ -38,23 +37,20 @@
 
 namespace sxe {
 
-/// Extension instructions of \p F ordered hottest-block-first; within one
-/// frequency tier, members of \p Inserted (may be null) come first.
-/// \p Profile may be null.
-std::vector<Instruction *>
-extensionsByFrequency(Function &F, const ProfileInfo *Profile,
-                      const std::unordered_set<Instruction *> *Inserted =
-                          nullptr,
-                      const class CFG *PrecomputedCfg = nullptr,
-                      const class BlockFrequency *PrecomputedFreq = nullptr);
+class AnalysisCache;
 
-/// Extension instructions of \p F in reverse depth-first search order of
-/// their blocks (latest blocks first, backwards within each block) — the
-/// order used when order determination is disabled. \p PrecomputedCfg,
-/// when given, must describe the current shape of \p F.
+/// Extension instructions of \p A's function ordered hottest-block-first
+/// by \p A's block frequencies (which use \p A's profile, if any); within
+/// one frequency tier, members of \p Inserted (may be null) come first.
 std::vector<Instruction *>
-extensionsInReverseDFS(Function &F,
-                       const class CFG *PrecomputedCfg = nullptr);
+extensionsByFrequency(AnalysisCache &A,
+                      const std::unordered_set<Instruction *> *Inserted =
+                          nullptr);
+
+/// Extension instructions of \p A's function in reverse depth-first
+/// search order of their blocks (latest blocks first, backwards within
+/// each block) — the order used when order determination is disabled.
+std::vector<Instruction *> extensionsInReverseDFS(AnalysisCache &A);
 
 } // namespace sxe
 

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "fuzz/DiffTest.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
@@ -52,10 +53,9 @@ unsigned countOpcode(const Function &F, Opcode Op) {
 EliminationStats eliminateBasic(Function &F,
                                 const TargetInfo &T = TargetInfo::ia64()) {
   insertDummyExtends(F);
-  std::vector<Instruction *> Order = extensionsInReverseDFS(F);
-  EliminationOptions Options;
-  Options.Target = &T;
-  return runElimination(F, Order, Options);
+  AnalysisCache A(F, T);
+  std::vector<Instruction *> Order = extensionsInReverseDFS(A);
+  return runElimination(A, Order, EliminationOptions());
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,7 @@
 //
 //===--------------------------------------------------------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -33,11 +34,11 @@ EliminationStats eliminateBasic(Function &F,
                                 const TargetInfo &T = TargetInfo::ia64(),
                                 bool ArrayTheorems = false) {
   insertDummyExtends(F);
-  std::vector<Instruction *> Order = extensionsInReverseDFS(F);
+  AnalysisCache A(F, T);
+  std::vector<Instruction *> Order = extensionsInReverseDFS(A);
   EliminationOptions Options;
-  Options.Target = &T;
   Options.EnableArrayTheorems = ArrayTheorems;
-  return runElimination(F, Order, Options);
+  return runElimination(A, Order, Options);
 }
 
 TEST(ConversionTest, GenDefInsertsAfterUnextendedDefs) {
@@ -324,7 +325,8 @@ TEST(FirstAlgorithmTest, EliminatesWhenNoDemand) {
   Reg Y = B.and32(X, P, "y"); // W32 use: no demand.
   B.ret(Y);                   // I32 return demands Y, not X.
 
-  unsigned Removed = runFirstAlgorithm(*F, TargetInfo::ia64());
+  AnalysisCache Cache(*F, TargetInfo::ia64());
+  unsigned Removed = runFirstAlgorithm(Cache);
   EXPECT_EQ(Removed, 1u);
 }
 
@@ -342,7 +344,8 @@ TEST(FirstAlgorithmTest, KeepsExtensionDemandedByArrayIndex) {
   Reg V = B.arrayLoad(Type::I32, A, I, "v");
   B.ret(V);
 
-  EXPECT_EQ(runFirstAlgorithm(*F, TargetInfo::ia64()), 0u);
+  AnalysisCache Cache(*F, TargetInfo::ia64());
+  EXPECT_EQ(runFirstAlgorithm(Cache), 0u);
   EXPECT_EQ(countSext(*F), 1u);
 }
 

@@ -1,5 +1,6 @@
 //===- tests/opt_test.cpp - General optimization tests ---------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -22,6 +23,23 @@ unsigned countOpcode(const Function &F, Opcode Op) {
     for (const Instruction &I : *BB)
       Count += I.opcode() == Op ? 1 : 0;
   return Count;
+}
+
+// The step-2 passes read their analyses and target from an AnalysisCache;
+// each helper gives one run a fresh IA64 cache.
+unsigned dce(Function &F) {
+  AnalysisCache A(F, TargetInfo::ia64());
+  return runDeadCodeElim(A);
+}
+
+unsigned extensionPRE(Function &F) {
+  AnalysisCache A(F, TargetInfo::ia64());
+  return runExtensionPRE(A);
+}
+
+unsigned generalOpts(Function &F) {
+  AnalysisCache A(F, TargetInfo::ia64());
+  return runGeneralOpts(A);
 }
 
 TEST(LocalOptsTest, FoldsExtensionOfConstant) {
@@ -107,7 +125,7 @@ TEST(DeadCodeElimTest, RemovesDeadPureDefs) {
   B.ret(P);
   (void)DeadToo;
 
-  unsigned Removed = runDeadCodeElim(*F);
+  unsigned Removed = dce(*F);
   EXPECT_EQ(Removed, 2u);
   EXPECT_EQ(F->countInstructions(), 1u);
 }
@@ -123,7 +141,7 @@ TEST(DeadCodeElimTest, KeepsTrappingInstructions) {
   B.ret(P);
   (void)Dead;
 
-  runDeadCodeElim(*F);
+  dce(*F);
   EXPECT_EQ(countOpcode(*F, Opcode::Div), 1u);
 }
 
@@ -151,7 +169,7 @@ TEST(DeadCodeElimTest, KeepsLiveLoopValues) {
   B.ret(I);
 
   size_t Before = F->countInstructions();
-  runDeadCodeElim(*F);
+  dce(*F);
   EXPECT_EQ(F->countInstructions(), Before);
 }
 
@@ -166,7 +184,7 @@ TEST(ExtensionPRETest, RemovesBackToBackExtensions) {
   B.sextTo(X, 32, X); // Redundant on every path.
   B.ret(X);
 
-  unsigned Changed = runExtensionPRE(*F, TargetInfo::ia64());
+  unsigned Changed = extensionPRE(*F);
   EXPECT_GE(Changed, 1u);
   EXPECT_EQ(countSext(*F), 1u);
 }
@@ -181,7 +199,7 @@ TEST(ExtensionPRETest, RemovesExtensionAfterKnownExtendedDef) {
   B.sextTo(C, 32, C);
   B.ret(C);
 
-  runExtensionPRE(*F, TargetInfo::ia64());
+  extensionPRE(*F);
   EXPECT_EQ(countSext(*F), 0u);
 }
 
@@ -216,7 +234,7 @@ TEST(ExtensionPRETest, HoistsLoopInvariantExtension) {
   B.setBlock(Exit);
   B.ret(X);
 
-  runExtensionPRE(*F, TargetInfo::ia64());
+  extensionPRE(*F);
   EXPECT_EQ(countSext(*Body), 0u);
   EXPECT_EQ(countSext(*Pre), 1u);
 }
@@ -254,7 +272,7 @@ TEST(GeneralOptsTest, PreservesSemantics) {
   B.ret(Wide);
 
   auto Reference = cloneModule(*M);
-  runGeneralOpts(*M->findFunction("main"), TargetInfo::ia64());
+  generalOpts(*M->findFunction("main"));
   ASSERT_TRUE(moduleVerifies(*M));
 
   InterpOptions Java;

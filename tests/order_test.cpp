@@ -1,5 +1,6 @@
 //===- tests/order_test.cpp - Order determination unit tests --------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "analysis/ProfileInfo.h"
 #include "ir/IRBuilder.h"
 #include "sxe/Conversion64.h"
@@ -62,7 +63,8 @@ size_t positionOf(const std::vector<Instruction *> &Order,
 
 TEST(OrderDeterminationTest, HotBlocksComeFirst) {
   OrderFixture Fx;
-  std::vector<Instruction *> Order = extensionsByFrequency(*Fx.F, nullptr);
+  AnalysisCache A(*Fx.F, TargetInfo::ia64());
+  std::vector<Instruction *> Order = extensionsByFrequency(A);
   ASSERT_EQ(Order.size(), 3u);
   // Loop body (depth 1) before entry (1.0) before exit (0.5).
   EXPECT_LT(positionOf(Order, Fx.LoopExt), positionOf(Order, Fx.EntryExt));
@@ -79,8 +81,8 @@ TEST(OrderDeterminationTest, InsertedFirstWithinATier) {
       Fx.LoopExt->parent()->insertAfter(Fx.LoopExt, std::move(Ext));
 
   std::unordered_set<Instruction *> Inserted = {InsertedExt};
-  std::vector<Instruction *> Order =
-      extensionsByFrequency(*Fx.F, nullptr, &Inserted);
+  AnalysisCache A(*Fx.F, TargetInfo::ia64());
+  std::vector<Instruction *> Order = extensionsByFrequency(A, &Inserted);
   // The inserted one is analyzed before the original despite appearing
   // later in program order.
   EXPECT_LT(positionOf(Order, InsertedExt), positionOf(Order, Fx.LoopExt));
@@ -90,7 +92,8 @@ TEST(OrderDeterminationTest, InsertedFirstWithinATier) {
 
 TEST(OrderDeterminationTest, ReverseDFSVisitsLatestFirst) {
   OrderFixture Fx;
-  std::vector<Instruction *> Order = extensionsInReverseDFS(*Fx.F);
+  AnalysisCache A(*Fx.F, TargetInfo::ia64());
+  std::vector<Instruction *> Order = extensionsInReverseDFS(A);
   ASSERT_EQ(Order.size(), 3u);
   // Entry is visited first by the DFS, so its extension comes LAST.
   EXPECT_EQ(Order.back(), Fx.EntryExt);
@@ -122,7 +125,8 @@ TEST(OrderDeterminationTest, ProfileSkewsTheTiers) {
 
   // Without a profile, the 50/50 estimate ties and reverse post-order
   // breaks the tie (the RPO of this diamond visits 'right' first).
-  std::vector<Instruction *> Static = extensionsByFrequency(*F, nullptr);
+  AnalysisCache StaticCache(*F, TargetInfo::ia64());
+  std::vector<Instruction *> Static = extensionsByFrequency(StaticCache);
   EXPECT_LT(positionOf(Static, RightExt), positionOf(Static, LeftExt));
 
   // A profile that takes 'left' 95% of the time flips the order.
@@ -131,7 +135,8 @@ TEST(OrderDeterminationTest, ProfileSkewsTheTiers) {
     Profile.recordBranch(Branch, true); // Left is hot.
   for (int K = 0; K < 5; ++K)
     Profile.recordBranch(Branch, false);
-  std::vector<Instruction *> Order = extensionsByFrequency(*F, &Profile);
+  AnalysisCache ProfiledCache(*F, TargetInfo::ia64(), &Profile);
+  std::vector<Instruction *> Order = extensionsByFrequency(ProfiledCache);
   EXPECT_LT(positionOf(Order, LeftExt), positionOf(Order, RightExt));
 }
 

@@ -100,7 +100,7 @@ TEST(PerfSmokeTest, CacheBuildsEachAnalysisOncePerEpoch) {
   Function &F = *M->functions().front();
   ASSERT_GE(F.numberInstructions().NumInsts, 5000u);
 
-  AnalysisCache Cache(F, &TargetInfo::ia64());
+  AnalysisCache Cache(F, TargetInfo::ia64());
 
   // Repeat queries of a clean function: exactly one build each.
   for (int Round = 0; Round < 3; ++Round) {

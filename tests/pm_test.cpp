@@ -105,7 +105,6 @@ public:
         return;
       }
   }
-  bool preservesCFG() const override { return true; }
 };
 
 /// A test-only pass that silently inserts a sign extension without
@@ -123,7 +122,6 @@ public:
         return;
       }
   }
-  bool preservesCFG() const override { return true; }
 };
 
 } // namespace

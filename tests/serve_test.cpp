@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -471,22 +472,22 @@ TEST(ServeDaemon, DeadlineExpiryUnderSaturatedQueue) {
   std::string Error;
   ASSERT_TRUE(Daemon.start(Error)) << Error;
 
-  // Saturate the single worker with heavy, hot compiles from one thread.
-  std::thread Background([&] {
-    ServeClient Heavy;
-    std::string BgError;
-    if (!Heavy.connectTo(Dir.sock(), BgError, 2000))
-      return;
-    for (int I = 0; I < 4; ++I) {
-      ServeRequest Request;
-      Request.Name = "heavy" + std::to_string(I);
-      Request.Source = makeHeavySource(24, 8, /*Salt=*/I);
-      Request.Hotness = 1000.0; // Serve before the doomed request.
-      Request.WantIR = false;
-      ServeReply Reply;
-      Heavy.compile(Request, Reply, BgError);
-    }
-  });
+  // Saturate the single worker with heavy, hot compiles queued straight
+  // on the daemon's compile service, so every doomed request below is
+  // sent while heavy work is observably queued ahead of it. Going around
+  // admission keeps the heavy jobs' own queue waits out of its p99
+  // window: on a loaded host those waits can exceed 1ms, and a window
+  // holding one would shed every doomed request as overload before any
+  // could expire in queue.
+  std::vector<std::future<CompileResult>> Heavy;
+  for (int I = 0; I < 4; ++I) {
+    CompileRequest Request;
+    Request.Name = "heavy" + std::to_string(I);
+    Request.Source = makeHeavySource(24, 8, /*Salt=*/I);
+    Request.Config = PipelineConfig::forVariant(Variant::All);
+    Request.Hotness = 1000.0; // Serve before the doomed request.
+    Heavy.push_back(Daemon.service().enqueue(std::move(Request)));
+  }
 
   // A 1ms-deadline request behind the heavy queue: either shed at
   // admission (budget infeasible) or expired in queue — both are typed
@@ -513,7 +514,8 @@ TEST(ServeDaemon, DeadlineExpiryUnderSaturatedQueue) {
         ++DeadlineErrors;
     }
   }
-  Background.join();
+  for (std::future<CompileResult> &H : Heavy)
+    H.wait();
   EXPECT_GE(DeadlineErrors, 1u);
   EXPECT_GE(Daemon.service().stats().DeadlineMisses, 1u);
   Daemon.stop();

@@ -1,5 +1,6 @@
 //===- tests/simplifycfg_test.cpp - CFG cleanup tests ------------------------------===//
 
+#include "analysis/AnalysisCache.h"
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
@@ -13,6 +14,12 @@ using namespace sxe;
 using namespace sxe::test;
 
 namespace {
+
+/// Runs SimplifyCFG over \p F with a fresh analysis cache.
+unsigned simplifyCFG(Function &F) {
+  AnalysisCache A(F, TargetInfo::ia64());
+  return runSimplifyCFG(A);
+}
 
 TEST(SimplifyCFGTest, ThreadsTrivialJumpChain) {
   auto M = std::make_unique<Module>("m");
@@ -31,7 +38,7 @@ TEST(SimplifyCFGTest, ThreadsTrivialJumpChain) {
   B.setBlock(End);
   B.ret(P);
 
-  unsigned Removed = runSimplifyCFG(*F);
+  unsigned Removed = simplifyCFG(*F);
   EXPECT_GE(Removed, 2u);
   // Everything collapses into the entry block.
   EXPECT_EQ(F->numBlocks(), 1u);
@@ -56,7 +63,7 @@ TEST(SimplifyCFGTest, MergesSinglePredecessorSuccessor) {
     if (I.opcode() == Opcode::Add)
       SumId = I.id();
 
-  runSimplifyCFG(*F);
+  simplifyCFG(*F);
   EXPECT_EQ(F->numBlocks(), 1u);
   // Instruction ids survive the merge (profile keys).
   bool Found = false;
@@ -92,7 +99,7 @@ TEST(SimplifyCFGTest, KeepsLoopStructure) {
   B.setBlock(Exit);
   B.ret(I);
 
-  runSimplifyCFG(*F);
+  simplifyCFG(*F);
   ASSERT_TRUE(moduleVerifies(*M));
   // The loop must survive (head has two predecessors, body loops back).
   EXPECT_GE(F->numBlocks(), 2u);
@@ -111,7 +118,7 @@ TEST(SimplifyCFGTest, RemovesUnreachableBlocks) {
   B.setBlock(Orphan);
   B.retVoid();
 
-  EXPECT_EQ(runSimplifyCFG(*F), 1u);
+  EXPECT_EQ(simplifyCFG(*F), 1u);
   EXPECT_EQ(F->numBlocks(), 1u);
 }
 
@@ -124,7 +131,7 @@ TEST(SimplifyCFGTest, PreservesWorkloadSemantics) {
     auto Simplified = cloneModule(*Pristine);
     unsigned Removed = 0;
     for (const auto &F : Simplified->functions())
-      Removed += runSimplifyCFG(*F);
+      Removed += simplifyCFG(*F);
     EXPECT_GT(Removed, 0u) << Name; // Structured builders leave joins.
     ASSERT_TRUE(moduleVerifies(*Simplified));
 

@@ -1,8 +1,6 @@
 //===- tests/valuerange_test.cpp - Range analysis unit tests ---------------------===//
 
-#include "analysis/CFG.h"
-#include "analysis/UseDefChains.h"
-#include "analysis/ValueRange.h"
+#include "analysis/AnalysisCache.h"
 #include "ir/IRBuilder.h"
 #include "sxe/Insertion.h"
 
@@ -15,9 +13,8 @@ namespace {
 struct RangeFixture {
   std::unique_ptr<Module> M;
   Function *F;
-  std::unique_ptr<CFG> Cfg;
-  std::unique_ptr<UseDefChains> Chains;
-  std::unique_ptr<ValueRange> Ranges;
+  std::unique_ptr<AnalysisCache> Cache;
+  const ValueRange *Ranges = nullptr;
 
   RangeFixture() {
     M = std::make_unique<Module>("m");
@@ -25,10 +22,9 @@ struct RangeFixture {
   }
 
   void finalize(uint32_t MaxLen = 0x7FFFFFFF) {
-    Cfg = std::make_unique<CFG>(*F);
-    Chains = std::make_unique<UseDefChains>(*F, *Cfg);
-    Ranges = std::make_unique<ValueRange>(*F, *Chains, TargetInfo::ia64(),
-                                          MaxLen);
+    Cache = std::make_unique<AnalysisCache>(*F, TargetInfo::ia64(),
+                                            /*Profile=*/nullptr, MaxLen);
+    Ranges = &Cache->ranges();
   }
 
   const Instruction *defOf(Reg R) const {
