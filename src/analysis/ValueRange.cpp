@@ -353,7 +353,7 @@ void ValueRange::collectGuards(const CFG &Cfg) {
         // edge is either the guard edge itself or comes from a guard-valid
         // block with no redefinition of Var.
         BasicBlock *GuardSucc = Term->successor(EdgeIndex);
-        G.ValidIn[F.entryBlock()->id()] = false;
+        G.ValidIn[F.entryBlock()->num()] = false;
         auto blockHasDef = [&](const BasicBlock *BB) {
           return BB->num() < FirstDefOrdinal.size() &&
                  FirstDefOrdinal[BB->num()].count(Var) != 0;
@@ -371,14 +371,14 @@ void ValueRange::collectGuards(const CFG &Cfg) {
               if (Pred == GB && BB == GuardSucc)
                 continue; // The guard edge establishes validity.
               bool PredOut =
-                  G.ValidIn[Pred->id()] && !blockHasDef(Pred);
+                  G.ValidIn[Pred->num()] && !blockHasDef(Pred);
               if (!PredOut) {
                 Valid = false;
                 break;
               }
             }
-            if (!Valid && G.ValidIn[BB->id()]) {
-              G.ValidIn[BB->id()] = false;
+            if (!Valid && G.ValidIn[BB->num()]) {
+              G.ValidIn[BB->num()] = false;
               Changed = true;
             }
           }
@@ -444,7 +444,7 @@ ValueInterval ValueRange::guardInterval(const Guard &G) const {
 bool ValueRange::guardValidAt(const Guard &G,
                               const Instruction &User) const {
   const BasicBlock *BB = User.parent();
-  if (!BB || BB->id() >= G.ValidIn.size() || !G.ValidIn[BB->id()])
+  if (!BB || BB->num() >= G.ValidIn.size() || !G.ValidIn[BB->num()])
     return false;
   // Valid at block entry; invalidated by a redefinition before the use.
   if (BB->num() >= FirstDefOrdinal.size())

@@ -127,7 +127,7 @@ private:
     unsigned BoundOpIndex = 0;        ///< Operand of Cmp giving the bound.
     /// Blocks whose entry the guard provably dominates with the variable
     /// unredefined (result of a per-guard must-dataflow).
-    std::vector<bool> ValidIn; ///< Indexed by block id.
+    std::vector<bool> ValidIn; ///< Indexed by block num().
   };
 
   void collectGuards(const class CFG &Cfg);

@@ -2,6 +2,7 @@
 
 #include "analysis/AnalysisCache.h"
 #include "ir/IRBuilder.h"
+#include "opt/SimplifyCFG.h"
 #include "sxe/Insertion.h"
 
 #include <gtest/gtest.h>
@@ -199,6 +200,45 @@ TEST(ValueRangeTest, GuardInvalidAfterRedefinition) {
 
   const Instruction *ProbeDef = Fx.defOf(Probe);
   ValueInterval R = Fx.Ranges->rangeOfUse(ProbeDef, 0);
+  EXPECT_LE(R.Hi, 9);
+}
+
+TEST(ValueRangeTest, GuardHoldsInBlockWhoseIdOutlivesErasedBlocks) {
+  // Block ids are creation-ordered and never reused. Once SimplifyCFG
+  // threads the three hops away, the guarded block keeps id 4 in a
+  // function of three blocks: guard validity must follow the dense block
+  // number, not the id.
+  RangeFixture Fx;
+  Reg P = Fx.F->addParam(Type::I32, "p");
+  IRBuilder B(Fx.F);
+  B.startBlock("entry");
+  BasicBlock *Hop1 = Fx.F->createBlock("hop1");
+  BasicBlock *Hop2 = Fx.F->createBlock("hop2");
+  BasicBlock *Hop3 = Fx.F->createBlock("hop3");
+  BasicBlock *Then = Fx.F->createBlock("then");
+  BasicBlock *Done = Fx.F->createBlock("done");
+  Reg Ten = B.constI32(10);
+  Reg C = B.cmp32(CmpPred::SLT, P, Ten);
+  B.br(C, Hop1, Done);
+  B.setBlock(Hop1);
+  B.jmp(Hop2);
+  B.setBlock(Hop2);
+  B.jmp(Hop3);
+  B.setBlock(Hop3);
+  B.jmp(Then);
+  B.setBlock(Then);
+  Reg Probe = B.add32(P, P, "probe"); // p < 10 on the only path here.
+  B.jmp(Done);
+  B.setBlock(Done);
+  B.ret(P);
+
+  Fx.Cache = std::make_unique<AnalysisCache>(*Fx.F, TargetInfo::ia64());
+  EXPECT_EQ(runSimplifyCFG(*Fx.Cache), 3u);
+  ASSERT_EQ(Fx.F->numBlocks(), 3u);
+  ASSERT_GE(Then->id(), Fx.F->numBlocks());
+  Fx.Ranges = &Fx.Cache->ranges();
+
+  ValueInterval R = Fx.Ranges->rangeOfUse(Fx.defOf(Probe), 0);
   EXPECT_LE(R.Hi, 9);
 }
 
