@@ -2,61 +2,12 @@
 
 #include "analysis/UseDefChains.h"
 
+#include "support/DenseBitset.h"
 #include "support/Error.h"
 
 #include <algorithm>
 
 using namespace sxe;
-
-namespace {
-
-/// Fixed-width bitset used for the reaching-definitions dataflow.
-class BitSet {
-public:
-  explicit BitSet(size_t Bits) : Words((Bits + 63) / 64, 0) {}
-
-  void set(size_t Bit) { Words[Bit / 64] |= 1ULL << (Bit % 64); }
-  void clear(size_t Bit) { Words[Bit / 64] &= ~(1ULL << (Bit % 64)); }
-  bool test(size_t Bit) const {
-    return (Words[Bit / 64] >> (Bit % 64)) & 1;
-  }
-
-  /// this |= Other; returns true if this changed.
-  bool unionWith(const BitSet &Other) {
-    bool Changed = false;
-    for (size_t Index = 0; Index < Words.size(); ++Index) {
-      uint64_t Next = Words[Index] | Other.Words[Index];
-      Changed |= Next != Words[Index];
-      Words[Index] = Next;
-    }
-    return Changed;
-  }
-
-  /// this = (Other & ~Kill) | Gen.
-  void transferFrom(const BitSet &Other, const BitSet &Kill,
-                    const BitSet &Gen) {
-    for (size_t Index = 0; Index < Words.size(); ++Index)
-      Words[Index] =
-          (Other.Words[Index] & ~Kill.Words[Index]) | Gen.Words[Index];
-  }
-
-  /// Calls \p Fn for every set bit.
-  template <typename FnT> void forEach(FnT Fn) const {
-    for (size_t WordIndex = 0; WordIndex < Words.size(); ++WordIndex) {
-      uint64_t Word = Words[WordIndex];
-      while (Word) {
-        unsigned Bit = __builtin_ctzll(Word);
-        Fn(WordIndex * 64 + Bit);
-        Word &= Word - 1;
-      }
-    }
-  }
-
-private:
-  std::vector<uint64_t> Words;
-};
-
-} // namespace
 
 UseDefChains::UseDefChains(Function &F, const CFG &Cfg) : F(F) {
   const Function::Numbering &Numbers = F.numberInstructions();
@@ -100,10 +51,10 @@ UseDefChains::UseDefChains(Function &F, const CFG &Cfg) : F(F) {
   // GEN/KILL per reachable block, indexed by RPO position.
   const auto &RPO = Cfg.reversePostOrder();
 
-  std::vector<BitSet> Gen(RPO.size(), BitSet(NumDefs));
-  std::vector<BitSet> Kill(RPO.size(), BitSet(NumDefs));
-  std::vector<BitSet> In(RPO.size(), BitSet(NumDefs));
-  std::vector<BitSet> Out(RPO.size(), BitSet(NumDefs));
+  std::vector<DenseBitset> Gen(RPO.size(), DenseBitset(NumDefs));
+  std::vector<DenseBitset> Kill(RPO.size(), DenseBitset(NumDefs));
+  std::vector<DenseBitset> In(RPO.size(), DenseBitset(NumDefs));
+  std::vector<DenseBitset> Out(RPO.size(), DenseBitset(NumDefs));
 
   for (unsigned Index = 0; Index < RPO.size(); ++Index) {
     for (Instruction &I : *RPO[Index]) {
@@ -113,9 +64,9 @@ UseDefChains::UseDefChains(Function &F, const CFG &Cfg) : F(F) {
       Reg R = I.dest();
       for (unsigned Other : DefsOfReg[R]) {
         Kill[Index].set(Other);
-        Gen[Index].clear(Other);
+        Gen[Index].reset(Other);
       }
-      Kill[Index].clear(DefId);
+      Kill[Index].reset(DefId);
       Gen[Index].set(DefId);
     }
   }
@@ -135,6 +86,7 @@ UseDefChains::UseDefChains(Function &F, const CFG &Cfg) : F(F) {
   // blocks. The transfer functions are monotone, so this converges to the
   // same least fixpoint as the classic all-blocks repeat-until-stable loop.
   std::vector<char> Dirty(RPO.size(), 1);
+  DenseBitset NewOut(NumDefs);
   bool Pending = !RPO.empty();
   while (Pending) {
     Pending = false;
@@ -150,8 +102,9 @@ UseDefChains::UseDefChains(Function &F, const CFG &Cfg) : F(F) {
           In[Index].unionWith(Out[PredIndex]);
         }
       }
-      BitSet NewOut(NumDefs);
-      NewOut.transferFrom(In[Index], Kill[Index], Gen[Index]);
+      NewOut = In[Index]; // Out = (In - Kill) | Gen.
+      NewOut.subtract(Kill[Index]);
+      NewOut.unionWith(Gen[Index]);
       if (Out[Index].unionWith(NewOut)) {
         for (const BasicBlock *Succ : Cfg.successors(RPO[Index])) {
           unsigned SuccIndex = Cfg.rpoIndex(Succ);

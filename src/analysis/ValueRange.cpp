@@ -347,13 +347,13 @@ void ValueRange::collectGuards(const CFG &Cfg) {
         G.Pred = EffPred;
         G.Cmp = Cmp;
         G.BoundOpIndex = 1 - VarOp;
-        G.ValidIn.assign(NumBlocks, true);
+        G.ValidIn = DenseBitset(NumBlocks, /*Filled=*/true);
 
         // Must-dataflow: a block entry is guard-valid when every incoming
         // edge is either the guard edge itself or comes from a guard-valid
         // block with no redefinition of Var.
         BasicBlock *GuardSucc = Term->successor(EdgeIndex);
-        G.ValidIn[F.entryBlock()->num()] = false;
+        G.ValidIn.reset(F.entryBlock()->num());
         auto blockHasDef = [&](const BasicBlock *BB) {
           return BB->num() < FirstDefOrdinal.size() &&
                  FirstDefOrdinal[BB->num()].count(Var) != 0;
@@ -371,14 +371,14 @@ void ValueRange::collectGuards(const CFG &Cfg) {
               if (Pred == GB && BB == GuardSucc)
                 continue; // The guard edge establishes validity.
               bool PredOut =
-                  G.ValidIn[Pred->num()] && !blockHasDef(Pred);
+                  G.ValidIn.test(Pred->num()) && !blockHasDef(Pred);
               if (!PredOut) {
                 Valid = false;
                 break;
               }
             }
-            if (!Valid && G.ValidIn[BB->num()]) {
-              G.ValidIn[BB->num()] = false;
+            if (!Valid && G.ValidIn.test(BB->num())) {
+              G.ValidIn.reset(BB->num());
               Changed = true;
             }
           }
@@ -444,7 +444,7 @@ ValueInterval ValueRange::guardInterval(const Guard &G) const {
 bool ValueRange::guardValidAt(const Guard &G,
                               const Instruction &User) const {
   const BasicBlock *BB = User.parent();
-  if (!BB || BB->num() >= G.ValidIn.size() || !G.ValidIn[BB->num()])
+  if (!BB || BB->num() >= G.ValidIn.size() || !G.ValidIn.test(BB->num()))
     return false;
   // Valid at block entry; invalidated by a redefinition before the use.
   if (BB->num() >= FirstDefOrdinal.size())

@@ -33,6 +33,7 @@
 #define SXE_ANALYSIS_VALUERANGE_H
 
 #include "analysis/UseDefChains.h"
+#include "support/DenseBitset.h"
 #include "target/TargetInfo.h"
 
 #include <cstdint>
@@ -127,7 +128,7 @@ private:
     unsigned BoundOpIndex = 0;        ///< Operand of Cmp giving the bound.
     /// Blocks whose entry the guard provably dominates with the variable
     /// unredefined (result of a per-guard must-dataflow).
-    std::vector<bool> ValidIn; ///< Indexed by block num().
+    DenseBitset ValidIn; ///< Indexed by block num().
   };
 
   void collectGuards(const class CFG &Cfg);

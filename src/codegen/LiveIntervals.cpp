@@ -19,42 +19,46 @@ uint32_t sxe::numberMachineInsts(MFunction &MF) {
 BlockLiveness sxe::computeBlockLiveness(const MFunction &MF) {
   size_t NumBlocks = MF.Blocks.size();
   uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
-  BlockLiveness L;
-  L.LiveIn.assign(NumBlocks, std::vector<bool>(NumVRegs, false));
-  L.LiveOut.assign(NumBlocks, std::vector<bool>(NumVRegs, false));
 
+  // Per block: the vregs read before any write in it (upward-exposed
+  // uses) and the vregs it writes.
+  std::vector<DenseBitset> Uses(NumBlocks, DenseBitset(NumVRegs));
+  std::vector<DenseBitset> Defs(NumBlocks, DenseBitset(NumVRegs));
+  for (size_t BI = 0; BI < NumBlocks; ++BI) {
+    const std::vector<MInst> &Insts = MF.Blocks[BI]->Insts;
+    for (size_t II = Insts.size(); II-- > 0;) {
+      const MInst &I = Insts[II];
+      if (I.Def != MNoReg && isVirtReg(I.Def)) {
+        Uses[BI].reset(I.Def - FirstVirtReg);
+        Defs[BI].set(I.Def - FirstVirtReg);
+      }
+      for (uint32_t U : I.Uses)
+        if (isVirtReg(U))
+          Uses[BI].set(U - FirstVirtReg);
+    }
+  }
+
+  // Backward fixpoint: Out = union of the successors' In, and
+  // In = Uses | (Out - Defs). Sweeping the blocks in reverse layout order
+  // settles most of the graph in one pass.
+  BlockLiveness L;
+  L.LiveIn.assign(NumBlocks, DenseBitset(NumVRegs));
+  L.LiveOut.assign(NumBlocks, DenseBitset(NumVRegs));
+  DenseBitset In(NumVRegs);
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t BI = NumBlocks; BI-- > 0;) {
       const MBlock &B = *MF.Blocks[BI];
-      std::vector<bool> Out(NumVRegs, false);
       if (!B.Insts.empty()) {
         const MInst &Term = B.Insts.back();
-        for (unsigned SI = 0; SI < Term.numSuccessors(); ++SI) {
-          const std::vector<bool> &SuccIn = L.LiveIn[Term.Succs[SI]->id()];
-          for (uint32_t R = 0; R < NumVRegs; ++R)
-            if (SuccIn[R])
-              Out[R] = true;
-        }
+        for (unsigned SI = 0; SI < Term.numSuccessors(); ++SI)
+          L.LiveOut[BI].unionWith(L.LiveIn[Term.Succs[SI]->id()]);
       }
-      std::vector<bool> Live = Out;
-      for (size_t II = B.Insts.size(); II-- > 0;) {
-        const MInst &I = B.Insts[II];
-        if (I.Def != MNoReg && isVirtReg(I.Def))
-          Live[I.Def - FirstVirtReg] = false;
-        for (uint32_t U : I.Uses)
-          if (isVirtReg(U))
-            Live[U - FirstVirtReg] = true;
-      }
-      if (Out != L.LiveOut[BI]) {
-        L.LiveOut[BI] = std::move(Out);
-        Changed = true;
-      }
-      if (Live != L.LiveIn[BI]) {
-        L.LiveIn[BI] = std::move(Live);
-        Changed = true;
-      }
+      In = L.LiveOut[BI];
+      In.subtract(Defs[BI]);
+      In.unionWith(Uses[BI]);
+      Changed |= L.LiveIn[BI].unionWith(In);
     }
   }
   return L;
@@ -65,14 +69,12 @@ std::vector<LiveInterval> sxe::computeLiveIntervals(MFunction &MF) {
   BlockLiveness L = computeBlockLiveness(MF);
 
   uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
+  // An interval whose VReg is still MNoReg has not been seen yet.
   std::vector<LiveInterval> ByVReg(NumVRegs);
-  std::vector<bool> Seen(NumVRegs, false);
 
   auto Extend = [&](uint32_t VReg, uint32_t Pos) {
-    uint32_t R = VReg - FirstVirtReg;
-    LiveInterval &LI = ByVReg[R];
-    if (!Seen[R]) {
-      Seen[R] = true;
+    LiveInterval &LI = ByVReg[VReg - FirstVirtReg];
+    if (LI.VReg == MNoReg) {
       LI.VReg = VReg;
       LI.Start = LI.End = Pos;
       return;
@@ -93,16 +95,12 @@ std::vector<LiveInterval> sxe::computeLiveIntervals(MFunction &MF) {
     // own def does not cross it). The entry block has no live-ins once
     // lowering has zero-initialized them.
     uint32_t LiveInStart = BlockStart == 0 ? 0 : BlockStart - 1;
-    const std::vector<bool> &In = L.LiveIn[B->id()];
-    const std::vector<bool> &Out = L.LiveOut[B->id()];
-    for (uint32_t R = 0; R < NumVRegs; ++R) {
-      if (In[R])
-        Extend(FirstVirtReg + R, LiveInStart);
-      if (Out[R]) {
-        Extend(FirstVirtReg + R, BlockStart);
-        Extend(FirstVirtReg + R, BlockEnd);
-      }
-    }
+    L.LiveIn[B->id()].forEach(
+        [&](size_t R) { Extend(FirstVirtReg + R, LiveInStart); });
+    L.LiveOut[B->id()].forEach([&](size_t R) {
+      Extend(FirstVirtReg + R, BlockStart);
+      Extend(FirstVirtReg + R, BlockEnd);
+    });
     for (const MInst &I : B->Insts) {
       if (I.Def != MNoReg && isVirtReg(I.Def))
         Extend(I.Def, I.Pos);
@@ -113,9 +111,9 @@ std::vector<LiveInterval> sxe::computeLiveIntervals(MFunction &MF) {
   }
 
   std::vector<LiveInterval> Intervals;
-  for (uint32_t R = 0; R < NumVRegs; ++R)
-    if (Seen[R])
-      Intervals.push_back(ByVReg[R]);
+  for (const LiveInterval &LI : ByVReg)
+    if (LI.VReg != MNoReg)
+      Intervals.push_back(LI);
 
   // Mark intervals that must survive a call.
   std::vector<uint32_t> CallPositions;

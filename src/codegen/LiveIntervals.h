@@ -18,15 +18,17 @@
 #define SXE_CODEGEN_LIVEINTERVALS_H
 
 #include "codegen/MachineIR.h"
+#include "support/DenseBitset.h"
 
 #include <vector>
 
 namespace sxe {
 
-/// Per-block live-in/live-out sets, indexed [block id][vreg - FirstVirtReg].
+/// Per-block live-in/live-out sets: LiveIn[block id] holds
+/// vreg - FirstVirtReg for each vreg live on entry to the block.
 struct BlockLiveness {
-  std::vector<std::vector<bool>> LiveIn;
-  std::vector<std::vector<bool>> LiveOut;
+  std::vector<DenseBitset> LiveIn;
+  std::vector<DenseBitset> LiveOut;
 };
 
 /// Assigns layout-order positions to every instruction (MInst::Pos), in
@@ -34,7 +36,8 @@ struct BlockLiveness {
 /// one past the last assigned position.
 uint32_t numberMachineInsts(MFunction &MF);
 
-/// Backward block-level liveness to a fixpoint.
+/// Backward block-level liveness to a fixpoint. The one machine liveness:
+/// lowering's zero-initialization and the live intervals both read it.
 BlockLiveness computeBlockLiveness(const MFunction &MF);
 
 /// One virtual register's conservative live range.

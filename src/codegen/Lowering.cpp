@@ -2,6 +2,7 @@
 
 #include "codegen/Lowering.h"
 
+#include "codegen/LiveIntervals.h"
 #include "interp/Interpreter.h"
 #include "support/Error.h"
 
@@ -310,56 +311,19 @@ void FunctionLowering::lowerInst(const Instruction &I) {
 
 /// The interpreter zero-initializes every local (JVM-like). Any vreg that
 /// can be read before it is written therefore must start at zero in the
-/// native frame too. A backward block-level liveness fixpoint over the
-/// freshly lowered body finds exactly those vregs: whatever is live into
+/// native frame too: exactly the vregs machine liveness finds live into
 /// the entry block beyond the parameters.
 void FunctionLowering::insertZeroInits() {
-  size_t NumBlocks = MF.Blocks.size();
-  uint32_t NumVRegs = MF.NextVirtReg - FirstVirtReg;
-  std::vector<std::vector<bool>> LiveIn(NumBlocks,
-                                        std::vector<bool>(NumVRegs, false));
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t BI = NumBlocks; BI-- > 0;) {
-      MBlock &B = *MF.Blocks[BI];
-      std::vector<bool> Live(NumVRegs, false);
-      if (!B.Insts.empty()) {
-        const MInst &Term = B.Insts.back();
-        for (unsigned SI = 0; SI < Term.numSuccessors(); ++SI) {
-          const std::vector<bool> &SuccIn = LiveIn[Term.Succs[SI]->id()];
-          for (uint32_t R = 0; R < NumVRegs; ++R)
-            if (SuccIn[R])
-              Live[R] = true;
-        }
-      }
-      for (size_t II = B.Insts.size(); II-- > 0;) {
-        const MInst &I = B.Insts[II];
-        if (I.Def != MNoReg && isVirtReg(I.Def))
-          Live[I.Def - FirstVirtReg] = false;
-        for (uint32_t U : I.Uses)
-          if (isVirtReg(U))
-            Live[U - FirstVirtReg] = true;
-      }
-      if (Live != LiveIn[BI]) {
-        LiveIn[BI] = std::move(Live);
-        Changed = true;
-      }
-    }
-  }
-
   std::vector<MInst> Zeroes;
-  const std::vector<bool> &EntryIn = LiveIn[0];
-  for (uint32_t R = MF.NumParams; R < NumVRegs; ++R) {
-    if (!EntryIn[R])
-      continue;
+  computeBlockLiveness(MF).LiveIn[0].forEach([&](size_t R) {
+    if (R < MF.NumParams)
+      return;
     MInst Z(MOp::MovImm);
-    Z.Def = FirstVirtReg + R;
+    Z.Def = FirstVirtReg + static_cast<uint32_t>(R);
     Z.Imm = 0;
     Zeroes.push_back(Z);
     ++Stats.ZeroInits;
-  }
+  });
   if (!Zeroes.empty()) {
     MBlock &Entry = *MF.Blocks[0];
     // After the parameter loads, before the lowered body.

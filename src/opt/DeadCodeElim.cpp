@@ -3,31 +3,13 @@
 #include "opt/DeadCodeElim.h"
 
 #include "analysis/AnalysisCache.h"
+#include "support/DenseBitset.h"
 
-#include <unordered_map>
 #include <vector>
 
 using namespace sxe;
 
 namespace {
-
-using LiveSet = std::vector<uint64_t>;
-
-bool testBit(const LiveSet &Set, Reg R) {
-  return (Set[R / 64] >> (R % 64)) & 1;
-}
-void setBit(LiveSet &Set, Reg R) { Set[R / 64] |= 1ULL << (R % 64); }
-void clearBit(LiveSet &Set, Reg R) { Set[R / 64] &= ~(1ULL << (R % 64)); }
-
-bool unionInto(LiveSet &Dst, const LiveSet &Src) {
-  bool Changed = false;
-  for (size_t Index = 0; Index < Dst.size(); ++Index) {
-    uint64_t Next = Dst[Index] | Src[Index];
-    Changed |= Next != Dst[Index];
-    Dst[Index] = Next;
-  }
-  return Changed;
-}
 
 /// Returns true if \p I can be deleted once its destination is dead.
 bool isPureDef(const Instruction &I) {
@@ -43,14 +25,12 @@ bool isPureDef(const Instruction &I) {
 /// the cached CFG.
 unsigned sweepOnce(Function &F, AnalysisCache &Cache) {
   const CFG &Cfg = Cache.cfg();
-  size_t Words = (F.numRegs() + 63) / 64;
 
-  std::unordered_map<const BasicBlock *, LiveSet> LiveOut;
-  std::unordered_map<const BasicBlock *, LiveSet> LiveIn;
-  for (const auto &BB : F.blocks()) {
-    LiveOut[BB.get()] = LiveSet(Words, 0);
-    LiveIn[BB.get()] = LiveSet(Words, 0);
-  }
+  // Indexed by block num(), which the cached CFG keeps current. The
+  // fixpoint visits reachable blocks only, so an unreachable block keeps
+  // an empty live-out set.
+  std::vector<DenseBitset> LiveOut(F.numBlocks(), DenseBitset(F.numRegs()));
+  std::vector<DenseBitset> LiveIn(F.numBlocks(), DenseBitset(F.numRegs()));
 
   bool Changed = true;
   while (Changed) {
@@ -58,11 +38,11 @@ unsigned sweepOnce(Function &F, AnalysisCache &Cache) {
     const auto &RPO = Cfg.reversePostOrder();
     for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
       BasicBlock *BB = *It;
-      LiveSet &Out = LiveOut[BB];
+      DenseBitset &Out = LiveOut[BB->num()];
       for (BasicBlock *Succ : Cfg.successors(BB))
-        Changed |= unionInto(Out, LiveIn[Succ]);
+        Changed |= Out.unionWith(LiveIn[Succ->num()]);
 
-      LiveSet In = Out;
+      DenseBitset In = Out;
       // Backward transfer through the block.
       std::vector<const Instruction *> Reversed;
       Reversed.reserve(BB->size());
@@ -71,33 +51,33 @@ unsigned sweepOnce(Function &F, AnalysisCache &Cache) {
       for (auto RIt = Reversed.rbegin(); RIt != Reversed.rend(); ++RIt) {
         const Instruction &I = **RIt;
         if (I.hasDest())
-          clearBit(In, I.dest());
+          In.reset(I.dest());
         for (Reg Operand : I.operands())
-          setBit(In, Operand);
+          In.set(Operand);
       }
-      Changed |= unionInto(LiveIn[BB], In);
+      Changed |= LiveIn[BB->num()].unionWith(In);
     }
   }
 
   // Removal pass: walk each block backwards with a running live set.
   unsigned Removed = 0;
   for (const auto &BB : F.blocks()) {
-    LiveSet Live = LiveOut[BB.get()];
+    DenseBitset Live = LiveOut[BB->num()];
     std::vector<Instruction *> Reversed;
     Reversed.reserve(BB->size());
     for (Instruction &I : *BB)
       Reversed.push_back(&I);
     for (auto RIt = Reversed.rbegin(); RIt != Reversed.rend(); ++RIt) {
       Instruction *I = *RIt;
-      if (isPureDef(*I) && !testBit(Live, I->dest())) {
+      if (isPureDef(*I) && !Live.test(I->dest())) {
         BB->erase(I);
         ++Removed;
         continue;
       }
       if (I->hasDest())
-        clearBit(Live, I->dest());
+        Live.reset(I->dest());
       for (Reg Operand : I->operands())
-        setBit(Live, Operand);
+        Live.set(Operand);
     }
   }
   return Removed;

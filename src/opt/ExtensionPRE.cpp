@@ -3,6 +3,7 @@
 #include "opt/ExtensionPRE.h"
 
 #include "analysis/AnalysisCache.h"
+#include "support/DenseBitset.h"
 #include "sxe/ExtensionFacts.h"
 
 #include <unordered_map>
@@ -11,24 +12,6 @@
 using namespace sxe;
 
 namespace {
-
-using FactSet = std::vector<uint64_t>; // Bit per register: canonical.
-
-bool testBit(const FactSet &Set, Reg R) {
-  return (Set[R / 64] >> (R % 64)) & 1;
-}
-void setBit(FactSet &Set, Reg R) { Set[R / 64] |= 1ULL << (R % 64); }
-void clearBit(FactSet &Set, Reg R) { Set[R / 64] &= ~(1ULL << (R % 64)); }
-
-bool intersectInto(FactSet &Dst, const FactSet &Src) {
-  bool Changed = false;
-  for (size_t Index = 0; Index < Dst.size(); ++Index) {
-    uint64_t Next = Dst[Index] & Src[Index];
-    Changed |= Next != Dst[Index];
-    Dst[Index] = Next;
-  }
-  return Changed;
-}
 
 /// Returns true if \p I is an `r = convN r` re-canonicalization of its
 /// own register with the register's canonical conversion (sextN for
@@ -45,48 +28,43 @@ bool isCanonicalizingExtend(const Function &F, const Instruction &I) {
 
 /// Transfer of one instruction over the "canonically extended" facts.
 void applyTransfer(const Function &F, const TargetInfo &Target,
-                   const Instruction &I, FactSet &Facts) {
+                   const Instruction &I, DenseBitset &Facts) {
   if (!I.hasDest())
     return;
   Reg Dest = I.dest();
   CanonicalExt CE = canonicalRegExt(F, Dest);
   if (CE.Bits == 0) {
-    setBit(Facts, Dest); // Never needs a conversion: trivially canonical.
+    Facts.set(Dest); // Never needs a conversion: trivially canonical.
     return;
   }
   if (isCanonicalizingExtend(F, I) ||
       defKnownExtendedStructural(F, I, Target, CE.Kind, CE.Bits)) {
-    setBit(Facts, Dest);
+    Facts.set(Dest);
     return;
   }
   // Copies preserve canonicality of the source register's image when the
   // widths agree.
   if (I.opcode() == Opcode::Copy &&
       F.regType(I.operand(0)) == F.regType(Dest) &&
-      testBit(Facts, I.operand(0))) {
-    setBit(Facts, Dest);
+      Facts.test(I.operand(0))) {
+    Facts.set(Dest);
     return;
   }
-  clearBit(Facts, Dest);
+  Facts.reset(Dest);
 }
 
 unsigned runAvailabilityCSE(Function &F, const TargetInfo &Target,
                             AnalysisCache &Cache) {
   const CFG &Cfg = Cache.cfg();
-  size_t Words = (F.numRegs() + 63) / 64;
   const auto &RPO = Cfg.reversePostOrder();
 
-  // IN/OUT: bit set = register canonically extended on all paths.
-  std::unordered_map<const BasicBlock *, FactSet> In, Out;
-  FactSet AllOnes(Words, ~0ull);
-  for (BasicBlock *BB : RPO) {
-    In[BB] = AllOnes; // Optimistic start for the all-paths meet.
-    Out[BB] = AllOnes;
-  }
-  // Entry: parameters arrive extended (ABI); locals start at zero, which
-  // is canonical for every width.
-  FactSet EntryFacts(Words, ~0ull);
-  In[RPO.front()] = EntryFacts;
+  // IN/OUT: bit set = register canonically extended on all paths, indexed
+  // by block num(). All-ones is the optimistic start for the all-paths
+  // meet, and also the entry's IN: parameters arrive extended (ABI), and
+  // locals start at zero, which is canonical for every width.
+  const DenseBitset AllOnes(F.numRegs(), /*Filled=*/true);
+  std::vector<DenseBitset> In(F.numBlocks(), AllOnes);
+  std::vector<DenseBitset> Out(F.numBlocks(), AllOnes);
 
   bool Changed = true;
   while (Changed) {
@@ -95,12 +73,12 @@ unsigned runAvailabilityCSE(Function &F, const TargetInfo &Target,
       if (BB != RPO.front())
         for (BasicBlock *Pred : Cfg.predecessors(BB))
           if (Cfg.isReachable(Pred))
-            Changed |= intersectInto(In[BB], Out[Pred]);
-      FactSet Facts = In[BB];
+            Changed |= In[BB->num()].intersectWith(Out[Pred->num()]);
+      DenseBitset Facts = In[BB->num()];
       for (const Instruction &I : *BB)
         applyTransfer(F, Target, I, Facts);
-      if (Facts != Out[BB]) {
-        Out[BB] = std::move(Facts);
+      if (Facts != Out[BB->num()]) {
+        Out[BB->num()] = std::move(Facts);
         Changed = true;
       }
     }
@@ -109,10 +87,10 @@ unsigned runAvailabilityCSE(Function &F, const TargetInfo &Target,
   // Remove extends whose register is already canonical at that point.
   unsigned Removed = 0;
   for (BasicBlock *BB : RPO) {
-    FactSet Facts = In[BB];
+    DenseBitset Facts = In[BB->num()];
     std::vector<Instruction *> ToErase;
     for (Instruction &I : *BB) {
-      if (isCanonicalizingExtend(F, I) && testBit(Facts, I.dest())) {
+      if (isCanonicalizingExtend(F, I) && Facts.test(I.dest())) {
         ToErase.push_back(&I);
         continue; // Facts unchanged: the register stays canonical.
       }

@@ -3,40 +3,22 @@
 #include "sxe/FirstAlgorithm.h"
 
 #include "analysis/AnalysisCache.h"
+#include "support/DenseBitset.h"
 #include "sxe/ExtensionFacts.h"
 
-#include <unordered_map>
 #include <vector>
 
 using namespace sxe;
 
 namespace {
 
-using DemandSet = std::vector<uint64_t>; // Bit per register.
-
-bool testBit(const DemandSet &Set, Reg R) {
-  return (Set[R / 64] >> (R % 64)) & 1;
-}
-void setBit(DemandSet &Set, Reg R) { Set[R / 64] |= 1ULL << (R % 64); }
-void clearBit(DemandSet &Set, Reg R) { Set[R / 64] &= ~(1ULL << (R % 64)); }
-
-bool unionInto(DemandSet &Dst, const DemandSet &Src) {
-  bool Changed = false;
-  for (size_t Index = 0; Index < Dst.size(); ++Index) {
-    uint64_t Next = Dst[Index] | Src[Index];
-    Changed |= Next != Dst[Index];
-    Dst[Index] = Next;
-  }
-  return Changed;
-}
-
 /// Backward transfer of one instruction: kill the destination's demand,
 /// then demand every operand that must be canonically extended.
 void applyTransfer(const Function &F, const TargetInfo &Target,
-                   const Instruction &I, DemandSet &Demand) {
-  bool DestDemanded = I.hasDest() && testBit(Demand, I.dest());
+                   const Instruction &I, DenseBitset &Demand) {
+  bool DestDemanded = I.hasDest() && Demand.test(I.dest());
   if (I.hasDest())
-    clearBit(Demand, I.dest());
+    Demand.reset(I.dest());
   // A copy forwards the register bits verbatim, so a demand on the
   // destination's canonical form becomes a demand on the source (the
   // self-copy `r = copy r` would otherwise erase the demand and let the
@@ -46,10 +28,10 @@ void applyTransfer(const Function &F, const TargetInfo &Target,
   // instruction the demand keeps alive.
   if (DestDemanded && I.opcode() == Opcode::Copy &&
       isSubRegisterIntType(F.regType(I.dest())))
-    setBit(Demand, I.operand(0));
+    Demand.set(I.operand(0));
   for (unsigned Index = 0; Index < I.numOperands(); ++Index)
     if (requiresExtendedOperand(F, I, Index, Target))
-      setBit(Demand, I.operand(Index));
+      Demand.set(I.operand(Index));
 }
 
 } // namespace
@@ -59,32 +41,28 @@ unsigned sxe::runFirstAlgorithm(AnalysisCache &A) {
   const TargetInfo &Target = A.target();
   const CFG &Cfg = A.cfg();
   const auto &RPO = Cfg.reversePostOrder();
-  size_t Words = (F.numRegs() + 63) / 64;
 
-  std::unordered_map<const BasicBlock *, DemandSet> DemandOut;
-  std::unordered_map<const BasicBlock *, DemandSet> DemandIn;
-  for (BasicBlock *BB : RPO) {
-    DemandOut[BB] = DemandSet(Words, 0);
-    DemandIn[BB] = DemandSet(Words, 0);
-  }
+  // Indexed by block num(); the cached CFG keeps the numbering current.
+  std::vector<DenseBitset> DemandOut(F.numBlocks(), DenseBitset(F.numRegs()));
+  std::vector<DenseBitset> DemandIn(F.numBlocks(), DenseBitset(F.numRegs()));
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
       BasicBlock *BB = *It;
-      DemandSet &Out = DemandOut[BB];
+      DenseBitset &Out = DemandOut[BB->num()];
       for (BasicBlock *Succ : Cfg.successors(BB))
-        Changed |= unionInto(Out, DemandIn[Succ]);
+        Changed |= Out.unionWith(DemandIn[Succ->num()]);
 
-      DemandSet In = Out;
+      DenseBitset In = Out;
       std::vector<const Instruction *> Reversed;
       Reversed.reserve(BB->size());
       for (const Instruction &I : *BB)
         Reversed.push_back(&I);
       for (auto RIt = Reversed.rbegin(); RIt != Reversed.rend(); ++RIt)
         applyTransfer(F, Target, **RIt, In);
-      Changed |= unionInto(DemandIn[BB], In);
+      Changed |= DemandIn[BB->num()].unionWith(In);
     }
   }
 
@@ -96,7 +74,7 @@ unsigned sxe::runFirstAlgorithm(AnalysisCache &A) {
   // re-canonicalization, and stays out of scope here.
   unsigned Removed = 0;
   for (BasicBlock *BB : RPO) {
-    DemandSet Demand = DemandOut[BB];
+    DenseBitset Demand = DemandOut[BB->num()];
     std::vector<Instruction *> Reversed;
     Reversed.reserve(BB->size());
     for (Instruction &I : *BB)
@@ -108,7 +86,7 @@ unsigned sxe::runFirstAlgorithm(AnalysisCache &A) {
           I->dest() == I->operand(0) &&
           canonicalRegBits(F, I->dest()) != 0 &&
           I->opcode() == canonicalConversionOpcode(F, I->dest()) &&
-          !testBit(Demand, I->dest())) {
+          !Demand.test(I->dest())) {
         ToErase.push_back(I);
         // Transfer still applies: the extend kills and demands nothing.
       }

@@ -132,6 +132,61 @@ TEST(LoweringTest, ConversionsBecomeExplicitInstructions) {
   EXPECT_NE(Text.find("movl"), std::string::npos);
 }
 
+TEST(LoweringTest, ZeroInitsExactlyTheLocalsReadBeforeWritten) {
+  // The interpreter zero-initializes locals, so native code must zero
+  // every vreg live into the entry block: `maybe` is read on the else
+  // path before any write; `always` is written on both paths first; the
+  // parameters arrive loaded.
+  Module M("m");
+  Function *F = M.createFunction("main", Type::I64);
+  Reg P = F->addParam(Type::I64, "p");
+  Reg Q = F->addParam(Type::I64, "q");
+  IRBuilder Bld(F);
+  Bld.startBlock("entry");
+  BasicBlock *Then = F->createBlock("then");
+  BasicBlock *Else = F->createBlock("else");
+  BasicBlock *Join = F->createBlock("join");
+  Reg Maybe = F->newReg(Type::I64, "maybe");
+  Reg Always = F->newReg(Type::I64, "always");
+  Bld.br(P, Then, Else);
+  Bld.setBlock(Then);
+  Bld.constTo(Maybe, 5);
+  Bld.constTo(Always, 1);
+  Bld.jmp(Join);
+  Bld.setBlock(Else);
+  Bld.constTo(Always, 2);
+  Bld.jmp(Join);
+  Bld.setBlock(Join);
+  Reg Sum = Bld.add64(Maybe, Always, "sum");
+  Bld.ret(Bld.add64(Sum, Q, "out"));
+
+  LoweringStats Stats;
+  auto MIR = lowerModule(M, &Stats);
+  const MFunction &MF = *MIR->Functions[0];
+  EXPECT_EQ(Stats.ZeroInits, 1u);
+
+  auto ZeroesOf = [&](Reg R) {
+    unsigned Count = 0;
+    for (const auto &Blk : MF.Blocks)
+      for (const MInst &I : Blk->Insts)
+        if (I.Op == MOp::MovImm && I.Imm == 0 && I.Def == FirstVirtReg + R)
+          ++Count;
+    return Count;
+  };
+  EXPECT_EQ(ZeroesOf(Maybe), 1u);
+  EXPECT_EQ(ZeroesOf(Always), 0u);
+  EXPECT_EQ(ZeroesOf(P), 0u);
+  EXPECT_EQ(ZeroesOf(Q), 0u);
+
+  // The zeroing sits after the parameter loads, before the body.
+  const auto &Entry = MF.Blocks.front()->Insts;
+  ASSERT_GE(Entry.size(), 4u);
+  EXPECT_EQ(Entry[0].Op, MOp::LoadParam);
+  EXPECT_EQ(Entry[1].Op, MOp::LoadParam);
+  EXPECT_EQ(Entry[2].Op, MOp::MovImm);
+  EXPECT_EQ(Entry[2].Def, FirstVirtReg + Maybe);
+}
+
 TEST(LoweringTest, ArrayAccessIsInlineNotAHelperCall) {
   auto M = parseOrDie(R"(
 func @main(%i: i32, %x: i32) -> i32 {
@@ -191,7 +246,7 @@ TEST(LiveIntervalTest, ValueLiveAcrossDiamondSpansBothArms) {
   // Machine vreg of Base = FirstVirtReg + Base.
   uint32_t BaseV = FirstVirtReg + Base;
   for (uint32_t BlockId = 1; BlockId <= 2; ++BlockId) { // then, else
-    EXPECT_TRUE(BL.LiveIn[BlockId][BaseV - FirstVirtReg])
+    EXPECT_TRUE(BL.LiveIn[BlockId].test(BaseV - FirstVirtReg))
         << "Base not live into arm " << BlockId;
   }
 

@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Support library tests -------------------------------===//
 
 #include "support/Arena.h"
+#include "support/DenseBitset.h"
 #include "support/EpochIndexSet.h"
 #include "support/Format.h"
 #include "support/Json.h"
@@ -476,6 +477,82 @@ TEST(ArenaTest, CreatePlacesObjects) {
   EXPECT_EQ(P->A, 3);
   EXPECT_EQ(P->B, 4);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % alignof(Pair), 0u);
+}
+
+TEST(DenseBitsetTest, EveryBitOfEverySizeRoundTrips) {
+  for (size_t Size : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    DenseBitset S(Size);
+    EXPECT_EQ(S.size(), Size);
+    for (size_t Bit = 0; Bit < Size; ++Bit) {
+      EXPECT_FALSE(S.test(Bit));
+      S.set(Bit);
+      EXPECT_TRUE(S.test(Bit));
+    }
+    // The all-one constructor leaves no bit set past the size.
+    DenseBitset Filled(Size, /*Filled=*/true);
+    EXPECT_EQ(S, Filled) << Size;
+    size_t Count = 0;
+    Filled.forEach([&](size_t Bit) {
+      EXPECT_LT(Bit, Size);
+      ++Count;
+    });
+    EXPECT_EQ(Count, Size);
+
+    for (size_t Bit = 0; Bit < Size; Bit += 2)
+      S.reset(Bit);
+    for (size_t Bit = 0; Bit < Size; ++Bit)
+      EXPECT_EQ(S.test(Bit), Bit % 2 == 1) << Size << ":" << Bit;
+  }
+}
+
+TEST(DenseBitsetTest, SetOperationsReportChange) {
+  DenseBitset A(130), B(130);
+  A.set(0);
+  A.set(64);
+  B.set(64);
+  B.set(129);
+
+  DenseBitset U = A;
+  EXPECT_TRUE(U.unionWith(B));
+  EXPECT_FALSE(U.unionWith(B));
+  EXPECT_FALSE(U.unionWith(A));
+
+  DenseBitset I = A;
+  EXPECT_TRUE(I.intersectWith(B));
+  EXPECT_FALSE(I.intersectWith(B));
+  EXPECT_FALSE(I.intersectWith(U));
+
+  DenseBitset D = U;
+  EXPECT_TRUE(D.subtract(B));
+  EXPECT_FALSE(D.subtract(B));
+  EXPECT_FALSE(D.subtract(DenseBitset(130)));
+
+  std::vector<size_t> Bits;
+  U.forEach([&](size_t Bit) { Bits.push_back(Bit); });
+  EXPECT_EQ(Bits, (std::vector<size_t>{0, 64, 129}));
+  Bits.clear();
+  I.forEach([&](size_t Bit) { Bits.push_back(Bit); });
+  EXPECT_EQ(Bits, (std::vector<size_t>{64}));
+  Bits.clear();
+  D.forEach([&](size_t Bit) { Bits.push_back(Bit); });
+  EXPECT_EQ(Bits, (std::vector<size_t>{0}));
+}
+
+TEST(DenseBitsetTest, ForEachVisitsAscending) {
+  DenseBitset S(200);
+  const std::vector<size_t> Expected = {0, 1, 62, 63, 64, 127, 128, 199};
+  for (auto It = Expected.rbegin(); It != Expected.rend(); ++It)
+    S.set(*It);
+  std::vector<size_t> Seen;
+  S.forEach([&](size_t Bit) { Seen.push_back(Bit); });
+  EXPECT_EQ(Seen, Expected);
+}
+
+TEST(DenseBitsetTest, IndexAtSizeDiesInCheckedBuilds) {
+  // Release builds run the statement unchecked: at size 65 the index
+  // still lands inside the second word, so the read stays in bounds.
+  DenseBitset S(65);
+  EXPECT_DEBUG_DEATH((void)S.test(S.size()), "out of range");
 }
 
 TEST(EpochIndexSetTest, TestAndSetMatchesInsertIdiom) {
