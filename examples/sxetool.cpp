@@ -262,7 +262,7 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
     Options.Trace = &Trace;
   if (!Obs.MetricsFile.empty() || !Obs.MetricsJsonFile.empty())
     Options.Metrics = &Metrics;
-  Options.CollectRemarks = !Obs.RemarksFile.empty();
+  Options.PM.CollectRemarks = !Obs.RemarksFile.empty();
   CompileService Service(Options);
 
   Timer Elapsed;
@@ -287,7 +287,7 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   std::vector<Remark> BatchRemarks;
   for (size_t Index = 0; Index < Futures.size(); ++Index) {
     CompileResult Result = Futures[Index].get();
-    if (Result.Ok && Options.CollectRemarks)
+    if (Result.Ok && Options.PM.CollectRemarks)
       BatchRemarks.insert(BatchRemarks.end(), Result.Code->Remarks.begin(),
                           Result.Code->Remarks.end());
     if (!Result.Ok) {
@@ -328,29 +328,6 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   return Failures == 0 ? 0 : 1;
 }
 
-bool variantByName(const std::string &Name, Variant &Out) {
-  for (Variant V : AllVariants) {
-    std::string Label = variantName(V);
-    if (Name == Label)
-      Out = V;
-    // Accept convenient shorthands: "all", "baseline", "array", ...
-    if (Name == "all" && V == Variant::All)
-      Out = V;
-    else if (Name == "baseline" && V == Variant::Baseline)
-      Out = V;
-    else if (Name == "first" && V == Variant::FirstAlgorithm)
-      Out = V;
-    else if (Name == "basic" && V == Variant::BasicUdDu)
-      Out = V;
-    else if (Name == "array" && V == Variant::Array)
-      Out = V;
-    else
-      continue;
-    return true;
-  }
-  return false;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -383,14 +360,13 @@ int main(int argc, char **argv) {
         usage();
         return 1;
       }
-    } else if (Arg == "--target=ppc64") {
-      Target = &TargetInfo::ppc64();
-    } else if (Arg == "--target=ia64") {
-      Target = &TargetInfo::ia64();
-    } else if (Arg == "--target=generic64") {
-      Target = &TargetInfo::generic64();
-    } else if (Arg == "--target=x86_64") {
-      Target = &TargetInfo::x86_64();
+    } else if (Arg.rfind("--target=", 0) == 0) {
+      Target = TargetInfo::byName(Arg.substr(9));
+      if (!Target) {
+        std::fprintf(stderr, "unknown target '%s'\n", Arg.c_str() + 9);
+        usage();
+        return 1;
+      }
     } else if (Arg.rfind("--maxlen=", 0) == 0) {
       MaxLen = static_cast<uint32_t>(
           std::strtoul(Arg.c_str() + 9, nullptr, 0));

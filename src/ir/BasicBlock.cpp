@@ -41,11 +41,6 @@ Instruction *BasicBlock::link(Instruction *Inst, Instruction *Before,
   return Inst;
 }
 
-Instruction *BasicBlock::adopt(std::unique_ptr<Instruction> Inst) {
-  Instruction *Copy = Parent->cloneInstruction(*Inst);
-  return Copy;
-}
-
 Instruction *BasicBlock::append(Instruction *Inst) {
   return link(Inst, Tail, nullptr);
 }
@@ -60,20 +55,6 @@ Instruction *BasicBlock::insertAfter(Instruction *Pos, Instruction *Inst) {
   assert(Pos && Pos->parent() == this &&
          "insertAfter position not in this block");
   return link(Inst, Pos, Pos->next());
-}
-
-Instruction *BasicBlock::append(std::unique_ptr<Instruction> Inst) {
-  return append(adopt(std::move(Inst)));
-}
-
-Instruction *BasicBlock::insertBefore(Instruction *Pos,
-                                      std::unique_ptr<Instruction> Inst) {
-  return insertBefore(Pos, adopt(std::move(Inst)));
-}
-
-Instruction *BasicBlock::insertAfter(Instruction *Pos,
-                                     std::unique_ptr<Instruction> Inst) {
-  return insertAfter(Pos, adopt(std::move(Inst)));
 }
 
 void BasicBlock::erase(Instruction *Inst) {

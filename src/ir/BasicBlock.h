@@ -10,9 +10,8 @@
 /// a terminator. Instructions are allocated from the owning Function's
 /// arena and chained through their prev/next pointers, so insertion and
 /// removal are O(1) and instruction pointers are stable across mutations
-/// (the UD/DU chains key on them). For compatibility, the insertion
-/// methods also accept std::unique_ptr<Instruction>; those copies are
-/// moved into the arena on admission.
+/// (the UD/DU chains key on them). Instructions are made with
+/// Function::newInstruction (or cloneInstruction) and then linked here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 
 #include "ir/Instruction.h"
 
-#include <memory>
 #include <string>
 
 namespace sxe {
@@ -107,13 +105,6 @@ public:
   /// this block) and returns it.
   Instruction *insertAfter(Instruction *Pos, Instruction *Inst);
 
-  /// Compatibility admission: copies \p Inst into the function arena.
-  Instruction *append(std::unique_ptr<Instruction> Inst);
-  Instruction *insertBefore(Instruction *Pos,
-                            std::unique_ptr<Instruction> Inst);
-  Instruction *insertAfter(Instruction *Pos,
-                           std::unique_ptr<Instruction> Inst);
-
   /// Unlinks and destroys \p Inst, which must be in this block. The arena
   /// retains the memory until the Function dies.
   void erase(Instruction *Inst);
@@ -136,10 +127,6 @@ private:
   /// (either may be null at the boundaries), bumping the right epoch.
   Instruction *link(Instruction *Inst, Instruction *Before,
                     Instruction *After);
-
-  /// Copies \p Inst into the owning function's arena as a detached
-  /// instruction.
-  Instruction *adopt(std::unique_ptr<Instruction> Inst);
 
   Function *Parent;
   unsigned Id;

@@ -35,10 +35,6 @@ static TraceContext requestContext(const CompileRequest &Request) {
   return Ctx;
 }
 
-static void bump(std::atomic<uint64_t> &Counter) {
-  Counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 static std::future<CompileResult> readyFuture(CompileResult Result) {
   std::promise<CompileResult> Promise;
   Promise.set_value(std::move(Result));
@@ -47,30 +43,33 @@ static std::future<CompileResult> readyFuture(CompileResult Result) {
 
 CompileService::CompileService(CompileServiceOptions Opts)
     : Options(std::move(Opts)) {
-  if (MetricsRegistry *Reg = Options.Metrics) {
-    Metrics.Compiles =
-        &Reg->counter("sxe_compiles_total", "Pipeline runs completed");
-    Metrics.CacheHits = &Reg->counter("sxe_cache_hits_total",
-                                      "Requests served from the code cache");
-    Metrics.PersistentHits =
-        &Reg->counter("sxe_persistent_hits_total",
-                      "Requests served from the persistent on-disk cache");
-    Metrics.Failures = &Reg->counter("sxe_compile_failures_total",
-                                     "Parse or verify-each failures");
-    Metrics.Rejects = &Reg->counter(
-        "sxe_rejects_total",
-        "Requests refused without compiling (shutdown or load shedding)");
-    Metrics.DeadlineMisses = &Reg->counter(
-        "sxe_deadline_misses_total",
-        "Requests whose deadline expired before a worker reached them");
-    Metrics.QueueDepth =
-        &Reg->gauge("sxe_queue_depth", "Compile requests currently queued");
-    Metrics.CompileLatency = &Reg->histogram(
-        "sxe_compile_latency_seconds", "Wall time of one pipeline run");
-    Metrics.QueueWait = &Reg->histogram(
-        "sxe_queue_wait_seconds", "Time a request spent queued before a "
-                                  "worker picked it up");
-  }
+  if (!Options.Metrics)
+    OwnMetrics = std::make_unique<MetricsRegistry>();
+  MetricsRegistry &Reg = Options.Metrics ? *Options.Metrics : *OwnMetrics;
+  Metrics.Submitted = &Reg.counter("sxe_compile_submitted_total",
+                                   "Compile requests submitted");
+  Metrics.Compiles =
+      &Reg.counter("sxe_compiles_total", "Pipeline runs completed");
+  Metrics.CacheHits = &Reg.counter("sxe_cache_hits_total",
+                                   "Requests served from the code cache");
+  Metrics.PersistentHits =
+      &Reg.counter("sxe_persistent_hits_total",
+                   "Requests served from the persistent on-disk cache");
+  Metrics.Failures = &Reg.counter("sxe_compile_failures_total",
+                                  "Parse or verify-each failures");
+  Metrics.Rejects = &Reg.counter(
+      "sxe_rejects_total",
+      "Requests refused without compiling (shutdown or load shedding)");
+  Metrics.DeadlineMisses = &Reg.counter(
+      "sxe_deadline_misses_total",
+      "Requests whose deadline expired before a worker reached them");
+  Metrics.QueueDepth =
+      &Reg.gauge("sxe_queue_depth", "Compile requests currently queued");
+  Metrics.CompileLatency = &Reg.histogram(
+      "sxe_compile_latency_seconds", "Wall time of one pipeline run");
+  Metrics.QueueWait = &Reg.histogram(
+      "sxe_queue_wait_seconds", "Time a request spent queued before a "
+                                "worker picked it up");
   Workers.reserve(Options.Jobs);
   for (unsigned Index = 0; Index < Options.Jobs; ++Index)
     Workers.emplace_back([this, Index] { workerLoop(Index); });
@@ -83,16 +82,14 @@ void CompileService::workerLoop(unsigned WorkerIndex) {
     Options.Trace->nameThread("worker-" + std::to_string(WorkerIndex));
   while (std::unique_ptr<QueuedCompile> Job = Queue.pop()) {
     uint64_t PopNanos = wallNowNanos();
-    if (Metrics.QueueDepth)
-      Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
+    Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
     if (Job->EnqueueNanos && PopNanos > Job->EnqueueNanos) {
       if (Options.Trace)
         Options.Trace->addSpan("queue-wait", "service", Job->EnqueueNanos,
                                PopNanos, traceArgs(Job->Request));
-      if (Metrics.QueueWait)
-        Metrics.QueueWait->observe(
-            static_cast<double>(PopNanos - Job->EnqueueNanos) * 1e-9,
-            Job->Request.TraceId);
+      Metrics.QueueWait->observe(
+          static_cast<double>(PopNanos - Job->EnqueueNanos) * 1e-9,
+          Job->Request.TraceId);
     }
     CompileResult Result = compileOne(Job->Request, Job->SourceKey);
     if (Job->EnqueueNanos && PopNanos > Job->EnqueueNanos)
@@ -126,12 +123,10 @@ CompileResult CompileService::memoryHit(const CompileRequest &Request,
   Result.Code = std::move(Code);
   Result.WallNanos = Cost.elapsedNanos();
   Result.CpuNanos = Cost.elapsedCpuNanos();
-  if (Metrics.CacheHits)
-    Metrics.CacheHits->inc();
+  Metrics.CacheHits->inc();
   if (Options.Events)
     Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                         Request.Name, {{"tier", "memory"}}, /*Aux=*/1);
-  bump(Counters.CacheHits);
   return Result;
 }
 
@@ -145,12 +140,10 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   if (Request.DeadlineNanos && wallNowNanos() > Request.DeadlineNanos) {
     Result.DeadlineMiss = true;
     Result.Error = "deadline expired before compilation started";
-    if (Metrics.DeadlineMisses)
-      Metrics.DeadlineMisses->inc();
+    Metrics.DeadlineMisses->inc();
     if (Options.Events)
       Options.Events->log(ObsEventKind::DeadlineExpire,
                           requestContext(Request), Request.Name);
-    bump(Counters.DeadlineMisses);
     return Result;
   }
 
@@ -165,7 +158,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
       Result.Error = "parse error: " + Parsed.Error;
       Result.WallNanos = Cost.elapsedNanos();
       Result.CpuNanos = Cost.elapsedCpuNanos();
-      bump(Counters.Failed);
+      Metrics.Failures->inc();
       return Result;
     }
     M = std::move(Parsed.M);
@@ -212,13 +205,11 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
       Result.Code = std::move(Hit);
       Result.WallNanos = Cost.elapsedNanos();
       Result.CpuNanos = Cost.elapsedCpuNanos();
-      if (Metrics.PersistentHits)
-        Metrics.PersistentHits->inc();
+      Metrics.PersistentHits->inc();
       if (Options.Events)
         Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                             Request.Name, {{"tier", "persistent"}},
                             /*Aux=*/2);
-      bump(Counters.PersistentHits);
       return Result;
     }
   }
@@ -226,8 +217,6 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   PassManagerOptions PMOpts = Options.PM;
   if (Options.Trace)
     PMOpts.Trace = Options.Trace;
-  if (Options.CollectRemarks)
-    PMOpts.CollectRemarks = true;
 
   uint64_t CompileStart = wallNowNanos();
   InstrumentedPipelineResult Run =
@@ -236,10 +225,8 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   if (Options.Trace)
     Options.Trace->addSpan("compile", "service", CompileStart, CompileEnd,
                            traceArgs(Request));
-  if (Metrics.CompileLatency)
-    Metrics.CompileLatency->observe(
-        static_cast<double>(CompileEnd - CompileStart) * 1e-9,
-        Request.TraceId);
+  Metrics.CompileLatency->observe(
+      static_cast<double>(CompileEnd - CompileStart) * 1e-9, Request.TraceId);
   Cost.stop();
   Result.WallNanos = Cost.elapsedNanos();
   Result.CpuNanos = Cost.elapsedCpuNanos();
@@ -248,9 +235,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
     Result.Error = "pass '" + Run.FailedPass + "' broke the module";
     if (!Run.Problems.empty())
       Result.Error += ": " + Run.Problems.front();
-    if (Metrics.Failures)
-      Metrics.Failures->inc();
-    bump(Counters.Failed);
+    Metrics.Failures->inc();
     return Result;
   }
 
@@ -268,13 +253,11 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
 
   Result.Ok = true;
   Result.Code = std::move(Code);
-  if (Metrics.Compiles)
-    Metrics.Compiles->inc();
+  Metrics.Compiles->inc();
   if (Options.Events)
     Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                         Request.Name, {{"tier", "compiled"}}, /*Aux=*/0);
 
-  bump(Counters.Compiled);
   // Per-thread stats merged on completion (pm/PassStats.h).
   std::lock_guard<std::mutex> Lock(StatsMu);
   Aggregate.merge(Result.Code->Stats);
@@ -282,7 +265,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
 }
 
 std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
-  bump(Counters.Submitted);
+  Metrics.Submitted->inc();
   if (ShutDown.load(std::memory_order_acquire))
     return readyFuture(refuse(Request));
 
@@ -316,8 +299,7 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
   }
   Job->EnqueueNanos = wallNowNanos();
   if (Queue.push(Job)) {
-    if (Metrics.QueueDepth)
-      Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
+    Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
   } else {
     // The queue is closed (shutdown raced this enqueue): refuse politely
     // instead of leaving the future forever unready.
@@ -336,11 +318,7 @@ CompileResult CompileService::refuse(const CompileRequest &Request) {
   return Refused;
 }
 
-void CompileService::countRejected() {
-  if (Metrics.Rejects)
-    Metrics.Rejects->inc();
-  bump(Counters.Rejected);
-}
+void CompileService::countRejected() { Metrics.Rejects->inc(); }
 
 void CompileService::drain() {
   std::unique_lock<std::mutex> Lock(PendingMu);
@@ -359,15 +337,13 @@ void CompileService::shutdown() {
 
 CompileServiceStats CompileService::stats() const {
   CompileServiceStats Copy;
-  Copy.Submitted = Counters.Submitted.load(std::memory_order_relaxed);
-  Copy.Compiled = Counters.Compiled.load(std::memory_order_relaxed);
-  Copy.CacheHits = Counters.CacheHits.load(std::memory_order_relaxed);
-  Copy.PersistentHits =
-      Counters.PersistentHits.load(std::memory_order_relaxed);
-  Copy.Failed = Counters.Failed.load(std::memory_order_relaxed);
-  Copy.Rejected = Counters.Rejected.load(std::memory_order_relaxed);
-  Copy.DeadlineMisses =
-      Counters.DeadlineMisses.load(std::memory_order_relaxed);
+  Copy.Submitted = Metrics.Submitted->value();
+  Copy.Compiled = Metrics.Compiles->value();
+  Copy.CacheHits = Metrics.CacheHits->value();
+  Copy.PersistentHits = Metrics.PersistentHits->value();
+  Copy.Failed = Metrics.Failures->value();
+  Copy.Rejected = Metrics.Rejects->value();
+  Copy.DeadlineMisses = Metrics.DeadlineMisses->value();
   {
     std::lock_guard<std::mutex> Lock(StatsMu);
     Copy.Aggregate.merge(Aggregate);

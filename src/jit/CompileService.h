@@ -29,10 +29,12 @@
 ///
 /// Per-run PassStats are merged into a service-wide aggregate under a
 /// lock after each compile (per-thread stats merged on completion; see
-/// pm/PassStats.h); the scalar service counters are relaxed atomics, so
-/// a cache hit takes no service lock. Cache/service counters are
-/// reported through the same `sxe.pass-stats.v1` vocabulary under the
-/// pseudo-pass names `compile-service` and `code-cache`.
+/// pm/PassStats.h). The scalar service counters live only in the metrics
+/// registry (the caller's, or one the service owns), updated with relaxed
+/// atomics, so a cache hit takes no service lock; stats() reads them
+/// back. Cache/service counters are also reported through the
+/// `sxe.pass-stats.v1` vocabulary under the pseudo-pass names
+/// `compile-service` and `code-cache`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +55,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -82,18 +85,18 @@ struct CompileServiceOptions {
   /// every pipeline run for per-pass spans.
   TraceCollector *Trace = nullptr;
   /// Optional metrics registry (not owned). The service feeds
-  /// sxe_compiles_total, sxe_cache_hits_total, sxe_compile_failures_total,
-  /// sxe_queue_depth, sxe_compile_latency_seconds, sxe_queue_wait_seconds.
-  /// Traced requests additionally stamp their trace id as the latency
-  /// histograms' bucket exemplars.
+  /// sxe_compile_submitted_total, sxe_compiles_total,
+  /// sxe_cache_hits_total, sxe_persistent_hits_total,
+  /// sxe_compile_failures_total, sxe_rejects_total,
+  /// sxe_deadline_misses_total, sxe_queue_depth,
+  /// sxe_compile_latency_seconds, sxe_queue_wait_seconds. Traced requests
+  /// additionally stamp their trace id as the latency histograms' bucket
+  /// exemplars. Null: the service registers them in a registry it owns.
   MetricsRegistry *Metrics = nullptr;
   /// Optional structured event log (not owned; thread-safe). The service
   /// emits deadline_expire and cache_tier lifecycle events carrying each
   /// request's TraceContext.
   EventLog *Events = nullptr;
-  /// Collect structured optimization remarks during each pipeline run and
-  /// store them in the CompiledCode artifact (cache hits replay them).
-  bool CollectRemarks = false;
 };
 
 /// Service-wide counter snapshot.
@@ -172,10 +175,11 @@ private:
   CompileResult refuse(const CompileRequest &Request);
   void finish(QueuedCompile &Job, CompileResult Result);
 
-  /// Resolved metric handles (null when Options.Metrics is null);
-  /// registered once at construction so the compile path never takes the
-  /// registry mutex.
+  /// Resolved metric handles, registered once at construction so the
+  /// compile path never takes the registry mutex. They are the service's
+  /// only counters.
   struct MetricHandles {
+    Counter *Submitted = nullptr;
     Counter *Compiles = nullptr;
     Counter *CacheHits = nullptr;
     Counter *PersistentHits = nullptr;
@@ -188,22 +192,11 @@ private:
   };
 
   CompileServiceOptions Options;
+  /// The registry the handles live in when Options.Metrics is null.
+  std::unique_ptr<MetricsRegistry> OwnMetrics;
   MetricHandles Metrics;
   CompileQueue Queue;
   std::vector<std::thread> Workers;
-
-  /// Scalar service counters, bumped with relaxed atomics from workers
-  /// and (for source hits) connection threads.
-  struct AtomicCounters {
-    std::atomic<uint64_t> Submitted{0};
-    std::atomic<uint64_t> Compiled{0};
-    std::atomic<uint64_t> CacheHits{0};
-    std::atomic<uint64_t> PersistentHits{0};
-    std::atomic<uint64_t> Failed{0};
-    std::atomic<uint64_t> Rejected{0};
-    std::atomic<uint64_t> DeadlineMisses{0};
-  };
-  AtomicCounters Counters;
 
   /// Guards Aggregate only.
   mutable std::mutex StatsMu;

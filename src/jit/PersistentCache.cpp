@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 using namespace sxe;
@@ -166,8 +167,8 @@ bool readFileText(const std::string &Path, std::string &Out) {
   return true;
 }
 
-/// Write-to-temp + rename(2) publication; the only way entry and index
-/// files are ever produced.
+/// Write-to-temp + rename(2) publication; the only way entry files are
+/// ever produced.
 bool writeFileAtomic(const std::string &Path, const std::string &Text) {
   std::string Tmp = Path + ".tmp";
   {
@@ -202,95 +203,65 @@ PersistentCache::PersistentCache(PersistentCacheOptions Opts)
   std::error_code Ec;
   fs::create_directories(fs::path(Options.Dir) / "objects", Ec);
   std::lock_guard<std::mutex> Lock(Mu);
-  loadIndexLocked();
+  scanObjectsLocked();
 }
 
-PersistentCache::~PersistentCache() { flushIndex(); }
-
-std::string PersistentCache::objectPathFor(const std::string &Key) const {
-  return (fs::path(Options.Dir) / "objects" / fileNameForKey(Key)).string();
+std::string PersistentCache::objectPath(const std::string &File) const {
+  return (fs::path(Options.Dir) / "objects" / File).string();
 }
 
-void PersistentCache::loadIndexLocked() {
-  std::string Text;
-  std::string IndexPath = (fs::path(Options.Dir) / "index.json").string();
-  JsonValue V;
-  std::string Error;
-  if (!readFileText(IndexPath, Text) || !parseJson(Text, V, Error) ||
-      V.stringField("schema") != kPCacheIndexSchema) {
-    rescanObjectsLocked();
-    return;
-  }
-  const JsonValue *Entries = V.find("entries");
-  if (!Entries || !Entries->isArray()) {
-    rescanObjectsLocked();
-    return;
-  }
-  for (const JsonValue &E : Entries->array()) {
-    std::string Key = E.stringField("key");
-    Entry Item;
-    Item.File = E.stringField("file");
-    Item.Bytes = E.uint64Field("bytes");
-    Item.AccessTick = E.uint64Field("access");
-    if (Key.empty() || Item.File.empty())
-      continue;
-    // Trust but verify: an entry another process evicted is dropped here.
-    std::error_code Ec;
-    if (!fs::exists(fs::path(Options.Dir) / "objects" / Item.File, Ec))
-      continue;
-    TotalBytes += Item.Bytes;
-    NextTick = std::max(NextTick, Item.AccessTick + 1);
-    Index.emplace(std::move(Key), std::move(Item));
-  }
-}
-
-void PersistentCache::rescanObjectsLocked() {
-  Index.clear();
-  TotalBytes = 0;
+void PersistentCache::scanObjectsLocked() {
+  struct Listed {
+    fs::file_time_type MTime;
+    std::string File;
+    uint64_t Bytes;
+  };
+  std::vector<Listed> Found;
   std::error_code Ec;
-  for (const auto &File :
+  for (const auto &Object :
        fs::directory_iterator(fs::path(Options.Dir) / "objects", Ec)) {
-    if (!File.is_regular_file() || File.path().extension() != ".json")
+    if (!Object.is_regular_file(Ec) || Object.path().extension() != ".json")
       continue;
-    std::string Text;
-    if (!readFileText(File.path().string(), Text))
+    uint64_t Bytes = Object.file_size(Ec);
+    if (Ec)
       continue;
-    JsonValue V;
-    std::string Error;
-    if (!parseJson(Text, V, Error) ||
-        V.stringField("schema") != kPCacheEntrySchema)
+    fs::file_time_type MTime = Object.last_write_time(Ec);
+    if (Ec)
       continue;
-    std::string Key = V.stringField("key");
-    if (Key.empty())
-      continue;
-    Entry Item;
-    Item.File = File.path().filename().string();
-    Item.Bytes = Text.size();
-    Item.AccessTick = NextTick++;
-    TotalBytes += Item.Bytes;
-    Index.emplace(std::move(Key), std::move(Item));
+    Found.push_back({MTime, Object.path().filename().string(), Bytes});
   }
+  std::sort(Found.begin(), Found.end(), [](const Listed &A, const Listed &B) {
+    return std::tie(A.MTime, A.File) < std::tie(B.MTime, B.File);
+  });
+  for (const Listed &Item : Found)
+    touchLocked(Item.File, Item.Bytes);
 }
 
-void PersistentCache::dropEntryLocked(const std::string &Key,
+void PersistentCache::touchLocked(const std::string &File, uint64_t Bytes) {
+  Entry &Item = Entries[File];
+  TotalBytes = TotalBytes - Item.Bytes + Bytes;
+  Item.Bytes = Bytes;
+  Item.AccessTick = NextTick++;
+}
+
+void PersistentCache::dropEntryLocked(const std::string &File,
                                       bool CountEviction) {
-  auto It = Index.find(Key);
-  if (It == Index.end())
-    return;
   std::error_code Ec;
-  fs::remove(fs::path(Options.Dir) / "objects" / It->second.File, Ec);
-  TotalBytes -= std::min(TotalBytes, It->second.Bytes);
-  Index.erase(It);
+  fs::remove(objectPath(File), Ec);
+  auto It = Entries.find(File);
+  if (It == Entries.end())
+    return;
+  TotalBytes -= It->second.Bytes;
+  Entries.erase(It);
   if (CountEviction)
     ++Evictions;
 }
 
 void PersistentCache::evictOverBudgetLocked() {
-  while (TotalBytes > Options.MaxBytes && Index.size() > 1) {
-    auto Oldest = Index.end();
-    for (auto It = Index.begin(); It != Index.end(); ++It)
-      if (Oldest == Index.end() ||
-          It->second.AccessTick < Oldest->second.AccessTick)
+  while (TotalBytes > Options.MaxBytes && Entries.size() > 1) {
+    auto Oldest = Entries.begin();
+    for (auto It = Entries.begin(); It != Entries.end(); ++It)
+      if (It->second.AccessTick < Oldest->second.AccessTick)
         Oldest = It;
     dropEntryLocked(Oldest->first, /*CountEviction=*/true);
   }
@@ -301,13 +272,15 @@ PersistentCache::lookup(const std::string &Key) {
   if (!enabled())
     return nullptr;
   std::lock_guard<std::mutex> Lock(Mu);
-  // Probe the object path even when the index has no entry: another
-  // process may have written it after this one loaded its index.
-  std::string Path = objectPathFor(Key);
+  // Probe the object path even when the entry is not listed: another
+  // process may have written it after this one scanned the directory.
+  std::string File = fileNameForKey(Key);
+  std::string Path = objectPath(File);
   std::string Text;
   if (!readFileText(Path, Text)) {
     ++Misses;
-    Index.erase(Key);
+    if (Entries.count(File)) // Listed, but another process removed it.
+      dropEntryLocked(File, /*CountEviction=*/false);
     return nullptr;
   }
   auto Code = std::make_shared<CompiledCode>();
@@ -315,20 +288,13 @@ PersistentCache::lookup(const std::string &Key) {
   if (!decodePersistentEntry(Text, Key, *Code, Error)) {
     ++Misses;
     ++CorruptDropped;
-    dropEntryLocked(Key, /*CountEviction=*/false);
-    std::error_code Ec;
-    fs::remove(Path, Ec);
+    dropEntryLocked(File, /*CountEviction=*/false);
     return nullptr;
   }
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
-    Entry Item;
-    Item.File = fileNameForKey(Key);
-    Item.Bytes = Text.size();
-    It = Index.emplace(Key, std::move(Item)).first;
-    TotalBytes += Text.size();
-  }
-  It->second.AccessTick = NextTick++;
+  // The mtime carries the access order across restarts.
+  std::error_code Ec;
+  fs::last_write_time(Path, fs::file_time_type::clock::now(), Ec);
+  touchLocked(File, Text.size());
   ++Hits;
   return Code;
 }
@@ -339,17 +305,10 @@ void PersistentCache::insert(const std::string &Key,
     return;
   std::string Text = encodePersistentEntry(Key, Code);
   std::lock_guard<std::mutex> Lock(Mu);
-  if (!writeFileAtomic(objectPathFor(Key), Text))
+  std::string File = fileNameForKey(Key);
+  if (!writeFileAtomic(objectPath(File), Text))
     return;
-  auto It = Index.find(Key);
-  if (It != Index.end())
-    TotalBytes -= std::min(TotalBytes, It->second.Bytes);
-  Entry Item;
-  Item.File = fileNameForKey(Key);
-  Item.Bytes = Text.size();
-  Item.AccessTick = NextTick++;
-  Index[Key] = std::move(Item);
-  TotalBytes += Text.size();
+  touchLocked(File, Text.size());
   ++Insertions;
   evictOverBudgetLocked();
 }
@@ -358,29 +317,7 @@ bool PersistentCache::contains(const std::string &Key) const {
   if (!enabled())
     return false;
   std::error_code Ec;
-  return fs::exists(objectPathFor(Key), Ec);
-}
-
-void PersistentCache::flushIndex() {
-  if (!enabled())
-    return;
-  std::lock_guard<std::mutex> Lock(Mu);
-  JsonWriter J;
-  J.beginObject();
-  J.keyValue("schema", kPCacheIndexSchema);
-  J.key("entries");
-  J.beginArray();
-  for (const auto &[Key, Item] : Index) {
-    J.beginObject();
-    J.keyValue("key", Key);
-    J.keyValue("file", Item.File);
-    J.keyValue("bytes", Item.Bytes);
-    J.keyValue("access", Item.AccessTick);
-    J.endObject();
-  }
-  J.endArray();
-  J.endObject();
-  writeFileAtomic((fs::path(Options.Dir) / "index.json").string(), J.str());
+  return fs::exists(objectPath(fileNameForKey(Key)), Ec);
 }
 
 PersistentCacheStats PersistentCache::stats() const {
@@ -391,7 +328,7 @@ PersistentCacheStats PersistentCache::stats() const {
   Out.Insertions = Insertions;
   Out.Evictions = Evictions;
   Out.CorruptDropped = CorruptDropped;
-  Out.Entries = Index.size();
+  Out.Entries = Entries.size();
   Out.Bytes = TotalBytes;
   return Out;
 }

@@ -15,8 +15,14 @@
 ///
 /// Directory layout (docs/JIT.md):
 ///
-///     <dir>/index.json            sxe.pcache-index.v1 (LRU bookkeeping)
 ///     <dir>/objects/<fnv16>.json  one sxe.pcache.v2 entry per key
+///
+/// The object directory is the whole store: there is no index file. At
+/// construction the cache lists objects/*.json once — each entry's size
+/// comes from its directory entry and its recency from mtime order (ties
+/// broken by file name) — so startup opens and parses no file, and what
+/// the cache counts is exactly what is on disk, after a clean exit or a
+/// kill -9 alike. An index file an older build left in <dir> is ignored.
 ///
 /// Durability discipline:
 ///  - every write goes to `<file>.tmp` in the same directory and is
@@ -25,15 +31,14 @@
 ///    artifact payload; a truncated, corrupted, mismatched, or
 ///    unparseable entry loads as a miss (and is dropped), never as a
 ///    wrong artifact and never as a failure — the caller just compiles;
-///  - the index is advisory: when it is missing or corrupt the cache
-///    rebuilds it by scanning objects/, and a lookup that misses the
-///    index still probes the object path directly, so entries written by
-///    another process after this one loaded its index are found.
+///  - a lookup always probes the object path, so entries written by
+///    another process after this one listed the directory are found.
 ///
 /// Eviction is LRU by total byte budget: each insert that pushes the
 /// store past MaxBytes deletes least-recently-used entry files until it
-/// fits. Access order is tracked in memory (monotonic ticks) and
-/// persisted through the index on flush/destruction.
+/// fits. A write and a hit both set the file's mtime to now, so the
+/// access order survives any restart; in memory it is kept as monotonic
+/// ticks seeded from that order.
 ///
 /// Thread safety: all operations take one internal mutex; the service
 /// probes this tier only after an in-memory miss, so the lock is off the
@@ -54,9 +59,8 @@
 
 namespace sxe {
 
-/// Schema tags of the on-disk documents.
+/// Schema tag of the on-disk entry documents.
 inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v2";
-inline constexpr const char *kPCacheIndexSchema = "sxe.pcache-index.v1";
 
 struct PersistentCacheOptions {
   /// Root directory; created (with objects/) if absent. Empty disables
@@ -91,16 +95,15 @@ bool decodePersistentEntry(const std::string &Text, const std::string &Key,
 /// On-disk LRU cache from codeCacheKey() strings to CompiledCode.
 class PersistentCache {
 public:
+  /// Lists objects/*.json (creating the directories if absent).
   explicit PersistentCache(PersistentCacheOptions Options);
-
-  /// Flushes the index (best effort).
-  ~PersistentCache();
 
   PersistentCache(const PersistentCache &) = delete;
   PersistentCache &operator=(const PersistentCache &) = delete;
 
-  /// Loads the artifact stored for \p Key, or null on miss. A corrupt
-  /// entry is deleted and reported as a miss.
+  /// Loads the artifact stored for \p Key, or null on miss. A hit marks
+  /// the entry most recently used (and sets its file's mtime to now); a
+  /// corrupt entry is deleted and reported as a miss.
   std::shared_ptr<const CompiledCode> lookup(const std::string &Key);
 
   /// Persists \p Code under \p Key (atomic rename) and evicts LRU
@@ -111,9 +114,6 @@ public:
   /// the artifact body).
   bool contains(const std::string &Key) const;
 
-  /// Writes index.json with the current LRU order (atomic rename).
-  void flushIndex();
-
   PersistentCacheStats stats() const;
 
   const std::string &dir() const { return Options.Dir; }
@@ -121,21 +121,23 @@ public:
 
 private:
   struct Entry {
-    std::string File; ///< Path relative to the objects directory.
     uint64_t Bytes = 0;
     uint64_t AccessTick = 0;
   };
 
-  std::string objectPathFor(const std::string &Key) const;
-  void loadIndexLocked();
-  void rescanObjectsLocked();
+  std::string objectPath(const std::string &File) const;
+  void scanObjectsLocked();
+  /// Records \p File as \p Bytes long and most recently used.
+  void touchLocked(const std::string &File, uint64_t Bytes);
   void evictOverBudgetLocked();
-  void dropEntryLocked(const std::string &Key, bool CountEviction);
+  /// The only removal path: deletes the object file and forgets its bytes.
+  void dropEntryLocked(const std::string &File, bool CountEviction);
 
   PersistentCacheOptions Options;
   mutable std::mutex Mu;
-  /// Key -> bookkeeping. The artifact bytes live only on disk.
-  std::map<std::string, Entry> Index;
+  /// Object file name (fileNameForKey) -> bookkeeping. The artifact
+  /// bytes live only on disk.
+  std::map<std::string, Entry> Entries;
   uint64_t TotalBytes = 0;
   uint64_t NextTick = 1;
   uint64_t Hits = 0;

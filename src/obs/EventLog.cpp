@@ -11,15 +11,11 @@ void EventLog::log(ObsEventKind Kind, TraceContext Ctx,
                    const std::string &Name,
                    std::vector<std::pair<std::string, std::string>> Fields,
                    uint8_t Aux) {
-  ObsEvent Event;
-  Event.Nanos = wallNowNanos();
-  Event.Kind = Kind;
-  Event.Ctx = Ctx;
-  Event.Name = Name;
-  Event.Fields = std::move(Fields);
-  if (Mirror)
-    Mirror->record(Kind, Event.Nanos, Ctx.TraceId, Ctx.RequestId,
-                   Name.c_str(), Aux);
+  uint64_t Nanos = wallNowNanos();
+  Ring.record(Kind, Nanos, Ctx.TraceId, Ctx.RequestId, Name.c_str(), Aux);
+  if (!Retain)
+    return;
+  ObsEvent Event{Nanos, Kind, Ctx, Name, std::move(Fields)};
   std::lock_guard<std::mutex> Lock(Mu);
   Events.push_back(std::move(Event));
 }

@@ -21,9 +21,11 @@
 ///   {"ts_ns": ..., "event": "admit", "trace_id": "00c0ffee...",
 ///    "request_id": 17, "name": "loop.sxir", "deadline_ms": "250"}
 ///
-/// Every append can also be mirrored into a FlightRecorder (the
-/// crash-safe, fixed-size shadow of this stream): one call site feeds
-/// both the complete log and the post-mortem ring.
+/// Every append is written into a FlightRecorder (the crash-safe,
+/// fixed-size ring of this stream), so one call site feeds both the
+/// post-mortem ring and, when the log retains records, the complete log.
+/// A log that does not retain (the daemon's --no-trace) keeps only the
+/// ring write: size() stays 0 and toJsonl() holds just the header.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,16 +60,17 @@ struct ObsEvent {
 /// Thread-safe append-only event collector with JSONL export.
 class EventLog {
 public:
-  /// \p Mirror, when non-null, receives every event as a fixed-size
-  /// flight record (not owned; must outlive the log).
-  explicit EventLog(FlightRecorder *Mirror = nullptr) : Mirror(Mirror) {}
+  /// \p Ring receives every event as a fixed-size flight record (not
+  /// owned; must outlive the log). \p Retain keeps the full records for
+  /// snapshot() and toJsonl() as well.
+  EventLog(FlightRecorder &Ring, bool Retain) : Ring(Ring), Retain(Retain) {}
 
   EventLog(const EventLog &) = delete;
   EventLog &operator=(const EventLog &) = delete;
 
-  /// Appends one event stamped with the current wall clock. \p Aux is the
+  /// Records one event stamped with the current wall clock. \p Aux is the
   /// flight-record detail byte (tier, shed cause, ...); the full string
-  /// fields only exist in this log.
+  /// fields only exist in this log, and only when it retains records.
   void log(ObsEventKind Kind, TraceContext Ctx, const std::string &Name,
            std::vector<std::pair<std::string, std::string>> Fields = {},
            uint8_t Aux = 0);
@@ -84,7 +87,8 @@ public:
 private:
   mutable std::mutex Mu;
   std::vector<ObsEvent> Events;
-  FlightRecorder *Mirror;
+  FlightRecorder &Ring;
+  const bool Retain;
 };
 
 } // namespace sxe

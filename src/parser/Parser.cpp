@@ -324,7 +324,7 @@ bool Parser::parseInstruction(Function &F) {
   if (!Op)
     return fail("unknown mnemonic '" + quoted(Base) + "'");
 
-  auto Inst = std::make_unique<Instruction>(*Op);
+  Instruction *Inst = F.newInstruction(*Op);
   Inst->setDest(Dest);
   const OpcodeInfo &Info = opcodeInfo(*Op);
 
@@ -465,9 +465,9 @@ bool Parser::parseInstruction(Function &F) {
   }
   }
 
-  Instruction *Placed = CurrentBlock->append(std::move(Inst));
+  CurrentBlock->append(Inst);
   if (*Op == Opcode::Call) {
-    CallFixups.push_back({Placed, PendingCallee});
+    CallFixups.push_back({Inst, PendingCallee});
     PendingCallee.clear();
   }
   return true;

@@ -24,7 +24,7 @@ namespace sxe {
 
 ServeDaemon::ServeDaemon(ServeDaemonOptions Opts)
     : Options(std::move(Opts)), Cache(Options.MemoryCache),
-      Flight(Options.FlightCapacity), Events(&Flight),
+      Flight(Options.FlightCapacity), Events(Flight, Options.Tracing),
       Admission(Options.Admission) {
   if (Options.Jobs == 0)
     Options.Jobs = 1;
@@ -39,11 +39,10 @@ ServeDaemon::ServeDaemon(ServeDaemonOptions Opts)
   SvcOpts.Cache = &Cache;
   SvcOpts.Persistent = Persistent.get();
   SvcOpts.Metrics = &Metrics;
-  SvcOpts.CollectRemarks = Options.CollectRemarks;
-  if (Options.Tracing) {
+  SvcOpts.PM.CollectRemarks = Options.CollectRemarks;
+  SvcOpts.Events = &Events;
+  if (Options.Tracing)
     SvcOpts.Trace = &Trace;
-    SvcOpts.Events = &Events;
-  }
   Service = std::make_unique<CompileService>(SvcOpts);
 
   ConnectionsMetric =
@@ -100,14 +99,10 @@ bool ServeDaemon::start(std::string &Error) {
   AcceptThread = std::thread(&ServeDaemon::acceptLoop, this);
   Started = true;
   StartNanos = wallNowNanos();
-  if (Options.Tracing)
-    Events.log(ObsEventKind::DaemonStart, {}, Options.SocketPath,
-               {{"jobs", std::to_string(Options.Jobs)},
-                {"version", buildVersion()},
-                {"git_sha", buildGitSha()}});
-  else
-    Flight.record(ObsEventKind::DaemonStart, wallNowNanos(), 0, 0,
-                  Options.SocketPath.c_str());
+  Events.log(ObsEventKind::DaemonStart, {}, Options.SocketPath,
+             {{"jobs", std::to_string(Options.Jobs)},
+              {"version", buildVersion()},
+              {"git_sha", buildGitSha()}});
   return true;
 }
 
@@ -156,12 +151,12 @@ ServeReply ServeDaemon::errorReply(ServeErrorKind Kind, std::string Message) {
 ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
   RequestsMetric->inc();
   std::string DisplayName = Request.Name.empty() ? "<request>" : Request.Name;
-  const TargetInfo *Target = serveTargetByName(Request.Target);
+  const TargetInfo *Target = TargetInfo::byName(Request.Target);
   if (!Target)
     return errorReply(ServeErrorKind::Protocol,
                       "unknown target '" + Request.Target + "'");
   Variant V;
-  if (!serveVariantByName(Request.Variant, V))
+  if (!variantByName(Request.Variant, V))
     return errorReply(ServeErrorKind::Protocol,
                       "unknown variant '" + Request.Variant + "'");
 
@@ -171,23 +166,19 @@ ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
     // Load-shed rejections share the service's Rejected ledger and
     // sxe_rejects_total with enqueue-after-shutdown refusals.
     Service->countRejected();
-    if (Options.Tracing)
-      Events.log(ObsEventKind::Shed, Ctx, DisplayName,
-                 {{"cause", Overload.message()},
-                  {"queue_depth", std::to_string(Overload.QueueDepth)}});
+    Events.log(ObsEventKind::Shed, Ctx, DisplayName,
+               {{"cause", Overload.message()},
+                {"queue_depth", std::to_string(Overload.QueueDepth)}});
     return errorReply(ServeErrorKind::Overload, Overload.message());
   }
   InflightMetric->set(static_cast<int64_t>(Admission.depth()));
-  if (Options.Tracing) {
-    std::vector<std::pair<std::string, std::string>> Fields;
-    if (Request.DeadlineMillis)
-      Fields.emplace_back("deadline_ms",
-                          std::to_string(Request.DeadlineMillis));
-    if (Request.ClientRequestId)
-      Fields.emplace_back("client_request_id",
-                          std::to_string(Request.ClientRequestId));
-    Events.log(ObsEventKind::Admit, Ctx, DisplayName, std::move(Fields));
-  }
+  std::vector<std::pair<std::string, std::string>> Fields;
+  if (Request.DeadlineMillis)
+    Fields.emplace_back("deadline_ms", std::to_string(Request.DeadlineMillis));
+  if (Request.ClientRequestId)
+    Fields.emplace_back("client_request_id",
+                        std::to_string(Request.ClientRequestId));
+  Events.log(ObsEventKind::Admit, Ctx, DisplayName, std::move(Fields));
 
   CompileRequest Compile;
   Compile.Name = DisplayName;
@@ -271,10 +262,7 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
     case FrameType::Dump: {
       // On-demand flight-recorder dump: the same sxe.flight.v1 JSONL a
       // fatal signal would write, delivered over the wire.
-      if (Options.Tracing)
-        Events.log(ObsEventKind::Dump, {}, "conn-" + std::to_string(ConnId));
-      else
-        Flight.record(ObsEventKind::Dump, wallNowNanos(), 0, 0, "dump");
+      Events.log(ObsEventKind::Dump, {}, "conn-" + std::to_string(ConnId));
       WroteReply = writeFrame(Fd, FrameType::DumpReply,
                               Flight.dumpToString(), WriteError);
       break;
@@ -322,17 +310,16 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
           Args.emplace_back("tier", serveTierName(Reply.Tier));
         Trace.addSpan("serve-request", "serve", ServeStart, wallNowNanos(),
                       Args);
-        std::vector<std::pair<std::string, std::string>> Fields;
-        Fields.emplace_back("status", Reply.Ok
-                                          ? "ok"
-                                          : serveErrorKindName(
-                                                Reply.ErrorKind));
-        if (Reply.Ok)
-          Fields.emplace_back("tier", serveTierName(Reply.Tier));
-        Events.log(ObsEventKind::Reply, Ctx, SpanName, std::move(Fields),
-                   /*Aux=*/Reply.Ok ? 0 : static_cast<uint8_t>(
-                                              Reply.ErrorKind));
       }
+      std::vector<std::pair<std::string, std::string>> Fields;
+      Fields.emplace_back("status", Reply.Ok ? "ok"
+                                             : serveErrorKindName(
+                                                   Reply.ErrorKind));
+      if (Reply.Ok)
+        Fields.emplace_back("tier", serveTierName(Reply.Tier));
+      Events.log(ObsEventKind::Reply, Ctx, SpanName, std::move(Fields),
+                 /*Aux=*/Reply.Ok ? 0
+                                  : static_cast<uint8_t>(Reply.ErrorKind));
       WroteReply = writeFrame(Fd, FrameType::CompileReply,
                               encodeServeReply(Reply), WriteError);
       break;
@@ -381,21 +368,14 @@ void ServeDaemon::stop() {
       Handler.join();
   if (Service)
     Service->shutdown();
-  if (Persistent)
-    Persistent->flushIndex();
   if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
     ::unlink(Options.SocketPath.c_str());
   }
-  if (Options.Tracing)
-    Events.log(ObsEventKind::Drain, {}, Options.SocketPath,
-               {{"requests",
-                 std::to_string(
-                     NextRequestId.load(std::memory_order_relaxed) - 1)}});
-  else
-    Flight.record(ObsEventKind::Drain, wallNowNanos(), 0, 0,
-                  Options.SocketPath.c_str());
+  uint64_t Requests = NextRequestId.load(std::memory_order_relaxed) - 1;
+  Events.log(ObsEventKind::Drain, {}, Options.SocketPath,
+             {{"requests", std::to_string(Requests)}});
   refreshUptime();
   // Observability artifacts outlive the process on purpose: they are the
   // post-run inputs of tools/sxe-obs.

@@ -31,7 +31,13 @@
 /// atomic store). stop() then stops accepting connections, refuses *new*
 /// compile frames with a `shutdown`-kind reply, lets every already-
 /// admitted request finish and deliver its reply, joins the handlers and
-/// workers, flushes the persistent cache index, and unlinks the socket.
+/// workers, and unlinks the socket. The persistent cache has nothing to
+/// flush: every entry is published by the insert that wrote it.
+///
+/// Every lifecycle event (daemon_start, admit, shed, cache_tier,
+/// deadline_expire, reply, dump, drain) is one EventLog::log call, which
+/// always writes the flight-recorder ring; the log keeps full records for
+/// the events file only while Tracing is on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,10 +82,10 @@ struct ServeDaemonOptions {
   /// Collect optimization remarks on every compile so replies (and cache
   /// hits) can replay them when the client asks.
   bool CollectRemarks = true;
-  /// Request-scoped tracing and the structured event log. Off, the
-  /// daemon emits no spans or events (the flight recorder stays armed —
-  /// it is the post-mortem channel and costs one wait-free ring write
-  /// per lifecycle event).
+  /// Request-scoped tracing and the retained structured event log. Off,
+  /// the daemon emits no spans and the event log keeps no records; the
+  /// flight recorder stays armed either way — it is the post-mortem
+  /// channel and costs one wait-free ring write per lifecycle event.
   bool Tracing = true;
   /// Slots in the crash-safe flight-recorder ring.
   size_t FlightCapacity = 2048;
@@ -119,8 +125,7 @@ public:
   void run();
 
   /// Graceful drain: stop accepting, refuse new compiles, finish admitted
-  /// work, join everything, flush the persistent index, unlink the
-  /// socket. Idempotent.
+  /// work, join everything, unlink the socket. Idempotent.
   void stop();
 
   const std::string &socketPath() const { return Options.SocketPath; }
@@ -154,7 +159,7 @@ private:
   MetricsRegistry Metrics;
   CodeCache Cache;
   std::unique_ptr<PersistentCache> Persistent;
-  /// Flight ring outlives the log that mirrors into it.
+  /// Flight ring outlives the log that writes into it.
   FlightRecorder Flight;
   EventLog Events;
   TraceCollector Trace;

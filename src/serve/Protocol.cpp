@@ -366,51 +366,4 @@ bool decodeServeReply(const std::string &Payload, ServeReply &Out,
   return true;
 }
 
-//===----------------------------------------------------------------------===//
-// Name resolution
-//===----------------------------------------------------------------------===//
-
-const TargetInfo *serveTargetByName(const std::string &Name) {
-  if (Name == "ia64")
-    return &TargetInfo::ia64();
-  if (Name == "ppc64")
-    return &TargetInfo::ppc64();
-  if (Name == "generic64")
-    return &TargetInfo::generic64();
-  if (Name == "x86_64")
-    return &TargetInfo::x86_64();
-  return nullptr;
-}
-
-bool serveVariantByName(const std::string &Name, Variant &Out) {
-  for (Variant V : AllVariants) {
-    if (Name == variantName(V)) {
-      Out = V;
-      return true;
-    }
-  }
-  // Convenient shorthands matching sxetool's CLI.
-  if (Name == "all") {
-    Out = Variant::All;
-    return true;
-  }
-  if (Name == "baseline") {
-    Out = Variant::Baseline;
-    return true;
-  }
-  if (Name == "first") {
-    Out = Variant::FirstAlgorithm;
-    return true;
-  }
-  if (Name == "basic") {
-    Out = Variant::BasicUdDu;
-    return true;
-  }
-  if (Name == "array") {
-    Out = Variant::Array;
-    return true;
-  }
-  return false;
-}
-
 } // namespace sxe

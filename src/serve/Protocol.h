@@ -36,7 +36,6 @@
 #define SXE_SERVE_PROTOCOL_H
 
 #include "pm/PassStats.h"
-#include "sxe/Pipeline.h"
 
 #include <cstdint>
 #include <string>
@@ -94,7 +93,7 @@ struct ServeRequest {
   std::string Name;   ///< Display label (file name, ...).
   std::string Source; ///< `.sxir` module text.
   std::string Target = "ia64";
-  std::string Variant = "all"; ///< variantName() label or shorthand.
+  std::string Variant = "all"; ///< variantByName() label or shorthand.
   double Hotness = 0.0;
   /// Relative deadline budget in milliseconds; 0 = the daemon's default.
   uint64_t DeadlineMillis = 0;
@@ -164,18 +163,6 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
 std::string encodeServeReply(const ServeReply &Reply);
 bool decodeServeReply(const std::string &Payload, ServeReply &Out,
                       std::string &Error);
-
-//===----------------------------------------------------------------------===//
-// Name resolution shared by the daemon and the client tools
-//===----------------------------------------------------------------------===//
-
-/// Target by name ("ia64", "ppc64", "generic64", "x86_64"); null when
-/// unknown.
-const TargetInfo *serveTargetByName(const std::string &Name);
-
-/// Variant by paper row label or shorthand ("all", "baseline", "first",
-/// "basic", "array").
-bool serveVariantByName(const std::string &Name, Variant &Out);
 
 } // namespace sxe
 

@@ -10,6 +10,8 @@
 
 #include "support/Error.h"
 
+#include <utility>
+
 using namespace sxe;
 
 const Variant sxe::AllVariants[NumVariants] = {
@@ -47,6 +49,27 @@ const char *sxe::variantName(Variant V) {
     return "new algorithm (all)";
   }
   sxeUnreachable("invalid Variant enumerator");
+}
+
+bool sxe::variantByName(const std::string &Name, Variant &Out) {
+  static const std::pair<const char *, Variant> Shorthands[] = {
+      {"all", Variant::All},
+      {"baseline", Variant::Baseline},
+      {"first", Variant::FirstAlgorithm},
+      {"basic", Variant::BasicUdDu},
+      {"array", Variant::Array},
+  };
+  for (Variant V : AllVariants)
+    if (Name == variantName(V)) {
+      Out = V;
+      return true;
+    }
+  for (const auto &[Short, V] : Shorthands)
+    if (Name == Short) {
+      Out = V;
+      return true;
+    }
+  return false;
 }
 
 PipelineConfig PipelineConfig::forVariant(Variant V,

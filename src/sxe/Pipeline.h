@@ -29,6 +29,7 @@
 #include "target/TargetInfo.h"
 
 #include <cstdint>
+#include <string>
 
 namespace sxe {
 
@@ -55,6 +56,11 @@ extern const Variant AllVariants[NumVariants];
 
 /// The paper's row label for \p V ("new algorithm (all)", ...).
 const char *variantName(Variant V);
+
+/// The variant whose variantName() is \p Name, or one of the shorthands
+/// "all", "baseline", "first", "basic" and "array". False (and \p Out
+/// untouched) when \p Name is neither.
+bool variantByName(const std::string &Name, Variant &Out);
 
 /// How step 3 eliminates extensions.
 enum class EliminationEngine : uint8_t {

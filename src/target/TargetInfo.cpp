@@ -2,6 +2,8 @@
 
 #include "target/TargetInfo.h"
 
+#include <initializer_list>
+
 using namespace sxe;
 
 // Cycle latencies are in-order estimates in the spirit of the paper's
@@ -68,4 +70,11 @@ const TargetInfo &TargetInfo::x86_64() {
                  /*FpAlu=*/4, /*FpDiv=*/30, /*Conv=*/4, /*Branch=*/1,
                  /*Call=*/2, /*Alloc=*/20});
   return T;
+}
+
+const TargetInfo *TargetInfo::byName(const std::string &Name) {
+  for (const TargetInfo *T : {&ia64(), &ppc64(), &generic64(), &x86_64()})
+    if (T->name() == Name)
+      return T;
+  return nullptr;
 }

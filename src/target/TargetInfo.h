@@ -92,6 +92,9 @@ public:
   /// into the memory operand.
   static const TargetInfo &x86_64();
 
+  /// The target whose name() is \p Name, or null when none is.
+  static const TargetInfo *byName(const std::string &Name);
+
   /// Printable target name ("ia64", "ppc64", "generic64", "x86_64").
   const std::string &name() const { return Name; }
 

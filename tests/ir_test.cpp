@@ -108,11 +108,11 @@ TEST(BasicBlockTest, InsertEraseKeepOrder) {
   EXPECT_EQ(BB->size(), 3u);
 
   Instruction &First = BB->front();
-  auto Extra = std::make_unique<Instruction>(Opcode::ConstInt);
+  Instruction *Extra = F->newInstruction(Opcode::ConstInt);
   Extra->setDest(F->newReg(Type::I32));
   Extra->setType(Type::I32);
   Extra->setIntValue(7);
-  Instruction *Placed = BB->insertAfter(&First, std::move(Extra));
+  Instruction *Placed = BB->insertAfter(&First, Extra);
   EXPECT_EQ(BB->size(), 4u);
 
   // The inserted instruction is second.
@@ -202,10 +202,10 @@ TEST(VerifierTest, DummyPolicy) {
   Reg P = F->addParam(Type::I32, "p");
   IRBuilder B(F);
   B.startBlock("entry");
-  auto Dummy = std::make_unique<Instruction>(Opcode::JustExtended);
+  Instruction *Dummy = F->newInstruction(Opcode::JustExtended);
   Dummy->setDest(P);
   Dummy->addOperand(P);
-  F->entryBlock()->append(std::move(Dummy));
+  F->entryBlock()->append(Dummy);
   B.ret(P);
 
   std::vector<std::string> Problems;

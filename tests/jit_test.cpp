@@ -424,8 +424,10 @@ TEST(CompileService, EnqueueAfterShutdownIsRefusedNotHung) {
 }
 
 TEST(CompileService, ReportsParseFailures) {
+  MetricsRegistry Metrics;
   CompileServiceOptions Options;
   Options.Jobs = 0;
+  Options.Metrics = &Metrics;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "broken";
@@ -435,6 +437,7 @@ TEST(CompileService, ReportsParseFailures) {
   EXPECT_FALSE(Result.Ok);
   EXPECT_NE(Result.Error.find("parse error"), std::string::npos);
   EXPECT_EQ(Service.stats().Failed, 1u);
+  EXPECT_EQ(Metrics.counter("sxe_compile_failures_total").value(), 1u);
 }
 
 TEST(CompileService, AggregateStatsSumPerRunCounters) {

@@ -78,7 +78,7 @@ std::string batchRemarks(unsigned Jobs, CodeCache *Cache) {
   CompileServiceOptions Options;
   Options.Jobs = Jobs;
   Options.Cache = Cache;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   std::vector<std::future<CompileResult>> Futures;
   for (const char *Name : CorpusNames) {
@@ -414,7 +414,8 @@ TEST(TraceContext, HexFormRoundTrips) {
 // --- Event log ----------------------------------------------------------------
 
 TEST(EventLog, JsonlExportIsSchemaTaggedAndParseable) {
-  EventLog Log;
+  FlightRecorder Flight;
+  EventLog Log(Flight, /*Retain=*/true);
   TraceContext Ctx;
   Ctx.TraceId = 0xabcdef0011223344ull;
   Ctx.RequestId = 7;
@@ -447,7 +448,7 @@ TEST(EventLog, JsonlExportIsSchemaTaggedAndParseable) {
 
 TEST(EventLog, MirrorsEveryAppendIntoFlightRecorder) {
   FlightRecorder Flight(8);
-  EventLog Log(&Flight);
+  EventLog Log(Flight, /*Retain=*/true);
   TraceContext Ctx;
   Ctx.TraceId = mintTraceId();
   Ctx.RequestId = 1;
@@ -458,6 +459,21 @@ TEST(EventLog, MirrorsEveryAppendIntoFlightRecorder) {
   EXPECT_NE(Dump.find("\"admit\""), std::string::npos);
   EXPECT_NE(Dump.find("\"reply\""), std::string::npos);
   EXPECT_NE(Dump.find(traceIdHex(Ctx.TraceId)), std::string::npos);
+}
+
+TEST(EventLog, WithoutRetainOnlyTheRingRecords) {
+  FlightRecorder Flight(8);
+  EventLog Log(Flight, /*Retain=*/false);
+  TraceContext Ctx;
+  Ctx.TraceId = mintTraceId();
+  Ctx.RequestId = 1;
+  Log.log(ObsEventKind::Admit, Ctx, "m.sxir", {{"deadline_ms", "250"}});
+  Log.log(ObsEventKind::Reply, Ctx, "m.sxir", {{"status", "ok"}});
+  EXPECT_EQ(Flight.recorded(), 2u);
+  EXPECT_NE(Flight.dumpToString().find("\"reply\""), std::string::npos);
+  EXPECT_EQ(Log.size(), 0u);
+  EXPECT_EQ(Log.toJsonl(),
+            std::string("{\"schema\": \"") + kEventsSchema + "\"}\n");
 }
 
 // --- Flight recorder ----------------------------------------------------------

@@ -74,11 +74,11 @@ TEST(OrderDeterminationTest, HotBlocksComeFirst) {
 TEST(OrderDeterminationTest, InsertedFirstWithinATier) {
   OrderFixture Fx;
   // Pretend the loop has a second, inserted extension after the original.
-  auto Ext = std::make_unique<Instruction>(Opcode::Sext32);
+  Instruction *Ext = Fx.F->newInstruction(Opcode::Sext32);
   Ext->setDest(Fx.LoopExt->dest());
   Ext->addOperand(Fx.LoopExt->dest());
   Instruction *InsertedExt =
-      Fx.LoopExt->parent()->insertAfter(Fx.LoopExt, std::move(Ext));
+      Fx.LoopExt->parent()->insertAfter(Fx.LoopExt, Ext);
 
   std::unordered_set<Instruction *> Inserted = {InsertedExt};
   AnalysisCache A(*Fx.F, TargetInfo::ia64());

@@ -5,13 +5,16 @@
 //   - an entry document round-trips byte-identically (IR text, per-pass
 //     stats, remark stream, input hash);
 //   - artifacts survive the process boundary: a fresh cache instance on
-//     the same directory (with and without index.json) serves them back;
+//     the same directory serves them back, counting exactly the object
+//     files on disk (an index file left by an older build is ignored),
+//     and the LRU order survives a restart through the files' mtimes;
 //   - the compile service's tier-two probe returns byte-identical IR and
 //     a byte-identical replayed remark stream, and promotes the hit into
 //     the in-memory tier;
 //   - truncated/corrupted/key-mismatched entries, and entries in the
 //     previous sxe.pcache.v1 layout, load as a clean miss (and are
-//     dropped), after which the service compiles normally;
+//     dropped), after which the service compiles normally; an object
+//     another process removed is forgotten with its bytes;
 //   - a stored count no uint64_t holds (negative, huge) reads as 0;
 //   - LRU eviction enforces the byte budget;
 //   - enqueue after shutdown() counts Rejected and feeds
@@ -29,6 +32,7 @@
 #include "support/Json.h"
 #include "tests/TestHelpers.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -82,7 +86,7 @@ std::shared_ptr<const CompiledCode> compileReference(std::string &KeyOut,
                                                      int32_t Bias = 1) {
   CompileServiceOptions Options;
   Options.Jobs = 0;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "small";
@@ -104,6 +108,25 @@ fs::path soleObjectFile(const std::string &Dir) {
       return Entry.path();
   ADD_FAILURE() << "no object file under " << Objects;
   return {};
+}
+
+/// Where the cache stores \p Key: objects/<FNV-1a of the key>.json.
+fs::path objectFileFor(const std::string &Dir, const std::string &Key) {
+  StableHasher H;
+  H.mix(Key);
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "%016llx.json",
+                static_cast<unsigned long long>(H.result()));
+  return fs::path(Dir) / "objects" / Name;
+}
+
+/// Total size of the object files under <dir>/objects.
+uint64_t objectBytesOnDisk(const std::string &Dir) {
+  uint64_t Total = 0;
+  for (const auto &Entry : fs::directory_iterator(fs::path(Dir) / "objects"))
+    if (Entry.path().extension() == ".json")
+      Total += Entry.file_size();
+  return Total;
 }
 
 /// Encodes \p Code in the previous entry layout, sxe.pcache.v1: the
@@ -281,7 +304,7 @@ TEST(PersistentCache, SurvivesInstanceBoundary) {
     PersistentCache Writer({Dir.str(), 64ull << 20});
     Writer.insert(Key, *Code);
     EXPECT_TRUE(Writer.contains(Key));
-  } // Destructor flushes index.json.
+  } // Nothing to flush: the object file is the whole entry.
 
   PersistentCache Reader({Dir.str(), 64ull << 20});
   std::shared_ptr<const CompiledCode> Loaded = Reader.lookup(Key);
@@ -305,6 +328,92 @@ TEST(PersistentCache, RebuildsFromObjectsWhenIndexMissing) {
   std::shared_ptr<const CompiledCode> Loaded = Reader.lookup(Key);
   ASSERT_TRUE(Loaded);
   EXPECT_EQ(Code->IRText, Loaded->IRText);
+}
+
+TEST(PersistentCache, StaleIndexFileFromAnOlderBuildIsIgnored) {
+  // An older build kept an index.json beside objects/ and trusted it at
+  // startup. Leave one behind that lists only the first of three objects,
+  // as an exit without a final flush did: every object must still count,
+  // and an over-budget insert must evict down to the budget.
+  TempDir Dir("staleindex");
+  std::string Keys[4];
+  std::shared_ptr<const CompiledCode> Codes[4];
+  for (int I = 0; I < 4; ++I)
+    Codes[I] = compileReference(Keys[I], /*Bias=*/I + 1);
+  {
+    PersistentCache First({Dir.str(), 64ull << 20});
+    First.insert(Keys[0], *Codes[0]);
+  }
+  fs::path First = soleObjectFile(Dir.str());
+  JsonWriter Index;
+  Index.beginObject();
+  Index.keyValue("schema", "sxe.pcache-index.v1");
+  Index.key("entries");
+  Index.beginArray();
+  Index.beginObject();
+  Index.keyValue("key", Keys[0]);
+  Index.keyValue("file", First.filename().string());
+  Index.keyValue("bytes", static_cast<uint64_t>(fs::file_size(First)));
+  Index.keyValue("access", static_cast<uint64_t>(1));
+  Index.endObject();
+  Index.endArray();
+  Index.endObject();
+  {
+    PersistentCache Second({Dir.str(), 64ull << 20});
+    Second.insert(Keys[1], *Codes[1]);
+    Second.insert(Keys[2], *Codes[2]);
+  }
+  ASSERT_TRUE(writeTextFile((fs::path(Dir.str()) / "index.json").string(),
+                            Index.take()));
+
+  uint64_t Budget = objectBytesOnDisk(Dir.str());
+  PersistentCache Cache({Dir.str(), Budget});
+  PersistentCacheStats Stats = Cache.stats();
+  EXPECT_EQ(3u, Stats.Entries);
+  EXPECT_EQ(Budget, Stats.Bytes);
+
+  Cache.insert(Keys[3], *Codes[3]);
+  Stats = Cache.stats();
+  EXPECT_GE(Stats.Evictions, 1u);
+  EXPECT_LE(Stats.Bytes, Budget);
+  EXPECT_EQ(objectBytesOnDisk(Dir.str()), Stats.Bytes);
+  EXPECT_TRUE(Cache.contains(Keys[3]));
+}
+
+TEST(PersistentCache, RecencySurvivesRestartThroughMtime) {
+  TempDir Dir("recency");
+  std::string Keys[4];
+  std::shared_ptr<const CompiledCode> Codes[4];
+  for (int I = 0; I < 4; ++I)
+    Codes[I] = compileReference(Keys[I], /*Bias=*/I + 1);
+  {
+    PersistentCache Writer({Dir.str(), 64ull << 20});
+    for (int I = 0; I < 3; ++I)
+      Writer.insert(Keys[I], *Codes[I]);
+  }
+  // Explicit, distinct ages: [0] the oldest, [2] the newest.
+  fs::file_time_type Now = fs::file_time_type::clock::now();
+  for (int I = 0; I < 3; ++I) {
+    fs::path Object = objectFileFor(Dir.str(), Keys[I]);
+    ASSERT_TRUE(fs::exists(Object)) << Object;
+    fs::last_write_time(Object, Now - std::chrono::hours(3 - I));
+  }
+  {
+    // A hit makes [0] the most recently used; [1] is now the oldest
+    // untouched entry.
+    PersistentCache Reader({Dir.str(), 64ull << 20});
+    ASSERT_TRUE(Reader.lookup(Keys[0]) != nullptr);
+  }
+
+  // Restart under a budget that holds three entries but not four.
+  uint64_t Stored = objectBytesOnDisk(Dir.str());
+  PersistentCache Cache({Dir.str(), Stored + Stored / 6});
+  Cache.insert(Keys[3], *Codes[3]);
+  EXPECT_EQ(1u, Cache.stats().Evictions);
+  EXPECT_TRUE(Cache.contains(Keys[0]));
+  EXPECT_FALSE(Cache.contains(Keys[1]));
+  EXPECT_TRUE(Cache.contains(Keys[2]));
+  EXPECT_TRUE(Cache.contains(Keys[3]));
 }
 
 TEST(PersistentCache, FindsEntriesWrittenByAnotherInstance) {
@@ -359,6 +468,23 @@ TEST(PersistentCache, TruncatedEntryIsACleanMiss) {
   EXPECT_FALSE(fs::exists(Object));
 }
 
+TEST(PersistentCache, ObjectRemovedByAnotherProcessLeavesNoBytesBehind) {
+  TempDir Dir("removed");
+  std::string Key;
+  std::shared_ptr<const CompiledCode> Code = compileReference(Key);
+  PersistentCache Cache({Dir.str(), 64ull << 20});
+  Cache.insert(Key, *Code);
+  ASSERT_EQ(1u, Cache.stats().Entries);
+  fs::remove(soleObjectFile(Dir.str()));
+
+  EXPECT_EQ(nullptr, Cache.lookup(Key));
+  PersistentCacheStats Stats = Cache.stats();
+  EXPECT_EQ(1u, Stats.Misses);
+  EXPECT_EQ(0u, Stats.CorruptDropped);
+  EXPECT_EQ(0u, Stats.Entries);
+  EXPECT_EQ(0u, Stats.Bytes);
+}
+
 TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
   TempDir Dir("fallback");
   std::string Key;
@@ -381,7 +507,7 @@ TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
   Options.Jobs = 0;
   Options.Cache = &Memory;
   Options.Persistent = &Cache;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "small";
@@ -419,7 +545,7 @@ TEST(PersistentCache, PreviousSchemaEntryIsACleanMiss) {
   Options.Jobs = 0;
   Options.Cache = &Memory;
   Options.Persistent = &Cache;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "small";
@@ -454,7 +580,7 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
     Options.Jobs = 0;
     Options.Cache = &Memory;
     Options.Persistent = &Disk;
-    Options.CollectRemarks = true;
+    Options.PM.CollectRemarks = true;
     CompileService Service(Options);
     CompileRequest Request;
     Request.Name = "small";
@@ -477,7 +603,7 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
   Options.Cache = &Memory;
   Options.Persistent = &Disk;
   Options.Metrics = &Metrics;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "small";

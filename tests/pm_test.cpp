@@ -115,10 +115,10 @@ public:
   void run(Function &F, PassContext &) override {
     for (Instruction &I : *F.entryBlock())
       if (I.hasDest() && I.type() == Type::I32 && !I.isTerminator()) {
-        auto Ext = std::make_unique<Instruction>(Opcode::Sext32);
+        Instruction *Ext = F.newInstruction(Opcode::Sext32);
         Ext->setDest(I.dest());
         Ext->addOperand(I.dest());
-        F.entryBlock()->insertAfter(&I, std::move(Ext));
+        F.entryBlock()->insertAfter(&I, Ext);
         return;
       }
   }

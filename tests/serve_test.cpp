@@ -20,7 +20,8 @@
 //     legacy id-less payloads decode to absent), the daemon echoes a
 //     client-minted id and mints one for legacy clients, lifecycle events
 //     land in the structured log under the request's ids, the Dump frame
-//     returns a parseable sxe.flight.v1 recording, and the per-request
+//     returns a parseable sxe.flight.v1 recording (which holds each
+//     request's lifecycle with tracing off too), and the per-request
 //     span set is identical at 1 and 4 workers (stitching determinism).
 //
 //===-----------------------------------------------------------------------------===//
@@ -124,7 +125,7 @@ std::string smallSource(int32_t Bias = 1) {
 std::string referenceIR(const std::string &Source) {
   CompileServiceOptions Options;
   Options.Jobs = 0;
-  Options.CollectRemarks = true;
+  Options.PM.CollectRemarks = true;
   CompileService Service(Options);
   CompileRequest Request;
   Request.Name = "ref";
@@ -657,7 +658,7 @@ TEST(ServeDaemon, RestartServesFromWarmPersistentCache) {
     ASSERT_TRUE(Reply.Ok) << Reply.Error;
     EXPECT_EQ(ServeTier::Compiled, Reply.Tier);
     FirstIR = Reply.IRText;
-    Daemon.stop(); // Flushes the persistent index.
+    Daemon.stop(); // The entry was published when the compile wrote it.
   }
 
   // Second daemon, same cache dir: the artifact comes off disk without a
@@ -997,6 +998,43 @@ TEST(ServeDaemon, DumpFrameReturnsParseableFlightRecording) {
   EXPECT_EQ(kFlightSchema, Doc.stringField("schema"));
   EXPECT_NE(std::string::npos, Dump.find("\"admit\""));
   EXPECT_NE(std::string::npos, Dump.find(traceIdHex(Reply.TraceId)));
+  Daemon.stop();
+}
+
+TEST(ServeDaemon, NoTraceStillRecordsLifecycleInFlightRecorder) {
+  TempDir Dir("notrace");
+  ServeDaemonOptions Options;
+  Options.SocketPath = Dir.sock();
+  Options.Jobs = 1;
+  Options.Tracing = false;
+  ServeDaemon Daemon(Options);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(Error)) << Error;
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
+  ServeRequest Request;
+  Request.Name = "untraced.sxir";
+  Request.Source = smallSource(/*Bias=*/43);
+  ServeReply Reply;
+  ASSERT_TRUE(Client.compile(Request, Reply, Error)) << Error;
+  ASSERT_TRUE(Reply.Ok) << Reply.Error;
+  ASSERT_EQ(1u, Reply.RequestId);
+
+  // The ring holds the request's whole lifecycle; the log retains nothing.
+  std::set<std::string> Events;
+  std::istringstream In(Daemon.flightRecorder().dumpToString());
+  for (std::string Line; std::getline(In, Line);) {
+    JsonValue Doc;
+    ASSERT_TRUE(parseJson(Line, Doc, Error)) << Line << ": " << Error;
+    if (Doc.uint64Field("request_id") == 1 &&
+        Doc.stringField("trace_id") == traceIdHex(Reply.TraceId))
+      Events.insert(Doc.stringField("event"));
+  }
+  EXPECT_EQ(1u, Events.count("admit"));
+  EXPECT_EQ(1u, Events.count("cache_tier"));
+  EXPECT_EQ(1u, Events.count("reply"));
+  EXPECT_EQ(0u, Daemon.eventLog().size());
   Daemon.stop();
 }
 

@@ -1,6 +1,7 @@
 //===- tests/target_test.cpp - Target model, cost model, static census ------------===//
 
 #include "ir/IRBuilder.h"
+#include "sxe/Pipeline.h"
 #include "target/CostModel.h"
 #include "target/StaticCounts.h"
 #include "target/TargetInfo.h"
@@ -184,10 +185,10 @@ TEST(StaticCountsTest, HandBuiltCensus) {
   B.sext(32, P);
   B.zext32(P);
   for (int K = 0; K < 2; ++K) {
-    auto Dummy = std::make_unique<Instruction>(Opcode::JustExtended);
+    Instruction *Dummy = F->newInstruction(Opcode::JustExtended);
     Dummy->setDest(P);
     Dummy->addOperand(P);
-    F->entryBlock()->append(std::move(Dummy));
+    F->entryBlock()->append(Dummy);
   }
   B.add32(P, P); // Non-extension noise must not be counted.
   B.ret(S1);
@@ -227,6 +228,38 @@ TEST(StaticCountsTest, EmptyFunctionCountsZero) {
   EXPECT_EQ(Counts.totalSext(), 0u);
   EXPECT_EQ(Counts.Zext32, 0u);
   EXPECT_EQ(Counts.Dummies, 0u);
+}
+
+TEST(NameTablesTest, TargetAndVariantNamesRoundTrip) {
+  for (const TargetInfo *T : {&TargetInfo::ia64(), &TargetInfo::ppc64(),
+                              &TargetInfo::generic64(),
+                              &TargetInfo::x86_64()})
+    EXPECT_EQ(T, TargetInfo::byName(T->name())) << T->name();
+  EXPECT_EQ(nullptr, TargetInfo::byName("x86"));
+  EXPECT_EQ(nullptr, TargetInfo::byName(""));
+
+  // Every row label the paper's tables print resolves to its own row.
+  for (Variant V : AllVariants) {
+    Variant Back = V == Variant::All ? Variant::Baseline : Variant::All;
+    ASSERT_TRUE(variantByName(variantName(V), Back)) << variantName(V);
+    EXPECT_EQ(V, Back) << variantName(V);
+  }
+  const std::pair<const char *, Variant> Shorthands[] = {
+      {"all", Variant::All},
+      {"baseline", Variant::Baseline},
+      {"first", Variant::FirstAlgorithm},
+      {"basic", Variant::BasicUdDu},
+      {"array", Variant::Array},
+  };
+  for (const auto &[Name, Expected] : Shorthands) {
+    Variant Back = Variant::GenUse;
+    ASSERT_TRUE(variantByName(Name, Back)) << Name;
+    EXPECT_EQ(Expected, Back) << Name;
+  }
+  Variant Untouched = Variant::Order;
+  EXPECT_FALSE(variantByName("new algorithm", Untouched));
+  EXPECT_FALSE(variantByName("", Untouched));
+  EXPECT_EQ(Variant::Order, Untouched);
 }
 
 } // namespace

@@ -57,24 +57,24 @@ TEST(VerifierNegativeTest, OperandRegisterOutOfRange) {
 
 TEST(VerifierNegativeTest, ArrayLoadFromNonArray) {
   Fixture Fx;
-  auto Inst = std::make_unique<Instruction>(Opcode::ArrayLoad);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::ArrayLoad);
   Inst->setType(Type::I32);
   Inst->setDest(Fx.F->newReg(Type::I32));
   Inst->addOperand(Fx.IntP); // Should be an arrayref.
   Inst->addOperand(Fx.IntP);
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("arrayref"));
 }
 
 TEST(VerifierNegativeTest, FloatIntoIntegerOp) {
   Fixture Fx;
-  auto Inst = std::make_unique<Instruction>(Opcode::Add);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Add);
   Inst->setWidth(Width::W32);
   Inst->setDest(Fx.F->newReg(Type::I32));
   Inst->addOperand(Fx.IntP);
   Inst->addOperand(Fx.DblP); // f64 into an integer add.
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("integer register"));
 }
@@ -89,10 +89,10 @@ TEST(VerifierNegativeTest, CallArityMismatch) {
     CB.ret(Q);
   }
   // Call with zero arguments against a one-parameter callee.
-  auto Inst = std::make_unique<Instruction>(Opcode::Call);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Call);
   Inst->setCallee(Callee);
   Inst->setDest(Fx.F->newReg(Type::I32));
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("argument count"));
 }
@@ -138,11 +138,11 @@ TEST(VerifierNegativeTest, ReturnClassMismatch) {
 TEST(VerifierNegativeTest, BranchConditionMustBeInteger) {
   Fixture Fx;
   BasicBlock *Next = Fx.F->createBlock("next");
-  auto Inst = std::make_unique<Instruction>(Opcode::Br);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Br);
   Inst->addOperand(Fx.DblP);
   Inst->setSuccessor(0, Next);
   Inst->setSuccessor(1, Next);
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.setBlock(Next);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("integer register"));
@@ -157,41 +157,41 @@ TEST(VerifierNegativeTest, SuccessorFromAnotherFunction) {
     Foreign = OB.startBlock("entry");
     OB.retVoid();
   }
-  auto Inst = std::make_unique<Instruction>(Opcode::Jmp);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Jmp);
   Inst->setSuccessor(0, Foreign);
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   EXPECT_TRUE(Fx.rejected("another function"));
 }
 
 TEST(VerifierNegativeTest, NewArrayWithBadElementType) {
   Fixture Fx;
-  auto Inst = std::make_unique<Instruction>(Opcode::NewArray);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::NewArray);
   Inst->setType(Type::ArrayRef); // Arrays of arrays are not modeled.
   Inst->setDest(Fx.F->newReg(Type::ArrayRef));
   Inst->addOperand(Fx.IntP);
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("element type"));
 }
 
 TEST(VerifierNegativeTest, MissingDestination) {
   Fixture Fx;
-  auto Inst = std::make_unique<Instruction>(Opcode::Add);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Add);
   Inst->setWidth(Width::W32);
   Inst->addOperand(Fx.IntP);
   Inst->addOperand(Fx.IntP);
-  Fx.F->entryBlock()->append(std::move(Inst)); // No dest set.
+  Fx.F->entryBlock()->append(Inst); // No dest set.
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("destination"));
 }
 
 TEST(VerifierNegativeTest, WrongOperandCount) {
   Fixture Fx;
-  auto Inst = std::make_unique<Instruction>(Opcode::Add);
+  Instruction *Inst = Fx.F->newInstruction(Opcode::Add);
   Inst->setWidth(Width::W32);
   Inst->setDest(Fx.F->newReg(Type::I32));
   Inst->addOperand(Fx.IntP); // Only one operand.
-  Fx.F->entryBlock()->append(std::move(Inst));
+  Fx.F->entryBlock()->append(Inst);
   Fx.B.ret(Fx.IntP);
   EXPECT_TRUE(Fx.rejected("operand count"));
 }

@@ -84,18 +84,6 @@ bool consumeFlag(const char *Arg, const char *Name, const char **Value) {
   return false;
 }
 
-const TargetInfo *targetByName(const std::string &Name) {
-  if (Name == "ia64")
-    return &TargetInfo::ia64();
-  if (Name == "ppc64")
-    return &TargetInfo::ppc64();
-  if (Name == "generic64")
-    return &TargetInfo::generic64();
-  if (Name == "x86_64")
-    return &TargetInfo::x86_64();
-  return nullptr;
-}
-
 bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
   for (int Index = 1; Index < Argc; ++Index) {
     const char *Arg = Argv[Index];
@@ -130,7 +118,7 @@ bool parseArgs(int Argc, char **Argv, ToolOptions &Options) {
         if (Comma == std::string::npos)
           Comma = List.size();
         std::string Name = List.substr(Pos, Comma - Pos);
-        const TargetInfo *Target = targetByName(Name);
+        const TargetInfo *Target = TargetInfo::byName(Name);
         if (!Target) {
           std::fprintf(stderr, "sxe-difftest: unknown target '%s'\n",
                        Name.c_str());

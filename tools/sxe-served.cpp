@@ -13,21 +13,25 @@
 //
 // Binds a unix-domain socket, serves framed compile requests (see
 // serve/Protocol.h) until SIGTERM/SIGINT or a client Shutdown frame, then
-// drains gracefully: admitted requests finish and deliver their replies,
-// the persistent cache index is flushed, the socket is unlinked. With
-// --metrics-file the final Prometheus exposition is written on exit (CI
-// validates it with `sxetool --validate-obs`).
+// drains gracefully: admitted requests finish and deliver their replies
+// and the socket is unlinked. With --metrics-file the final Prometheus
+// exposition is written on exit (CI validates it with `sxetool
+// --validate-obs`).
 //
 // `--cache-dir` enables the persistent on-disk code cache; a restarted
 // daemon pointed at the same directory serves warm artifacts without
-// recompiling (`sxe-client --require-persistent-hit` asserts this).
+// recompiling (`sxe-client --require-persistent-hit` asserts this). The
+// directory holds one object file per artifact and no index file, so a
+// restart after kill -9 sees every object a clean drain would have left.
 //
-// Observability: request-scoped tracing and the structured event log are
-// on by default (--no-trace disables both). --trace-file/--events-file
-// write the stitched sxe.trace.v1 / sxe.events.v1 artifacts at drain.
-// The crash-safe flight recorder is always armed: on SIGSEGV and friends
-// the last --flight-capacity lifecycle events are dumped (sxe.flight.v1
-// JSONL) to --flight-dump, defaulting to `<socket>.flight.jsonl`.
+// Observability: request-scoped tracing and the retained structured event
+// log are on by default (--no-trace disables both). --trace-file/
+// --events-file write the stitched sxe.trace.v1 / sxe.events.v1 artifacts
+// at drain. The crash-safe flight recorder is always armed, --no-trace
+// included: every lifecycle event lands in its ring, on SIGSEGV and
+// friends the last --flight-capacity events are dumped (sxe.flight.v1
+// JSONL) to --flight-dump, defaulting to `<socket>.flight.jsonl`, and
+// `sxe-client --dump` fetches the same ring from a live daemon.
 //
 //===----------------------------------------------------------------------------===//
 
