@@ -22,9 +22,9 @@
 ///    interpreter's null, bounds and wild-address checks followed by a
 ///    scaled-index access;
 ///  - division, floating-point compares, D2I, array allocation and traps
-///    lower to runtime-helper call pseudos whose C implementations
-///    (codegen/NativeEngine.cpp) mirror interpreter semantics including
-///    trap behaviour;
+///    lower to runtime-helper call pseudos; the C implementations
+///    (codegen/NativeEngine.cpp) evaluate through ir/Semantics.h and trap
+///    where the interpreter traps;
 ///  - any vreg live into the entry block that is not a parameter gets an
 ///    explicit zero initialization, matching the interpreter's JVM-like
 ///    zeroed locals.

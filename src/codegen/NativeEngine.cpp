@@ -2,9 +2,10 @@
 //
 // The runtime half of the baseline backend: the NativeCtx struct the
 // emitted code addresses by fixed offsets, the array heap whose descriptor
-// table inline array access reads, the C runtime helpers that reproduce
-// the interpreter's trap-visible semantics (Machine mode on the x86_64
-// target) bit for bit, and the compile/run pipeline.
+// table inline array access reads, the C runtime helpers (the semantics
+// of Machine mode on the x86_64 target, evaluated through ir/Semantics.h
+// and trapping where the interpreter traps), and the compile/run
+// pipeline.
 //
 // Traps unwind by longjmp: every helper that detects a trap condition, and
 // rt_trap, which the emitted checks branch to, records the kind and
@@ -21,11 +22,11 @@
 #include "codegen/Emitter.h"
 #include "codegen/LiveIntervals.h"
 #include "codegen/MachineVerifier.h"
+#include "ir/Semantics.h"
 #include "ir/Verifier.h"
 #include "support/Error.h"
 #include "support/Timer.h"
 
-#include <cmath>
 #include <csetjmp>
 #include <cstddef>
 #include <cstring>
@@ -81,12 +82,6 @@ struct NativeRuntime {
   std::jmp_buf Unwind;
 };
 
-double bitsAsDouble(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
 [[noreturn]] void raiseTrap(NativeCtx *Ctx, TrapKind Kind,
                             const char *Message) {
   Ctx->RT->Trap = Kind;
@@ -98,10 +93,10 @@ double bitsAsDouble(uint64_t Bits) {
 //
 // Signatures follow the emitter's helper calling convention: ctx first,
 // then the IR operands in order, then the payload immediate (element
-// type / predicate / trap kind) when the helper has one. Each body is a
-// transliteration of the corresponding Interpreter.cpp case, including
-// the post-execute W32 masking the x86_64 target model applies (division
-// and d2i return zero-extended 32-bit results).
+// type / predicate / trap kind) when the helper has one. Division, d2i
+// and fcmp compute through ir/Semantics.h, as the interpreter does; the
+// helpers add only what x86-64 adds: W32 division and d2i return
+// zero-extended 32-bit results, and a trap longjmps out.
 
 uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len) {
   NativeRuntime &RT = *Ctx->RT;
@@ -126,96 +121,41 @@ uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len) {
   return RT.Arrays.size(); // Handle: index + 1; 0 is the null reference.
 }
 
-/// W32 division, Java semantics on x86-64: idiv consumes the low 32 bits
-/// only, so unextended upper halves cannot influence the result; the
-/// 64-bit quotient of int32 operands never overflows, and the final
-/// int32 cast wraps INT_MIN/-1 like the hardware sequence does. The
-/// result is zero-extended (a 32-bit register write).
-uint64_t div32Common(NativeCtx *Ctx, uint64_t A64, uint64_t B64, bool IsDiv) {
-  int64_t A = static_cast<int32_t>(A64);
-  int64_t B = static_cast<int32_t>(B64);
-  if (static_cast<int32_t>(B) == 0)
+/// Division through the shared evaluator. `idiv r32` reads the low 32 bits
+/// of each register, and a W32 result is a 32-bit register write, which
+/// zero-extends.
+uint64_t divide(NativeCtx *Ctx, Opcode Op, Width W, uint64_t A, uint64_t B) {
+  Evaluation E = evaluate(Op, W, CmpPred::EQ, A, B, DivOperands::Low32);
+  if (E.DivByZero)
     raiseTrap(Ctx, TrapKind::DivByZero, "integer divide by zero");
-  int64_t Quotient = A / B;
-  int64_t Value = IsDiv ? Quotient : A - Quotient * B;
-  return static_cast<uint32_t>(static_cast<int32_t>(Value));
+  return W == Width::W32 ? E.Value & 0xFFFFFFFF : E.Value;
 }
 
 uint64_t rtDiv32(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div32Common(Ctx, A, B, true);
+  return divide(Ctx, Opcode::Div, Width::W32, A, B);
 }
 
 uint64_t rtRem32(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div32Common(Ctx, A, B, false);
-}
-
-uint64_t div64Common(NativeCtx *Ctx, uint64_t A64, uint64_t B64, bool IsDiv) {
-  int64_t A = static_cast<int64_t>(A64);
-  int64_t B = static_cast<int64_t>(B64);
-  if (B == 0)
-    raiseTrap(Ctx, TrapKind::DivByZero, "integer divide by zero");
-  if (A == INT64_MIN && B == -1) // Java wraps; C leaves this undefined.
-    return IsDiv ? static_cast<uint64_t>(INT64_MIN) : 0;
-  return static_cast<uint64_t>(IsDiv ? A / B : A % B);
+  return divide(Ctx, Opcode::Rem, Width::W32, A, B);
 }
 
 uint64_t rtDiv64(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div64Common(Ctx, A, B, true);
+  return divide(Ctx, Opcode::Div, Width::W64, A, B);
 }
 
 uint64_t rtRem64(NativeCtx *Ctx, uint64_t A, uint64_t B) {
-  return div64Common(Ctx, A, B, false);
+  return divide(Ctx, Opcode::Rem, Width::W64, A, B);
 }
 
-/// Saturating double-to-int32 (Java d2i), returned zero-extended — the
-/// cvttsd2si destination is a 32-bit register write.
+/// Java d2i, returned zero-extended: the cvttsd2si destination is a 32-bit
+/// register write.
 uint64_t rtD2I(NativeCtx *, uint64_t Bits) {
-  double D = bitsAsDouble(Bits);
-  int32_t Value;
-  if (std::isnan(D))
-    Value = 0;
-  else if (D >= 2147483647.0)
-    Value = INT32_MAX;
-  else if (D <= -2147483648.0)
-    Value = INT32_MIN;
-  else
-    Value = static_cast<int32_t>(D);
-  return static_cast<uint32_t>(Value);
+  return static_cast<uint32_t>(d2i(bitsToDouble(Bits)));
 }
 
 uint64_t rtFCmp(NativeCtx *, uint64_t ABits, uint64_t BBits, uint64_t Pred) {
-  double A = bitsAsDouble(ABits), B = bitsAsDouble(BBits);
-  bool Truth;
-  if (std::isnan(A) || std::isnan(B))
-    Truth = static_cast<CmpPred>(Pred) == CmpPred::NE; // Unordered: only !=.
-  else
-    switch (static_cast<CmpPred>(Pred)) {
-    case CmpPred::EQ:
-      Truth = A == B;
-      break;
-    case CmpPred::NE:
-      Truth = A != B;
-      break;
-    case CmpPred::SLT:
-    case CmpPred::ULT:
-      Truth = A < B;
-      break;
-    case CmpPred::SLE:
-    case CmpPred::ULE:
-      Truth = A <= B;
-      break;
-    case CmpPred::SGT:
-    case CmpPred::UGT:
-      Truth = A > B;
-      break;
-    case CmpPred::SGE:
-    case CmpPred::UGE:
-      Truth = A >= B;
-      break;
-    default:
-      Truth = false;
-    }
-  return Truth ? 1 : 0;
+  return fcmp(static_cast<CmpPred>(Pred), bitsToDouble(ABits),
+              bitsToDouble(BBits));
 }
 
 /// Raises the trap the emitted code detected (\p Code is a TrapKind,

@@ -20,9 +20,10 @@
 /// then indexes the element with a scaled-index address, so the index
 /// register the sign-extension optimizer left behind is the one the
 /// hardware uses. The other operations with observable trap behaviour
-/// (array allocation, division, explicit traps) go through C runtime
-/// helpers that reproduce the interpreter's checks bit for bit. Either
-/// way a trap longjmps out through rt_trap or the helper.
+/// (array allocation, division, explicit traps), plus d2i and fcmp, go
+/// through C runtime helpers; the arithmetic ones evaluate through
+/// ir/Semantics.h, as the interpreter does. Either way a trap longjmps
+/// out through rt_trap or the helper.
 ///
 /// Native execution is gated twice: hostSupported() requires an x86-64
 /// POSIX host, and compile() can still fail at mprotect time (W^X-hostile

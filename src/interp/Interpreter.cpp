@@ -2,13 +2,11 @@
 
 #include "interp/Interpreter.h"
 
+#include "ir/Semantics.h"
 #include "ir/Verifier.h"
 #include "support/Error.h"
 #include "target/CostModel.h"
 
-#include <cmath>
-#include <cstring>
-#include <limits>
 
 using namespace sxe;
 
@@ -40,18 +38,6 @@ const char *sxe::trapKindName(TrapKind Kind) {
 
 namespace {
 
-double bitsToDouble(uint64_t Bits) {
-  double D;
-  std::memcpy(&D, &Bits, sizeof(D));
-  return D;
-}
-
-uint64_t doubleToBits(double D) {
-  uint64_t Bits;
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  return Bits;
-}
-
 /// One heap-allocated array.
 struct ArrayObject {
   Type ElemTy;
@@ -81,27 +67,6 @@ private:
     Result.TrapMessage = Message;
   }
 
-  /// Canonicalizes \p Value to the width of register type \p Ty (sign-
-  /// extend I8/I16/I32, zero-extend U16, identity otherwise).
-  static uint64_t canonicalValue(uint64_t Value, Type Ty) {
-    switch (Ty) {
-    case Type::I8:
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int8_t>(Value)));
-    case Type::I16:
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int16_t>(Value)));
-    case Type::U16:
-      return Value & 0xFFFF;
-    case Type::I32:
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(Value)));
-    default:
-      return Value;
-    }
-  }
-
-  bool compare(CmpPred Pred, int64_t A, int64_t B, uint64_t UA, uint64_t UB);
   void pushFrame(const Function &F, const std::vector<uint64_t> &Args,
                  Reg ResultReg);
   void execute(const Instruction &I);
@@ -114,33 +79,6 @@ private:
   ExecResult Result;
   uint64_t RetValue = 0; ///< Value being returned to the caller.
 };
-
-bool Machine::compare(CmpPred Pred, int64_t A, int64_t B, uint64_t UA,
-                      uint64_t UB) {
-  switch (Pred) {
-  case CmpPred::EQ:
-    return A == B;
-  case CmpPred::NE:
-    return A != B;
-  case CmpPred::SLT:
-    return A < B;
-  case CmpPred::SLE:
-    return A <= B;
-  case CmpPred::SGT:
-    return A > B;
-  case CmpPred::SGE:
-    return A >= B;
-  case CmpPred::ULT:
-    return UA < UB;
-  case CmpPred::ULE:
-    return UA <= UB;
-  case CmpPred::UGT:
-    return UA > UB;
-  case CmpPred::UGE:
-    return UA >= UB;
-  }
-  sxeUnreachable("invalid CmpPred enumerator");
-}
 
 void Machine::pushFrame(const Function &F, const std::vector<uint64_t> &Args,
                         Reg ResultReg) {
@@ -194,7 +132,7 @@ ExecResult Machine::run(const Function &Entry,
         I.opcode() != Opcode::Call && !Stack.empty()) {
       Frame &Top2 = Stack.back();
       Top2.Regs[I.dest()] =
-          canonicalValue(Top2.Regs[I.dest()], Top2.F->regType(I.dest()));
+          canonical(Top2.Regs[I.dest()], Top2.F->regType(I.dest()));
     }
   }
   if (Result.Trap == TrapKind::None)
@@ -202,13 +140,13 @@ ExecResult Machine::run(const Function &Entry,
   return Result;
 }
 
-// Opcode dispatch. On GNU-compatible compilers the interpreter indexes a
-// computed-goto label table with the opcode byte instead of running the
-// switch lowering (bounds check + jump through a compiler-shaped table);
-// the direct indexed jump is the classic threaded-interpreter dispatch and
-// gives each opcode's jump its own branch-predictor slot. Elsewhere the
-// same handler bodies compile as a dense switch. Define
-// SXE_FORCE_SWITCH_DISPATCH to benchmark the switch form on GCC/Clang.
+// Opcode dispatch. The interpreter indexes a computed-goto label table
+// with the opcode byte instead of running the switch lowering (bounds
+// check + jump through a compiler-shaped table); the direct indexed jump
+// is the classic threaded-interpreter dispatch and gives each opcode's
+// jump its own branch-predictor slot. Labels as values need a
+// GNU-compatible compiler, as __int128 in sxe/Elimination.cpp already
+// does.
 //
 // The X-macro lists every opcode in declaration order; the static_assert
 // below keeps the label table in lockstep with the Opcode enum.
@@ -219,7 +157,6 @@ ExecResult Machine::run(const Function &Entry,
   X(FSub) X(FMul) X(FDiv) X(FNeg) X(I2D) X(D2I) X(Cmp) X(FCmp) X(Br) X(Jmp)  \
   X(Ret) X(Call) X(Trap) X(NewArray) X(ArrayLen) X(ArrayLoad) X(ArrayStore)
 
-#if defined(__GNUC__) && !defined(SXE_FORCE_SWITCH_DISPATCH)
 #define SXE_DISPATCH_BEGIN(Op)                                                 \
   static const void *const DispatchTable[] = {SXE_FOR_EACH_OPCODE(             \
       SXE_OPCODE_LABEL_ADDR)};                                                 \
@@ -229,21 +166,31 @@ ExecResult Machine::run(const Function &Entry,
   goto *DispatchTable[static_cast<unsigned>(Op)];
 #define SXE_OPCODE_LABEL_ADDR(Name) &&Handle##Name,
 #define SXE_CASE(Name) Handle##Name:
-#define SXE_DISPATCH_END()
-#else
-#define SXE_DISPATCH_BEGIN(Op) switch (Op) {
-#define SXE_CASE(Name) SXE_CASE(Name)
-#define SXE_DISPATCH_END() }
-#endif
 
 void Machine::execute(const Instruction &I) {
   Frame &F = Stack.back();
   auto Val = [&](unsigned Index) { return F.Regs[I.operand(Index)]; };
   auto Set = [&](uint64_t Value) { F.Regs[I.dest()] = Value; };
-  auto Low32 = [&](unsigned Index) {
-    return static_cast<int32_t>(Val(Index));
-  };
   auto FVal = [&](unsigned Index) { return bitsToDouble(Val(Index)); };
+  // The pure integer operations evaluate through ir/Semantics.h. Every
+  // handler passes its own constant opcode, so the inlined evaluator's
+  // switch folds away.
+  auto Unary = [&](Opcode Op) {
+    Set(evaluate(Op, I.width(), I.pred(), Val(0), 0).Value);
+  };
+  auto Binary = [&](Opcode Op) {
+    Set(evaluate(Op, I.width(), I.pred(), Val(0), Val(1)).Value);
+  };
+  auto Divide = [&](Opcode Op) {
+    Evaluation E = evaluate(Op, I.width(), I.pred(), Val(0), Val(1),
+                            Options.Target->w32ResultsZeroExtend()
+                                ? DivOperands::Low32
+                                : DivOperands::FullRegister);
+    if (E.DivByZero)
+      trap(TrapKind::DivByZero, "integer divide by zero");
+    else
+      Set(E.Value);
+  };
 
   ++Result.ExecutedInstructions;
   Result.Cycles += instructionCycleCost(I, *Options.Target);
@@ -259,133 +206,41 @@ void Machine::execute(const Instruction &I) {
     Set(Val(0));
     return;
 
-  // Integer arithmetic: full 64-bit register operations regardless of the
-  // semantic width (the IA64 model); only the shift family and division
-  // lower differently, see below.
-  SXE_CASE(Add)
-    Set(Val(0) + Val(1));
-    return;
-  SXE_CASE(Sub)
-    Set(Val(0) - Val(1));
-    return;
-  SXE_CASE(Mul)
-    Set(Val(0) * Val(1));
-    return;
-  SXE_CASE(Div)
-  SXE_CASE(Rem) {
-    // The JIT's divide sequence consumes sign-extended inputs and produces
-    // a sign-extended Java-semantics result. Executed on unextended inputs
-    // it produces garbage, which differential tests detect.
-    if (I.isW32()) {
-      int64_t A, B;
-      if (Options.Target->w32ResultsZeroExtend()) {
-        // x86-64 idiv consumes 32-bit registers, so the upper halves of
-        // unextended inputs cannot influence the result.
-        A = Low32(0);
-        B = Low32(1);
-      } else {
-        A = static_cast<int64_t>(Val(0));
-        B = static_cast<int64_t>(Val(1));
-      }
-      if (static_cast<int32_t>(B) == 0) {
-        trap(TrapKind::DivByZero, "integer divide by zero");
-        return;
-      }
-      int64_t Quotient = A / B; // Never overflows in 64-bit for i32 data.
-      int64_t Value = I.opcode() == Opcode::Div ? Quotient : A - Quotient * B;
-      Set(static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<int32_t>(Value))));
-      return;
-    }
-    int64_t A = static_cast<int64_t>(Val(0));
-    int64_t B = static_cast<int64_t>(Val(1));
-    if (B == 0) {
-      trap(TrapKind::DivByZero, "integer divide by zero");
-      return;
-    }
-    if (A == INT64_MIN && B == -1) { // Java wraps.
-      Set(I.opcode() == Opcode::Div ? static_cast<uint64_t>(INT64_MIN) : 0);
-      return;
-    }
-    Set(static_cast<uint64_t>(I.opcode() == Opcode::Div ? A / B : A % B));
-    return;
-  }
-  SXE_CASE(And)
-    Set(Val(0) & Val(1));
-    return;
-  SXE_CASE(Or)
-    Set(Val(0) | Val(1));
-    return;
-  SXE_CASE(Xor)
-    Set(Val(0) ^ Val(1));
-    return;
-  SXE_CASE(Shl) {
-    unsigned Count =
-        static_cast<unsigned>(Val(1)) & (I.isW32() ? 31u : 63u);
-    Set(Val(0) << Count); // Full register shift; upper bits are garbage.
-    return;
-  }
-  SXE_CASE(Shr) {
-    // W32 lowers to an unsigned extract from the low 32 bits (IA64 extr.u),
-    // so the result is zero-extended regardless of the input's upper half.
-    if (I.isW32()) {
-      unsigned Count = static_cast<unsigned>(Val(1)) & 31u;
-      Set(static_cast<uint64_t>(static_cast<uint32_t>(Val(0))) >> Count);
-      return;
-    }
-    Set(Val(0) >> (static_cast<unsigned>(Val(1)) & 63u));
-    return;
-  }
-  SXE_CASE(Sar) {
-    // W32 lowers to a signed extract (IA64 extr), producing a sign-extended
-    // result from the low 32 bits only.
-    if (I.isW32()) {
-      unsigned Count = static_cast<unsigned>(Val(1)) & 31u;
-      Set(static_cast<uint64_t>(
-          static_cast<int64_t>(Low32(0) >> Count)));
-      return;
-    }
-    Set(static_cast<uint64_t>(static_cast<int64_t>(Val(0)) >>
-                              (static_cast<unsigned>(Val(1)) & 63u)));
-    return;
-  }
-  SXE_CASE(Neg)
-    Set(0 - Val(0));
-    return;
-  SXE_CASE(Not)
-    Set(~Val(0));
-    return;
+  SXE_CASE(Add) return Binary(Opcode::Add);
+  SXE_CASE(Sub) return Binary(Opcode::Sub);
+  SXE_CASE(Mul) return Binary(Opcode::Mul);
+  SXE_CASE(Div) return Divide(Opcode::Div);
+  SXE_CASE(Rem) return Divide(Opcode::Rem);
+  SXE_CASE(And) return Binary(Opcode::And);
+  SXE_CASE(Or) return Binary(Opcode::Or);
+  SXE_CASE(Xor) return Binary(Opcode::Xor);
+  SXE_CASE(Shl) return Binary(Opcode::Shl);
+  SXE_CASE(Shr) return Binary(Opcode::Shr);
+  SXE_CASE(Sar) return Binary(Opcode::Sar);
+  SXE_CASE(Neg) return Unary(Opcode::Neg);
+  SXE_CASE(Not) return Unary(Opcode::Not);
 
   SXE_CASE(Sext8)
     ++Result.ExecutedSext8;
-    Set(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int8_t>(Val(0)))));
-    return;
+    return Unary(Opcode::Sext8);
   SXE_CASE(Sext16)
     ++Result.ExecutedSext16;
-    Set(static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int16_t>(Val(0)))));
-    return;
+    return Unary(Opcode::Sext16);
   SXE_CASE(Sext32)
     ++Result.ExecutedSext32;
-    Set(static_cast<uint64_t>(static_cast<int64_t>(Low32(0))));
-    return;
+    return Unary(Opcode::Sext32);
   SXE_CASE(Zext32)
     ++Result.ExecutedZext32;
-    Set(static_cast<uint64_t>(static_cast<uint32_t>(Val(0))));
-    return;
+    return Unary(Opcode::Zext32);
   SXE_CASE(Zext8)
     ++Result.ExecutedZext8;
-    Set(Val(0) & 0xFF);
-    return;
+    return Unary(Opcode::Zext8);
   SXE_CASE(Zext16)
     ++Result.ExecutedZext16;
-    Set(Val(0) & 0xFFFF);
-    return;
+    return Unary(Opcode::Zext16);
   SXE_CASE(Trunc32)
     ++Result.ExecutedTrunc32;
-    Set(static_cast<uint64_t>(static_cast<uint32_t>(Val(0))));
-    return;
+    return Unary(Opcode::Trunc32);
   SXE_CASE(JustExtended)
     // Dummy markers should be eliminated before execution; tolerate them as
     // free moves for mid-pipeline differential runs but keep a count.
@@ -412,68 +267,14 @@ void Machine::execute(const Instruction &I) {
     // Converts the FULL register: an unextended source yields garbage.
     Set(doubleToBits(static_cast<double>(static_cast<int64_t>(Val(0)))));
     return;
-  SXE_CASE(D2I) {
-    double D = FVal(0);
-    int32_t Value;
-    if (std::isnan(D))
-      Value = 0;
-    else if (D >= 2147483647.0)
-      Value = INT32_MAX;
-    else if (D <= -2147483648.0)
-      Value = INT32_MIN;
-    else
-      Value = static_cast<int32_t>(D);
-    Set(static_cast<uint64_t>(static_cast<int64_t>(Value)));
+  SXE_CASE(D2I)
+    Set(static_cast<uint64_t>(static_cast<int64_t>(d2i(FVal(0)))));
     return;
-  }
 
-  SXE_CASE(Cmp) {
-    bool Truth;
-    if (I.isW32())
-      Truth = compare(I.pred(), Low32(0), Low32(1),
-                      static_cast<uint32_t>(Val(0)),
-                      static_cast<uint32_t>(Val(1)));
-    else
-      Truth = compare(I.pred(), static_cast<int64_t>(Val(0)),
-                      static_cast<int64_t>(Val(1)), Val(0), Val(1));
-    Set(Truth ? 1 : 0);
+  SXE_CASE(Cmp) return Binary(Opcode::Cmp);
+  SXE_CASE(FCmp)
+    Set(fcmp(I.pred(), FVal(0), FVal(1)) ? 1 : 0);
     return;
-  }
-  SXE_CASE(FCmp) {
-    double A = FVal(0), B = FVal(1);
-    bool Truth;
-    if (std::isnan(A) || std::isnan(B))
-      Truth = I.pred() == CmpPred::NE; // Unordered: only != holds.
-    else
-      switch (I.pred()) {
-      case CmpPred::EQ:
-        Truth = A == B;
-        break;
-      case CmpPred::NE:
-        Truth = A != B;
-        break;
-      case CmpPred::SLT:
-      case CmpPred::ULT:
-        Truth = A < B;
-        break;
-      case CmpPred::SLE:
-      case CmpPred::ULE:
-        Truth = A <= B;
-        break;
-      case CmpPred::SGT:
-      case CmpPred::UGT:
-        Truth = A > B;
-        break;
-      case CmpPred::SGE:
-      case CmpPred::UGE:
-        Truth = A >= B;
-        break;
-      default:
-        Truth = false;
-      }
-    Set(Truth ? 1 : 0);
-    return;
-  }
 
   SXE_CASE(Br) {
     bool Taken = Val(0) != 0;
@@ -493,7 +294,7 @@ void Machine::execute(const Instruction &I) {
   SXE_CASE(Ret) {
     RetValue = I.numOperands() == 1 ? Val(0) : 0;
     if (Options.Semantics == ExecSemantics::Java)
-      RetValue = canonicalValue(RetValue, F.F->returnType());
+      RetValue = canonical(RetValue, F.F->returnType());
     Reg ResultReg = F.ResultReg;
     Stack.pop_back();
     if (!Stack.empty() && ResultReg != NoReg)
@@ -513,7 +314,7 @@ void Machine::execute(const Instruction &I) {
     return;
 
   SXE_CASE(NewArray) {
-    int32_t LenLow = Low32(0);
+    int32_t LenLow = static_cast<int32_t>(Val(0));
     if (LenLow < 0) {
       trap(TrapKind::NegativeArraySize, "negative array size");
       return;
@@ -599,33 +400,26 @@ void Machine::execute(const Instruction &I) {
       Set(Raw & 0xFF);
       return;
     case Type::I16:
-      if (Options.Target->loadSignExtends(Type::I16))
-        Set(static_cast<uint64_t>(
-            static_cast<int64_t>(static_cast<int16_t>(Raw))));
-      else
-        Set(Raw & 0xFFFF);
+      Set(Options.Target->loadSignExtends(Type::I16) ? signExtend16(Raw)
+                                                     : Raw & 0xFFFF);
       return;
     case Type::U16:
       Set(Raw & 0xFFFF);
       return;
     case Type::I32:
-      if (Options.Target->loadSignExtends(Type::I32))
-        Set(static_cast<uint64_t>(
-            static_cast<int64_t>(static_cast<int32_t>(Raw))));
-      else
-        Set(Raw & 0xFFFFFFFF);
+      Set(Options.Target->loadSignExtends(Type::I32) ? signExtend32(Raw)
+                                                     : Raw & 0xFFFFFFFF);
       return;
     default:
       Set(Raw);
       return;
     }
   }
-  SXE_DISPATCH_END()
 }
 
 #undef SXE_DISPATCH_BEGIN
+#undef SXE_OPCODE_LABEL_ADDR
 #undef SXE_CASE
-#undef SXE_DISPATCH_END
 #undef SXE_FOR_EACH_OPCODE
 
 } // namespace

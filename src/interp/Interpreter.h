@@ -19,8 +19,13 @@
 ///    WildAddress trap — a detected miscompile, impossible when the
 ///    elimination theorems are applied correctly;
 ///  - W32 division implements Java semantics (sign-extended int32 result,
-///    INT_MIN/-1 wraps) computed from the full register values, modeling
-///    the JIT's divide sequence that consumes sign-extended inputs.
+///    MIN/-1 wraps) on the bits the target's divide reads: the lower
+///    halves on x86-64, the full registers elsewhere. Unextended inputs
+///    give a defined, wrong value there, which differential tests detect.
+///
+/// The pure integer operations, compares and d2i evaluate through
+/// ir/Semantics.h, the definition the constant folder and the native
+/// runtime helpers share.
 ///
 /// The interpreter also accumulates a cycle estimate (target/CostModel.h)
 /// and, when requested, branch profiles for order determination.

@@ -2,92 +2,19 @@
 
 #include "opt/LocalOpts.h"
 
-#include "sxe/ExtensionFacts.h"
+#include "ir/Semantics.h"
 
-#include <optional>
 #include <unordered_map>
 
 using namespace sxe;
 
 namespace {
 
-/// Evaluates the machine register result of an integer operation on
-/// canonical constant inputs, mirroring interp/Interpreter.cpp. Returns
-/// nullopt for operations this folder does not handle.
-std::optional<uint64_t> evalMachine(const Instruction &I, uint64_t A,
-                                    uint64_t B) {
-  bool W32 = I.info().HasWidth && I.isW32();
-  switch (I.opcode()) {
-  case Opcode::Add:
-    return A + B;
-  case Opcode::Sub:
-    return A - B;
-  case Opcode::Mul:
-    return A * B;
-  case Opcode::And:
-    return A & B;
-  case Opcode::Or:
-    return A | B;
-  case Opcode::Xor:
-    return A ^ B;
-  case Opcode::Shl:
-    return A << (static_cast<unsigned>(B) & (W32 ? 31u : 63u));
-  case Opcode::Shr:
-    if (W32)
-      return static_cast<uint64_t>(static_cast<uint32_t>(A)) >>
-             (static_cast<unsigned>(B) & 31u);
-    return A >> (static_cast<unsigned>(B) & 63u);
-  case Opcode::Sar:
-    if (W32)
-      return static_cast<uint64_t>(static_cast<int64_t>(
-          static_cast<int32_t>(A) >> (static_cast<unsigned>(B) & 31u)));
-    return static_cast<uint64_t>(static_cast<int64_t>(A) >>
-                                 (static_cast<unsigned>(B) & 63u));
-  case Opcode::Neg:
-    return 0 - A;
-  case Opcode::Not:
-    return ~A;
-  case Opcode::Sext8:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int8_t>(A)));
-  case Opcode::Sext16:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int16_t>(A)));
-  case Opcode::Sext32:
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(static_cast<int32_t>(A)));
-  case Opcode::Zext32:
-  case Opcode::Trunc32:
-    return static_cast<uint64_t>(static_cast<uint32_t>(A));
-  case Opcode::Zext8:
-    return A & 0xFF;
-  case Opcode::Zext16:
-    return A & 0xFFFF;
-  default:
-    // Division is left unfolded (traps), as are compares reaching
-    // terminators — branch folding is out of scope for this local pass.
-    return std::nullopt;
-  }
-}
-
-/// Returns true if \p Value is a canonical register image for a register
-/// of type \p Ty.
-bool isCanonicalFor(uint64_t Value, Type Ty) {
-  switch (Ty) {
-  case Type::I8:
-    return Value == static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int8_t>(Value)));
-  case Type::I16:
-    return Value == static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int16_t>(Value)));
-  case Type::U16:
-    return Value == (Value & 0xFFFF);
-  case Type::I32:
-    return Value == static_cast<uint64_t>(
-                        static_cast<int64_t>(static_cast<int32_t>(Value)));
-  default:
-    return true;
-  }
+/// True for the operations this folder evaluates. Division traps, and
+/// compares reach terminators; folding either moves outputs, so both stay.
+bool isFoldable(Opcode Op) {
+  return isEvaluable(Op) && Op != Opcode::Div && Op != Opcode::Rem &&
+         Op != Opcode::Cmp;
 }
 
 } // namespace
@@ -123,10 +50,7 @@ unsigned sxe::runLocalOpts(Function &F) {
 
       // Constant folding of pure integer operations with known inputs.
       bool Folded = false;
-      if (I.hasDest() && isIntegerType(F.regType(I.dest())) &&
-          I.numOperands() >= 1 && I.numOperands() <= 2 &&
-          I.opcode() != Opcode::Copy && I.opcode() != Opcode::ArrayLen &&
-          I.opcode() != Opcode::JustExtended) {
+      if (isFoldable(I.opcode()) && isIntegerType(F.regType(I.dest()))) {
         bool AllConst = true;
         uint64_t Vals[2] = {0, 0};
         for (unsigned Index = 0; Index < I.numOperands(); ++Index) {
@@ -138,14 +62,16 @@ unsigned sxe::runLocalOpts(Function &F) {
           Vals[Index] = It->second;
         }
         if (AllConst) {
-          if (auto Result = evalMachine(I, Vals[0], Vals[1])) {
-            if (isCanonicalFor(*Result, F.regType(I.dest()))) {
-              Type ConstTy =
-                  F.regType(I.dest()) == Type::I64 ? Type::I64 : Type::I32;
-              I.morphToConstInt(static_cast<int64_t>(*Result), ConstTy);
-              Folded = true;
-              ++Rewritten;
-            }
+          uint64_t Result =
+              evaluate(I.opcode(), I.width(), I.pred(), Vals[0], Vals[1])
+                  .Value;
+          // Fold only a result that is a valid register image of the type.
+          if (canonical(Result, F.regType(I.dest())) == Result) {
+            Type ConstTy =
+                F.regType(I.dest()) == Type::I64 ? Type::I64 : Type::I32;
+            I.morphToConstInt(static_cast<int64_t>(Result), ConstTy);
+            Folded = true;
+            ++Rewritten;
           }
         }
       }

@@ -348,7 +348,7 @@ bool Parser::parseInstruction(Function &F) {
     for (unsigned Index = 0; Index < Count; ++Index) {
       if (Index != 0 && !expect(TokenKind::Comma, "','"))
         return false;
-      Reg R;
+      Reg R = NoReg;
       if (!parseRegOperand(R))
         return false;
       Inst->addOperand(R);
@@ -424,7 +424,7 @@ bool Parser::parseInstruction(Function &F) {
   }
   case Opcode::Ret: {
     if (peek().Kind == TokenKind::RegName) {
-      Reg R;
+      Reg R = NoReg;
       if (!parseRegOperand(R))
         return false;
       Inst->addOperand(R);

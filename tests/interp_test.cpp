@@ -3,11 +3,15 @@
 #include "interp/Interpreter.h"
 #include "ir/Cloner.h"
 #include "ir/IRBuilder.h"
+#include "ir/Semantics.h"
+#include "opt/LocalOpts.h"
 #include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
 #include "target/TargetInfo.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace sxe;
 
@@ -312,25 +316,29 @@ void expectTrapParity(const Module &Pristine, TrapKind ExpectedTrap,
   }
 }
 
-/// Builds main with an i32 array holding \p Values; \p Body gets a loader
-/// that fetches element I as a canonical (sign-extended) i32. Values pass
-/// through memory so no pass can fold the edge case away at compile time.
+/// Builds main with an array of \p ElemTy (I32 or I64) holding \p Values;
+/// \p Body gets a loader that fetches element I as a canonical value of
+/// that type. Values pass through memory so no pass can fold the edge case
+/// away at compile time.
 std::unique_ptr<Module>
-buildArrayProbe(const std::vector<int32_t> &Values,
+buildArrayProbe(const std::vector<int64_t> &Values,
                 const std::function<void(IRBuilder &, Function *,
-                                         std::function<Reg(unsigned)>)> &Body) {
+                                         std::function<Reg(unsigned)>)> &Body,
+                Type ElemTy = Type::I32) {
   auto M = std::make_unique<Module>("trap_probe");
   Function *F = M->createFunction("main", Type::I64);
   IRBuilder B(F);
   B.startBlock("entry");
   Reg Len = B.constI32(static_cast<int32_t>(Values.size()));
-  Reg Arr = B.newArray(Type::I32, Len, "arr");
+  Reg Arr = B.newArray(ElemTy, Len, "arr");
   for (size_t Index = 0; Index < Values.size(); ++Index)
-    B.arrayStore(Type::I32, Arr, B.constI32(static_cast<int32_t>(Index)),
-                 B.constI32(Values[Index]));
-  auto Load = [&B, Arr](unsigned Index) {
-    Reg Raw = B.arrayLoad(Type::I32, Arr, B.constI32(Index), "raw");
-    return B.sext(32, Raw, "canon");
+    B.arrayStore(ElemTy, Arr, B.constI32(static_cast<int32_t>(Index)),
+                 ElemTy == Type::I64
+                     ? B.constI64(Values[Index])
+                     : B.constI32(static_cast<int32_t>(Values[Index])));
+  auto Load = [&B, Arr, ElemTy](unsigned Index) {
+    Reg Raw = B.arrayLoad(ElemTy, Arr, B.constI32(Index), "raw");
+    return ElemTy == Type::I64 ? Raw : B.sext(32, Raw, "canon");
   };
   Body(B, F, Load);
   return M;
@@ -374,18 +382,12 @@ TEST(InterpTrapParity, DivByZeroTrapsEverywhere) {
 }
 
 TEST(InterpTrapParity, LongMinDivMinusOneW64WrapsEverywhere) {
-  auto M = std::make_unique<Module>("trap_probe");
-  Function *F = M->createFunction("main", Type::I64);
-  IRBuilder B(F);
-  B.startBlock("entry");
-  Reg Len = B.constI32(2);
-  Reg Arr = B.newArray(Type::I64, Len, "wide_arr");
-  B.arrayStore(Type::I64, Arr, B.constI32(0), B.constI64(INT64_MIN));
-  B.arrayStore(Type::I64, Arr, B.constI32(1), B.constI64(-1));
-  Reg A = B.arrayLoad(Type::I64, Arr, B.constI32(0), "a");
-  Reg D = B.arrayLoad(Type::I64, Arr, B.constI32(1), "d");
-  Reg Q = B.binop(Opcode::Div, Width::W64, A, D, "q");
-  B.ret(Q);
+  auto M = buildArrayProbe(
+      {INT64_MIN, -1},
+      [](IRBuilder &B, Function *, std::function<Reg(unsigned)> L) {
+        B.ret(B.binop(Opcode::Div, Width::W64, L(0), L(1), "q"));
+      },
+      Type::I64);
   expectTrapParity(*M, TrapKind::None, static_cast<uint64_t>(INT64_MIN));
 }
 
@@ -411,6 +413,259 @@ TEST(InterpTrapParity, ShiftCountsAtOrAboveWidthMaskEverywhere) {
       });
   int64_t Expected = 1 + 2 + (static_cast<int64_t>(INT32_MIN) >> 3);
   expectTrapParity(*M, TrapKind::None, static_cast<uint64_t>(Expected));
+}
+
+TEST(InterpTest, W32DivisionOfUnextendedRegistersIsDefined) {
+  // On the full-register targets %z holds 2^63: the W32 adds and multiply
+  // leave their upper halves unextended, so the divide reads
+  // INT64_MIN / -1. It wraps as the W64 form does instead of faulting.
+  for (const TargetInfo *Target :
+       {&TargetInfo::ia64(), &TargetInfo::ppc64(), &TargetInfo::generic64()}) {
+    auto M = std::make_unique<Module>("m");
+    Function *F = M->createFunction("main", Type::I64);
+    IRBuilder B(F);
+    B.startBlock("entry");
+    Reg Max = B.constI32(INT32_MAX);
+    Reg One = B.constI32(1);
+    Reg X = B.add32(Max, One, "x");
+    Reg Y = B.mul32(X, X, "y");
+    Reg Z = B.add32(Y, Y, "z");
+    Reg MinusOne = B.constI32(-1);
+    Reg Q = B.div32(Z, MinusOne, "q");
+    Reg Wide = F->newReg(Type::I64, "wide");
+    B.copyTo(Wide, Q);
+    B.ret(Wide);
+
+    InterpOptions Machine;
+    Machine.Target = Target;
+    ExecResult First = runModule(*M, Machine);
+    ExecResult Second = runModule(*M, Machine);
+    ASSERT_EQ(First.Trap, TrapKind::None) << Target->name();
+    ASSERT_EQ(Second.Trap, TrapKind::None) << Target->name();
+    EXPECT_EQ(First.ReturnValue, Second.ReturnValue) << Target->name();
+    // INT64_MIN's low half is 0, and the W32 quotient sign-extends it.
+    EXPECT_EQ(First.ReturnValue, 0u) << Target->name();
+  }
+}
+
+/// One edge input of a pure integer operation. The operands are canonical
+/// values of the operand registers: i32 for a W32 operation, i64 for a W64
+/// operation or a conversion (which ignores W and B).
+struct IntegerEdge {
+  Opcode Op;
+  Width W;
+  int64_t A;
+  int64_t B;
+  CmpPred Pred = CmpPred::EQ;
+};
+
+const IntegerEdge IntegerEdges[] = {
+    // MIN / -1 at both widths, and division by zero.
+    {Opcode::Div, Width::W32, INT32_MIN, -1},
+    {Opcode::Rem, Width::W32, INT32_MIN, -1},
+    {Opcode::Div, Width::W64, INT64_MIN, -1},
+    {Opcode::Rem, Width::W64, INT64_MIN, -1},
+    {Opcode::Div, Width::W32, 7, 0},
+    {Opcode::Rem, Width::W64, 7, 0},
+    // Shift counts at or above the width, and negative counts.
+    {Opcode::Shl, Width::W32, 1, 32},
+    {Opcode::Shl, Width::W32, 1, 33},
+    {Opcode::Shl, Width::W32, 1, -1},
+    {Opcode::Shr, Width::W32, INT32_MIN, 32},
+    {Opcode::Shr, Width::W32, -1, 63},
+    {Opcode::Sar, Width::W32, INT32_MIN, 35},
+    {Opcode::Shl, Width::W64, 1, 64},
+    {Opcode::Shl, Width::W64, 1, 127},
+    {Opcode::Shr, Width::W64, -1, 64},
+    {Opcode::Shr, Width::W64, INT64_MIN, 65},
+    {Opcode::Sar, Width::W64, INT64_MIN, 127},
+    // Sign and zero extensions and truncation of boundary values.
+    {Opcode::Sext8, Width::W64, 0x7F, 0},
+    {Opcode::Sext8, Width::W64, 0x80, 0},
+    {Opcode::Sext8, Width::W64, 0x1FF, 0},
+    {Opcode::Sext16, Width::W64, 0x7FFF, 0},
+    {Opcode::Sext16, Width::W64, 0x8000, 0},
+    {Opcode::Sext16, Width::W64, -0x8001, 0},
+    {Opcode::Sext32, Width::W64, INT32_MAX, 0},
+    {Opcode::Sext32, Width::W64, 0x80000000, 0},
+    {Opcode::Sext32, Width::W64, INT64_MIN + INT32_MAX, 0},
+    {Opcode::Zext8, Width::W64, -1, 0},
+    {Opcode::Zext8, Width::W64, 0x80, 0},
+    {Opcode::Zext16, Width::W64, -1, 0},
+    {Opcode::Zext16, Width::W64, INT16_MIN, 0},
+    {Opcode::Zext32, Width::W64, -1, 0},
+    {Opcode::Zext32, Width::W64, INT32_MIN, 0},
+    {Opcode::Trunc32, Width::W64, INT64_MIN, 0},
+    {Opcode::Trunc32, Width::W64, 0x180000000, 0},
+    {Opcode::Trunc32, Width::W64, -1, 0},
+    // W32 compares read the low halves, signed or unsigned.
+    {Opcode::Cmp, Width::W32, INT32_MIN, INT32_MAX, CmpPred::SLT},
+    {Opcode::Cmp, Width::W32, INT32_MIN, INT32_MAX, CmpPred::UGT},
+    {Opcode::Cmp, Width::W64, INT64_MIN, 1, CmpPred::ULT},
+};
+
+/// Emits \p Edge's operation on \p A and \p Bv; returns its destination.
+Reg emitEdge(IRBuilder &B, const IntegerEdge &Edge, Reg A, Reg Bv) {
+  switch (Edge.Op) {
+  case Opcode::Sext8:
+    return B.sext(8, A);
+  case Opcode::Sext16:
+    return B.sext(16, A);
+  case Opcode::Sext32:
+    return B.sext(32, A);
+  case Opcode::Zext8:
+    return B.zext8(A);
+  case Opcode::Zext16:
+    return B.zext16(A);
+  case Opcode::Zext32:
+    return B.zext32(A);
+  case Opcode::Trunc32:
+    return B.trunc32(A);
+  case Opcode::Cmp:
+    return B.cmp(Edge.Pred, Edge.W, A, Bv);
+  default:
+    return B.binop(Edge.Op, Edge.W, A, Bv);
+  }
+}
+
+TEST(InterpTrapParity, IntegerEdgesAgreeWithEvaluatorAndFolder) {
+  unsigned Folds = 0;
+  for (const IntegerEdge &Edge : IntegerEdges) {
+    SCOPED_TRACE(std::string(opcodeMnemonic(Edge.Op)) +
+                 (Edge.W == Width::W32 ? ".w32 " : ".w64 ") +
+                 std::to_string(Edge.A) + ", " + std::to_string(Edge.B));
+    const uint64_t A = static_cast<uint64_t>(Edge.A);
+    const uint64_t B = static_cast<uint64_t>(Edge.B);
+    Evaluation Want = evaluate(Edge.Op, Edge.W, Edge.Pred, A, B);
+    // On canonical operands the two divide forms agree.
+    Evaluation Low =
+        evaluate(Edge.Op, Edge.W, Edge.Pred, A, B, DivOperands::Low32);
+    EXPECT_EQ(Low.DivByZero, Want.DivByZero);
+    EXPECT_EQ(Low.Value, Want.Value);
+    TrapKind WantTrap = Want.DivByZero ? TrapKind::DivByZero : TrapKind::None;
+    bool W32Op = Edge.W == Width::W32 && !isConversionOpcode(Edge.Op);
+    Type OperandTy = W32Op ? Type::I32 : Type::I64;
+
+    // The Java oracle and every pipeline on every full-register target,
+    // with the operands passed through memory.
+    Type DestTy = Type::Void;
+    auto Probe = buildArrayProbe(
+        {Edge.A, Edge.B},
+        [&](IRBuilder &IRB, Function *F, std::function<Reg(unsigned)> L) {
+          Reg R = emitEdge(IRB, Edge, L(0), L(1));
+          DestTy = F->regType(R);
+          Reg Wide = F->newReg(Type::I64, "wide");
+          IRB.copyTo(Wide, DestTy == Type::I64 ? R : IRB.sext(32, R));
+          IRB.ret(Wide);
+        },
+        OperandTy);
+    expectTrapParity(*Probe, WantTrap, canonical(Want.Value, DestTy));
+
+    // The raw register on constant operands: the full-register result,
+    // with x86-64's zero extension of W32 results.
+    auto M = std::make_unique<Module>("fold_probe");
+    Function *F = M->createFunction("main", Type::I64);
+    IRBuilder IRB(F);
+    IRB.startBlock("entry");
+    auto Const = [&](int64_t V) {
+      return W32Op ? IRB.constI32(static_cast<int32_t>(V)) : IRB.constI64(V);
+    };
+    Reg ConstA = Const(Edge.A);
+    Reg ConstB = Const(Edge.B);
+    Reg R = emitEdge(IRB, Edge, ConstA, ConstB);
+    Reg Wide = F->newReg(Type::I64, "wide");
+    IRB.copyTo(Wide, R);
+    IRB.ret(Wide);
+    for (const TargetInfo *Target :
+         {&TargetInfo::ia64(), &TargetInfo::ppc64(), &TargetInfo::generic64(),
+          &TargetInfo::x86_64()}) {
+      InterpOptions Machine;
+      Machine.Target = Target;
+      ExecResult Got = runModule(*M, Machine);
+      EXPECT_EQ(Got.Trap, WantTrap) << Target->name();
+      if (WantTrap == TrapKind::None) {
+        EXPECT_EQ(Got.ReturnValue,
+                  W32Op && Target->w32ResultsZeroExtend()
+                      ? Want.Value & 0xFFFFFFFF
+                      : Want.Value)
+            << Target->name();
+      }
+    }
+
+    // The folder either leaves the operation or folds it to the
+    // evaluator's full-register value.
+    runLocalOpts(*F);
+    const Instruction *Def = nullptr;
+    for (const Instruction &I : *F->entryBlock())
+      if (I.hasDest() && I.dest() == R)
+        Def = &I;
+    ASSERT_NE(Def, nullptr);
+    if (Def->opcode() == Opcode::ConstInt) {
+      ++Folds;
+      EXPECT_EQ(static_cast<uint64_t>(Def->intValue()), Want.Value);
+    } else {
+      EXPECT_EQ(Def->opcode(), Edge.Op);
+    }
+  }
+  EXPECT_GT(Folds, 0u);
+}
+
+TEST(InterpTrapParity, D2IEdgesSaturateEverywhere) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const struct {
+    double In;
+    int32_t Java;
+  } Edges[] = {
+      {std::numeric_limits<double>::quiet_NaN(), 0},
+      {Inf, INT32_MAX},
+      {-Inf, INT32_MIN},
+      {2147483648.0, INT32_MAX},
+      {-2147483648.0, INT32_MIN},
+      {2147483647.0, INT32_MAX},
+      {-2147483649.0, INT32_MIN},
+      {2147483646.75, 2147483646},
+      {-0.5, 0},
+  };
+  for (const auto &Edge : Edges) {
+    SCOPED_TRACE(std::to_string(Edge.In));
+    EXPECT_EQ(d2i(Edge.In), Edge.Java);
+    auto M = std::make_unique<Module>("d2i_probe");
+    Function *F = M->createFunction("main", Type::I64);
+    IRBuilder B(F);
+    B.startBlock("entry");
+    Reg D = B.constF64(Edge.In);
+    Reg I = B.d2i(D, "i");
+    Reg Wide = F->newReg(Type::I64, "wide");
+    B.copyTo(Wide, B.sext(32, I));
+    B.ret(Wide);
+    expectTrapParity(*M, TrapKind::None, signExtend32(static_cast<uint32_t>(
+                                             d2i(Edge.In))));
+  }
+}
+
+TEST(InterpTrapParity, FCmpWithNaNHoldsOnlyForNe) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Pairs[][2] = {{NaN, 1.0}, {1.0, NaN}, {NaN, NaN}};
+  for (unsigned P = 0; P <= static_cast<unsigned>(CmpPred::UGE); ++P) {
+    CmpPred Pred = static_cast<CmpPred>(P);
+    for (const auto &Pair : Pairs) {
+      SCOPED_TRACE(std::string(cmpPredName(Pred)) + " " +
+                   std::to_string(Pair[0]) + ", " + std::to_string(Pair[1]));
+      bool Want = fcmp(Pred, Pair[0], Pair[1]);
+      EXPECT_EQ(Want, Pred == CmpPred::NE);
+      auto M = std::make_unique<Module>("fcmp_probe");
+      Function *F = M->createFunction("main", Type::I64);
+      IRBuilder B(F);
+      B.startBlock("entry");
+      Reg A = B.constF64(Pair[0]);
+      Reg Bv = B.constF64(Pair[1]);
+      Reg C = B.fcmp(Pred, A, Bv, "c");
+      Reg Wide = F->newReg(Type::I64, "wide");
+      B.copyTo(Wide, C);
+      B.ret(Wide);
+      expectTrapParity(*M, TrapKind::None, Want ? 1 : 0);
+    }
+  }
 }
 
 TEST(InterpTest, ProfileCollection) {
