@@ -11,16 +11,14 @@ using namespace sxe;
 
 namespace {
 
-/// Clamps a 128-bit intermediate to the int64 interval domain.
-ValueInterval clampToInt64(__int128 Lo, __int128 Hi) {
-  auto Clamp = [](__int128 V) -> int64_t {
-    if (V < INT64_MIN)
-      return INT64_MIN;
-    if (V > INT64_MAX)
-      return INT64_MAX;
-    return static_cast<int64_t>(V);
-  };
-  return {Clamp(Lo), Clamp(Hi)};
+/// Interval of a 64-bit register result, given a 128-bit interval of the
+/// mathematical result: exact when no int64 wraparound is possible. A
+/// result past either bound wraps to the other end, so only the full
+/// range is sound then.
+ValueInterval wrapToInt64(__int128 Lo, __int128 Hi) {
+  if (Lo < INT64_MIN || Hi > INT64_MAX)
+    return ValueInterval::full64();
+  return {static_cast<int64_t>(Lo), static_cast<int64_t>(Hi)};
 }
 
 /// Interval of the lower-32-bit signed interpretation, given an interval of
@@ -32,12 +30,12 @@ ValueInterval wrapToInt32(ValueInterval R) {
 }
 
 ValueInterval addIntervals(ValueInterval A, ValueInterval B) {
-  return clampToInt64(static_cast<__int128>(A.Lo) + B.Lo,
+  return wrapToInt64(static_cast<__int128>(A.Lo) + B.Lo,
                       static_cast<__int128>(A.Hi) + B.Hi);
 }
 
 ValueInterval subIntervals(ValueInterval A, ValueInterval B) {
-  return clampToInt64(static_cast<__int128>(A.Lo) - B.Hi,
+  return wrapToInt64(static_cast<__int128>(A.Lo) - B.Hi,
                       static_cast<__int128>(A.Hi) - B.Lo);
 }
 
@@ -53,7 +51,7 @@ ValueInterval mulIntervals(ValueInterval A, ValueInterval B) {
     Lo = P < Lo ? P : Lo;
     Hi = P > Hi ? P : Hi;
   }
-  return clampToInt64(Lo, Hi);
+  return wrapToInt64(Lo, Hi);
 }
 
 ValueInterval negInterval(ValueInterval A) {
@@ -533,9 +531,10 @@ ValueInterval ValueRange::transfer(const Instruction &I) const {
   case Opcode::Div: {
     ValueInterval A = Op(0), B = Op(1);
     // Only refine when the divisor has a constant sign excluding zero and
-    // INT_MIN / -1 cannot occur.
+    // MIN / -1 (which wraps) cannot occur.
     if (B.Lo > 0 || B.Hi < 0) {
-      if (!(A.Lo == INT32_MIN && B.Lo <= -1 && B.Hi >= -1)) {
+      int64_t Min = I.isW32() ? INT32_MIN : INT64_MIN;
+      if (!(A.Lo == Min && B.Lo <= -1 && B.Hi >= -1)) {
         int64_t C[4] = {A.Lo / B.Lo, A.Lo / B.Hi, A.Hi / B.Lo, A.Hi / B.Hi};
         int64_t Lo = *std::min_element(C, C + 4);
         int64_t Hi = *std::max_element(C, C + 4);
@@ -548,7 +547,8 @@ ValueInterval ValueRange::transfer(const Instruction &I) const {
   case Opcode::Rem: {
     ValueInterval A = Op(0), B = Op(1);
     if (B.Lo > 0 || B.Hi < 0) {
-      int64_t MaxAbs = std::max(std::llabs(B.Lo), std::llabs(B.Hi)) - 1;
+      // |remainder| < |divisor|; computed without negating INT64_MIN.
+      int64_t MaxAbs = B.Lo > 0 ? B.Hi - 1 : -(B.Lo + 1);
       int64_t Lo = A.Lo >= 0 ? 0 : -MaxAbs;
       int64_t Hi = A.Hi <= 0 ? 0 : MaxAbs;
       return Project({Lo, Hi});
@@ -578,11 +578,11 @@ ValueInterval ValueRange::transfer(const Instruction &I) const {
   case Opcode::Xor: {
     ValueInterval A = Op(0), B = Op(1);
     if (A.isNonNegative() && B.isNonNegative()) {
-      // or/xor of values below 2^k stays below 2^k.
+      // or/xor of values below 2^k stays below 2^k (k <= 63).
       uint64_t MaxHi =
           static_cast<uint64_t>(std::max(A.Hi, B.Hi));
       uint64_t Bound = 1;
-      while (Bound <= MaxHi && Bound < (1ULL << 62))
+      while (Bound <= MaxHi)
         Bound <<= 1;
       return Project({0, static_cast<int64_t>(Bound - 1)});
     }
@@ -600,7 +600,7 @@ ValueInterval ValueRange::transfer(const Instruction &I) const {
     if (B.Lo == B.Hi && B.Lo >= 0 &&
         B.Lo <= static_cast<int64_t>(MaxShift)) {
       unsigned C = static_cast<unsigned>(B.Lo);
-      return Project(clampToInt64(static_cast<__int128>(A.Lo) << C,
+      return Project(wrapToInt64(static_cast<__int128>(A.Lo) << C,
                                   static_cast<__int128>(A.Hi) << C));
     }
     return Project(I.isW32() ? ValueInterval::full32()

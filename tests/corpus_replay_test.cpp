@@ -147,4 +147,5 @@ INSTANTIATE_TEST_SUITE_P(Corpus, CorpusReplay,
                                            "reduced_mixed_store",
                                            "reduced_char_compare",
                                            "reduced_w32_inductive_sext",
-                                           "reduced_copy_demand"));
+                                           "reduced_copy_demand",
+                                           "reduced_w64_div_min"));

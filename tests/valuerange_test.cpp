@@ -2,10 +2,14 @@
 
 #include "analysis/AnalysisCache.h"
 #include "ir/IRBuilder.h"
+#include "ir/Semantics.h"
 #include "opt/SimplifyCFG.h"
+#include "support/RNG.h"
 #include "sxe/Insertion.h"
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 using namespace sxe;
 
@@ -88,6 +92,73 @@ TEST(ValueRangeTest, W32AddOverflowWidensToFull32) {
   ValueInterval R = Fx.Ranges->rangeOfDef(Fx.defOf(Sum));
   EXPECT_EQ(R.Lo, INT32_MIN);
   EXPECT_EQ(R.Hi, INT32_MAX);
+}
+
+TEST(ValueRangeTest, W64OverflowWidensToFull64) {
+  // A 64-bit result past INT64_MAX wraps to the negative end: INT64_MAX + 1
+  // is INT64_MIN. Clamping the mathematical interval at INT64_MAX left
+  // every wrapped value outside the range.
+  RangeFixture Fx;
+  IRBuilder B(Fx.F);
+  B.startBlock("entry");
+  Reg Max = B.constI64(INT64_MAX);
+  Reg Min = B.constI64(INT64_MIN);
+  Reg One = B.constI64(1);
+  Reg Sum = B.binop(Opcode::Add, Width::W64, Max, One, "sum");
+  Reg Diff = B.binop(Opcode::Sub, Width::W64, Min, One, "diff");
+  Reg Prod = B.binop(Opcode::Mul, Width::W64, Max, Max, "prod");
+  Reg Shifted = B.binop(Opcode::Shl, Width::W64, Max, One, "shifted");
+  B.ret(B.constI32(0));
+  Fx.finalize();
+  for (Reg R : {Sum, Diff, Prod, Shifted})
+    EXPECT_EQ(Fx.Ranges->rangeOfDef(Fx.defOf(R)), ValueInterval::full64())
+        << Fx.F->regName(R);
+}
+
+TEST(ValueRangeTest, W64OrKeepsBitsAbove2To62) {
+  // 2^62 | 1 == 2^62 + 1: the or/xor bound stopped doubling at 2^62.
+  RangeFixture Fx;
+  IRBuilder B(Fx.F);
+  B.startBlock("entry");
+  Reg Big = B.constI64(int64_t(1) << 62);
+  Reg One = B.constI64(1);
+  Reg Or = B.binop(Opcode::Or, Width::W64, Big, One, "or");
+  B.ret(B.constI32(0));
+  Fx.finalize();
+  ValueInterval R = Fx.Ranges->rangeOfDef(Fx.defOf(Or));
+  EXPECT_LE(R.Lo, (int64_t(1) << 62) + 1);
+  EXPECT_GE(R.Hi, (int64_t(1) << 62) + 1);
+}
+
+TEST(ValueRangeTest, W64DivisionByMinusOneWrapsLongMin) {
+  // Long.MIN_VALUE / -1 wraps to Long.MIN_VALUE. The transfer evaluated
+  // this corner quotient in C++, where it faults.
+  RangeFixture Fx;
+  IRBuilder B(Fx.F);
+  B.startBlock("entry");
+  Reg Min = B.constI64(INT64_MIN);
+  Reg MinusOne = B.constI64(-1);
+  Reg Q = B.binop(Opcode::Div, Width::W64, Min, MinusOne, "q");
+  B.ret(B.constI32(0));
+  Fx.finalize();
+  ValueInterval R = Fx.Ranges->rangeOfDef(Fx.defOf(Q));
+  EXPECT_EQ(R.Lo, INT64_MIN);
+}
+
+TEST(ValueRangeTest, W64RemainderByLongMinIsBounded) {
+  // INT64_MAX % INT64_MIN == INT64_MAX. The bound |divisor| - 1 came from
+  // llabs(INT64_MIN), which overflows.
+  RangeFixture Fx;
+  IRBuilder B(Fx.F);
+  B.startBlock("entry");
+  Reg Max = B.constI64(INT64_MAX);
+  Reg Min = B.constI64(INT64_MIN);
+  Reg Rem = B.binop(Opcode::Rem, Width::W64, Max, Min, "rem");
+  B.ret(B.constI32(0));
+  Fx.finalize();
+  ValueInterval R = Fx.Ranges->rangeOfDef(Fx.defOf(Rem));
+  EXPECT_EQ(R.Lo, 0);
+  EXPECT_EQ(R.Hi, INT64_MAX);
 }
 
 TEST(ValueRangeTest, AndWithNonNegativeBounds) {
@@ -304,5 +375,213 @@ TEST(ValueRangeTest, CmpAndArrayLenFacts) {
   EXPECT_EQ(LR.Lo, 0);
   EXPECT_EQ(LR.Hi, 0x7FFFFFFF);
 }
+
+// --- Transfer functions against the concrete evaluator ---------------------
+//
+// Theorems 1-4 rest on the transfer functions being sound. The property:
+// for operands drawn from intervals the analysis computed, the concrete
+// result (ir/Semantics.h), projected the way ValueRange tracks it, lies in
+// the range the analysis gives the result. Each operand is
+// add(and(%p, m), c) of a parameter, so its interval is [c, c + m] for a
+// mask m = 2^k - 1, wrapping where c + m overflows. One end of the
+// interval is a constant biased toward the width's boundaries, where
+// wraparound lives.
+
+/// An interesting signed constant of the width: boundaries, small values,
+/// or uniform.
+int64_t sampleConstant(RNG &R, bool W32) {
+  const int64_t Min = W32 ? INT32_MIN : INT64_MIN;
+  const int64_t Max = W32 ? INT32_MAX : INT64_MAX;
+  switch (R.nextBelow(8)) {
+  case 0:
+    return 0;
+  case 1:
+    return -1;
+  case 2:
+    return Min;
+  case 3:
+    return Max;
+  case 4:
+    return R.nextInRange(-64, 64);
+  case 5:
+    return Max - static_cast<int64_t>(R.nextBelow(64));
+  case 6:
+    return Min + static_cast<int64_t>(R.nextBelow(64));
+  default:
+    return W32 ? static_cast<int32_t>(R.next())
+               : static_cast<int64_t>(R.next());
+  }
+}
+
+/// An and-mask: mostly 2^k - 1, which makes the operand interval dense;
+/// sometimes all ones or uniform.
+int64_t sampleMask(RNG &R, bool W32) {
+  switch (R.nextBelow(6)) {
+  case 0:
+    return -1;
+  case 1:
+    return W32 ? static_cast<int32_t>(R.next())
+               : static_cast<int64_t>(R.next());
+  default:
+    return static_cast<int64_t>(
+        (uint64_t(1) << R.nextBelow(W32 ? 32 : 64)) - 1);
+  }
+}
+
+/// The value ValueRange tracks for a register of type \p Ty holding
+/// \p Register: the signed lower 32 bits for I8..I32, the full value for
+/// I64.
+int64_t tracked(uint64_t Register, Type Ty) {
+  return isSubRegisterIntType(Ty)
+             ? static_cast<int64_t>(static_cast<int32_t>(Register))
+             : static_cast<int64_t>(Register);
+}
+
+class TransferSoundness : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TransferSoundness, ConcreteResultsLieInTheirRanges) {
+  static const Opcode Binary[] = {
+      Opcode::Add, Opcode::Sub, Opcode::Mul, Opcode::Div,
+      Opcode::Rem, Opcode::And, Opcode::Or,  Opcode::Xor,
+      Opcode::Shl, Opcode::Shr, Opcode::Sar, Opcode::Cmp};
+  static const Opcode Unary[] = {
+      Opcode::Neg,    Opcode::Not,    Opcode::Sext8,  Opcode::Sext16,
+      Opcode::Sext32, Opcode::Zext8,  Opcode::Zext16, Opcode::Zext32,
+      Opcode::Trunc32};
+  RNG R(GetParam());
+  unsigned Checked = 0;
+  for (Width W : {Width::W32, Width::W64}) {
+    const bool W32 = W == Width::W32;
+    const Type Ty = W32 ? Type::I32 : Type::I64;
+    for (int Config = 0; Config < 48; ++Config) {
+      int64_t Masks[2], Offsets[2];
+      for (unsigned Index = 0; Index < 2; ++Index) {
+        Masks[Index] = sampleMask(R, W32);
+        // The interval starts or ends at the sampled constant.
+        uint64_t End = static_cast<uint64_t>(sampleConstant(R, W32));
+        if (R.nextChance(1, 2))
+          End -= static_cast<uint64_t>(Masks[Index]);
+        Offsets[Index] = static_cast<int64_t>(canonical(End, Ty));
+      }
+      CmpPred Pred = static_cast<CmpPred>(
+          R.nextBelow(static_cast<unsigned>(CmpPred::UGE) + 1));
+
+      auto M = std::make_unique<Module>("m");
+      Function *F = M->createFunction("f", Ty);
+      Reg Params[2] = {F->addParam(Ty, "p"), F->addParam(Ty, "q")};
+      IRBuilder B(F);
+      B.startBlock("entry");
+      auto Const = [&](int64_t V) {
+        return W32 ? B.constI32(static_cast<int32_t>(V)) : B.constI64(V);
+      };
+      Reg Operands[2];
+      for (unsigned Index = 0; Index < 2; ++Index)
+        Operands[Index] =
+            B.binop(Opcode::Add, W,
+                    B.binop(Opcode::And, W, Params[Index],
+                            Const(Masks[Index])),
+                    Const(Offsets[Index]));
+      // One result register per operation, in table order.
+      std::vector<std::pair<Opcode, Reg>> Results;
+      for (Opcode Op : Binary)
+        Results.push_back(
+            {Op, Op == Opcode::Cmp
+                     ? B.cmp(Pred, W, Operands[0], Operands[1])
+                     : B.binop(Op, W, Operands[0], Operands[1])});
+      for (Opcode Op : Unary) {
+        Reg A = Operands[0];
+        Reg Dest;
+        switch (Op) {
+        case Opcode::Neg:
+        case Opcode::Not:
+          Dest = B.unop(Op, W, A);
+          break;
+        case Opcode::Sext8:
+          Dest = B.sext(8, A);
+          break;
+        case Opcode::Sext16:
+          Dest = B.sext(16, A);
+          break;
+        case Opcode::Sext32:
+          Dest = B.sext(32, A);
+          break;
+        case Opcode::Zext8:
+          Dest = B.zext8(A);
+          break;
+        case Opcode::Zext16:
+          Dest = B.zext16(A);
+          break;
+        case Opcode::Zext32:
+          Dest = B.zext32(A);
+          break;
+        default:
+          Dest = B.trunc32(A);
+          break;
+        }
+        Results.push_back({Op, Dest});
+      }
+      B.ret(Operands[0]);
+
+      AnalysisCache Cache(*F, TargetInfo::ia64());
+      const ValueRange &Ranges = Cache.ranges();
+      std::vector<const Instruction *> DefOf(F->numRegs(), nullptr);
+      for (const Instruction &I : *F->entryBlock())
+        if (I.hasDest())
+          DefOf[I.dest()] = &I;
+
+      auto expectIn = [&](Reg Dest, uint64_t Register, const char *What,
+                          const std::string &Inputs) {
+        ValueInterval Range = Ranges.rangeOfDef(DefOf[Dest]);
+        int64_t Value = tracked(Register, F->regType(Dest));
+        ++Checked;
+        if (Value >= Range.Lo && Value <= Range.Hi)
+          return true;
+        ADD_FAILURE() << What << (W32 ? ".w32" : ".w64") << " = " << Value
+                      << " outside [" << Range.Lo << ", " << Range.Hi
+                      << "] for " << Inputs;
+        return false;
+      };
+
+      for (int Sample = 0; Sample < 64; ++Sample) {
+        uint64_t Regs[2];
+        for (unsigned Index = 0; Index < 2; ++Index) {
+          // Parameters arrive canonical; the and/add run on full registers.
+          uint64_t P = canonical(static_cast<uint64_t>(sampleConstant(R, W32)),
+                                 Ty);
+          uint64_t Mask = static_cast<uint64_t>(Masks[Index]);
+          uint64_t Offset = static_cast<uint64_t>(Offsets[Index]);
+          Regs[Index] =
+              evaluate(Opcode::Add, W, Pred,
+                       evaluate(Opcode::And, W, Pred, P, Mask).Value, Offset)
+                  .Value;
+        }
+        std::ostringstream Inputs;
+        Inputs << "a = " << tracked(Regs[0], Ty) << " (" << Offsets[0]
+               << " + (p & " << Masks[0] << ")), b = " << tracked(Regs[1], Ty)
+               << " (" << Offsets[1] << " + (q & " << Masks[1]
+               << ")), pred " << cmpPredName(Pred);
+        bool Sound = expectIn(Operands[0], Regs[0], "a", Inputs.str()) &&
+                     expectIn(Operands[1], Regs[1], "b", Inputs.str());
+        for (const auto &[Op, Dest] : Results) {
+          if (!Sound)
+            break;
+          // A divide reads sign-extended operands: the pipeline keeps
+          // Div/Rem operands extended (sxe/ExtensionFacts.h).
+          Evaluation E = evaluate(Op, W, Pred, Regs[0], Regs[1],
+                                  DivOperands::Low32);
+          if (E.DivByZero)
+            continue;
+          Sound = expectIn(Dest, E.Value, opcodeMnemonic(Op), Inputs.str());
+        }
+        if (!Sound)
+          return; // One report per seed keeps a failure readable.
+      }
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TransferSoundness,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 } // namespace
