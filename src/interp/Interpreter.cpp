@@ -7,7 +7,6 @@
 #include "support/Error.h"
 #include "target/CostModel.h"
 
-
 using namespace sxe;
 
 const char *sxe::trapKindName(TrapKind Kind) {
