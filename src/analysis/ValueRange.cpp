@@ -495,6 +495,21 @@ ValueInterval ValueRange::transfer(const Instruction &I) const {
   Type DestTy = F.regType(I.dest());
   bool DestNarrow = isSubRegisterIntType(DestTy);
 
+  // A W32 operation into an I64 register: the tracked value is the full
+  // register, and the cases below bound only its lower 32 bits. x86-64
+  // zero-extends every 32-bit result. Elsewhere the extracts and the
+  // divide define the upper half (Shr zero-, Sar/Div/Rem sign-extended),
+  // and the rest leave the 64-bit operation's upper half in place.
+  if (I.info().HasWidth && I.isW32() && !DestNarrow &&
+      I.opcode() != Opcode::Cmp) {
+    if (Target.w32ResultsZeroExtend() || I.opcode() == Opcode::Shr)
+      return {0, 0xFFFFFFFFll};
+    if (I.opcode() == Opcode::Sar || I.opcode() == Opcode::Div ||
+        I.opcode() == Opcode::Rem)
+      return ValueInterval::full32();
+    return typeRange(DestTy);
+  }
+
   // Operand ranges as the operation consumes them: a W32 operation reads
   // the lower 32 bits, so a wide operand projects through wrapToInt32.
   auto Op = [&](unsigned Index) {

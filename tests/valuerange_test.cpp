@@ -385,7 +385,10 @@ TEST(ValueRangeTest, CmpAndArrayLenFacts) {
 // add(and(%p, m), c) of a parameter, so its interval is [c, c + m] for a
 // mask m = 2^k - 1, wrapping where c + m overflows. One end of the
 // interval is a constant biased toward the width's boundaries, where
-// wraparound lives.
+// wraparound lives. A W32 operation is also written into an I64 register,
+// whose tracked value is the full register: on ia64 the 64-bit
+// operation's upper half stays there, and x86-64 zero-extends every W32
+// result, so both targets are checked.
 
 /// An interesting signed constant of the width: boundaries, small values,
 /// or uniform.
@@ -520,61 +523,97 @@ TEST_P(TransferSoundness, ConcreteResultsLieInTheirRanges) {
         }
         Results.push_back({Op, Dest});
       }
+      if (W32) {
+        // The same operations into I64 registers (a compare's 0/1 needs
+        // no second check).
+        for (Opcode Op : Binary)
+          if (Op != Opcode::Cmp)
+            Results.push_back(
+                {Op, B.binopTo(F->newReg(Type::I64), Op, W, Operands[0],
+                               Operands[1])
+                         ->dest()});
+        for (Opcode Op : {Opcode::Neg, Opcode::Not})
+          Results.push_back(
+              {Op, B.unopTo(F->newReg(Type::I64), Op, W, Operands[0])
+                       ->dest()});
+      }
       B.ret(Operands[0]);
 
-      AnalysisCache Cache(*F, TargetInfo::ia64());
-      const ValueRange &Ranges = Cache.ranges();
       std::vector<const Instruction *> DefOf(F->numRegs(), nullptr);
       for (const Instruction &I : *F->entryBlock())
         if (I.hasDest())
           DefOf[I.dest()] = &I;
 
-      auto expectIn = [&](Reg Dest, uint64_t Register, const char *What,
-                          const std::string &Inputs) {
-        ValueInterval Range = Ranges.rangeOfDef(DefOf[Dest]);
-        int64_t Value = tracked(Register, F->regType(Dest));
-        ++Checked;
-        if (Value >= Range.Lo && Value <= Range.Hi)
-          return true;
-        ADD_FAILURE() << What << (W32 ? ".w32" : ".w64") << " = " << Value
-                      << " outside [" << Range.Lo << ", " << Range.Hi
-                      << "] for " << Inputs;
-        return false;
-      };
-
+      // Parameters arrive canonical.
+      std::vector<std::pair<uint64_t, uint64_t>> Arguments;
       for (int Sample = 0; Sample < 64; ++Sample) {
-        uint64_t Regs[2];
-        for (unsigned Index = 0; Index < 2; ++Index) {
-          // Parameters arrive canonical; the and/add run on full registers.
-          uint64_t P = canonical(static_cast<uint64_t>(sampleConstant(R, W32)),
-                                 Ty);
-          uint64_t Mask = static_cast<uint64_t>(Masks[Index]);
-          uint64_t Offset = static_cast<uint64_t>(Offsets[Index]);
-          Regs[Index] =
-              evaluate(Opcode::Add, W, Pred,
-                       evaluate(Opcode::And, W, Pred, P, Mask).Value, Offset)
-                  .Value;
-        }
-        std::ostringstream Inputs;
-        Inputs << "a = " << tracked(Regs[0], Ty) << " (" << Offsets[0]
-               << " + (p & " << Masks[0] << ")), b = " << tracked(Regs[1], Ty)
-               << " (" << Offsets[1] << " + (q & " << Masks[1]
-               << ")), pred " << cmpPredName(Pred);
-        bool Sound = expectIn(Operands[0], Regs[0], "a", Inputs.str()) &&
-                     expectIn(Operands[1], Regs[1], "b", Inputs.str());
-        for (const auto &[Op, Dest] : Results) {
+        uint64_t P = canonical(static_cast<uint64_t>(sampleConstant(R, W32)),
+                               Ty);
+        uint64_t Q = canonical(static_cast<uint64_t>(sampleConstant(R, W32)),
+                               Ty);
+        Arguments.push_back({P, Q});
+      }
+
+      for (const TargetInfo *Target :
+           {&TargetInfo::ia64(), &TargetInfo::x86_64()}) {
+        AnalysisCache Cache(*F, *Target);
+        const ValueRange &Ranges = Cache.ranges();
+        // The register a W32 operation leaves on this target (the
+        // conversions have no width and are not masked).
+        auto onTarget = [&](uint64_t Register) {
+          return W32 && Target->w32ResultsZeroExtend() ? Register & 0xFFFFFFFF
+                                                       : Register;
+        };
+
+        auto expectIn = [&](Reg Dest, uint64_t Register, const char *What,
+                            const std::string &Inputs) {
+          ValueInterval Range = Ranges.rangeOfDef(DefOf[Dest]);
+          int64_t Value = tracked(Register, F->regType(Dest));
+          ++Checked;
+          if (Value >= Range.Lo && Value <= Range.Hi)
+            return true;
+          ADD_FAILURE() << What << (W32 ? ".w32" : ".w64") << " into "
+                        << typeName(F->regType(Dest)) << " on "
+                        << Target->name() << " = " << Value << " outside ["
+                        << Range.Lo << ", " << Range.Hi << "] for " << Inputs;
+          return false;
+        };
+
+        for (const auto &[P, Q] : Arguments) {
+          // The and/add run on full registers.
+          uint64_t Regs[2];
+          uint64_t Argument[2] = {P, Q};
+          for (unsigned Index = 0; Index < 2; ++Index) {
+            uint64_t Mask = static_cast<uint64_t>(Masks[Index]);
+            uint64_t Offset = static_cast<uint64_t>(Offsets[Index]);
+            uint64_t Masked = onTarget(
+                evaluate(Opcode::And, W, Pred, Argument[Index], Mask).Value);
+            Regs[Index] =
+                onTarget(evaluate(Opcode::Add, W, Pred, Masked, Offset).Value);
+          }
+          std::ostringstream Inputs;
+          Inputs << "a = " << tracked(Regs[0], Ty) << " (" << Offsets[0]
+                 << " + (p & " << Masks[0] << ")), b = "
+                 << tracked(Regs[1], Ty) << " (" << Offsets[1] << " + (q & "
+                 << Masks[1] << ")), pred " << cmpPredName(Pred);
+          bool Sound = expectIn(Operands[0], Regs[0], "a", Inputs.str()) &&
+                       expectIn(Operands[1], Regs[1], "b", Inputs.str());
+          for (const auto &[Op, Dest] : Results) {
+            if (!Sound)
+              break;
+            // A divide reads sign-extended operands: the pipeline keeps
+            // Div/Rem operands extended (sxe/ExtensionFacts.h).
+            Evaluation E = evaluate(Op, W, Pred, Regs[0], Regs[1],
+                                    DivOperands::Low32);
+            if (E.DivByZero)
+              continue;
+            uint64_t Register =
+                DefOf[Dest]->info().HasWidth ? onTarget(E.Value) : E.Value;
+            Sound = expectIn(Dest, Register, opcodeMnemonic(Op), Inputs.str());
+          }
           if (!Sound)
-            break;
-          // A divide reads sign-extended operands: the pipeline keeps
-          // Div/Rem operands extended (sxe/ExtensionFacts.h).
-          Evaluation E = evaluate(Op, W, Pred, Regs[0], Regs[1],
-                                  DivOperands::Low32);
-          if (E.DivByZero)
-            continue;
-          Sound = expectIn(Dest, E.Value, opcodeMnemonic(Op), Inputs.str());
+            return; // One report per seed keeps a failure readable.
         }
-        if (!Sound)
-          return; // One report per seed keeps a failure readable.
       }
     }
   }
