@@ -391,14 +391,15 @@ int runDaemonBench(const BenchContext &Ctx) {
 }
 
 /// `--overhead`: measures what request-scoped tracing + the event log
-/// cost the warm serve path. Two daemons on separate sockets — one with
-/// observability on (the default), one with --no-trace semantics — serve
+/// cost the warm serve path. Two daemons on separate sockets — one given
+/// trace and events paths, which turn both on, and one given none — serve
 /// the same warm corpus in alternating rounds; each config keeps its best
 /// round (max requests/s damps scheduler noise). The traced daemon's
 /// trace/events/metrics artifacts are written next to the JSON report so
-/// CI can feed them to sxe-obs and sxetool --validate-obs. With
-/// \p GatePercent > 0 the bench fails when the throughput delta exceeds
-/// the gate (CI pins 5%).
+/// CI can feed them to sxe-obs and sxetool --validate-obs; without
+/// --json they go to the bench's temp directory. With \p GatePercent > 0
+/// the bench fails when the throughput delta exceeds the gate (CI pins
+/// 5%).
 int runOverheadBench(const BenchContext &Ctx, double GatePercent) {
   std::vector<CorpusModule> Corpus = buildCorpus(/*Replicas=*/2);
 
@@ -411,6 +412,7 @@ int runOverheadBench(const BenchContext &Ctx, double GatePercent) {
   std::string Stem = Ctx.JsonPath;
   if (Stem.size() > 5 && Stem.rfind(".json") == Stem.size() - 5)
     Stem.resize(Stem.size() - 5);
+  std::string TraceStem = Stem.empty() ? (Dir / "traced").string() : Stem;
 
   auto makeDaemon = [&](bool Tracing) {
     ServeDaemonOptions Options;
@@ -419,10 +421,9 @@ int runOverheadBench(const BenchContext &Ctx, double GatePercent) {
     Options.Jobs = 4;
     Options.Admission.MaxQueueDepth = 4096;
     Options.MemoryCache.MaxEntries = 4096;
-    Options.Tracing = Tracing;
-    if (Tracing && !Stem.empty()) {
-      Options.TraceFile = Stem + ".trace.json";
-      Options.EventsFile = Stem + ".events.jsonl";
+    if (Tracing) {
+      Options.TraceFile = TraceStem + ".trace.json";
+      Options.EventsFile = TraceStem + ".events.jsonl";
     }
     return Options;
   };

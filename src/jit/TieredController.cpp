@@ -32,15 +32,13 @@ TieredOutcome TieredController::run(const Module &M,
   PipelineConfig Config =
       PipelineConfig::forVariant(Options.TierVariant, *Options.Target);
 
-  std::future<CompileResult> UnprofiledFuture;
-  if (Options.CompileUnprofiledTier) {
-    CompileRequest Tier1;
-    Tier1.Name = M.name() + ":tier1";
-    Tier1.M = cloneModule(M);
-    Tier1.Config = Config;
-    Tier1.Hotness = 0.0; // Background tier: yields to hot recompiles.
-    UnprofiledFuture = Service.enqueue(std::move(Tier1));
-  }
+  CompileRequest Tier1;
+  Tier1.Name = M.name() + ":tier1";
+  Tier1.M = cloneModule(M);
+  Tier1.Config = Config;
+  Tier1.Hotness = 0.0; // Background tier: yields to hot recompiles.
+  std::future<CompileResult> UnprofiledFuture =
+      Service.enqueue(std::move(Tier1));
 
   CompileRequest Tier2;
   Tier2.Name = M.name() + ":tier2";
@@ -51,16 +49,14 @@ TieredOutcome TieredController::run(const Module &M,
   Tier2.Hotness = static_cast<double>(Outcome.Warmup.ExecutedInstructions);
   std::future<CompileResult> ProfiledFuture = Service.enqueue(std::move(Tier2));
 
-  if (UnprofiledFuture.valid())
-    Outcome.Unprofiled = UnprofiledFuture.get();
+  Outcome.Unprofiled = UnprofiledFuture.get();
   Outcome.Profiled = ProfiledFuture.get();
 
   // Tier 3: run the recompiled code for real. The artifact round-trips
   // through its textual form — the same bytes a cache hit or the serve
   // path would deliver — so what executes natively is exactly what the
   // pipeline shipped.
-  if (Options.ExecuteNative && Outcome.Profiled.Ok &&
-      Options.Target == &TargetInfo::x86_64() &&
+  if (Outcome.Profiled.Ok && Options.Target == &TargetInfo::x86_64() &&
       NativeModule::hostSupported()) {
     ParseResult Parsed = parseModule(Outcome.Profiled.Code->IRText);
     if (Parsed.ok()) {

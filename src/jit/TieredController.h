@@ -14,7 +14,7 @@
 /// profiles (cf. OCAMLJIT2's interpret-then-JIT tiering, PAPERS.md).
 ///
 /// Tier 0   interpreter, ExecSemantics::Java, ProfileInfo recording
-/// Tier 1   (optional) compile with static frequency estimates
+/// Tier 1   compile with static frequency estimates
 /// Tier 2   recompile with Config.Profile = the tier-0 profile, enqueued
 ///          at a hotness proportional to the observed execution count
 /// Tier 3   (x86_64 target, capable hosts) execute the tier-2 output
@@ -51,13 +51,6 @@ struct TieredOptions {
   uint64_t WarmupMaxSteps = 1ull << 24;
   /// Function executed by the warm-up run.
   std::string Entry = "main";
-  /// Also compile tier 1 (no profile) so callers can compare placements;
-  /// skipping it saves one compile when only the final code matters.
-  bool CompileUnprofiledTier = true;
-  /// Execute the tier-2 artifact through the native x86-64 backend when
-  /// the target is x86_64 and the host can run the emitted code. Inert
-  /// otherwise — the outcome simply reports NativeExecuted = false.
-  bool ExecuteNative = true;
 };
 
 /// Everything one tiered compilation produces.
@@ -66,13 +59,14 @@ struct TieredOutcome {
   ExecResult Warmup;
   /// True when the warm-up observed at least one conditional branch.
   bool ProfileCollected = false;
-  /// Tier 1: compiled with static frequency estimates (Ok=false with an
-  /// empty error when CompileUnprofiledTier was off).
+  /// Tier 1: compiled with static frequency estimates, so callers can
+  /// compare placements.
   CompileResult Unprofiled;
   /// Tier 2: the profile-guided recompile.
   CompileResult Profiled;
   /// True when the tier-2 artifact was compiled to x86-64 and executed
-  /// natively (TieredOptions::ExecuteNative on a capable host).
+  /// natively: the target is x86_64 and the host can run the emitted
+  /// code. False otherwise.
   bool NativeExecuted = false;
   /// The native execution's result; meaningful when NativeExecuted. The
   /// trap kind and return value must agree with Warmup on trap-free runs

@@ -9,13 +9,17 @@ using namespace sxe;
 
 void EventLog::log(ObsEventKind Kind, TraceContext Ctx,
                    const std::string &Name,
-                   std::vector<std::pair<std::string, std::string>> Fields,
-                   uint8_t Aux) {
+                   std::initializer_list<EventField> Fields, uint8_t Aux) {
   uint64_t Nanos = wallNowNanos();
   Ring.record(Kind, Nanos, Ctx.TraceId, Ctx.RequestId, Name.c_str(), Aux);
   if (!Retain)
     return;
-  ObsEvent Event{Nanos, Kind, Ctx, Name, std::move(Fields)};
+  ObsEvent Event{Nanos, Kind, Ctx, Name, {}};
+  for (const EventField &Field : Fields)
+    if (Field.Key)
+      Event.Fields.emplace_back(Field.Key, Field.IsNumber
+                                               ? std::to_string(Field.Number)
+                                               : std::string(Field.Text));
   std::lock_guard<std::mutex> Lock(Mu);
   Events.push_back(std::move(Event));
 }

@@ -24,8 +24,10 @@
 /// Every append is written into a FlightRecorder (the crash-safe,
 /// fixed-size ring of this stream), so one call site feeds both the
 /// post-mortem ring and, when the log retains records, the complete log.
-/// A log that does not retain (the daemon's --no-trace) keeps only the
-/// ring write: size() stays 0 and toJsonl() holds just the header.
+/// A log that does not retain (a daemon with no events file) keeps only
+/// the ring write: size() stays 0 and toJsonl() holds just the header.
+/// Fields are passed as views of the caller's values, so such a log
+/// allocates nothing for them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +38,10 @@
 #include "obs/TraceContext.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,6 +61,26 @@ struct ObsEvent {
   std::vector<std::pair<std::string, std::string>> Fields;
 };
 
+/// One kind-specific detail passed to EventLog::log. It refers to the
+/// caller's bytes and a number is formatted only when the log retains the
+/// record, so building one allocates nothing.
+struct EventField {
+  const char *Key = nullptr; ///< Null: the field is absent.
+  std::string_view Text;
+  uint64_t Number = 0;
+  bool IsNumber = false;
+
+  EventField() = default;
+  EventField(const char *Key, std::string_view Text) : Key(Key), Text(Text) {}
+  EventField(const char *Key, uint64_t Number)
+      : Key(Key), Number(Number), IsNumber(true) {}
+
+  /// The field when \p Number is nonzero; an absent one otherwise.
+  static EventField nonzero(const char *Key, uint64_t Number) {
+    return Number ? EventField(Key, Number) : EventField();
+  }
+};
+
 /// Thread-safe append-only event collector with JSONL export.
 class EventLog {
 public:
@@ -69,11 +93,11 @@ public:
   EventLog &operator=(const EventLog &) = delete;
 
   /// Records one event stamped with the current wall clock. \p Aux is the
-  /// flight-record detail byte (tier, shed cause, ...); the full string
-  /// fields only exist in this log, and only when it retains records.
+  /// flight-record detail byte (tier, shed cause, ...); \p Fields are
+  /// copied into this log only when it retains records, in order, absent
+  /// ones skipped.
   void log(ObsEventKind Kind, TraceContext Ctx, const std::string &Name,
-           std::vector<std::pair<std::string, std::string>> Fields = {},
-           uint8_t Aux = 0);
+           std::initializer_list<EventField> Fields = {}, uint8_t Aux = 0);
 
   size_t size() const;
 

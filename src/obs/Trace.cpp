@@ -139,22 +139,3 @@ std::string TraceCollector::toJson() const {
   Out += "\n  ]\n}\n";
   return Out;
 }
-
-TraceSpan::TraceSpan(TraceCollector *Collector, std::string Name,
-                     std::string Category)
-    : Collector(Collector), Name(std::move(Name)),
-      Category(std::move(Category)) {
-  if (Collector)
-    StartNanos = wallNowNanos();
-}
-
-TraceSpan::~TraceSpan() {
-  if (Collector)
-    Collector->addSpan(std::move(Name), std::move(Category), StartNanos,
-                       wallNowNanos(), std::move(Args));
-}
-
-void TraceSpan::arg(std::string Key, std::string Value) {
-  if (Collector)
-    Args.emplace_back(std::move(Key), std::move(Value));
-}

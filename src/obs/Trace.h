@@ -84,42 +84,16 @@ public:
   /// with nanosecond precision.
   std::string toJson() const;
 
-  /// The collector's epoch (wallNowNanos at construction); spans are
-  /// stored relative to it.
-  uint64_t epochNanos() const { return EpochNanos; }
-
 private:
   uint32_t currentTidLocked();
 
   mutable std::mutex Mu;
+  /// wallNowNanos() at construction; spans are stored relative to it.
   uint64_t EpochNanos;
   std::vector<TraceEvent> Events;
   /// Dense track id per OS thread, in first-event order.
   std::vector<std::pair<uint64_t, uint32_t>> ThreadIds;
   std::vector<std::pair<uint32_t, std::string>> ThreadNames;
-};
-
-/// RAII span: measures from construction to destruction and submits to
-/// the collector (null collector = disabled, zero overhead beyond two
-/// branches).
-class TraceSpan {
-public:
-  TraceSpan(TraceCollector *Collector, std::string Name,
-            std::string Category);
-  ~TraceSpan();
-
-  TraceSpan(const TraceSpan &) = delete;
-  TraceSpan &operator=(const TraceSpan &) = delete;
-
-  /// Attaches an "args" entry to the span.
-  void arg(std::string Key, std::string Value);
-
-private:
-  TraceCollector *Collector;
-  std::string Name;
-  std::string Category;
-  uint64_t StartNanos = 0;
-  std::vector<std::pair<std::string, std::string>> Args;
 };
 
 } // namespace sxe

@@ -24,7 +24,8 @@ namespace sxe {
 
 ServeDaemon::ServeDaemon(ServeDaemonOptions Opts)
     : Options(std::move(Opts)), Cache(Options.MemoryCache),
-      Flight(Options.FlightCapacity), Events(Flight, Options.Tracing),
+      Flight(Options.FlightCapacity),
+      Events(Flight, /*Retain=*/!Options.EventsFile.empty()),
       Admission(Options.Admission) {
   if (Options.Jobs == 0)
     Options.Jobs = 1;
@@ -39,9 +40,11 @@ ServeDaemon::ServeDaemon(ServeDaemonOptions Opts)
   SvcOpts.Cache = &Cache;
   SvcOpts.Persistent = Persistent.get();
   SvcOpts.Metrics = &Metrics;
-  SvcOpts.PM.CollectRemarks = Options.CollectRemarks;
+  // Always collected: a cache hit replays the remarks of the compile that
+  // filled it.
+  SvcOpts.PM.CollectRemarks = true;
   SvcOpts.Events = &Events;
-  if (Options.Tracing)
+  if (tracing())
     SvcOpts.Trace = &Trace;
   Service = std::make_unique<CompileService>(SvcOpts);
 
@@ -100,7 +103,7 @@ bool ServeDaemon::start(std::string &Error) {
   Started = true;
   StartNanos = wallNowNanos();
   Events.log(ObsEventKind::DaemonStart, {}, Options.SocketPath,
-             {{"jobs", std::to_string(Options.Jobs)},
+             {{"jobs", Options.Jobs},
               {"version", buildVersion()},
               {"git_sha", buildGitSha()}});
   return true;
@@ -166,19 +169,17 @@ ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
     // Load-shed rejections share the service's Rejected ledger and
     // sxe_rejects_total with enqueue-after-shutdown refusals.
     Service->countRejected();
+    std::string Cause = Overload.message();
     Events.log(ObsEventKind::Shed, Ctx, DisplayName,
-               {{"cause", Overload.message()},
-                {"queue_depth", std::to_string(Overload.QueueDepth)}});
-    return errorReply(ServeErrorKind::Overload, Overload.message());
+               {{"cause", Cause},
+                {"queue_depth", Overload.QueueDepth}});
+    return errorReply(ServeErrorKind::Overload, std::move(Cause));
   }
   InflightMetric->set(static_cast<int64_t>(Admission.depth()));
-  std::vector<std::pair<std::string, std::string>> Fields;
-  if (Request.DeadlineMillis)
-    Fields.emplace_back("deadline_ms", std::to_string(Request.DeadlineMillis));
-  if (Request.ClientRequestId)
-    Fields.emplace_back("client_request_id",
-                        std::to_string(Request.ClientRequestId));
-  Events.log(ObsEventKind::Admit, Ctx, DisplayName, std::move(Fields));
+  Events.log(ObsEventKind::Admit, Ctx, DisplayName,
+             {EventField::nonzero("deadline_ms", Request.DeadlineMillis),
+              EventField::nonzero("client_request_id",
+                                  Request.ClientRequestId)});
 
   CompileRequest Compile;
   Compile.Name = DisplayName;
@@ -233,7 +234,7 @@ ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
 }
 
 void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
-  if (Options.Tracing)
+  if (tracing())
     Trace.nameThread("conn-" + std::to_string(ConnId));
   while (true) {
     FrameType Type;
@@ -297,27 +298,24 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
       }
       Reply.TraceId = Ctx.TraceId;
       Reply.RequestId = Ctx.RequestId;
-      if (Options.Tracing) {
+      const char *Status =
+          Reply.Ok ? "ok" : serveErrorKindName(Reply.ErrorKind);
+      if (tracing()) {
         std::vector<std::pair<std::string, std::string>> Args;
         if (Ctx.TraceId)
           Args.emplace_back("trace_id", traceIdHex(Ctx.TraceId));
         if (Ctx.RequestId)
           Args.emplace_back("request_id", std::to_string(Ctx.RequestId));
-        Args.emplace_back("status", Reply.Ok
-                                        ? "ok"
-                                        : serveErrorKindName(Reply.ErrorKind));
+        Args.emplace_back("status", Status);
         if (Reply.Ok)
           Args.emplace_back("tier", serveTierName(Reply.Tier));
         Trace.addSpan("serve-request", "serve", ServeStart, wallNowNanos(),
-                      Args);
+                      std::move(Args));
       }
-      std::vector<std::pair<std::string, std::string>> Fields;
-      Fields.emplace_back("status", Reply.Ok ? "ok"
-                                             : serveErrorKindName(
-                                                   Reply.ErrorKind));
-      if (Reply.Ok)
-        Fields.emplace_back("tier", serveTierName(Reply.Tier));
-      Events.log(ObsEventKind::Reply, Ctx, SpanName, std::move(Fields),
+      Events.log(ObsEventKind::Reply, Ctx, SpanName,
+                 {{"status", Status},
+                  Reply.Ok ? EventField("tier", serveTierName(Reply.Tier))
+                           : EventField()},
                  /*Aux=*/Reply.Ok ? 0
                                   : static_cast<uint8_t>(Reply.ErrorKind));
       WroteReply = writeFrame(Fd, FrameType::CompileReply,
@@ -375,7 +373,7 @@ void ServeDaemon::stop() {
   }
   uint64_t Requests = NextRequestId.load(std::memory_order_relaxed) - 1;
   Events.log(ObsEventKind::Drain, {}, Options.SocketPath,
-             {{"requests", std::to_string(Requests)}});
+             {{"requests", Requests}});
   refreshUptime();
   // Observability artifacts outlive the process on purpose: they are the
   // post-run inputs of tools/sxe-obs.

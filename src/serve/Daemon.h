@@ -34,10 +34,13 @@
 /// workers, and unlinks the socket. The persistent cache has nothing to
 /// flush: every entry is published by the insert that wrote it.
 ///
-/// Every lifecycle event (daemon_start, admit, shed, cache_tier,
+/// The artifact paths are the only observability switch. With TraceFile
+/// set, the daemon, the service and the pass manager record request-scoped
+/// spans; with EventsFile set, the event log keeps full records. Every
+/// lifecycle event (daemon_start, admit, shed, cache_tier,
 /// deadline_expire, reply, dump, drain) is one EventLog::log call, which
-/// always writes the flight-recorder ring; the log keeps full records for
-/// the events file only while Tracing is on.
+/// always writes the fixed-size flight-recorder ring, so a daemon with
+/// neither path retains nothing else.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,20 +82,15 @@ struct ServeDaemonOptions {
   std::string CacheDir;
   /// Byte budget of the persistent tier.
   uint64_t CacheMaxBytes = 256ull << 20;
-  /// Collect optimization remarks on every compile so replies (and cache
-  /// hits) can replay them when the client asks.
-  bool CollectRemarks = true;
-  /// Request-scoped tracing and the retained structured event log. Off,
-  /// the daemon emits no spans and the event log keeps no records; the
-  /// flight recorder stays armed either way — it is the post-mortem
-  /// channel and costs one wait-free ring write per lifecycle event.
-  bool Tracing = true;
-  /// Slots in the crash-safe flight-recorder ring.
+  /// Slots in the crash-safe flight-recorder ring, armed in every
+  /// configuration: one wait-free ring write per lifecycle event.
   size_t FlightCapacity = 2048;
-  /// When non-empty, stop() writes the stitched sxe.trace.v1 document
-  /// here.
+  /// When non-empty, the daemon records request-scoped spans and stop()
+  /// writes the stitched sxe.trace.v1 document here. Empty: no spans.
   std::string TraceFile;
-  /// When non-empty, stop() writes the sxe.events.v1 JSONL stream here.
+  /// When non-empty, the event log keeps every record and stop() writes
+  /// the sxe.events.v1 JSONL stream here. Empty: only the flight ring
+  /// records events.
   std::string EventsFile;
 };
 
@@ -131,10 +129,11 @@ public:
   const std::string &socketPath() const { return Options.SocketPath; }
   MetricsRegistry &metricsRegistry() { return Metrics; }
   CompileService &service() { return *Service; }
-  CodeCache &memoryCache() { return Cache; }
   PersistentCache *persistent() { return Persistent.get(); }
   AdmissionController &admission() { return Admission; }
+  /// Holds no spans unless TraceFile is set.
   TraceCollector &traceCollector() { return Trace; }
+  /// Retains no records unless EventsFile is set.
   EventLog &eventLog() { return Events; }
   FlightRecorder &flightRecorder() { return Flight; }
 
@@ -151,6 +150,8 @@ private:
   /// identity (minted by the daemon when the client sent none).
   ServeReply serveCompile(ServeRequest Request, TraceContext Ctx);
   static ServeReply errorReply(ServeErrorKind Kind, std::string Message);
+  /// Spans are recorded only for a trace file to hold them.
+  bool tracing() const { return !Options.TraceFile.empty(); }
   /// Seconds since start(), pushed into sxe_uptime_seconds at export
   /// points.
   void refreshUptime();

@@ -21,7 +21,7 @@
 //     hex wire form round-trips;
 //   - the structured event log exports schema-tagged, parseable
 //     sxe.events.v1 JSONL and mirrors every append into the flight
-//     recorder;
+//     recorder; a log that does not retain allocates nothing for fields;
 //   - the flight recorder: the ring wraps keeping exactly the most recent
 //     capacity() records, hostile names are sanitized at record time, and
 //     a real SIGSEGV (forked child) leaves a parseable sxe.flight.v1 dump
@@ -45,7 +45,9 @@
 #include "support/Timer.h"
 
 #include <csignal>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -56,6 +58,22 @@
 #include <unistd.h>
 
 using namespace sxe;
+
+namespace {
+/// Heap allocations made by the current thread while armed.
+thread_local bool CountAllocations = false;
+thread_local size_t Allocations = 0;
+} // namespace
+
+// Counting replacement of the global allocation function; delete stays
+// the library's, which frees malloc'd memory.
+void *operator new(std::size_t Size) {
+  if (CountAllocations)
+    ++Allocations;
+  if (void *Memory = std::malloc(Size ? Size : 1))
+    return Memory;
+  throw std::bad_alloc();
+}
 
 namespace {
 
@@ -232,11 +250,9 @@ TEST(Metrics, PrometheusExposition) {
 
 TEST(Trace, ExportIsWellFormedAndSchemaTagged) {
   TraceCollector Trace;
-  {
-    TraceSpan Span(&Trace, "compile", "service");
-    Span.arg("module", "m \"quoted\"\n");
-  }
   uint64_t Now = wallNowNanos();
+  Trace.addSpan("compile", "service", Now, Now + 900,
+                {{"module", "m \"quoted\"\n"}});
   Trace.addSpan("pass", "pass", Now, Now + 1500);
   Trace.nameThread("main");
   EXPECT_EQ(Trace.size(), 2u);
@@ -262,11 +278,14 @@ TEST(Trace, ExportIsWellFormedAndSchemaTagged) {
   }
   EXPECT_EQ(Complete, 2u);
   EXPECT_EQ(Meta, 1u);
-}
-
-TEST(Trace, NullCollectorSpanIsDisabled) {
-  TraceSpan Span(nullptr, "noop", "service");
-  Span.arg("ignored", "x"); // Must not crash.
+  const JsonValue *Compile = nullptr;
+  for (const JsonValue &E : Events->array())
+    if (E.stringField("name") == "compile")
+      Compile = &E;
+  ASSERT_NE(Compile, nullptr);
+  const JsonValue *Args = Compile->find("args");
+  ASSERT_NE(Args, nullptr);
+  EXPECT_EQ(Args->stringField("module"), "m \"quoted\"\n");
 }
 
 TEST(Trace, PipelineRunEmitsOnePassSpanPerPass) {
@@ -444,6 +463,54 @@ TEST(EventLog, JsonlExportIsSchemaTaggedAndParseable) {
   ASSERT_TRUE(parseJson(Lines[2], Doc, Error)) << Error;
   EXPECT_EQ(Doc.stringField("event"), "cache_tier");
   EXPECT_EQ(Doc.stringField("tier"), "memory");
+}
+
+TEST(EventLog, RecordsRenderNumbersAsStringsAndSkipAbsentFields) {
+  FlightRecorder Flight;
+  EventLog Log(Flight, /*Retain=*/true);
+  TraceContext Ctx;
+  Ctx.TraceId = 0xabcdef0011223344ull;
+  Ctx.RequestId = 7;
+  Log.log(ObsEventKind::Admit, Ctx, "loop.sxir",
+          {EventField::nonzero("deadline_ms", 250),
+           EventField::nonzero("client_request_id", 0)});
+  Log.log(ObsEventKind::Reply, Ctx, "loop.sxir",
+          {{"status", "parse"}, EventField()}, /*Aux=*/3);
+  std::vector<ObsEvent> Events = Log.snapshot();
+  ASSERT_EQ(Events.size(), 2u);
+  std::string Expected = std::string("{\"schema\": \"") + kEventsSchema +
+                         "\"}\n{\"ts_ns\": " +
+                         std::to_string(Events[0].Nanos) +
+                         ", \"event\": \"admit\", \"trace_id\": "
+                         "\"abcdef0011223344\", \"request_id\": 7, \"name\": "
+                         "\"loop.sxir\", \"deadline_ms\": \"250\"}\n"
+                         "{\"ts_ns\": " +
+                         std::to_string(Events[1].Nanos) +
+                         ", \"event\": \"reply\", \"trace_id\": "
+                         "\"abcdef0011223344\", \"request_id\": 7, \"name\": "
+                         "\"loop.sxir\", \"status\": \"parse\"}\n";
+  EXPECT_EQ(Log.toJsonl(), Expected);
+}
+
+TEST(EventLog, WithoutRetainFieldsAllocateNothing) {
+  FlightRecorder Flight(8);
+  EventLog Log(Flight, /*Retain=*/false);
+  TraceContext Ctx;
+  Ctx.TraceId = mintTraceId();
+  Ctx.RequestId = 1;
+  const std::string Name = "a-module-name-past-the-small-string-buffer.sxir";
+  const std::string Cause = "queue depth 4096 reached the admission bound";
+  CountAllocations = true;
+  Log.log(ObsEventKind::Admit, Ctx, Name,
+          {EventField::nonzero("deadline_ms", 250),
+           EventField::nonzero("client_request_id", 123456789012345ull)});
+  Log.log(ObsEventKind::Shed, Ctx, Name,
+          {{"cause", Cause}, {"queue_depth", 4096}});
+  Log.log(ObsEventKind::Reply, Ctx, Name, {{"status", "ok"}, {"tier", "memory"}});
+  CountAllocations = false;
+  EXPECT_EQ(Allocations, 0u);
+  EXPECT_EQ(Flight.recorded(), 3u);
+  EXPECT_EQ(Log.size(), 0u);
 }
 
 TEST(EventLog, MirrorsEveryAppendIntoFlightRecorder) {

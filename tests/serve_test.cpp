@@ -20,9 +20,10 @@
 //     legacy id-less payloads decode to absent), the daemon echoes a
 //     client-minted id and mints one for legacy clients, lifecycle events
 //     land in the structured log under the request's ids, the Dump frame
-//     returns a parseable sxe.flight.v1 recording (which holds each
-//     request's lifecycle with tracing off too), and the per-request
-//     span set is identical at 1 and 4 workers (stitching determinism).
+//     returns a parseable sxe.flight.v1 recording, a daemon with no
+//     artifact paths retains no spans or events while its flight ring
+//     still holds each request's lifecycle, and the per-request span set
+//     is identical at 1 and 4 workers (stitching determinism).
 //
 //===-----------------------------------------------------------------------------===//
 
@@ -73,7 +74,15 @@ struct TempDir {
   }
   std::string str() const { return Path.string(); }
   std::string sock() const { return (Path / "serve.sock").string(); }
+  std::string file(const char *Name) const { return (Path / Name).string(); }
 };
+
+/// Gives the daemon both artifact paths under \p Dir, which turns on its
+/// spans and its retained event log.
+void recordArtifactsIn(ServeDaemonOptions &Options, const TempDir &Dir) {
+  Options.TraceFile = Dir.file("daemon.trace.json");
+  Options.EventsFile = Dir.file("daemon.events.jsonl");
+}
 
 /// `.sxir` source with \p Funcs kernels of \p Chain dependent add+load
 /// pairs each — big enough to keep a worker busy for a measurable while.
@@ -692,6 +701,7 @@ TEST(ServeDaemon, SourceHitReplyMatchesStructuralHitReply) {
   ServeDaemonOptions Options;
   Options.SocketPath = Dir.sock();
   Options.Jobs = 2;
+  recordArtifactsIn(Options, Dir);
   ServeDaemon Daemon(Options);
   std::string Error;
   ASSERT_TRUE(Daemon.start(Error)) << Error;
@@ -831,6 +841,7 @@ TEST(ServeDaemon, EchoesTraceIdentityAndLogsLifecycleEvents) {
   ServeDaemonOptions Options;
   Options.SocketPath = Dir.sock();
   Options.Jobs = 2;
+  recordArtifactsIn(Options, Dir);
   ServeDaemon Daemon(Options);
   std::string Error;
   ASSERT_TRUE(Daemon.start(Error)) << Error;
@@ -1002,38 +1013,51 @@ TEST(ServeDaemon, DumpFrameReturnsParseableFlightRecording) {
 }
 
 TEST(ServeDaemon, NoTraceStillRecordsLifecycleInFlightRecorder) {
+  // Default options and no artifact paths: the daemon keeps no spans and
+  // no event records, only the fixed-size flight ring.
   TempDir Dir("notrace");
   ServeDaemonOptions Options;
   Options.SocketPath = Dir.sock();
-  Options.Jobs = 1;
-  Options.Tracing = false;
   ServeDaemon Daemon(Options);
   std::string Error;
   ASSERT_TRUE(Daemon.start(Error)) << Error;
 
   ServeClient Client;
   ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
-  ServeRequest Request;
-  Request.Name = "untraced.sxir";
-  Request.Source = smallSource(/*Bias=*/43);
-  ServeReply Reply;
-  ASSERT_TRUE(Client.compile(Request, Reply, Error)) << Error;
-  ASSERT_TRUE(Reply.Ok) << Reply.Error;
-  ASSERT_EQ(1u, Reply.RequestId);
+  // Two cold compiles, then a source hit.
+  std::vector<ServeReply> Replies;
+  for (int Bias : {43, 44, 43}) {
+    ServeRequest Request;
+    Request.Name = "untraced" + std::to_string(Bias) + ".sxir";
+    Request.Source = smallSource(Bias);
+    ServeReply Reply;
+    ASSERT_TRUE(Client.compile(Request, Reply, Error)) << Error;
+    ASSERT_TRUE(Reply.Ok) << Reply.Error;
+    Replies.push_back(Reply);
+  }
+  EXPECT_EQ(ServeTier::Memory, Replies.back().Tier);
+  EXPECT_EQ(0u, Daemon.traceCollector().size());
+  EXPECT_EQ(0u, Daemon.eventLog().size());
 
-  // The ring holds the request's whole lifecycle; the log retains nothing.
-  std::set<std::string> Events;
-  std::istringstream In(Daemon.flightRecorder().dumpToString());
+  // The ring holds each request's whole lifecycle.
+  std::string Dump;
+  ASSERT_TRUE(Client.fetchFlightDump(Dump, Error)) << Error;
+  std::map<uint64_t, std::multiset<std::string>> EventsByRequest;
+  std::istringstream In(Dump);
   for (std::string Line; std::getline(In, Line);) {
     JsonValue Doc;
     ASSERT_TRUE(parseJson(Line, Doc, Error)) << Line << ": " << Error;
-    if (Doc.uint64Field("request_id") == 1 &&
-        Doc.stringField("trace_id") == traceIdHex(Reply.TraceId))
-      Events.insert(Doc.stringField("event"));
+    EventsByRequest[Doc.uint64Field("request_id")].insert(
+        Doc.stringField("event"));
   }
-  EXPECT_EQ(1u, Events.count("admit"));
-  EXPECT_EQ(1u, Events.count("cache_tier"));
-  EXPECT_EQ(1u, Events.count("reply"));
+  for (const ServeReply &Reply : Replies) {
+    const std::multiset<std::string> &Events =
+        EventsByRequest[Reply.RequestId];
+    EXPECT_EQ((std::multiset<std::string>{"admit", "cache_tier", "reply"}),
+              Events)
+        << "request " << Reply.RequestId;
+  }
+  EXPECT_EQ(0u, Daemon.traceCollector().size());
   EXPECT_EQ(0u, Daemon.eventLog().size());
   Daemon.stop();
 }
@@ -1074,6 +1098,7 @@ TEST(ServeDaemon, SpanSetPerRequestIsDeterministicAcrossWorkerCounts) {
     ServeDaemonOptions Options;
     Options.SocketPath = Dir.sock();
     Options.Jobs = Jobs;
+    recordArtifactsIn(Options, Dir);
     ServeDaemon Daemon(Options);
     std::string Error;
     ASSERT_TRUE(Daemon.start(Error)) << Error;

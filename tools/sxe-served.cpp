@@ -7,9 +7,10 @@
 //
 //   sxe-served --socket=PATH [--jobs=N] [--cache-dir=DIR] [--cache-bytes=N]
 //              [--max-queue=N] [--default-deadline-ms=N]
-//              [--metrics-file=FILE] [--trace-file=FILE]
+//              [--metrics-file=FILE] [--metrics-json=FILE]
+//              [--trace-file=FILE]
 //              [--events-file=FILE] [--flight-dump=FILE]
-//              [--flight-capacity=N] [--no-trace]
+//              [--flight-capacity=N]
 //
 // Binds a unix-domain socket, serves framed compile requests (see
 // serve/Protocol.h) until SIGTERM/SIGINT or a client Shutdown frame, then
@@ -24,14 +25,15 @@
 // directory holds one object file per artifact and no index file, so a
 // restart after kill -9 sees every object a clean drain would have left.
 //
-// Observability: request-scoped tracing and the retained structured event
-// log are on by default (--no-trace disables both). --trace-file/
-// --events-file write the stitched sxe.trace.v1 / sxe.events.v1 artifacts
-// at drain. The crash-safe flight recorder is always armed, --no-trace
-// included: every lifecycle event lands in its ring, on SIGSEGV and
-// friends the last --flight-capacity events are dumped (sxe.flight.v1
-// JSONL) to --flight-dump, defaulting to `<socket>.flight.jsonl`, and
-// `sxe-client --dump` fetches the same ring from a live daemon.
+// Observability: --trace-file turns on request-scoped tracing and
+// --events-file the retained structured event log; each artifact
+// (sxe.trace.v1 / sxe.events.v1) is written at drain. Without them the
+// daemon keeps neither spans nor event records. The crash-safe flight
+// recorder is always armed: every lifecycle event lands in its ring, on
+// SIGSEGV and friends the last --flight-capacity events are dumped
+// (sxe.flight.v1 JSONL) to --flight-dump, defaulting to
+// `<socket>.flight.jsonl`, and `sxe-client --dump` fetches the same ring
+// from a live daemon.
 //
 //===----------------------------------------------------------------------------===//
 
@@ -64,8 +66,7 @@ void usage() {
       "                  [--default-deadline-ms=N] [--metrics-file=FILE]\n"
       "                  [--metrics-json=FILE]\n"
       "                  [--trace-file=FILE] [--events-file=FILE]\n"
-      "                  [--flight-dump=FILE] [--flight-capacity=N]\n"
-      "                  [--no-trace]\n");
+      "                  [--flight-dump=FILE] [--flight-capacity=N]\n");
 }
 
 } // namespace
@@ -105,8 +106,6 @@ int main(int argc, char **argv) {
     } else if (Arg.rfind("--flight-capacity=", 0) == 0) {
       Options.FlightCapacity =
           static_cast<size_t>(std::strtoull(Arg.c_str() + 18, nullptr, 10));
-    } else if (Arg == "--no-trace") {
-      Options.Tracing = false;
     } else {
       std::fprintf(stderr, "sxe-served: unknown option '%s'\n", Arg.c_str());
       usage();
