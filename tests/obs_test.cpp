@@ -65,15 +65,21 @@ thread_local bool CountAllocations = false;
 thread_local size_t Allocations = 0;
 } // namespace
 
-// Counting replacement of the global allocation function; delete stays
-// the library's, which frees malloc'd memory.
-void *operator new(std::size_t Size) {
+// Counting replacements of the scalar allocation functions. Every form
+// that shares the scalar delete is replaced, so a sanitizer's allocator
+// sees malloc paired with free; the array forms stay the runtime's pair.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
   if (CountAllocations)
     ++Allocations;
-  if (void *Memory = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+void *operator new(std::size_t Size) {
+  if (void *Memory = operator new(Size, std::nothrow))
     return Memory;
   throw std::bad_alloc();
 }
+void operator delete(void *Memory) noexcept { std::free(Memory); }
+void operator delete(void *Memory, std::size_t) noexcept { std::free(Memory); }
 
 namespace {
 
