@@ -43,7 +43,7 @@ std::unique_ptr<Module> buildSynthetic(unsigned NumLoops,
   B.copyTo(Acc, Zero);
 
   for (unsigned LoopIndex = 0; LoopIndex < NumLoops; ++LoopIndex) {
-    Reg I = F->newReg(Type::I32, "i" + std::to_string(LoopIndex));
+    Reg I = F->newReg(Type::I32, 'i' + std::to_string(LoopIndex));
     B.copyTo(I, Zero);
     BasicBlock *Head =
         F->createBlock("head" + std::to_string(LoopIndex));

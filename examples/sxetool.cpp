@@ -20,7 +20,7 @@
 //   sxetool program.sxir --stats --stats-json=- --quiet
 //   sxetool program.sxir --verify-each --dump-after-each=/tmp/snap
 //   sxetool program.sxir --quiet --remarks=- --trace=/tmp/run.trace.json
-//   sxetool --batch=tests/corpus --jobs=8 --out=/tmp/opt \
+//   sxetool --batch=tests/corpus --jobs=8 --out=/tmp/opt
 //           --trace=/tmp/batch.trace.json --metrics=/tmp/batch.prom
 //   sxetool --validate-obs=/tmp/batch.trace.json
 //

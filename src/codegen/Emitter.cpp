@@ -51,9 +51,8 @@ static_assert(sizeof(NativeArrayDesc) == 1u << ArrayDescShift,
 
 class FunctionEmitter {
 public:
-  FunctionEmitter(const MFunction &MF, const HelperTable &Helpers,
-                  bool CheckWildAddresses)
-      : MF(MF), Helpers(Helpers), CheckWildAddresses(CheckWildAddresses) {}
+  FunctionEmitter(const MFunction &MF, const HelperTable &Helpers)
+      : MF(MF), Helpers(Helpers) {}
 
   std::vector<uint8_t> emit();
 
@@ -82,7 +81,6 @@ private:
 
   const MFunction &MF;
   const HelperTable &Helpers;
-  bool CheckWildAddresses;
   X86Assembler A;
   int32_t FrameBytes = 0;
   std::vector<size_t> BlockOffsets;
@@ -174,8 +172,8 @@ void FunctionEmitter::emitArrayDesc(uint32_t Handle, uint64_t NullTrap) {
 
 /// RCX = low32(Index) once it is below the length of RAX's array: the
 /// Java bounds check compares 32 bits. The address then uses the full
-/// register, so with wild-address checking a disagreeing upper half traps;
-/// one 64-bit compare suffices because the length is below 2^31.
+/// register, so a disagreeing upper half traps WildAddress; one 64-bit
+/// compare suffices because the length is below 2^31.
 void FunctionEmitter::emitArrayIndex(uint32_t Index) {
   if (isSlotRef(Index))
     A.movRM32(RCX, RBP, slotDisp(slotOfRef(Index)));
@@ -183,8 +181,6 @@ void FunctionEmitter::emitArrayIndex(uint32_t Index) {
     A.movRR32(RCX, Index);
   A.cmpRM64(RCX, RAX, static_cast<int32_t>(offsetof(NativeArrayDesc, Len)));
   trapIf(X86Cond::AE, TrapKind::BoundsCheck);
-  if (!CheckWildAddresses)
-    return;
   if (isSlotRef(Index))
     A.cmpRM64(RCX, RBP, slotDisp(slotOfRef(Index)));
   else
@@ -471,13 +467,11 @@ std::vector<uint8_t> FunctionEmitter::emit() {
 
 } // namespace
 
-EmittedModule sxe::emitModule(const MModule &MM, const HelperTable &Helpers,
-                              bool CheckWildAddresses) {
+EmittedModule sxe::emitModule(const MModule &MM, const HelperTable &Helpers) {
   EmittedModule EM;
   for (const auto &MF : MM.Functions) {
     EM.FunctionOffsets.push_back(EM.Code.size());
-    std::vector<uint8_t> Bytes =
-        FunctionEmitter(*MF, Helpers, CheckWildAddresses).emit();
+    std::vector<uint8_t> Bytes = FunctionEmitter(*MF, Helpers).emit();
     EM.Code.insert(EM.Code.end(), Bytes.begin(), Bytes.end());
   }
   return EM;

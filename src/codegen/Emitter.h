@@ -90,12 +90,10 @@ struct EmittedModule {
   std::vector<size_t> FunctionOffsets; ///< Indexed by MFunction::index().
 };
 
-/// Emits every (allocated, verified) function of \p MM. With
-/// \p CheckWildAddresses an array index whose upper half disagrees with
-/// the bounds-checked low half traps WildAddress; without it the low half
-/// is used, as the interpreter does under the same option.
-EmittedModule emitModule(const MModule &MM, const HelperTable &Helpers,
-                         bool CheckWildAddresses = true);
+/// Emits every (allocated, verified) function of \p MM. An array index
+/// whose upper half disagrees with the bounds-checked low half traps
+/// WildAddress, as it does in the interpreter.
+EmittedModule emitModule(const MModule &MM, const HelperTable &Helpers);
 
 } // namespace sxe
 

@@ -128,7 +128,7 @@ std::string regText(uint32_t R) {
     return physRegName(R);
   if (isSlotRef(R))
     return "[slot" + std::to_string(slotOfRef(R)) + "]";
-  return "v" + std::to_string(R - FirstVirtReg);
+  return 'v' + std::to_string(R - FirstVirtReg);
 }
 
 void printInst(std::ostream &OS, const MInst &I) {

@@ -103,15 +103,14 @@ uint64_t rtNewArray(NativeCtx *Ctx, uint64_t Len) {
   int32_t LenLow = static_cast<int32_t>(Len);
   if (LenLow < 0)
     raiseTrap(Ctx, TrapKind::NegativeArraySize, "negative array size");
-  int64_t LenFull = static_cast<int64_t>(Len);
-  if (RT.Opts->CheckWildAddresses && LenFull != LenLow)
+  if (static_cast<int64_t>(Len) != LenLow)
     raiseTrap(Ctx, TrapKind::WildAddress,
               "newarray length register not sign-extended");
   uint64_t N = static_cast<uint64_t>(LenLow);
   if (N > RT.Opts->MaxArrayLen)
     raiseTrap(Ctx, TrapKind::AllocationLimit,
               "array exceeds the configured limit");
-  if (RT.HeapElements + N > RT.Opts->MaxHeapElements)
+  if (RT.HeapElements + N > MaxHeapElements)
     reportFatalError("native heap limit exceeded (workload bug)");
   RT.HeapElements += N;
   RT.Heap.emplace_back(N, 0);
@@ -267,8 +266,7 @@ NativeModule::compile(const Module &M, const NativeOptions &Opts,
       reportFatalError("machine verifier: " + MF->name() + ": " + Problem);
   }
 
-  EmittedModule EM =
-      emitModule(MIR, makeHelperTable(), Opts.CheckWildAddresses);
+  EmittedModule EM = emitModule(MIR, makeHelperTable());
   NM->P->Info.CodeBytes = EM.Code.size();
 
   if (!NM->P->Code.allocate(EM.Code.size()))
@@ -305,7 +303,7 @@ ExecResult NativeModule::run(const std::string &FuncName,
   NativeCtx Ctx;
   Ctx.Fuel = Fuel;
   Ctx.Depth = 0;
-  Ctx.MaxDepth = static_cast<int32_t>(P->Opts.MaxCallDepth);
+  Ctx.MaxDepth = static_cast<int32_t>(MaxCallDepth);
   Ctx.FnTable = P->FnTable.data();
   Ctx.RT = &RT;
   Ctx.Arrays = nullptr;

@@ -49,10 +49,7 @@ namespace sxe {
 /// InterpOptions so differential runs configure both engines identically.
 struct NativeOptions {
   uint64_t MaxSteps = 4ULL << 30;
-  unsigned MaxCallDepth = 1024;
   uint32_t MaxArrayLen = 0x7FFFFFFF;
-  uint64_t MaxHeapElements = 1ULL << 28;
-  bool CheckWildAddresses = true;
   RegAllocOptions RegAlloc;
 };
 

@@ -2,10 +2,8 @@
 
 #include "fuzz/DiffTest.h"
 
-#include "codegen/NativeEngine.h"
-#include "ir/Cloner.h"
 #include "ir/Verifier.h"
-#include "pm/InstrumentedPipeline.h"
+#include "workloads/Runner.h"
 
 using namespace sxe;
 
@@ -64,9 +62,7 @@ DiffResult sxe::runDifferentialTest(const Module &Pristine,
   InterpOptions JavaOptions;
   JavaOptions.Semantics = ExecSemantics::Java;
   JavaOptions.MaxSteps = Config.MaxSteps;
-  JavaOptions.MaxArrayLen = Config.MaxArrayLen;
-  ExecResult Oracle =
-      Interpreter(Pristine, JavaOptions).run(Config.EntryFunction);
+  ExecResult Oracle = Interpreter(Pristine, JavaOptions).run("main");
   Result.OracleTrap = Oracle.Trap;
   Result.OracleChecksum = Oracle.ReturnValue;
   if (Oracle.Trap == TrapKind::StepLimit)
@@ -78,35 +74,22 @@ DiffResult sxe::runDifferentialTest(const Module &Pristine,
   if (Targets.empty())
     Targets = {&TargetInfo::ia64(), &TargetInfo::ppc64(),
                &TargetInfo::generic64(), &TargetInfo::x86_64()};
-  std::vector<Variant> Variants = Config.Variants;
-  if (Variants.empty())
-    Variants.assign(AllVariants, AllVariants + NumVariants);
 
   for (const TargetInfo *Target : Targets) {
     bool HaveBaseline = false;
     uint64_t BaselineSext = 0;
-    for (Variant V : Variants) {
-      auto Clone = cloneModule(Pristine);
-      PipelineConfig PC = PipelineConfig::forVariant(V, *Target);
-      PC.MaxArrayLen = Config.MaxArrayLen;
-      runInstrumentedPipeline(*Clone, PC);
+    for (Variant V : AllVariants) {
+      CompiledVariant Compiled =
+          compileVariant(Pristine, V, *Target, /*Profile=*/nullptr);
       ++Result.PipelinesRun;
       if (Config.PostPipelineMutator)
-        Config.PostPipelineMutator(*Clone, V, *Target);
+        Config.PostPipelineMutator(*Compiled.M, V, *Target);
+      VariantRun Run = checkAndRunVariant(*Compiled.M, *Target,
+                                          Config.MaxSteps, Config.NativeEngine);
+      if (!Run.VerifyProblem.empty())
+        return fail(DiffStatus::VerifyFailed, V, Target, Run.VerifyProblem);
 
-      VerifierOptions VO;
-      VO.AllowDummyExtends = false;
-      Problems.clear();
-      if (!verifyModule(*Clone, Problems, VO))
-        return fail(DiffStatus::VerifyFailed, V, Target, Problems.front());
-
-      InterpOptions MachineOptions;
-      MachineOptions.Target = Target;
-      MachineOptions.MaxSteps = Config.MaxSteps;
-      MachineOptions.MaxArrayLen = Config.MaxArrayLen;
-      ExecResult Got =
-          Interpreter(*Clone, MachineOptions).run(Config.EntryFunction);
-
+      const ExecResult &Got = Run.Interp;
       if (Got.Trap == TrapKind::WildAddress)
         return fail(DiffStatus::WildAddress, V, Target, Got.TrapMessage);
       if (Got.Trap != Oracle.Trap)
@@ -124,28 +107,19 @@ DiffResult sxe::runDifferentialTest(const Module &Pristine,
       // optimized run cannot be step-limited here (that would have been a
       // trap mismatch above), but the native engine's block-granular fuel
       // can exhaust slightly early, so a native StepLimit is skipped.
-      if (Config.NativeEngine && Target == &TargetInfo::x86_64() &&
-          NativeModule::hostSupported()) {
-        NativeOptions NOpts;
-        NOpts.MaxSteps = Config.MaxSteps;
-        NOpts.MaxArrayLen = Config.MaxArrayLen;
-        std::string Error;
-        if (auto NM = NativeModule::compile(*Clone, NOpts, &Error)) {
-          ExecResult Native = NM->run(Config.EntryFunction);
-          ++Result.NativeRuns;
-          if (Native.Trap != TrapKind::StepLimit) {
-            if (Native.Trap != Got.Trap)
-              return fail(DiffStatus::NativeMismatch, V, Target,
-                          std::string("interpreter ") +
-                              trapKindName(Got.Trap) + ", native " +
-                              trapKindName(Native.Trap));
-            if (Got.Trap == TrapKind::None &&
-                Native.ReturnValue != Got.ReturnValue)
-              return fail(DiffStatus::NativeMismatch, V, Target,
-                          "interpreter " + std::to_string(Got.ReturnValue) +
-                              ", native " +
-                              std::to_string(Native.ReturnValue));
-          }
+      if (Run.NativeExecuted) {
+        const ExecResult &Native = Run.Native;
+        ++Result.NativeRuns;
+        if (Native.Trap != TrapKind::StepLimit) {
+          if (Native.Trap != Got.Trap)
+            return fail(DiffStatus::NativeMismatch, V, Target,
+                        std::string("interpreter ") + trapKindName(Got.Trap) +
+                            ", native " + trapKindName(Native.Trap));
+          if (Got.Trap == TrapKind::None &&
+              Native.ReturnValue != Got.ReturnValue)
+            return fail(DiffStatus::NativeMismatch, V, Target,
+                        "interpreter " + std::to_string(Got.ReturnValue) +
+                            ", native " + std::to_string(Native.ReturnValue));
         }
       }
 

@@ -11,7 +11,8 @@
 /// replay test. Given a pristine module, the harness executes it once
 /// under Java bytecode semantics (the unoptimized-interpreter oracle) and
 /// then, for every configured target x pipeline variant, optimizes a
-/// clone and executes it under machine semantics, requiring:
+/// clone and executes it under machine semantics through the workload
+/// runner's per-variant job (workloads/Runner.h), requiring:
 ///
 ///   1. the post-pipeline module verifies with no dummy extensions left,
 ///   2. trap kind and checksum match the oracle exactly,
@@ -68,14 +69,11 @@ struct DiffFailure {
   std::string describe() const;
 };
 
-/// Harness configuration. Empty Targets/Variants mean "all four targets"
-/// (ia64, ppc64, generic64, x86_64) / "all twelve variants".
+/// Harness configuration. Every run executes `main` under all twelve
+/// variants on each of Targets (empty: ia64, ppc64, generic64, x86_64).
 struct DiffConfig {
   std::vector<const TargetInfo *> Targets;
-  std::vector<Variant> Variants;
   uint64_t MaxSteps = 1u << 22;
-  uint32_t MaxArrayLen = 0x7FFFFFFF;
-  std::string EntryFunction = "main";
   /// Also execute every x86_64-target pipeline result through the native
   /// code generator (codegen/NativeEngine.h) and require trap/checksum
   /// parity with the machine-semantics interpreter. Silently inert on

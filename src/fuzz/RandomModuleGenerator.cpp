@@ -443,7 +443,7 @@ void RandomModuleGenerator::buildHelper(Module &M, unsigned Index) {
   for (unsigned P = 0; P < NumParams; ++P) {
     Type Ty = WidePool && R.nextChance(1, 4) ? Type::I64 : Type::I32;
     ParamTypes.push_back(Ty);
-    F->addParam(Ty, "p" + std::to_string(P));
+    F->addParam(Ty, 'p' + std::to_string(P));
   }
 
   Scope S;
@@ -460,7 +460,7 @@ void RandomModuleGenerator::buildHelper(Module &M, unsigned Index) {
   }
   for (unsigned V = 0; V < 2; ++V)
     S.I32Vars.push_back(S.K->varI32(static_cast<int32_t>(R.next()),
-                                    "h" + std::to_string(V)));
+                                    'h' + std::to_string(V)));
   if (WidePool)
     S.I64Vars.push_back(
         S.K->varI64(static_cast<int64_t>(R.next()), "hw"));
@@ -522,11 +522,11 @@ void RandomModuleGenerator::buildMain(Module &M) {
 
   for (unsigned Index = 0; Index < Options.NumI32Vars; ++Index)
     S.I32Vars.push_back(S.K->varI32(static_cast<int32_t>(R.next()),
-                                    "v" + std::to_string(Index)));
+                                    'v' + std::to_string(Index)));
   if (Options.EnableWideArith)
     for (unsigned Index = 0; Index < Options.NumI64Vars; ++Index)
       S.I64Vars.push_back(S.K->varI64(static_cast<int64_t>(R.next()),
-                                      "g" + std::to_string(Index)));
+                                      'g' + std::to_string(Index)));
   S.Acc = S.K->varI64(0, "acc");
 
   emitBlock(S, Options.MaxDepth);

@@ -81,7 +81,7 @@ private:
 
 void Machine::pushFrame(const Function &F, const std::vector<uint64_t> &Args,
                         Reg ResultReg) {
-  if (Stack.size() >= Options.MaxCallDepth) {
+  if (Stack.size() >= MaxCallDepth) {
     trap(TrapKind::StackOverflow, "call depth limit exceeded");
     return;
   }
@@ -318,8 +318,7 @@ void Machine::execute(const Instruction &I) {
       trap(TrapKind::NegativeArraySize, "negative array size");
       return;
     }
-    int64_t LenFull = static_cast<int64_t>(Val(0));
-    if (Options.CheckWildAddresses && LenFull != LenLow) {
+    if (static_cast<int64_t>(Val(0)) != LenLow) {
       trap(TrapKind::WildAddress,
            "newarray length register not sign-extended");
       return;
@@ -329,7 +328,7 @@ void Machine::execute(const Instruction &I) {
       trap(TrapKind::AllocationLimit, "array exceeds the configured limit");
       return;
     }
-    if (HeapElements + Len > Options.MaxHeapElements)
+    if (HeapElements + Len > MaxHeapElements)
       reportFatalError("interpreter heap limit exceeded (workload bug)");
     HeapElements += Len;
     Heap.push_back(ArrayObject{I.type(), std::vector<uint64_t>(Len, 0)});
@@ -363,9 +362,7 @@ void Machine::execute(const Instruction &I) {
     // The effective address uses the FULL register (Section 3): if it
     // disagrees with the checked low half, the machine would access wild
     // memory — a miscompile this interpreter detects.
-    int64_t IndexFull = static_cast<int64_t>(Val(1));
-    if (Options.CheckWildAddresses &&
-        IndexFull != static_cast<int64_t>(IndexLow)) {
+    if (Val(1) != IndexLow) {
       trap(TrapKind::WildAddress,
            "effective address disagrees with bounds-checked index in " +
                F.F->name());

@@ -105,15 +105,18 @@ enum class ExecSemantics : uint8_t {
   Java,
 };
 
+/// Limits of one run in either engine (codegen/NativeEngine.h too): call
+/// frames, beyond which a call traps StackOverflow, and array elements,
+/// beyond which a workload bug aborts the process.
+constexpr unsigned MaxCallDepth = 1024;
+constexpr uint64_t MaxHeapElements = 1ULL << 28;
+
 /// Execution configuration.
 struct InterpOptions {
   const TargetInfo *Target = &TargetInfo::ia64();
   ExecSemantics Semantics = ExecSemantics::Machine;
   uint64_t MaxSteps = 4ULL << 30;
-  unsigned MaxCallDepth = 1024;
   uint32_t MaxArrayLen = 0x7FFFFFFF; ///< Must match the compiler's setting.
-  uint64_t MaxHeapElements = 1ULL << 28;
-  bool CheckWildAddresses = true;
   ProfileInfo *Profile = nullptr; ///< Non-null: record branch outcomes.
 };
 

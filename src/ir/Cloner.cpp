@@ -16,7 +16,7 @@ void cloneFunctionBody(const Function &Src, Function &Dst,
   // Registers: parameters first, then locals, preserving indices.
   for (Reg R = 0; R < Src.numRegs(); ++R) {
     std::string Name = Src.regName(R);
-    if (Name == "r" + std::to_string(R))
+    if (Name == 'r' + std::to_string(R))
       Name.clear(); // Auto-generated; let the copy regenerate it.
     if (R < Src.numParams())
       Dst.addParam(Src.regType(R), std::move(Name));

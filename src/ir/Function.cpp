@@ -23,7 +23,7 @@ std::string Function::regName(Reg R) const {
   assert(R < RegTypes.size() && "register out of range");
   if (!RegNames[R].empty())
     return RegNames[R];
-  return "r" + std::to_string(R);
+  return 'r' + std::to_string(R);
 }
 
 BasicBlock *Function::createBlock(std::string BlockName) {

@@ -13,14 +13,14 @@ std::string sxe::printableRegName(const Function &F, Reg R) {
   // Robust against corrupt IR: the verifier prints instructions while
   // complaining about them, including out-of-range register operands.
   if (R >= F.numRegs())
-    return "r" + std::to_string(R) + "<invalid>";
+    return 'r' + std::to_string(R) + "<invalid>";
   // Declared names get a ".<N>" suffix so that duplicates ("i" in two
   // scopes) stay unique; unnamed registers use the canonical "r<N>".
   // Names that already carry the right suffix (a parsed module being
   // reprinted) are left alone so print -> parse -> print is a fixpoint.
   std::string Base = F.regName(R);
-  std::string Suffix = "." + std::to_string(R);
-  if (Base == "r" + std::to_string(R))
+  std::string Suffix = '.' + std::to_string(R);
+  if (Base == 'r' + std::to_string(R))
     return Base;
   if (Base.size() > Suffix.size() &&
       Base.compare(Base.size() - Suffix.size(), Suffix.size(), Suffix) == 0)
@@ -31,7 +31,7 @@ std::string sxe::printableRegName(const Function &F, Reg R) {
 namespace {
 
 std::string regRef(const Function &F, Reg R) {
-  return "%" + printableRegName(F, R);
+  return '%' + printableRegName(F, R);
 }
 
 std::string floatLiteral(double Value) {

@@ -8,6 +8,12 @@
 
 using namespace sxe;
 
+/// Every tier runs main; both compiled tiers run the full algorithm; the
+/// warm-up and tier 3 stop after WarmupMaxSteps.
+static constexpr const char *Entry = "main";
+static constexpr Variant TierVariant = Variant::All;
+static constexpr uint64_t WarmupMaxSteps = 1ull << 24;
+
 TieredController::TieredController(CompileService &Service,
                                    TieredOptions Options)
     : Service(Service), Options(std::move(Options)) {}
@@ -24,13 +30,13 @@ TieredOutcome TieredController::run(const Module &M,
   InterpOptions Warmup;
   Warmup.Target = Options.Target;
   Warmup.Semantics = ExecSemantics::Java;
-  Warmup.MaxSteps = Options.WarmupMaxSteps;
+  Warmup.MaxSteps = WarmupMaxSteps;
   Warmup.Profile = &Profile;
-  Outcome.Warmup = Interpreter(M, Warmup).run(Options.Entry, Args);
+  Outcome.Warmup = Interpreter(M, Warmup).run(Entry, Args);
   Outcome.ProfileCollected = !Profile.empty();
 
   PipelineConfig Config =
-      PipelineConfig::forVariant(Options.TierVariant, *Options.Target);
+      PipelineConfig::forVariant(TierVariant, *Options.Target);
 
   CompileRequest Tier1;
   Tier1.Name = M.name() + ":tier1";
@@ -61,9 +67,9 @@ TieredOutcome TieredController::run(const Module &M,
     ParseResult Parsed = parseModule(Outcome.Profiled.Code->IRText);
     if (Parsed.ok()) {
       NativeOptions NOpts;
-      NOpts.MaxSteps = Options.WarmupMaxSteps;
+      NOpts.MaxSteps = WarmupMaxSteps;
       if (auto NM = NativeModule::compile(*Parsed.M, NOpts)) {
-        Outcome.Native = NM->run(Options.Entry, Args);
+        Outcome.Native = NM->run(Entry, Args);
         Outcome.NativeExecuted = true;
       }
     }

@@ -13,8 +13,10 @@
 /// pair of Section 2.2, where order determination consumes interpreter
 /// profiles (cf. OCAMLJIT2's interpret-then-JIT tiering, PAPERS.md).
 ///
-/// Tier 0   interpreter, ExecSemantics::Java, ProfileInfo recording
-/// Tier 1   compile with static frequency estimates
+/// Tier 0   interpreter, ExecSemantics::Java, ProfileInfo recording,
+///          running `main` under a 2^24-step budget
+/// Tier 1   compile with static frequency estimates (both compiled tiers
+///          run Variant::All)
 /// Tier 2   recompile with Config.Profile = the tier-0 profile, enqueued
 ///          at a hotness proportional to the observed execution count
 /// Tier 3   (x86_64 target, capable hosts) execute the tier-2 output
@@ -35,22 +37,14 @@
 #include "analysis/ProfileInfo.h"
 #include "interp/Interpreter.h"
 #include "jit/CompileService.h"
-#include "sxe/Pipeline.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace sxe {
 
 struct TieredOptions {
   const TargetInfo *Target = &TargetInfo::ia64();
-  /// Pipeline variant used by both compiled tiers.
-  Variant TierVariant = Variant::All;
-  /// Interpreter step budget for the warm-up run.
-  uint64_t WarmupMaxSteps = 1ull << 24;
-  /// Function executed by the warm-up run.
-  std::string Entry = "main";
 };
 
 /// Everything one tiered compilation produces.

@@ -55,7 +55,6 @@ sxe::runInstrumentedPipeline(Module &M, const PipelineConfig &Config,
     Result.Problems = PM.failure()->Problems;
   }
   Result.Timings = PM.timings();
-  Result.Snapshots = PM.snapshots();
   Result.ChainCreationNanos = Ctx.chainTimer().elapsedNanos();
   return Result;
 }

@@ -37,8 +37,6 @@ struct InstrumentedPipelineResult {
   RemarkCollector Remarks;
   /// Per-pass wall/CPU timers, in execution order.
   std::vector<PassTiming> Timings;
-  /// Module snapshots after each pass (when requested).
-  std::vector<PassSnapshot> Snapshots;
   /// UD/DU chain-creation share of the elimination pass (Table 3 column).
   uint64_t ChainCreationNanos = 0;
   /// False when verify-each caught a broken pass.

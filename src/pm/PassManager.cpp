@@ -34,14 +34,12 @@ static std::string snapshotFileName(unsigned Index, const std::string &Name) {
 bool PassManager::run(Module &M, PassContext &Ctx) {
   Failed = false;
   Failure = PassFailure{};
-  Snapshots.clear();
   if (Timings.size() != Passes.size()) {
     Timings.clear();
     for (const auto &P : Passes)
       Timings.push_back(PassTiming{P->name(), P->group(), 0, 0, 0});
   }
 
-  bool WantSnapshots = Options.CaptureSnapshots || !Options.DumpDir.empty();
   if (!Options.DumpDir.empty())
     std::filesystem::create_directories(Options.DumpDir);
 
@@ -64,15 +62,11 @@ bool PassManager::run(Module &M, PassContext &Ctx) {
       Trace->addSpan(P.name(), "pass", WallStart, WallEnd,
                      {{"module", M.name()}});
 
-    if (WantSnapshots) {
-      Snapshots.push_back(PassSnapshot{P.name(), printModule(M)});
-      if (!Options.DumpDir.empty()) {
-        std::string Path =
-            Options.DumpDir + "/" +
-            snapshotFileName(static_cast<unsigned>(Index), P.name());
-        writeTextFile(Path, Snapshots.back().IR);
-      }
-    }
+    if (!Options.DumpDir.empty())
+      writeTextFile(Options.DumpDir + "/" +
+                        snapshotFileName(static_cast<unsigned>(Index),
+                                         P.name()),
+                    printModule(M));
 
     if (Options.VerifyEach) {
       std::vector<std::string> Problems;

@@ -13,9 +13,9 @@
 ///  - an optional verify-between-passes mode that runs the IR verifier
 ///    plus a no-regression static-extension census after every pass and
 ///    names the offending pass on failure;
-///  - an optional IR snapshot mode that captures the module's textual form
-///    after every pass (and writes `NN-<pass>.sxir` files to a directory
-///    when one is configured) for golden-file tests and `--dump-after-each`.
+///  - an optional IR snapshot mode that writes the module's textual form
+///    after every pass to `NN-<pass>.sxir` files in a directory, for
+///    golden-file tests and `--dump-after-each`.
 ///
 /// Every pass is function-local, so the manager iterates passes in the
 /// outer loop and functions in the inner loop; the final module is
@@ -45,12 +45,6 @@ struct PassTiming {
   unsigned Runs = 0;
 };
 
-/// The module's textual IR captured after one pass.
-struct PassSnapshot {
-  std::string PassName;
-  std::string IR;
-};
-
 /// Verify-each diagnosis: which pass broke the module, and how.
 struct PassFailure {
   std::string PassName;
@@ -60,10 +54,8 @@ struct PassFailure {
 struct PassManagerOptions {
   /// Run the verifier + extension census after every pass.
   bool VerifyEach = false;
-  /// Capture printModule() after every pass into snapshots().
-  bool CaptureSnapshots = false;
-  /// When non-empty, also write each snapshot to `DIR/NN-<pass>.sxir`
-  /// (the directory is created; implies snapshot capture).
+  /// When non-empty, write printModule() after every pass to
+  /// `DIR/NN-<pass>.sxir` (the directory is created).
   std::string DumpDir;
   /// When set, the manager emits one "pass" span per pass execution into
   /// this collector (and runInstrumentedPipeline threads it into the
@@ -90,7 +82,6 @@ public:
   bool run(Module &M, PassContext &Ctx);
 
   const std::vector<PassTiming> &timings() const { return Timings; }
-  const std::vector<PassSnapshot> &snapshots() const { return Snapshots; }
   const PassFailure *failure() const { return Failed ? &Failure : nullptr; }
 
   /// Total wall time across all passes of the last run() (nanoseconds).
@@ -105,7 +96,6 @@ private:
   PassManagerOptions Options;
   std::vector<std::unique_ptr<Pass>> Passes;
   std::vector<PassTiming> Timings;
-  std::vector<PassSnapshot> Snapshots;
   PassFailure Failure;
   bool Failed = false;
 };

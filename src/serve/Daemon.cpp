@@ -10,6 +10,7 @@
 #include "support/Json.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -138,6 +139,14 @@ void ServeDaemon::acceptLoop() {
       ::close(Fd);
       break;
     }
+    // Reap the handlers whose clients hung up. A retired handler has left
+    // its last critical section, so the join waits only for its return.
+    for (size_t Index = Handlers.size(); Index-- > 0;)
+      if (ConnFds[Index] < 0) {
+        Handlers[Index].join();
+        Handlers.erase(Handlers.begin() + Index);
+        ConnFds.erase(ConnFds.begin() + Index);
+      }
     ConnFds.push_back(Fd);
     Handlers.emplace_back(&ServeDaemon::handleConnection, this, Fd, ConnId);
   }
@@ -330,12 +339,11 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
     if (!WroteReply)
       break;
   }
-  ::close(Fd);
-  // Retire the descriptor so stop() never shutdown(2)s a recycled fd.
+  // Retire and close the descriptor in one critical section, so neither
+  // stop() nor the accept loop's reaping sees a recycled fd as this one.
   std::lock_guard<std::mutex> Lock(ConnMu);
-  for (int &Conn : ConnFds)
-    if (Conn == Fd)
-      Conn = -1;
+  std::replace(ConnFds.begin(), ConnFds.end(), Fd, -1);
+  ::close(Fd);
 }
 
 void ServeDaemon::run() {

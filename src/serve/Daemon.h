@@ -178,6 +178,8 @@ private:
   int ListenFd = -1;
   std::thread AcceptThread;
   std::mutex ConnMu;
+  /// One handler and its fd per connection, index-aligned. A handler sets
+  /// its fd to -1 when its client is done; the accept loop then joins it.
   std::vector<std::thread> Handlers;
   std::vector<int> ConnFds;
 

@@ -11,6 +11,50 @@
 
 using namespace sxe;
 
+CompiledVariant sxe::compileVariant(const Module &Pristine, Variant V,
+                                    const TargetInfo &Target,
+                                    const ProfileInfo *Profile) {
+  PipelineConfig Config = PipelineConfig::forVariant(V, Target);
+  Config.Profile = Profile;
+  CompiledVariant Result{cloneModule(Pristine), {}};
+  Result.Stats = runInstrumentedPipeline(*Result.M, Config).Stats;
+  return Result;
+}
+
+VariantRun sxe::checkAndRunVariant(const Module &M, const TargetInfo &Target,
+                                   uint64_t MaxSteps, bool Native) {
+  VariantRun Run;
+  VerifierOptions VOptions;
+  VOptions.AllowDummyExtends = false;
+  std::vector<std::string> Problems;
+  if (!verifyModule(M, Problems, VOptions)) {
+    Run.VerifyProblem = Problems.front();
+    return Run;
+  }
+
+  InterpOptions MachineOptions;
+  MachineOptions.Target = &Target;
+  MachineOptions.MaxSteps = MaxSteps;
+  Interpreter Interp(M, MachineOptions);
+  uint64_t InterpStart = wallNowNanos();
+  Run.Interp = Interp.run("main");
+  Run.InterpWallNanos = wallNowNanos() - InterpStart;
+
+  if (Native && &Target == &TargetInfo::x86_64() &&
+      NativeModule::hostSupported()) {
+    NativeOptions NOpts;
+    NOpts.MaxSteps = MaxSteps;
+    if (auto NM = NativeModule::compile(M, NOpts)) {
+      Run.NativeCompileNanos = NM->info().CompileNanos;
+      uint64_t NativeStart = wallNowNanos();
+      Run.Native = NM->run("main");
+      Run.NativeWallNanos = wallNowNanos() - NativeStart;
+      Run.NativeExecuted = true;
+    }
+  }
+  return Run;
+}
+
 WorkloadReport sxe::runWorkload(const Workload &W,
                                 const RunnerOptions &Options) {
   WorkloadReport Report;
@@ -18,72 +62,43 @@ WorkloadReport sxe::runWorkload(const Workload &W,
   Report.Suite = W.Suite;
 
   std::unique_ptr<Module> Pristine = W.Build(Options.Params);
-  verifyModuleOrDie(*Pristine);
 
-  // Oracle + profile run under Java semantics (the interpreter tier).
+  // Oracle + profile run under Java semantics (the interpreter tier). The
+  // interpreter verifies the pristine module first.
   ProfileInfo Profile;
-  {
-    InterpOptions JavaOptions;
-    JavaOptions.Target = Options.Target;
-    JavaOptions.Semantics = ExecSemantics::Java;
-    JavaOptions.MaxArrayLen = Options.MaxArrayLen;
-    JavaOptions.Profile = Options.UseProfile ? &Profile : nullptr;
-    Interpreter Oracle(*Pristine, JavaOptions);
-    ExecResult R = Oracle.run("main");
-    if (R.Trap != TrapKind::None)
-      reportFatalError(std::string("workload '") + W.Name +
-                       "' traps under Java semantics: " + R.TrapMessage);
-    Report.OracleChecksum = R.ReturnValue;
-  }
+  InterpOptions JavaOptions;
+  JavaOptions.Target = Options.Target;
+  JavaOptions.Semantics = ExecSemantics::Java;
+  JavaOptions.Profile = &Profile;
+  ExecResult Oracle = Interpreter(*Pristine, JavaOptions).run("main");
+  if (Oracle.Trap != TrapKind::None)
+    reportFatalError(std::string("workload '") + W.Name +
+                     "' traps under Java semantics: " + Oracle.TrapMessage);
+  Report.OracleChecksum = Oracle.ReturnValue;
 
   for (Variant V : Options.Variants) {
-    std::unique_ptr<Module> Clone = cloneModule(*Pristine);
-
-    PipelineConfig Config = PipelineConfig::forVariant(V, *Options.Target);
-    Config.MaxArrayLen = Options.MaxArrayLen;
-    Config.Profile = Options.UseProfile ? &Profile : nullptr;
-
-    VariantRow Row;
-    Row.V = V;
-    Row.Stats = runInstrumentedPipeline(*Clone, Config).Stats;
-
-    VerifierOptions VOptions;
-    VOptions.AllowDummyExtends = false;
-    std::vector<std::string> Problems;
-    if (!verifyModule(*Clone, Problems, VOptions))
+    CompiledVariant Compiled =
+        compileVariant(*Pristine, V, *Options.Target, &Profile);
+    VariantRun Run = checkAndRunVariant(*Compiled.M, *Options.Target,
+                                        JavaOptions.MaxSteps, Options.Native);
+    if (!Run.VerifyProblem.empty())
       reportFatalError(std::string("workload '") + W.Name + "', variant '" +
                        variantName(V) +
                        "': post-pipeline verification failed: " +
-                       Problems.front());
+                       Run.VerifyProblem);
 
-    Row.StaticSext = countStaticExtensions(*Clone).totalConversions();
-
-    InterpOptions MachineOptions;
-    MachineOptions.Target = Options.Target;
-    MachineOptions.Semantics = ExecSemantics::Machine;
-    MachineOptions.MaxArrayLen = Options.MaxArrayLen;
-    Interpreter Interp(*Clone, MachineOptions);
-    uint64_t InterpStart = wallNowNanos();
-    ExecResult R = Interp.run("main");
-    Row.InterpWallNanos = wallNowNanos() - InterpStart;
-
-    // Hardware execution of the same post-pipeline module: compile with
-    // the baseline code generator and time the native run.
-    if (Options.Native && Options.Target == &TargetInfo::x86_64() &&
-        NativeModule::hostSupported()) {
-      NativeOptions NOpts;
-      NOpts.MaxArrayLen = Options.MaxArrayLen;
-      if (auto NM = NativeModule::compile(*Clone, NOpts)) {
-        Row.NativeCompileNanos = NM->info().CompileNanos;
-        uint64_t NativeStart = wallNowNanos();
-        ExecResult Native = NM->run("main");
-        Row.NativeWallNanos = wallNowNanos() - NativeStart;
-        Row.NativeExecuted = true;
-        Row.NativeChecksumOK = Native.Trap == TrapKind::None &&
-                               Native.ReturnValue == Report.OracleChecksum;
-      }
-    }
-
+    const ExecResult &R = Run.Interp;
+    VariantRow Row;
+    Row.V = V;
+    Row.Stats = std::move(Compiled.Stats);
+    Row.StaticSext = countStaticExtensions(*Compiled.M).totalConversions();
+    Row.InterpWallNanos = Run.InterpWallNanos;
+    Row.NativeExecuted = Run.NativeExecuted;
+    Row.NativeWallNanos = Run.NativeWallNanos;
+    Row.NativeCompileNanos = Run.NativeCompileNanos;
+    Row.NativeChecksumOK = Run.NativeExecuted &&
+                           Run.Native.Trap == TrapKind::None &&
+                           Run.Native.ReturnValue == Report.OracleChecksum;
     Row.Trap = R.Trap;
     Row.Checksum = R.ReturnValue;
     Row.ChecksumOK =

@@ -19,6 +19,10 @@
 ///     extensions (Tables 1/2), estimated cycles (Figures 13/14), the
 ///     pipeline's per-pass counters, and checksum agreement.
 ///
+/// Step 3 is a (target, variant) job in two halves, compileVariant() and
+/// checkAndRunVariant(), which the differential oracle (fuzz/DiffTest.h)
+/// runs too.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SXE_WORKLOADS_RUNNER_H
@@ -30,16 +34,46 @@
 #include "target/StaticCounts.h"
 #include "workloads/Workload.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace sxe {
 
+/// First half of a (target, variant) job: a clone of the pristine module
+/// after the variant's pipeline, and the pipeline's per-pass counters.
+struct CompiledVariant {
+  std::unique_ptr<Module> M;
+  PassStats Stats;
+};
+
+/// Clones \p Pristine and runs \p V's pipeline for \p Target over the
+/// clone. A non-null \p Profile guides order determination.
+CompiledVariant compileVariant(const Module &Pristine, Variant V,
+                               const TargetInfo &Target,
+                               const ProfileInfo *Profile);
+
+/// What the second half of a (target, variant) job observed.
+struct VariantRun {
+  std::string VerifyProblem; ///< First verifier problem; if set, no run.
+  ExecResult Interp;         ///< Machine semantics on the target.
+  uint64_t InterpWallNanos = 0;
+  bool NativeExecuted = false;
+  ExecResult Native;
+  uint64_t NativeWallNanos = 0;
+  uint64_t NativeCompileNanos = 0; ///< Lowering + regalloc + emission time.
+};
+
+/// Second half of a (target, variant) job: verifies \p M with no dummy
+/// extensions left, then runs `main` under machine semantics for
+/// \p Target, and natively too when \p Native is set, the target is x86_64
+/// and the host can execute emitted code. Both stop after \p MaxSteps.
+VariantRun checkAndRunVariant(const Module &M, const TargetInfo &Target,
+                              uint64_t MaxSteps, bool Native);
+
 /// Sweep configuration.
 struct RunnerOptions {
   const TargetInfo *Target = &TargetInfo::ia64();
-  uint32_t MaxArrayLen = 0x7FFFFFFF;
-  bool UseProfile = true;
   /// Also compile each variant's output with the baseline x86-64 code
   /// generator and execute it natively, recording hardware wall time.
   /// Requires Target == x86_64 and a capable host; silently inert

@@ -12,6 +12,10 @@
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <gtest/gtest.h>
 
 namespace sxe {
@@ -51,6 +55,24 @@ inline ::testing::AssertionResult moduleVerifies(const Module &M,
   if (verifyModule(M, Problems, Options))
     return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << Problems.front();
+}
+
+/// The IR that PassManagerOptions::DumpDir wrote into \p Dir after the
+/// \p Index-th pass, \p PassName (`NN-<pass>.sxir`). Adds a test failure
+/// and returns "" when the file is missing.
+inline std::string readPassDump(const std::string &Dir, size_t Index,
+                                const std::string &PassName) {
+  char Prefix[24];
+  std::snprintf(Prefix, sizeof(Prefix), "%02zu-", Index);
+  std::string Path = Dir + "/" + Prefix + PassName + ".sxir";
+  std::ifstream In(Path, std::ios::binary);
+  if (!In) {
+    ADD_FAILURE() << "missing pass dump " << Path;
+    return "";
+  }
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  return Buffer.str();
 }
 
 } // namespace test

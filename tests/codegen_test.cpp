@@ -50,7 +50,6 @@ void expectNativeMatchesInterp(Module &M, const std::vector<uint64_t> &Args = {}
 
   InterpOptions IOpts = x86MachineOptions();
   IOpts.MaxSteps = NOpts.MaxSteps;
-  IOpts.MaxCallDepth = NOpts.MaxCallDepth;
   IOpts.MaxArrayLen = NOpts.MaxArrayLen;
   ExecResult Want = Interpreter(M, IOpts).run("main", Args);
 
@@ -62,8 +61,9 @@ void expectNativeMatchesInterp(Module &M, const std::vector<uint64_t> &Args = {}
   EXPECT_EQ(Got.Trap, Want.Trap)
       << "native trap '" << trapKindName(Got.Trap) << "' vs interpreter '"
       << trapKindName(Want.Trap) << "'";
-  if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None)
+  if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None) {
     EXPECT_EQ(Got.ReturnValue, Want.ReturnValue);
+  }
 }
 
 /// Parses \p Text, which must be a valid module.
@@ -776,16 +776,13 @@ TEST(NativeTest, OutOfBoundsTrapsIdentically) {
 
 // --- Native execution: inline array access, one trigger per check -----------
 
-/// Runs \p M's main on both engines, the interpreter with the same
-/// wild-address option, and expects the same trap kind, trap message and
-/// return value. The interpreter's wild-address message also names the
-/// function, so the native message must be a prefix of the interpreter's.
-/// Returns the native result.
+/// Runs \p M's main on both engines and expects the same trap kind, trap
+/// message and return value. The interpreter's wild-address message also
+/// names the function, so the native message must be a prefix of the
+/// interpreter's. Returns the native result.
 ExecResult expectArrayParity(const Module &M, const std::vector<uint64_t> &Args,
                              const NativeOptions &NOpts = {}) {
-  InterpOptions IOpts = x86MachineOptions();
-  IOpts.CheckWildAddresses = NOpts.CheckWildAddresses;
-  ExecResult Want = Interpreter(M, IOpts).run("main", Args);
+  ExecResult Want = Interpreter(M, x86MachineOptions()).run("main", Args);
 
   std::string Error;
   auto NM = NativeModule::compile(M, NOpts, &Error);
@@ -912,7 +909,7 @@ TEST(NativeArrayTest, NegativeIndexTraps) {
   }
 }
 
-TEST(NativeArrayTest, WildIndexTrapsOnlyWhenChecked) {
+TEST(NativeArrayTest, WildIndexTraps) {
   REQUIRE_NATIVE_HOST();
   auto M = parseOrDie(IndexAccessModule);
   // An in-range low half (3) under nonzero upper bits.
@@ -923,14 +920,6 @@ TEST(NativeArrayTest, WildIndexTrapsOnlyWhenChecked) {
     EXPECT_EQ(R.TrapMessage,
               "effective address disagrees with bounds-checked index");
   }
-  NativeOptions Unchecked;
-  Unchecked.CheckWildAddresses = false;
-  ExecResult Load = expectArrayParity(*M, {Wild, 0}, Unchecked);
-  EXPECT_EQ(Load.Trap, TrapKind::None);
-  EXPECT_EQ(Load.ReturnValue, 77u);
-  ExecResult Store = expectArrayParity(*M, {Wild, 1}, Unchecked);
-  EXPECT_EQ(Store.Trap, TrapKind::None);
-  EXPECT_EQ(Store.ReturnValue, 88u);
 }
 
 TEST(NativeArrayTest, NullArrayLenTraps) {
@@ -1093,8 +1082,6 @@ entry:
             TrapKind::WildAddress);
   EXPECT_EQ(expectArrayParity(*M, {8, 1}, NoRegs).Trap,
             TrapKind::BoundsCheck);
-  NoRegs.CheckWildAddresses = false;
-  EXPECT_EQ(expectArrayParity(*M, {Wild, 7}, NoRegs).ReturnValue, 7u + 8u);
 }
 
 TEST(NativeTest, ExplicitTrapPropagates) {
@@ -1188,10 +1175,17 @@ TEST(NativeTest, RecursionHitsStackOverflowInLockstep) {
   Reg Sub = Bld.call(F, {NM1}, "sub");
   Bld.ret(Bld.add64(Sub, N));
 
-  NativeOptions Opts;
-  Opts.MaxCallDepth = 64;
-  expectNativeMatchesInterp(M, {10}, Opts);   // Completes: 55.
-  expectNativeMatchesInterp(M, {1000}, Opts); // StackOverflow on both.
+  // f(n) needs n + 1 frames: MaxCallDepth of them still complete.
+  const uint64_t Deepest = MaxCallDepth - 1;
+  InterpOptions IOpts = x86MachineOptions();
+  ExecResult Fits = Interpreter(M, IOpts).run("main", {Deepest});
+  EXPECT_EQ(Fits.Trap, TrapKind::None);
+  EXPECT_EQ(Fits.ReturnValue, Deepest * (Deepest + 1) / 2);
+  EXPECT_EQ(Interpreter(M, IOpts).run("main", {Deepest + 1}).Trap,
+            TrapKind::StackOverflow);
+  expectNativeMatchesInterp(M, {10});          // Completes: 55.
+  expectNativeMatchesInterp(M, {Deepest});     // Completes at the limit.
+  expectNativeMatchesInterp(M, {Deepest + 1}); // StackOverflow on both.
 }
 
 TEST(NativeTest, FuelExhaustionReportsStepLimit) {
@@ -1250,8 +1244,9 @@ TEST_P(CorpusNativeParity, NativeMatchesX86Interpreter) {
   EXPECT_EQ(Got.Trap, Want.Trap)
       << GetParam() << ": native '" << trapKindName(Got.Trap)
       << "' vs interpreter '" << trapKindName(Want.Trap) << "'";
-  if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None)
+  if (Want.Trap == TrapKind::None && Got.Trap == TrapKind::None) {
     EXPECT_EQ(Got.ReturnValue, Want.ReturnValue) << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, CorpusNativeParity,

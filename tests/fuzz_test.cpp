@@ -8,6 +8,7 @@
 //
 //===--------------------------------------------------------------------------===//
 
+#include "codegen/NativeEngine.h"
 #include "fuzz/DiffTest.h"
 #include "fuzz/ParserFuzzer.h"
 #include "fuzz/RandomModuleGenerator.h"
@@ -96,6 +97,23 @@ TEST(DiffTestHarness, PassesOnSeedRange) {
     DiffResult Result = runDifferentialTest(*M);
     EXPECT_TRUE(Result.ok())
         << "seed " << Seed << ": " << Result.Failure->describe();
+  }
+}
+
+TEST(DiffTestHarness, NativeEngineRunsEveryX8664Variant) {
+  if (!NativeModule::hostSupported())
+    GTEST_SKIP() << "host cannot execute emitted x86-64 code";
+  DiffConfig Config;
+  Config.Targets = {&TargetInfo::x86_64()};
+  Config.NativeEngine = true;
+  for (uint64_t Seed = 100; Seed < 105; ++Seed) {
+    RandomModuleGenerator Gen(Seed, GeneratorOptions::small());
+    auto M = Gen.generate();
+    DiffResult Result = runDifferentialTest(*M, Config);
+    EXPECT_TRUE(Result.ok())
+        << "seed " << Seed << ": " << Result.Failure->describe();
+    EXPECT_GT(Result.NativeRuns, 0u) << "seed " << Seed;
+    EXPECT_EQ(Result.NativeRuns, Result.PipelinesRun) << "seed " << Seed;
   }
 }
 

@@ -7,8 +7,10 @@
 //   <input>-<target>.stats.json     — the sxe.pass-stats.v1 report with
 //                                     timings zeroed (IncludeTimings=false),
 //                                     locking the schema and every counter;
-//   <input>-<target>.dumps.sxir     — the after-each-pass IR snapshots,
-//                                     locking the transformation sequence;
+//   <input>-<target>.dumps.sxir     — the after-each-pass IR snapshots
+//                                     (PassManagerOptions::DumpDir files,
+//                                     concatenated in pass order), locking
+//                                     the transformation sequence;
 //   <input>-<target>.remarks.jsonl  — the sxe.remarks.v1 stream, locking
 //                                     the per-extension decisions, theorem
 //                                     attribution, and blocking reasons.
@@ -24,11 +26,14 @@
 #include "pm/InstrumentedPipeline.h"
 #include "pm/Report.h"
 #include "support/Json.h"
+#include "tests/TestHelpers.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 using namespace sxe;
 
@@ -80,8 +85,13 @@ void runGoldenCase(const GoldenCase &Case) {
 
   PipelineConfig Config =
       PipelineConfig::forVariant(Variant::All, *Case.Target);
+  std::string StemTarget = std::string(Case.Stem) + "-" + Case.Target->name();
+  std::filesystem::path DumpDir =
+      std::filesystem::temp_directory_path() /
+      ("sxe-golden-dumps-" + std::to_string(::getpid()) + "-" + StemTarget);
+  std::filesystem::remove_all(DumpDir);
   PassManagerOptions Options;
-  Options.CaptureSnapshots = true;
+  Options.DumpDir = DumpDir.string();
   Options.CollectRemarks = true;
   InstrumentedPipelineResult Result =
       runInstrumentedPipeline(*Parsed.M, Config, Options);
@@ -95,11 +105,14 @@ void runGoldenCase(const GoldenCase &Case) {
   std::string StatsJson = statsReportJson(Result.Stats, Result.Timings, Info);
 
   std::string Dumps;
-  for (const PassSnapshot &S : Result.Snapshots)
-    Dumps += "; === after " + S.PassName + " ===\n" + S.IR;
+  for (size_t Index = 0; Index < Result.Timings.size(); ++Index) {
+    const std::string &Pass = Result.Timings[Index].Name;
+    Dumps += "; === after " + Pass + " ===\n" +
+             test::readPassDump(DumpDir.string(), Index, Pass);
+  }
+  std::filesystem::remove_all(DumpDir);
 
   std::string GoldenDir = std::string(SXE_SOURCE_DIR) + "/tests/golden/";
-  std::string StemTarget = std::string(Case.Stem) + "-" + Case.Target->name();
   checkGolden(GoldenDir + StemTarget + ".stats.json", StatsJson);
   checkGolden(GoldenDir + StemTarget + ".dumps.sxir", Dumps);
   checkGolden(GoldenDir + StemTarget + ".remarks.jsonl",

@@ -268,9 +268,10 @@ TEST(InterpTest, StackOverflowTraps) {
   B.callTo(Result, F, {}); // Infinite recursion.
   B.ret(Result);
 
-  InterpOptions Options;
-  Options.MaxCallDepth = 64;
-  EXPECT_EQ(runModule(*M, Options).Trap, TrapKind::StackOverflow);
+  ExecResult R = runModule(*M);
+  EXPECT_EQ(R.Trap, TrapKind::StackOverflow);
+  // Every frame but the one that overflowed ran its call instruction.
+  EXPECT_EQ(R.ExecutedInstructions, MaxCallDepth);
 }
 
 TEST(InterpTest, StepLimitTraps) {
@@ -295,8 +296,9 @@ void expectTrapParity(const Module &Pristine, TrapKind ExpectedTrap,
   Java.Semantics = ExecSemantics::Java;
   ExecResult Oracle = Interpreter(Pristine, Java).run("main");
   EXPECT_EQ(Oracle.Trap, ExpectedTrap);
-  if (ExpectedTrap == TrapKind::None)
+  if (ExpectedTrap == TrapKind::None) {
     EXPECT_EQ(Oracle.ReturnValue, ExpectedValue);
+  }
 
   for (const TargetInfo *Target :
        {&TargetInfo::ia64(), &TargetInfo::ppc64(), &TargetInfo::generic64()}) {

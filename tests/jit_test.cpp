@@ -707,8 +707,9 @@ TEST(TieredController, ExecutesRecompiledCodeNatively) {
   ASSERT_TRUE(Outcome.NativeExecuted);
   // The natively executed tier-2 code agrees with the tier-0 warm-up.
   EXPECT_EQ(Outcome.Native.Trap, Outcome.Warmup.Trap);
-  if (Outcome.Warmup.ok())
+  if (Outcome.Warmup.ok()) {
     EXPECT_EQ(Outcome.Native.ReturnValue, Outcome.Warmup.ReturnValue);
+  }
 }
 
 TEST(TieredController, ProfiledRecompileHasItsOwnCacheEntry) {

@@ -556,7 +556,7 @@ TEST(FlightRecorder, RingWrapsKeepingTheMostRecentRecords) {
   EXPECT_EQ(Flight.capacity(), 8u);
   for (uint64_t I = 0; I < 20; ++I)
     Flight.record(ObsEventKind::Admit, /*Nanos=*/I, /*TraceId=*/I + 1,
-                  /*RequestId=*/I, ("m" + std::to_string(I)).c_str());
+                  /*RequestId=*/I, ('m' + std::to_string(I)).c_str());
   EXPECT_EQ(Flight.recorded(), 20u);
 
   std::string Dump = Flight.dumpToString();

@@ -20,6 +20,11 @@
 #include "pm/Passes.h"
 #include "pm/Report.h"
 #include "target/StaticCounts.h"
+#include "tests/TestHelpers.h"
+
+#include <filesystem>
+#include <iterator>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -253,21 +258,30 @@ TEST(PassTimingTest, TimersCoverThePipelineInOrder) {
 TEST(PassTimingTest, SnapshotsFollowThePassSequence) {
   auto M = parseFixture("mf", FuncF);
   PipelineConfig Config = PipelineConfig::forVariant(Variant::All);
+  std::filesystem::path Dir =
+      std::filesystem::temp_directory_path() /
+      ("sxe-pm-test-dumps-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(Dir);
   PassManagerOptions Options;
-  Options.CaptureSnapshots = true;
+  Options.DumpDir = Dir.string();
   InstrumentedPipelineResult R = runInstrumentedPipeline(*M, Config, Options);
 
-  ASSERT_EQ(R.Snapshots.size(), R.Timings.size());
-  for (size_t Index = 0; Index < R.Snapshots.size(); ++Index) {
-    EXPECT_EQ(R.Snapshots[Index].PassName, R.Timings[Index].Name);
+  // One file per pass, named after it in execution order.
+  ASSERT_EQ(std::distance(std::filesystem::directory_iterator(Dir),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(R.Timings.size()));
+  std::string Last;
+  for (size_t Index = 0; Index < R.Timings.size(); ++Index) {
+    Last = test::readPassDump(Dir.string(), Index, R.Timings[Index].Name);
     // Every snapshot is parseable IR.
-    ParseResult Reparsed = parseModule(R.Snapshots[Index].IR);
+    ParseResult Reparsed = parseModule(Last);
     EXPECT_TRUE(Reparsed.ok())
-        << "snapshot after " << R.Snapshots[Index].PassName << ": "
+        << "snapshot after " << R.Timings[Index].Name << ": "
         << Reparsed.Error;
   }
   // The final snapshot is the final module.
-  EXPECT_EQ(R.Snapshots.back().IR, printModule(*M));
+  EXPECT_EQ(Last, printModule(*M));
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(ReportTest, JsonCarriesTheLockedSchema) {

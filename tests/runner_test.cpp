@@ -1,5 +1,6 @@
 //===- tests/runner_test.cpp - Workload harness tests ---------------------------===//
 
+#include "codegen/NativeEngine.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
 
@@ -37,6 +38,25 @@ TEST(RunnerTest, SubsetOfVariantsAndRowLookup) {
   EXPECT_TRUE(Report.row(Variant::All)->ChecksumOK);
   EXPECT_EQ(Report.Name, "Fourier");
   EXPECT_EQ(Report.Suite, "jBYTEmark");
+}
+
+TEST(RunnerTest, NativeRowsRunOnTheHardware) {
+  if (!NativeModule::hostSupported())
+    GTEST_SKIP() << "host cannot execute emitted x86-64 code";
+  const Workload *W = findWorkload("Numeric Sort");
+  ASSERT_NE(W, nullptr);
+  RunnerOptions Options;
+  Options.Target = &TargetInfo::x86_64();
+  Options.Native = true;
+  Options.Variants = {Variant::Baseline, Variant::All};
+  WorkloadReport Report = runWorkload(*W, Options);
+
+  ASSERT_EQ(Report.Rows.size(), 2u);
+  for (const VariantRow &Row : Report.Rows) {
+    EXPECT_TRUE(Row.ChecksumOK) << variantName(Row.V);
+    EXPECT_TRUE(Row.NativeExecuted) << variantName(Row.V);
+    EXPECT_TRUE(Row.NativeChecksumOK) << variantName(Row.V);
+  }
 }
 
 TEST(RunnerTest, ScaleGrowsTheWorkload) {

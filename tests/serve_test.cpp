@@ -14,8 +14,10 @@
 //     under a saturated queue, a typed protocol reply (and a live daemon)
 //     after a frame whose number overflows, load-shed rejection sharing the
 //     service's Rejected ledger, graceful drain (every accepted request
-//     answered, socket unlinked), restart-with-warm-persistent-cache, and a
-//     source-key hit whose reply and lifecycle match a structural hit's;
+//     answered, socket unlinked), a closed connection's handler thread
+//     released before stop() (bounded VmSize over 64 connections),
+//     restart-with-warm-persistent-cache, and a source-key hit whose reply
+//     and lifecycle match a structural hit's;
 //   - request-scoped tracing: trace/request ids round-trip the wire (and
 //     legacy id-less payloads decode to absent), the daemon echoes a
 //     client-minted id and mints one for legacy clients, lifecycle events
@@ -38,8 +40,10 @@
 #include "tests/TestHelpers.h"
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <set>
@@ -98,9 +102,9 @@ std::string makeHeavySource(unsigned Funcs, unsigned Chain,
     Reg T = B.add32(I, B.constI32(Salt + 1), "t0");
     Reg V = T;
     for (unsigned C = 0; C < Chain; ++C) {
-      V = B.arrayLoad(Type::I32, A, T, "v" + std::to_string(C));
+      V = B.arrayLoad(Type::I32, A, T, 'v' + std::to_string(C));
       T = B.add32(V, B.constI32(static_cast<int32_t>(C) + Salt),
-                  "t" + std::to_string(C + 1));
+                  't' + std::to_string(C + 1));
     }
     B.ret(V);
   }
@@ -640,6 +644,60 @@ TEST(ServeDaemon, ShutdownFrameDrainsViaRun) {
   Runner.join(); // run() returns only after the drain completes.
   EXPECT_TRUE(Daemon.stopRequested());
   EXPECT_FALSE(fs::exists(Dir.sock()));
+}
+
+namespace {
+/// This process's virtual size in KiB (VmSize in /proc/self/status); 0
+/// when it cannot be read.
+int64_t vmSizeKiB() {
+  std::ifstream Status("/proc/self/status");
+  std::string Line;
+  while (std::getline(Status, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::strtoll(Line.c_str() + 7, nullptr, 10);
+  return 0;
+}
+} // namespace
+
+TEST(ServeDaemon, ClosedConnectionsReleaseTheirHandlerThreads) {
+  // Every connection gets a handler thread; one left unjoined after its
+  // client hangs up keeps its stack mapped until stop(). A long-running
+  // daemon serving short-lived clients must not grow by a stack per
+  // connection.
+  TempDir Dir("reap");
+  ServeDaemonOptions Options;
+  Options.SocketPath = Dir.sock();
+  Options.Jobs = 1;
+  ServeDaemon Daemon(Options);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(Error)) << Error;
+  auto PingAndClose = [&] {
+    ServeClient Client;
+    ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
+    ASSERT_TRUE(Client.ping(Error)) << Error;
+  };
+  // Handlers still finishing when the next client connects overlap it.
+  // Eight concurrent clients first map the thread stacks and malloc
+  // arenas such overlaps reuse; the budget is for what the next 64 add.
+  {
+    std::vector<ServeClient> Clients(8);
+    for (ServeClient &Client : Clients) {
+      ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
+      ASSERT_TRUE(Client.ping(Error)) << Error;
+    }
+  }
+  for (int I = 0; I < 4; ++I)
+    PingAndClose();
+  int64_t Before = vmSizeKiB();
+  if (Before == 0)
+    GTEST_SKIP() << "no VmSize in /proc/self/status";
+  for (int I = 0; I < 64; ++I)
+    PingAndClose();
+  int64_t GrowthKiB = vmSizeKiB() - Before;
+  EXPECT_LT(GrowthKiB, 64 * 1024) << "64 closed connections grew VmSize by "
+                                  << GrowthKiB << " KiB";
+  EXPECT_EQ(Daemon.connectionsAccepted(), 76u);
+  Daemon.stop();
 }
 
 TEST(ServeDaemon, RestartServesFromWarmPersistentCache) {
