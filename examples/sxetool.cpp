@@ -62,9 +62,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <future>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -146,14 +144,11 @@ bool writeObsArtifacts(const ObsFiles &Obs, const TraceCollector *Trace,
 /// must carry schema == sxe.metrics.v1; a Prometheus dump must expose at
 /// least one sxe_ series. Returns the process exit code.
 int validateObsFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readTextFile(Path, Text)) {
     std::fprintf(stderr, "sxetool: cannot open %s\n", Path.c_str());
     return 1;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  std::string Text = Buffer.str();
 
   auto Fail = [&Path](const std::string &Why) {
     std::fprintf(stderr, "sxetool: %s: INVALID: %s\n", Path.c_str(),
@@ -270,12 +265,9 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   std::vector<std::future<CompileResult>> Futures;
   Futures.reserve(Files.size());
   for (const fs::path &File : Files) {
-    std::ifstream In(File);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
     CompileRequest Request;
     Request.Name = File.filename().string();
-    Request.Source = Buffer.str();
+    readTextFile(File.string(), Request.Source);
     Request.Config = Config;
     Request.Hotness = static_cast<double>(Request.Source.size());
     Futures.push_back(Service.enqueue(std::move(Request)));
@@ -421,15 +413,13 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  std::ifstream In(FileName);
-  if (!In) {
+  std::string Source;
+  if (!readTextFile(FileName, Source)) {
     std::fprintf(stderr, "sxetool: cannot open %s\n", FileName.c_str());
     return 1;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
 
-  ParseResult Parsed = parseModule(Buffer.str());
+  ParseResult Parsed = parseModule(Source);
   if (!Parsed.ok()) {
     std::fprintf(stderr, "sxetool: parse error: %s\n", Parsed.Error.c_str());
     return 1;

@@ -2,14 +2,12 @@
 
 #include "analysis/BlockFrequency.h"
 
-#include <algorithm>
 #include <cmath>
 
 using namespace sxe;
 
 BlockFrequency::BlockFrequency(const CFG &Cfg, const LoopInfo &Loops,
-                               const ProfileInfo *Profile)
-    : Cfg(Cfg) {
+                               const ProfileInfo *Profile) {
   // Acyclic propagation in reverse post-order, ignoring back edges; the
   // result is then scaled by LoopScale^depth. Back edges are edges into a
   // loop header from inside that header's loop.
@@ -59,13 +57,4 @@ BlockFrequency::BlockFrequency(const CFG &Cfg, const LoopInfo &Loops,
 double BlockFrequency::frequency(const BasicBlock *BB) const {
   uint32_t N = BB->num();
   return N < Freq.size() ? Freq[N] : 0.0;
-}
-
-std::vector<BasicBlock *> BlockFrequency::blocksByDescendingFrequency() const {
-  std::vector<BasicBlock *> Blocks = Cfg.reversePostOrder();
-  std::stable_sort(Blocks.begin(), Blocks.end(),
-                   [&](const BasicBlock *A, const BasicBlock *B) {
-                     return frequency(A) > frequency(B);
-                   });
-  return Blocks;
 }

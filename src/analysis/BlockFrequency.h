@@ -37,12 +37,7 @@ public:
   /// Relative frequency of \p BB; the entry block has frequency 1.
   double frequency(const BasicBlock *BB) const;
 
-  /// Reachable blocks sorted hottest-first; ties broken by reverse
-  /// post-order position for determinism.
-  std::vector<BasicBlock *> blocksByDescendingFrequency() const;
-
 private:
-  const CFG &Cfg;
   /// Indexed by dense block number; 0.0 for unreachable blocks.
   std::vector<double> Freq;
 };

@@ -26,9 +26,10 @@
 /// out through rt_trap or the helper.
 ///
 /// Native execution is gated twice: hostSupported() requires an x86-64
-/// POSIX host, and compile() can still fail at mprotect time (W^X-hostile
-/// environments); callers then skip native execution and report it as
-/// unavailable.
+/// POSIX host, and compile() can still fail at mmap or mprotect time
+/// (W^X-hostile environments) with the reason in its Error out-param.
+/// The workload runner and the differential oracle treat that second
+/// failure as an error, never as a skipped run.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -106,7 +106,12 @@ DiffResult sxe::runDifferentialTest(const Module &Pristine,
       // the machine-semantics interpreter it was compiled to match. The
       // optimized run cannot be step-limited here (that would have been a
       // trap mismatch above), but the native engine's block-granular fuel
-      // can exhaust slightly early, so a native StepLimit is skipped.
+      // can exhaust slightly early, so a native StepLimit is skipped. A
+      // native compile failure on a capable host is a failure too, so a
+      // native run can never pass having executed no native code.
+      if (!Run.NativeError.empty())
+        return fail(DiffStatus::NativeMismatch, V, Target,
+                    "native compile failed: " + Run.NativeError);
       if (Run.NativeExecuted) {
         const ExecResult &Native = Run.Native;
         ++Result.NativeRuns;

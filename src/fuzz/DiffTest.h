@@ -76,9 +76,11 @@ struct DiffConfig {
   uint64_t MaxSteps = 1u << 22;
   /// Also execute every x86_64-target pipeline result through the native
   /// code generator (codegen/NativeEngine.h) and require trap/checksum
-  /// parity with the machine-semantics interpreter. Silently inert on
-  /// hosts that cannot execute emitted x86-64 code; native runs that hit
-  /// the (block-granular) fuel limit are skipped rather than compared.
+  /// parity with the machine-semantics interpreter. Inert on hosts that
+  /// cannot execute emitted x86-64 code (NativeModule::hostSupported());
+  /// on a capable host a native compile failure is a NativeMismatch.
+  /// Native runs that hit the (block-granular) fuel limit are skipped
+  /// rather than compared.
   bool NativeEngine = false;
   /// Test-only hook, applied to the optimized clone after the pipeline and
   /// before verification/execution. sxe-difftest's hidden --inject-bug

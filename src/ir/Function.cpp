@@ -70,12 +70,6 @@ size_t Function::countInstructions() const {
   return Count;
 }
 
-void Function::clearAllAnalysisFlags() {
-  for (const auto &BB : Blocks)
-    for (Instruction &I : *BB)
-      I.clearFlags();
-}
-
 const Function::Numbering &Function::numberInstructions() {
   if (NumberedEpoch == IREpoch)
     return Numbers;

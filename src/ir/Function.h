@@ -130,9 +130,6 @@ public:
   /// Counts instructions across all blocks.
   size_t countInstructions() const;
 
-  /// Resets the USE/DEF/ARRAY analysis flags on every instruction.
-  void clearAllAnalysisFlags();
-
   /// Advances on any IR mutation (operand/dest/width rewrites, insertion,
   /// removal). Cached value-level analyses (UD/DU chains, ranges) and the
   /// dense numbering validate against it.

@@ -48,13 +48,6 @@ constexpr Reg NoReg = ~static_cast<Reg>(0);
 /// the JIT intermediate language the paper describes.
 class Instruction {
 public:
-  /// Traversal flags used by EliminateOneExtend (Section 2.3 of the paper).
-  enum AnalysisFlag : uint8_t {
-    FlagUSE = 1 << 0,
-    FlagDEF = 1 << 1,
-    FlagARRAY = 1 << 2,
-  };
-
   /// Dense-number sentinel: not yet assigned by Function::numberInstructions
   /// (or inserted after the numbering was taken).
   static constexpr uint32_t Unnumbered = ~static_cast<uint32_t>(0);
@@ -133,10 +126,6 @@ public:
   /// a miss.
   uint32_t num() const { return Num; }
 
-  bool testFlag(AnalysisFlag Flag) const { return (Flags & Flag) != 0; }
-  void setFlag(AnalysisFlag Flag) { Flags |= Flag; }
-  void clearFlags() { Flags = 0; }
-
   /// Rewrites this instruction in place into `dest = const Value`,
   /// keeping its identity (parent block, id, destination register). Used
   /// by constant folding.
@@ -181,7 +170,6 @@ private:
   Width W = Width::W64;
   Type Ty = Type::Void;
   CmpPred Pred = CmpPred::EQ;
-  uint8_t Flags = 0;
   Reg Dest = NoReg;
   uint32_t Id = 0;
   uint32_t Num = Unnumbered;

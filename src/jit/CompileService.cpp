@@ -257,10 +257,6 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   if (Options.Events)
     Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
                         Request.Name, {{"tier", "compiled"}}, /*Aux=*/0);
-
-  // Per-thread stats merged on completion (pm/PassStats.h).
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  Aggregate.merge(Result.Code->Stats);
   return Result;
 }
 
@@ -344,42 +340,5 @@ CompileServiceStats CompileService::stats() const {
   Copy.Failed = Metrics.Failures->value();
   Copy.Rejected = Metrics.Rejects->value();
   Copy.DeadlineMisses = Metrics.DeadlineMisses->value();
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    Copy.Aggregate.merge(Aggregate);
-  }
-  // Surface the service and cache counters in the pass-stats vocabulary
-  // so `sxe.pass-stats.v1` consumers see them as pseudo-passes.
-  Copy.Aggregate.counter("compile-service", "submitted") = Copy.Submitted;
-  Copy.Aggregate.counter("compile-service", "compiled") = Copy.Compiled;
-  Copy.Aggregate.counter("compile-service", "cache_hits") = Copy.CacheHits;
-  Copy.Aggregate.counter("compile-service", "persistent_hits") =
-      Copy.PersistentHits;
-  Copy.Aggregate.counter("compile-service", "failed") = Copy.Failed;
-  Copy.Aggregate.counter("compile-service", "rejected") = Copy.Rejected;
-  Copy.Aggregate.counter("compile-service", "deadline_misses") =
-      Copy.DeadlineMisses;
-  if (Options.Cache) {
-    CodeCacheStats CacheStats = Options.Cache->stats();
-    Copy.Aggregate.counter("code-cache", "hits") = CacheStats.Hits;
-    Copy.Aggregate.counter("code-cache", "misses") = CacheStats.Misses;
-    Copy.Aggregate.counter("code-cache", "insertions") =
-        CacheStats.Insertions;
-    Copy.Aggregate.counter("code-cache", "evictions") = CacheStats.Evictions;
-    Copy.Aggregate.counter("code-cache", "entries") = CacheStats.Entries;
-  }
-  if (Options.Persistent) {
-    PersistentCacheStats PStats = Options.Persistent->stats();
-    Copy.Aggregate.counter("persistent-cache", "hits") = PStats.Hits;
-    Copy.Aggregate.counter("persistent-cache", "misses") = PStats.Misses;
-    Copy.Aggregate.counter("persistent-cache", "insertions") =
-        PStats.Insertions;
-    Copy.Aggregate.counter("persistent-cache", "evictions") =
-        PStats.Evictions;
-    Copy.Aggregate.counter("persistent-cache", "corrupt_dropped") =
-        PStats.CorruptDropped;
-    Copy.Aggregate.counter("persistent-cache", "entries") = PStats.Entries;
-    Copy.Aggregate.counter("persistent-cache", "bytes") = PStats.Bytes;
-  }
   return Copy;
 }

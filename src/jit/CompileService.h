@@ -27,14 +27,12 @@
 /// compiles synchronously on the caller's thread — which is the reference
 /// schedule the parallel-determinism tests compare against.
 ///
-/// Per-run PassStats are merged into a service-wide aggregate under a
-/// lock after each compile (per-thread stats merged on completion; see
-/// pm/PassStats.h). The scalar service counters live only in the metrics
-/// registry (the caller's, or one the service owns), updated with relaxed
-/// atomics, so a cache hit takes no service lock; stats() reads them
-/// back. Cache/service counters are also reported through the
-/// `sxe.pass-stats.v1` vocabulary under the pseudo-pass names
-/// `compile-service` and `code-cache`.
+/// Every counter has one home. A run's PassStats travel in its
+/// CompiledCode artifact and are never re-aggregated here. The service
+/// counters live only in the metrics registry (the caller's, or one the
+/// service owns), updated with relaxed atomics, so neither a cache hit
+/// nor a compile takes a service stats lock; stats() reads them back.
+/// Cache counters live in each cache's own stats().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,8 +109,6 @@ struct CompileServiceStats {
   uint64_t Rejected = 0;
   /// Requests whose deadline had passed before a worker reached them.
   uint64_t DeadlineMisses = 0;
-  /// Sum of per-run PassStats across every compiled request.
-  PassStats Aggregate;
 };
 
 /// A multi-threaded compilation server over the instrumented pipeline.
@@ -139,7 +135,8 @@ public:
   /// Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Copy of the service counters and the merged per-pass aggregate.
+  /// The service counters, read back from the metrics registry. Per-run
+  /// pass counters travel in each result's CompiledCode::Stats.
   CompileServiceStats stats() const;
 
   /// Accounts one refused request (Rejected counter + sxe_rejects_total).
@@ -197,10 +194,6 @@ private:
   MetricHandles Metrics;
   CompileQueue Queue;
   std::vector<std::thread> Workers;
-
-  /// Guards Aggregate only.
-  mutable std::mutex StatsMu;
-  PassStats Aggregate;
 
   std::mutex PendingMu;
   std::condition_variable AllDone;

@@ -3,15 +3,13 @@
 #include "jit/PersistentCache.h"
 
 #include "obs/Remarks.h"
+#include "obs/TraceContext.h"
 #include "support/IRHash.h"
 #include "support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -25,13 +23,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string hex16(uint64_t Value) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Value));
-  return Buf;
-}
-
 /// Canonical artifact digest: FNV-1a over every field a hit must
 /// reproduce. Recomputed from the decoded artifact on load, so any bit
 /// rot in the stored payload — not just truncation — reads as corrupt.
@@ -43,7 +34,6 @@ uint64_t checksumCompiledCode(const CompiledCode &Code) {
     H.mix(E.Pass);
     H.mix(E.Name);
     H.mix(E.Value);
-    H.mix(static_cast<uint64_t>(E.IsFlag));
   }
   for (const Remark &R : Code.Remarks)
     H.mix(remarkToJsonLine(R));
@@ -58,8 +48,8 @@ std::string sxe::encodePersistentEntry(const std::string &Key,
   J.beginObject();
   J.keyValue("schema", kPCacheEntrySchema);
   J.keyValue("key", Key);
-  J.keyValue("checksum", hex16(checksumCompiledCode(Code)));
-  J.keyValue("ir_hash", hex16(Code.InputIRHash));
+  J.keyValue("checksum", traceIdHex(checksumCompiledCode(Code)));
+  J.keyValue("ir_hash", traceIdHex(Code.InputIRHash));
   J.keyValue("ir", Code.IRText);
   J.key("stats");
   J.beginArray();
@@ -68,8 +58,6 @@ std::string sxe::encodePersistentEntry(const std::string &Key,
     J.keyValue("pass", E.Pass);
     J.keyValue("name", E.Name);
     J.keyValue("value", E.Value);
-    if (E.IsFlag)
-      J.keyValue("flag", true);
     J.endObject();
   }
   J.endArray();
@@ -107,25 +95,20 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     return false;
   }
   Out = CompiledCode();
+  if (!parseTraceIdHex(V.stringField("ir_hash"), Out.InputIRHash)) {
+    Error = "malformed ir_hash";
+    return false;
+  }
   Out.IRText = V.takeStringField("ir");
-  Out.InputIRHash =
-      std::strtoull(V.stringField("ir_hash").c_str(), nullptr, 16);
 
   const JsonValue *Stats = V.find("stats");
   if (!Stats || !Stats->isArray()) {
     Error = "missing stats array";
     return false;
   }
-  for (const JsonValue &E : Stats->array()) {
-    std::string Pass = E.stringField("pass");
-    std::string Name = E.stringField("name");
-    uint64_t Value = E.uint64Field("value");
-    const JsonValue *Flag = E.find("flag");
-    if (Flag && Flag->isBool() && Flag->boolValue())
-      Out.Stats.flag(Pass, Name) = Value;
-    else
-      Out.Stats.counter(Pass, Name) = Value;
-  }
+  for (const JsonValue &E : Stats->array())
+    Out.Stats.counter(E.stringField("pass"), E.stringField("name")) =
+        E.uint64Field("value");
 
   const JsonValue *Remarks = V.find("remarks");
   if (!Remarks || !Remarks->isArray()) {
@@ -142,9 +125,9 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     Out.Remarks.push_back(std::move(R));
   }
 
-  uint64_t Stored =
-      std::strtoull(V.stringField("checksum").c_str(), nullptr, 16);
-  if (Stored != checksumCompiledCode(Out)) {
+  uint64_t Stored = 0;
+  if (!parseTraceIdHex(V.stringField("checksum"), Stored) ||
+      Stored != checksumCompiledCode(Out)) {
     Error = "checksum mismatch";
     return false;
   }
@@ -156,16 +139,6 @@ bool sxe::decodePersistentEntry(const std::string &Text,
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-bool readFileText(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 /// Write-to-temp + rename(2) publication; the only way entry files are
 /// ever produced.
@@ -191,7 +164,7 @@ bool writeFileAtomic(const std::string &Path, const std::string &Text) {
 std::string fileNameForKey(const std::string &Key) {
   StableHasher H;
   H.mix(Key);
-  return hex16(H.result()) + ".json";
+  return traceIdHex(H.result()) + ".json";
 }
 
 } // namespace
@@ -277,7 +250,7 @@ PersistentCache::lookup(const std::string &Key) {
   std::string File = fileNameForKey(Key);
   std::string Path = objectPath(File);
   std::string Text;
-  if (!readFileText(Path, Text)) {
+  if (!readTextFile(Path, Text)) {
     ++Misses;
     if (Entries.count(File)) // Listed, but another process removed it.
       dropEntryLocked(File, /*CountEviction=*/false);

@@ -15,7 +15,7 @@
 ///
 /// Directory layout (docs/JIT.md):
 ///
-///     <dir>/objects/<fnv16>.json  one sxe.pcache.v2 entry per key
+///     <dir>/objects/<fnv16>.json  one sxe.pcache.v3 entry per key
 ///
 /// The object directory is the whole store: there is no index file. At
 /// construction the cache lists objects/*.json once — each entry's size
@@ -60,7 +60,7 @@
 namespace sxe {
 
 /// Schema tag of the on-disk entry documents.
-inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v2";
+inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v3";
 
 struct PersistentCacheOptions {
   /// Root directory; created (with objects/) if absent. Empty disables
@@ -83,7 +83,7 @@ struct PersistentCacheStats {
   uint64_t Bytes = 0;
 };
 
-/// Serializes \p Code as one sxe.pcache.v2 entry document for \p Key.
+/// Serializes \p Code as one sxe.pcache.v3 entry document for \p Key.
 std::string encodePersistentEntry(const std::string &Key,
                                   const CompiledCode &Code);
 

@@ -95,88 +95,6 @@ void MetricsRegistry::setInfo(
   I.Labels = std::move(Labels);
 }
 
-void MetricsRegistry::merge(const MetricsRegistry &Other) {
-  // Snapshot Other under its lock, then feed this registry through the
-  // public registration path (which takes our lock); never hold both.
-  struct Snapshot {
-    InstrumentKind Kind;
-    std::string Name;
-    std::string Help;
-    uint64_t CounterValue = 0;
-    int64_t GaugeValue = 0;
-    std::vector<double> Bounds;
-    std::vector<uint64_t> BucketCounts;
-    std::vector<uint64_t> BucketExemplars;
-    uint64_t HistTotal = 0;
-    uint64_t HistSumNano = 0;
-    std::vector<std::pair<std::string, std::string>> Labels;
-  };
-  std::vector<Snapshot> Snapshots;
-  {
-    std::lock_guard<std::mutex> Lock(Other.Mu);
-    for (const Instrument &I : Other.Instruments) {
-      Snapshot S;
-      S.Kind = I.Kind;
-      S.Name = I.Name;
-      S.Help = I.Help;
-      switch (I.Kind) {
-      case InstrumentKind::Counter:
-        S.CounterValue = I.TheCounter.value();
-        break;
-      case InstrumentKind::Gauge:
-        S.GaugeValue = I.TheGauge.value();
-        break;
-      case InstrumentKind::Histogram:
-        S.Bounds = I.TheHistogram->bounds();
-        for (size_t Index = 0; Index <= S.Bounds.size(); ++Index) {
-          S.BucketCounts.push_back(I.TheHistogram->bucketCount(Index));
-          S.BucketExemplars.push_back(I.TheHistogram->exemplarTraceId(Index));
-        }
-        S.HistTotal = I.TheHistogram->count();
-        S.HistSumNano =
-            I.TheHistogram->SumNano.load(std::memory_order_relaxed);
-        break;
-      case InstrumentKind::Info:
-        S.Labels = I.Labels;
-        break;
-      }
-      Snapshots.push_back(std::move(S));
-    }
-  }
-
-  for (const Snapshot &S : Snapshots) {
-    switch (S.Kind) {
-    case InstrumentKind::Counter:
-      counter(S.Name, S.Help).inc(S.CounterValue);
-      break;
-    case InstrumentKind::Gauge: {
-      Gauge &G = gauge(S.Name, S.Help);
-      if (S.GaugeValue > G.value())
-        G.set(S.GaugeValue);
-      break;
-    }
-    case InstrumentKind::Histogram: {
-      Histogram &H = histogram(S.Name, S.Help, S.Bounds);
-      if (H.bounds() != S.Bounds)
-        break; // Mismatched layout: refuse rather than misfile counts.
-      for (size_t Index = 0; Index < S.BucketCounts.size(); ++Index) {
-        H.Counts[Index].fetch_add(S.BucketCounts[Index],
-                                  std::memory_order_relaxed);
-        if (S.BucketExemplars[Index])
-          H.Exemplars[Index].store(S.BucketExemplars[Index],
-                                   std::memory_order_relaxed);
-      }
-      H.Total.fetch_add(S.HistTotal, std::memory_order_relaxed);
-      H.SumNano.fetch_add(S.HistSumNano, std::memory_order_relaxed);
-      break;
-    }
-    case InstrumentKind::Info:
-      setInfo(S.Name, S.Labels, S.Help);
-      break;
-    }
-  }
-}
-
 /// Shortest round-trippable formatting for bounds/sums (Prometheus uses
 /// plain decimal text).
 static std::string formatDouble(double Value) {

@@ -14,11 +14,7 @@
 /// under the registry mutex) and then updated through stable handles with
 /// relaxed atomics — no allocation, no lock. Histograms carry their
 /// bucket bounds from registration; observe() is a branchless-enough
-/// linear scan over a handful of bounds plus two atomic adds. Like
-/// pm/PassStats.h, registries also merge(): per-thread or per-run
-/// registries can be combined into an aggregate after the fact (counters
-/// and histograms add; gauges, which describe instantaneous state, merge
-/// by max).
+/// linear scan over a handful of bounds plus two atomic adds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -144,12 +140,6 @@ public:
   void setInfo(const std::string &Name,
                std::vector<std::pair<std::string, std::string>> Labels,
                const std::string &Help = "");
-
-  /// Adds \p Other's instruments into this registry (registering any this
-  /// instance has not seen). Counters and histograms add; gauges take the
-  /// max; histogram bucket bounds must match (mismatched histograms are
-  /// skipped).
-  void merge(const MetricsRegistry &Other);
 
   /// Renders {"schema":"sxe.metrics.v1","counters":...,"gauges":...,
   /// "histograms":...} in registration order.

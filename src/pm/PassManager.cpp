@@ -93,18 +93,3 @@ bool PassManager::run(Module &M, PassContext &Ctx) {
   }
   return true;
 }
-
-uint64_t PassManager::totalWallNanos() const {
-  uint64_t Sum = 0;
-  for (const PassTiming &T : Timings)
-    Sum += T.WallNanos;
-  return Sum;
-}
-
-uint64_t PassManager::groupWallNanos(Pass::Group G) const {
-  uint64_t Sum = 0;
-  for (const PassTiming &T : Timings)
-    if (T.Group == G)
-      Sum += T.WallNanos;
-  return Sum;
-}

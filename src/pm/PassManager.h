@@ -84,14 +84,6 @@ public:
   const std::vector<PassTiming> &timings() const { return Timings; }
   const PassFailure *failure() const { return Failed ? &Failure : nullptr; }
 
-  /// Total wall time across all passes of the last run() (nanoseconds).
-  uint64_t totalWallNanos() const;
-
-  /// Sum of the wall time of every pass in \p G.
-  uint64_t groupWallNanos(Pass::Group G) const;
-
-  size_t numPasses() const { return Passes.size(); }
-
 private:
   PassManagerOptions Options;
   std::vector<std::unique_ptr<Pass>> Passes;

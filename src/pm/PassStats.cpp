@@ -4,26 +4,15 @@
 
 using namespace sxe;
 
-StatEntry &PassStats::entry(const std::string &Pass,
-                            const std::string &Name) {
+uint64_t &PassStats::counter(const std::string &Pass,
+                             const std::string &Name) {
   std::string Key = keyOf(Pass, Name);
   auto It = Index.find(Key);
   if (It != Index.end())
-    return Entries[It->second];
+    return Entries[It->second].Value;
   Index.emplace(std::move(Key), Entries.size());
-  Entries.push_back(StatEntry{Pass, Name, 0, false});
-  return Entries.back();
-}
-
-uint64_t &PassStats::counter(const std::string &Pass,
-                             const std::string &Name) {
-  return entry(Pass, Name).Value;
-}
-
-uint64_t &PassStats::flag(const std::string &Pass, const std::string &Name) {
-  StatEntry &E = entry(Pass, Name);
-  E.IsFlag = true;
-  return E.Value;
+  Entries.push_back(StatEntry{Pass, Name, 0});
+  return Entries.back().Value;
 }
 
 uint64_t PassStats::value(const std::string &Pass,
@@ -32,33 +21,10 @@ uint64_t PassStats::value(const std::string &Pass,
   return It == Index.end() ? 0 : Entries[It->second].Value;
 }
 
-std::vector<StatEntry>
-PassStats::entriesForPass(const std::string &Pass) const {
-  std::vector<StatEntry> Result;
-  for (const StatEntry &E : Entries)
-    if (E.Pass == Pass)
-      Result.push_back(E);
-  return Result;
-}
-
 uint64_t PassStats::total(const std::string &Name) const {
   uint64_t Sum = 0;
   for (const StatEntry &E : Entries)
     if (E.Name == Name)
       Sum += E.Value;
   return Sum;
-}
-
-void PassStats::merge(const PassStats &Other) {
-  for (const StatEntry &E : Other.Entries) {
-    StatEntry &Mine = entry(E.Pass, E.Name);
-    if (E.IsFlag) {
-      // Mode flags describe a configuration, not an amount: N runs in PDE
-      // mode must aggregate to pde_variant = 1, not N.
-      Mine.IsFlag = true;
-      Mine.Value = Mine.Value > E.Value ? Mine.Value : E.Value;
-    } else {
-      Mine.Value += E.Value;
-    }
-  }
 }

@@ -18,10 +18,9 @@
 /// Concurrency model: a PassStats instance is single-threaded by design.
 /// SXE_PASS_STAT stays a bare `uint64_t&` bump — no atomics on the pass
 /// hot path — because every concurrent pipeline run owns a private
-/// registry (runInstrumentedPipeline creates one per call). Aggregation
-/// across the jit/ worker pool happens *after* a run completes, via
-/// merge() under the service's stats lock: per-thread stats merged on
-/// completion.
+/// registry (runInstrumentedPipeline creates one per call). The registry
+/// is the run's only copy of its counters: it travels with the run's
+/// artifact (jit/CompiledCode::Stats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +31,6 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace sxe {
 
@@ -41,11 +39,6 @@ struct StatEntry {
   std::string Pass;
   std::string Name;
   uint64_t Value = 0;
-  /// True for mode flags (`pde_variant`, `by_frequency`): 0/1 values
-  /// describing *how* a pass ran, not how much it did. merge() combines
-  /// flags by max instead of addition, so an 8-worker aggregate still
-  /// reports 1, not 8.
-  bool IsFlag = false;
 };
 
 /// Registry of named per-pass counters.
@@ -56,37 +49,20 @@ public:
   /// until the registry is destroyed (entries live in a deque).
   uint64_t &counter(const std::string &Pass, const std::string &Name);
 
-  /// Like counter(), but marks the entry as a mode flag: merge()
-  /// combines it by max/assignment instead of addition.
-  uint64_t &flag(const std::string &Pass, const std::string &Name);
-
   /// Returns the value of (\p Pass, \p Name), or 0 if never registered.
   uint64_t value(const std::string &Pass, const std::string &Name) const;
 
   /// All counters in registration order.
   const std::deque<StatEntry> &entries() const { return Entries; }
 
-  /// Counters of one pass, in registration order.
-  std::vector<StatEntry> entriesForPass(const std::string &Pass) const;
-
   /// Sums every counter named \p Name across passes (e.g. the total
   /// `sext_eliminated` over elimination engines).
   uint64_t total(const std::string &Name) const;
-
-  /// Adds every counter of \p Other into this registry, registering
-  /// counters this instance has not seen yet in Other's order. Additive
-  /// counters sum; flag entries (StatEntry::IsFlag) merge by max, so the
-  /// aggregate of N same-mode runs reports the mode, not N. The
-  /// jit/CompileService merges each worker's per-run stats through this
-  /// (under its own lock) once the run completes.
-  void merge(const PassStats &Other);
 
 private:
   static std::string keyOf(const std::string &Pass, const std::string &Name) {
     return Pass + "/" + Name;
   }
-
-  StatEntry &entry(const std::string &Pass, const std::string &Name);
 
   std::deque<StatEntry> Entries;
   std::unordered_map<std::string, size_t> Index;
@@ -97,11 +73,6 @@ private:
 /// registered under this pass's name() on first use.
 #define SXE_PASS_STAT(Ctx, StatName)                                          \
   ((Ctx).stats().counter(this->name(), #StatName))
-
-/// Like SXE_PASS_STAT for mode flags (assigned 0/1, merged by max):
-/// `SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 1;`.
-#define SXE_PASS_STAT_FLAG(Ctx, StatName)                                     \
-  ((Ctx).stats().flag(this->name(), #StatName))
 
 } // namespace sxe
 

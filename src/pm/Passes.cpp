@@ -74,10 +74,10 @@ public:
     std::vector<Instruction *> &Inserted = Ctx.inserted(F);
     unsigned Placed = 0;
     if (UsePDE) {
-      SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 1;
+      SXE_PASS_STAT(Ctx, pde_variant) = 1;
       Placed = runPDEInsertion(Ctx.cache(F), &Inserted);
     } else {
-      SXE_PASS_STAT_FLAG(Ctx, pde_variant) = 0;
+      SXE_PASS_STAT(Ctx, pde_variant) = 0;
       Placed = runSimpleInsertion(Ctx.cache(F), &Inserted);
     }
     SXE_PASS_STAT(Ctx, sext_inserted) += Placed;
@@ -96,13 +96,13 @@ public:
   void run(Function &F, PassContext &Ctx) override {
     std::vector<Instruction *> &Order = Ctx.order(F);
     if (ByFrequency) {
-      SXE_PASS_STAT_FLAG(Ctx, by_frequency) = 1;
+      SXE_PASS_STAT(Ctx, by_frequency) = 1;
       const std::vector<Instruction *> &Inserted = Ctx.inserted(F);
       std::unordered_set<Instruction *> InsertedSet(Inserted.begin(),
                                                     Inserted.end());
       Order = extensionsByFrequency(Ctx.cache(F), &InsertedSet);
     } else {
-      SXE_PASS_STAT_FLAG(Ctx, by_frequency) = 0;
+      SXE_PASS_STAT(Ctx, by_frequency) = 0;
       Order = extensionsInReverseDFS(Ctx.cache(F));
     }
     SXE_PASS_STAT(Ctx, extensions_ordered) += Order.size();

@@ -64,7 +64,7 @@ std::string sxe::statsReportJson(const PassStats &Stats,
   J.keyValue("chain_creation_ns", Nanos(Info.ChainCreationNanos));
   J.key("counters");
   J.beginObject();
-  // Aggregated by counter name; alphabetical so the rollup is stable no
+  // Summed by counter name; alphabetical so the rollup is stable no
   // matter which passes registered which counters first.
   std::map<std::string, uint64_t> Rollup;
   for (const StatEntry &E : Stats.entries())

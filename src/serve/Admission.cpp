@@ -61,7 +61,6 @@ bool AdmissionController::tryAdmit(uint64_t DeadlineBudgetNanos,
     Err.QueueDepth = Depth;
     Err.QueueWaitP99Nanos = p99Locked();
     Err.DeadlineBudgetNanos = DeadlineBudgetNanos;
-    ++Counters.RejectedQueueFull;
     return false;
   }
   uint64_t Budget =
@@ -73,12 +72,10 @@ bool AdmissionController::tryAdmit(uint64_t DeadlineBudgetNanos,
       Err.QueueDepth = Depth;
       Err.QueueWaitP99Nanos = P99;
       Err.DeadlineBudgetNanos = Budget;
-      ++Counters.RejectedDeadline;
       return false;
     }
   }
   ++Depth;
-  ++Counters.Admitted;
   return true;
 }
 
@@ -100,11 +97,6 @@ uint64_t AdmissionController::queueWaitP99Nanos() const {
 size_t AdmissionController::depth() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Depth;
-}
-
-AdmissionStats AdmissionController::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Counters;
 }
 
 } // namespace sxe

@@ -67,12 +67,6 @@ struct OverloadError {
   std::string message() const;
 };
 
-struct AdmissionStats {
-  uint64_t Admitted = 0;
-  uint64_t RejectedQueueFull = 0;
-  uint64_t RejectedDeadline = 0;
-};
-
 class AdmissionController {
 public:
   explicit AdmissionController(AdmissionOptions Options = {});
@@ -94,8 +88,6 @@ public:
   /// Current in-flight depth.
   size_t depth() const;
 
-  AdmissionStats stats() const;
-
   const AdmissionOptions &options() const { return Options; }
 
 private:
@@ -108,7 +100,6 @@ private:
   size_t WindowNext = 0;
   size_t WindowCount = 0;
   size_t Depth = 0;
-  AdmissionStats Counters;
 };
 
 } // namespace sxe

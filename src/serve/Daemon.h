@@ -130,7 +130,6 @@ public:
   MetricsRegistry &metricsRegistry() { return Metrics; }
   CompileService &service() { return *Service; }
   PersistentCache *persistent() { return Persistent.get(); }
-  AdmissionController &admission() { return Admission; }
   /// Holds no spans unless TraceFile is set.
   TraceCollector &traceCollector() { return Trace; }
   /// Retains no records unless EventsFile is set.

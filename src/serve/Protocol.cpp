@@ -7,11 +7,10 @@
 
 #include "serve/Protocol.h"
 
+#include "obs/TraceContext.h"
 #include "support/Json.h"
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <unistd.h>
@@ -181,20 +180,15 @@ bool readFrame(int Fd, FrameType &Type, std::string &Payload,
 // Payload encoding
 //===----------------------------------------------------------------------===//
 
-static std::string hex16(uint64_t Value) {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Value));
-  return Buf;
-}
-
 /// A hex id (trace id, IR hash): absent or malformed decodes as 0 so
-/// pre-trace peers interoperate.
+/// pre-trace peers interoperate. Strict: only 1-16 hex digits, so a
+/// sign, a "0x" prefix or trailing junk is malformed, not a number.
 static uint64_t hexField(const JsonValue &Doc, const char *Name) {
   const JsonValue *Field = Doc.find(Name);
-  if (!Field || !Field->isString())
-    return 0;
-  return std::strtoull(Field->stringValue().c_str(), nullptr, 16);
+  uint64_t Value = 0;
+  if (Field && Field->isString())
+    parseTraceIdHex(Field->stringValue(), Value);
+  return Value;
 }
 
 std::string encodeServeRequest(const ServeRequest &Request) {
@@ -219,7 +213,7 @@ std::string encodeServeRequest(const ServeRequest &Request, uint64_t TraceId,
   if (!Request.WantIR)
     J.keyValue("want_ir", false);
   if (TraceId)
-    J.keyValue("trace_id", hex16(TraceId));
+    J.keyValue("trace_id", traceIdHex(TraceId));
   if (ClientRequestId)
     J.keyValue("client_request_id", ClientRequestId);
   J.endObject();
@@ -289,7 +283,7 @@ std::string encodeServeReply(const ServeReply &Reply) {
   }
   if (Reply.Ok) {
     J.keyValue("tier", serveTierName(Reply.Tier));
-    J.keyValue("ir_hash", hex16(Reply.InputIRHash));
+    J.keyValue("ir_hash", traceIdHex(Reply.InputIRHash));
     if (!Reply.IRText.empty())
       J.keyValue("ir", Reply.IRText);
     if (!Reply.Stats.empty()) {
@@ -300,8 +294,6 @@ std::string encodeServeReply(const ServeReply &Reply) {
         J.keyValue("pass", Entry.Pass);
         J.keyValue("name", Entry.Name);
         J.keyValue("value", Entry.Value);
-        if (Entry.IsFlag)
-          J.keyValue("flag", true);
         J.endObject();
       }
       J.endArray();
@@ -314,7 +306,7 @@ std::string encodeServeReply(const ServeReply &Reply) {
   if (Reply.WallNanos)
     J.keyValue("wall_ns", Reply.WallNanos);
   if (Reply.TraceId)
-    J.keyValue("trace_id", hex16(Reply.TraceId));
+    J.keyValue("trace_id", traceIdHex(Reply.TraceId));
   if (Reply.RequestId)
     J.keyValue("request_id", Reply.RequestId);
   J.endObject();
@@ -355,7 +347,6 @@ bool decodeServeReply(const std::string &Payload, ServeReply &Out,
         Entry.Pass = Item.takeStringField("pass");
         Entry.Name = Item.takeStringField("name");
         Entry.Value = Item.uint64Field("value");
-        Entry.IsFlag = boolField(Item, "flag", false);
       }
     }
   }

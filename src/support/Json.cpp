@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 using namespace sxe;
 
@@ -276,6 +277,16 @@ bool sxe::writeTextFile(const std::string &Path, const std::string &Text) {
     return false;
   Out << Text;
   return static_cast<bool>(Out);
+}
+
+bool sxe::readTextFile(const std::string &Path, std::string &Out) {
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
+    return false;
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  Out = Buffer.str();
+  return true;
 }
 
 //===----------------------------------------------------------------------===//

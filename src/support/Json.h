@@ -109,6 +109,10 @@ private:
 /// worst) on I/O failure.
 bool writeTextFile(const std::string &Path, const std::string &Text);
 
+/// Reads the whole of \p Path into \p Out. Returns false if the file
+/// cannot be opened.
+bool readTextFile(const std::string &Path, std::string &Out);
+
 /// A parsed JSON value. Objects preserve member order (emission order
 /// matters to the golden files, so the reader reports it faithfully).
 /// A node holds only its own alternative, so it stays small (40 bytes)

@@ -44,7 +44,7 @@ VariantRun sxe::checkAndRunVariant(const Module &M, const TargetInfo &Target,
       NativeModule::hostSupported()) {
     NativeOptions NOpts;
     NOpts.MaxSteps = MaxSteps;
-    if (auto NM = NativeModule::compile(M, NOpts)) {
+    if (auto NM = NativeModule::compile(M, NOpts, &Run.NativeError)) {
       Run.NativeCompileNanos = NM->info().CompileNanos;
       uint64_t NativeStart = wallNowNanos();
       Run.Native = NM->run("main");
@@ -86,6 +86,10 @@ WorkloadReport sxe::runWorkload(const Workload &W,
                        variantName(V) +
                        "': post-pipeline verification failed: " +
                        Run.VerifyProblem);
+    if (!Run.NativeError.empty())
+      reportFatalError(std::string("workload '") + W.Name + "', variant '" +
+                       variantName(V) +
+                       "': native compile failed: " + Run.NativeError);
 
     const ExecResult &R = Run.Interp;
     VariantRow Row;

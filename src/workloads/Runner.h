@@ -59,6 +59,8 @@ struct VariantRun {
   ExecResult Interp;         ///< Machine semantics on the target.
   uint64_t InterpWallNanos = 0;
   bool NativeExecuted = false;
+  /// Why NativeModule::compile failed on a capable host; empty otherwise.
+  std::string NativeError;
   ExecResult Native;
   uint64_t NativeWallNanos = 0;
   uint64_t NativeCompileNanos = 0; ///< Lowering + regalloc + emission time.
@@ -68,6 +70,8 @@ struct VariantRun {
 /// extensions left, then runs `main` under machine semantics for
 /// \p Target, and natively too when \p Native is set, the target is x86_64
 /// and the host can execute emitted code. Both stop after \p MaxSteps.
+/// A native compile failure leaves NativeExecuted false and sets
+/// NativeError.
 VariantRun checkAndRunVariant(const Module &M, const TargetInfo &Target,
                               uint64_t MaxSteps, bool Native);
 
@@ -76,8 +80,9 @@ struct RunnerOptions {
   const TargetInfo *Target = &TargetInfo::ia64();
   /// Also compile each variant's output with the baseline x86-64 code
   /// generator and execute it natively, recording hardware wall time.
-  /// Requires Target == x86_64 and a capable host; silently inert
-  /// otherwise (rows report NativeExecuted = false).
+  /// Requires Target == x86_64 and a capable host; inert otherwise (rows
+  /// report NativeExecuted = false). A native compile failure on a
+  /// capable host is fatal.
   bool Native = false;
   WorkloadParams Params;
   std::vector<Variant> Variants =

@@ -440,11 +440,10 @@ TEST(CompileService, ReportsParseFailures) {
   EXPECT_EQ(Metrics.counter("sxe_compile_failures_total").value(), 1u);
 }
 
-TEST(CompileService, AggregateStatsSumPerRunCounters) {
+TEST(CompileService, StatsCountSubmittedAndCompiled) {
   CompileServiceOptions Options;
   Options.Jobs = 0;
   CompileService Service(Options);
-  uint64_t Sum = 0;
   for (int32_t Bias = 1; Bias <= 3; ++Bias) {
     CompileRequest Request;
     Request.Name = "m" + std::to_string(Bias);
@@ -452,15 +451,10 @@ TEST(CompileService, AggregateStatsSumPerRunCounters) {
     Request.Config = PipelineConfig::forVariant(Variant::All);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
     ASSERT_TRUE(Result.Ok);
-    Sum += Result.Code->Stats.total("sext_eliminated");
   }
   CompileServiceStats Stats = Service.stats();
-  EXPECT_EQ(Stats.Aggregate.total("sext_eliminated"), Sum);
   EXPECT_EQ(Stats.Submitted, 3u);
-  // Service counters surface as pseudo-passes in the pass-stats
-  // vocabulary (docs/OBSERVABILITY.md).
-  EXPECT_EQ(Stats.Aggregate.value("compile-service", "compiled"), 3u);
-  EXPECT_EQ(Stats.Aggregate.value("compile-service", "submitted"), 3u);
+  EXPECT_EQ(Stats.Compiled, 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -658,8 +652,6 @@ TEST(SourceKeyProbe, ConcurrentHitsKeepCountersExact) {
   EXPECT_EQ(Threads * PerThread, Stats.Submitted);
   EXPECT_EQ(Threads * PerThread, Stats.Compiled + Stats.CacheHits);
   EXPECT_GE(Stats.Compiled, 1u);
-  EXPECT_EQ(Stats.Compiled, Stats.Aggregate.value("compile-service",
-                                                   "compiled"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -766,56 +758,8 @@ TEST(TieredController, ProfiledRecompileHasItsOwnCacheEntry) {
 }
 
 //===----------------------------------------------------------------------===//
-// Concurrency satellites: PassStats::merge, Timer thread-CPU clock
+// Concurrency satellites: Timer thread-CPU clock
 //===----------------------------------------------------------------------===//
-
-TEST(PassStatsMerge, SumsAndPreservesFirstSeenOrder) {
-  PassStats A;
-  A.counter("elimination", "sext_eliminated") = 5;
-  A.counter("insertion", "sext_inserted") = 2;
-
-  PassStats B;
-  B.counter("elimination", "sext_eliminated") = 7;
-  B.counter("conversion64", "sext_generated") = 11;
-
-  A.merge(B);
-  EXPECT_EQ(A.value("elimination", "sext_eliminated"), 12u);
-  EXPECT_EQ(A.value("insertion", "sext_inserted"), 2u);
-  EXPECT_EQ(A.value("conversion64", "sext_generated"), 11u);
-
-  // A's original registration order survives; B's new counter appends.
-  ASSERT_EQ(A.entries().size(), 3u);
-  EXPECT_EQ(A.entries()[0].Name, "sext_eliminated");
-  EXPECT_EQ(A.entries()[1].Name, "sext_inserted");
-  EXPECT_EQ(A.entries()[2].Name, "sext_generated");
-}
-
-TEST(PassStatsMerge, FlagsCombineByMaxNotAddition) {
-  // Mode flags describe *how* a pass ran; merging the per-run stats of
-  // N identically-configured workers must still report 1, not N.
-  PassStats Merged;
-  for (unsigned Run = 0; Run < 8; ++Run) {
-    PassStats PerRun;
-    PerRun.flag("insertion", "pde_variant") = 1;
-    PerRun.flag("order-determination", "by_frequency") = 0;
-    PerRun.counter("elimination", "sext_eliminated") = 3;
-    Merged.merge(PerRun);
-  }
-  EXPECT_EQ(Merged.value("insertion", "pde_variant"), 1u);
-  EXPECT_EQ(Merged.value("order-determination", "by_frequency"), 0u);
-  EXPECT_EQ(Merged.value("elimination", "sext_eliminated"), 24u);
-
-  // max also wins when the flag appears on both sides with 0 first, and
-  // the flag bit itself survives the merge into a fresh registry.
-  PassStats Zero, One;
-  Zero.flag("insertion", "pde_variant") = 0;
-  One.flag("insertion", "pde_variant") = 1;
-  Zero.merge(One);
-  Zero.merge(One);
-  EXPECT_EQ(Zero.value("insertion", "pde_variant"), 1u);
-  ASSERT_EQ(Zero.entries().size(), 1u);
-  EXPECT_TRUE(Zero.entries()[0].IsFlag);
-}
 
 TEST(TimerCpu, AccumulatesThreadCpuAlongsideWall) {
   Timer T;

@@ -279,10 +279,6 @@ TEST(ServeProtocol, ReplyRoundTripsOkAndError) {
   Entry.Name = "sext_eliminated";
   Entry.Value = 7;
   Reply.Stats.push_back(Entry);
-  Entry.Name = "pde_variant";
-  Entry.Value = 1;
-  Entry.IsFlag = true;
-  Reply.Stats.push_back(Entry);
   Reply.RemarksJsonl = "{\"schema\":\"sxe.remarks.v1\"}\n";
   Reply.QueueWaitNanos = 1234;
   Reply.WallNanos = 56789;
@@ -295,11 +291,10 @@ TEST(ServeProtocol, ReplyRoundTripsOkAndError) {
   EXPECT_EQ(ServeTier::Persistent, Loaded.Tier);
   EXPECT_EQ(Reply.IRText, Loaded.IRText);
   EXPECT_EQ(Reply.InputIRHash, Loaded.InputIRHash);
-  ASSERT_EQ(2u, Loaded.Stats.size());
+  ASSERT_EQ(1u, Loaded.Stats.size());
   EXPECT_EQ("sext_eliminated", Loaded.Stats[0].Name);
   EXPECT_EQ(7u, Loaded.Stats[0].Value);
-  EXPECT_FALSE(Loaded.Stats[0].IsFlag);
-  EXPECT_TRUE(Loaded.Stats[1].IsFlag);
+  EXPECT_EQ(std::string::npos, encodeServeReply(Reply).find("\"flag\""));
   EXPECT_EQ(Reply.RemarksJsonl, Loaded.RemarksJsonl);
   EXPECT_EQ(1234u, Loaded.QueueWaitNanos);
   EXPECT_EQ(56789u, Loaded.WallNanos);
@@ -314,6 +309,17 @@ TEST(ServeProtocol, ReplyRoundTripsOkAndError) {
   EXPECT_FALSE(Loaded.Ok);
   EXPECT_EQ(ServeErrorKind::Overload, Loaded.ErrorKind);
   EXPECT_EQ("queue full", Loaded.Error);
+
+  // An older daemon marked mode counters with "flag": the key is
+  // ignored and the value still decodes.
+  ASSERT_TRUE(decodeServeReply(
+      "{\"schema\":\"sxe.serve.v1\",\"ok\":true,\"stats\":[{\"pass\":"
+      "\"insertion\",\"name\":\"pde_variant\",\"value\":1,\"flag\":true}]}",
+      Loaded, Error))
+      << Error;
+  ASSERT_EQ(1u, Loaded.Stats.size());
+  EXPECT_EQ("pde_variant", Loaded.Stats[0].Name);
+  EXPECT_EQ(1u, Loaded.Stats[0].Value);
 }
 
 TEST(ServeProtocol, OutOfRangeNumbersDecodeWithoutUndefinedCasts) {
@@ -366,11 +372,7 @@ TEST(Admission, BoundsInFlightDepth) {
   Admission.onComplete(/*QueueWaitNanos=*/1000);
   EXPECT_EQ(1u, Admission.depth());
   EXPECT_TRUE(Admission.tryAdmit(0, Err));
-
-  AdmissionStats Stats = Admission.stats();
-  EXPECT_EQ(3u, Stats.Admitted);
-  EXPECT_EQ(1u, Stats.RejectedQueueFull);
-  EXPECT_EQ(0u, Stats.RejectedDeadline);
+  EXPECT_EQ(2u, Admission.depth());
 }
 
 TEST(Admission, ShedsWhenQueueWaitP99ExceedsBudget) {
@@ -395,7 +397,6 @@ TEST(Admission, ShedsWhenQueueWaitP99ExceedsBudget) {
   EXPECT_EQ(5'000'000u, Err.DeadlineBudgetNanos);
   EXPECT_TRUE(Admission.tryAdmit(20'000'000, Err));
   EXPECT_TRUE(Admission.tryAdmit(0, Err));
-  EXPECT_EQ(1u, Admission.stats().RejectedDeadline);
 }
 
 TEST(Admission, DefaultDeadlineAppliesToUnboundedRequests) {
@@ -578,8 +579,6 @@ TEST(ServeDaemon, LoadShedsAtQueueDepthAndSharesRejectedLedger) {
   // Load-shed rejections land in the service's shared Rejected ledger
   // (satellite: one ledger for shutdown refusals and overload refusals).
   EXPECT_EQ(Overloads.load(), Daemon.service().stats().Rejected);
-  EXPECT_EQ(Overloads.load(),
-            Daemon.admission().stats().RejectedQueueFull);
   Daemon.stop();
 }
 
@@ -883,6 +882,25 @@ TEST(ServeProtocol, TraceIdsRoundTripAndLegacyPayloadsDecodeToZero) {
                                  LoadedRequest, Error))
       << Error;
   EXPECT_EQ(0u, LoadedRequest.TraceId);
+
+  // Hex ids are strict: a sign, a 0x prefix, a leading space or
+  // trailing junk is malformed, hence absent, on both sides of the wire.
+  for (const char *Bad : {"-1", "0x1f", "+7", " 12zz", "12zz",
+                          "00000000000000001"}) {
+    std::string Id = std::string("\"") + Bad + "\"";
+    ASSERT_TRUE(decodeServeRequest("{\"schema\":\"sxe.serve.v1\",\"source\":"
+                                   "\"x\",\"trace_id\":" + Id + "}",
+                                   LoadedRequest, Error))
+        << Error;
+    EXPECT_EQ(0u, LoadedRequest.TraceId) << Bad;
+    ASSERT_TRUE(decodeServeReply("{\"schema\":\"sxe.serve.v1\",\"ok\":true,"
+                                 "\"ir_hash\":" + Id + ",\"trace_id\":" +
+                                     Id + "}",
+                                 LoadedReply, Error))
+        << Error;
+    EXPECT_EQ(0u, LoadedReply.InputIRHash) << Bad;
+    EXPECT_EQ(0u, LoadedReply.TraceId) << Bad;
+  }
 
   // Zero ids are omitted on the wire and come back as zero.
   ServeReply PlainReply;

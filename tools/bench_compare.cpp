@@ -22,9 +22,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,16 +49,14 @@ struct Report {
 };
 
 bool loadReport(const char *Path, Report &Out, std::string &Error) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readTextFile(Path, Text)) {
     Error = std::string("cannot open ") + Path;
     return false;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
 
   JsonValue V;
-  if (!parseJson(Buffer.str(), V, Error))
+  if (!parseJson(Text, V, Error))
     return false;
   if (V.stringField("schema") != "sxe.bench-report.v1") {
     Error = std::string(Path) + ": not an sxe.bench-report.v1 file";

@@ -34,8 +34,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -54,16 +52,6 @@ void usage() {
       "       sxe-client --socket=PATH --metrics[=FILE]\n"
       "       sxe-client --socket=PATH --dump[=FILE]\n"
       "       sxe-client --socket=PATH --shutdown\n");
-}
-
-bool readFileText(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 } // namespace
@@ -178,7 +166,7 @@ int main(int argc, char **argv) {
   for (const std::string &File : Files) {
     ServeRequest Request;
     Request.Name = std::filesystem::path(File).filename().string();
-    if (!readFileText(File, Request.Source)) {
+    if (!readTextFile(File, Request.Source)) {
       std::fprintf(stderr, "sxe-client: cannot read %s\n", File.c_str());
       return 2;
     }

@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "codegen/NativeEngine.h"
 #include "fuzz/DiffTest.h"
 #include "fuzz/RandomModuleGenerator.h"
 #include "fuzz/Reducer.h"
@@ -64,6 +65,7 @@ void printUsage() {
       "  --max-steps=N      interpreter step budget per run\n"
       "  --native           also run x86_64 pipelines through the native\n"
       "                     code generator and require interpreter parity\n"
+      "                     (exit 2 on a host that cannot run native code)\n"
       "  --reduce           minimize failing modules with the greedy reducer\n"
       "  --out=DIR          directory for minimized .sxir (default '.')\n"
       "  --keep-going       test all seeds even after a failure\n"
@@ -235,6 +237,11 @@ int main(int Argc, char **Argv) {
   ToolOptions Options;
   if (!parseArgs(Argc, Argv, Options))
     return 2;
+  if (Options.Native && !NativeModule::hostSupported()) {
+    std::fprintf(stderr, "sxe-difftest: --native needs an x86-64 POSIX host "
+                         "that can execute emitted code\n");
+    return 2;
+  }
 
   GeneratorOptions Shape = shapeForSize(Options.Size, Options.Unsigned);
   DiffConfig Config;

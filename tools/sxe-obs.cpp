@@ -37,9 +37,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,16 +84,6 @@ void usage() {
                "usage: sxe-obs --events=FILE [--trace=FILE]...\n"
                "               [--metrics=FILE] [--remarks=FILE]\n"
                "               [--timelines=N] [--check=PCT]\n");
-}
-
-bool readFileText(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 double percentile(std::vector<double> Sorted, double Pct) {
@@ -173,7 +161,7 @@ int main(int argc, char **argv) {
   std::vector<EventRec> GlobalEvents;         // daemon_start / drain / dump
   {
     std::string Text;
-    if (!readFileText(EventsFile, Text)) {
+    if (!readTextFile(EventsFile, Text)) {
       std::fprintf(stderr, "sxe-obs: cannot read %s\n", EventsFile.c_str());
       return 2;
     }
@@ -237,7 +225,7 @@ int main(int argc, char **argv) {
   for (size_t FileIndex = 0; FileIndex < TraceFiles.size(); ++FileIndex) {
     const std::string &Path = TraceFiles[FileIndex];
     std::string Text;
-    if (!readFileText(Path, Text)) {
+    if (!readTextFile(Path, Text)) {
       std::fprintf(stderr, "sxe-obs: cannot read %s\n", Path.c_str());
       return 2;
     }
@@ -305,7 +293,7 @@ int main(int argc, char **argv) {
   // ---- Remarks: joined per module name. ---------------------------------
   if (!RemarksFile.empty()) {
     std::string Text;
-    if (!readFileText(RemarksFile, Text)) {
+    if (!readTextFile(RemarksFile, Text)) {
       std::fprintf(stderr, "sxe-obs: cannot read %s\n", RemarksFile.c_str());
       return 2;
     }
@@ -438,7 +426,7 @@ int main(int argc, char **argv) {
   // ---- Metrics exemplars join back to the request table. ----------------
   if (!MetricsFile.empty()) {
     std::string Text;
-    if (!readFileText(MetricsFile, Text)) {
+    if (!readTextFile(MetricsFile, Text)) {
       std::fprintf(stderr, "sxe-obs: cannot read %s\n", MetricsFile.c_str());
       return 2;
     }
