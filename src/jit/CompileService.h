@@ -28,11 +28,11 @@
 /// schedule the parallel-determinism tests compare against.
 ///
 /// Every counter has one home. A run's PassStats travel in its
-/// CompiledCode artifact and are never re-aggregated here. The service
-/// counters live only in the metrics registry (the caller's, or one the
-/// service owns), updated with relaxed atomics, so neither a cache hit
-/// nor a compile takes a service stats lock; stats() reads them back.
-/// Cache counters live in each cache's own stats().
+/// CompiledCode artifact. The service counters live only in the metrics
+/// registry (the caller's, or one the service owns), updated with relaxed
+/// atomics, so neither a cache hit nor a compile takes a service stats
+/// lock; stats() reads them back. Cache counters live in each cache's
+/// own stats().
 ///
 //===----------------------------------------------------------------------===//
 
