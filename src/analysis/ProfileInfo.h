@@ -36,14 +36,16 @@ namespace sxe {
 /// Taken/not-taken counts per conditional branch.
 class ProfileInfo {
 public:
-  /// Records one dynamic execution of \p Branch. \p Taken selects
-  /// successor 0.
-  void recordBranch(const Instruction *Branch, bool Taken) {
+  /// Adds \p Taken executions of \p Branch that went to successor 0 and
+  /// \p NotTaken that went to successor 1. The interpreter counts a run's
+  /// branches in a dense array and adds each executed branch here once, at
+  /// the end of the run, so the string key is built once per branch, not
+  /// once per execution.
+  void addBranchCounts(const Instruction *Branch, uint64_t Taken,
+                       uint64_t NotTaken) {
     auto &Counters = BranchCounts[keyFor(Branch)];
-    if (Taken)
-      ++Counters.Taken;
-    else
-      ++Counters.NotTaken;
+    Counters.Taken += Taken;
+    Counters.NotTaken += NotTaken;
   }
 
   /// Probability that \p Branch goes to successor 0, or nullopt if the

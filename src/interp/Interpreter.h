@@ -30,6 +30,13 @@
 /// The interpreter also accumulates a cycle estimate (target/CostModel.h)
 /// and, when requested, branch profiles for order determination.
 ///
+/// The constructor decodes the module once into a flat instruction array:
+/// operand registers, immediates, successor slots, cycle costs and the
+/// semantics mode's write-back rule are resolved there, so run() dispatches
+/// over dense slots and never reads the linked IR. Every run() reuses that
+/// decoded program; the module must not change while the Interpreter
+/// lives.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SXE_INTERP_INTERPRETER_H
@@ -40,6 +47,7 @@
 #include "target/TargetInfo.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,12 +128,16 @@ struct InterpOptions {
   ProfileInfo *Profile = nullptr; ///< Non-null: record branch outcomes.
 };
 
+/// The module as the interpreter executes it (Interpreter.cpp).
+struct DecodedProgram;
+
 /// Executes a function of \p M. The module must verify (the constructor
 /// aborts otherwise); dummy extends are tolerated and counted, because
 /// mid-pipeline IR is also executable for differential testing.
 class Interpreter {
 public:
   explicit Interpreter(const Module &M, InterpOptions Options = {});
+  ~Interpreter();
 
   /// Runs \p FuncName with raw 64-bit argument values (sub-register integer
   /// arguments must be passed sign-extended, as the ABI requires).
@@ -135,6 +147,7 @@ public:
 private:
   const Module &M;
   InterpOptions Options;
+  std::unique_ptr<const DecodedProgram> Code;
 };
 
 } // namespace sxe

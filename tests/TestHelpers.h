@@ -11,10 +11,9 @@
 #include "ir/Function.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "support/Json.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <gtest/gtest.h>
 
@@ -65,14 +64,21 @@ inline std::string readPassDump(const std::string &Dir, size_t Index,
   char Prefix[24];
   std::snprintf(Prefix, sizeof(Prefix), "%02zu-", Index);
   std::string Path = Dir + "/" + Prefix + PassName + ".sxir";
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!readTextFile(Path, Text))
     ADD_FAILURE() << "missing pass dump " << Path;
-    return "";
-  }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
+  return Text;
+}
+
+/// The text of `tests/corpus/<Name>.sxir`. Adds a test failure and returns
+/// "" when the file is missing.
+inline std::string corpusSource(const std::string &Name) {
+  std::string Path =
+      std::string(SXE_SOURCE_DIR) + "/tests/corpus/" + Name + ".sxir";
+  std::string Text;
+  if (!readTextFile(Path, Text))
+    ADD_FAILURE() << "missing corpus file " << Path;
+  return Text;
 }
 
 } // namespace test

@@ -185,10 +185,7 @@ TEST(BlockFrequencyTest, LoopsAreHotterAndProfilesSkew) {
   // A profile that takes the left arm 90% of the time skews them.
   ProfileInfo Profile;
   const Instruction *Branch = D.Body->terminator();
-  for (int K = 0; K < 90; ++K)
-    Profile.recordBranch(Branch, true);
-  for (int K = 0; K < 10; ++K)
-    Profile.recordBranch(Branch, false);
+  Profile.addBranchCounts(Branch, 90, 10);
   BlockFrequency Profiled(Cfg, Loops, &Profile);
   EXPECT_GT(Profiled.frequency(D.Left), Profiled.frequency(D.Right));
 }

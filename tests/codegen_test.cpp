@@ -23,9 +23,8 @@
 #include "ir/Verifier.h"
 #include "parser/Parser.h"
 #include "target/TargetInfo.h"
+#include "tests/TestHelpers.h"
 
-#include <fstream>
-#include <sstream>
 #include <gtest/gtest.h>
 
 using namespace sxe;
@@ -1219,13 +1218,7 @@ TEST_P(CorpusNativeParity, NativeMatchesX86Interpreter) {
   if (!NativeModule::hostSupported())
     GTEST_SKIP() << "host cannot execute emitted x86-64 code";
 
-  std::string Path =
-      std::string(SXE_SOURCE_DIR) + "/tests/corpus/" + GetParam() + ".sxir";
-  std::ifstream In(Path);
-  ASSERT_TRUE(static_cast<bool>(In)) << Path;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  ParseResult Parsed = parseModule(Buffer.str());
+  ParseResult Parsed = parseModule(test::corpusSource(GetParam()));
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
 
   InterpOptions IOpts = x86MachineOptions();

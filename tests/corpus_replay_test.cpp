@@ -27,9 +27,8 @@
 #include "parser/Parser.h"
 #include "pm/InstrumentedPipeline.h"
 #include "sxe/Pipeline.h"
+#include "tests/TestHelpers.h"
 
-#include <fstream>
-#include <sstream>
 #include <gtest/gtest.h>
 
 using namespace sxe;
@@ -37,14 +36,8 @@ using namespace sxe;
 namespace {
 
 std::unique_ptr<Module> loadCorpusFile(const std::string &Name) {
-  std::string Path =
-      std::string(SXE_SOURCE_DIR) + "/tests/corpus/" + Name + ".sxir";
-  std::ifstream In(Path);
-  EXPECT_TRUE(static_cast<bool>(In)) << Path;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  ParseResult Parsed = parseModule(Buffer.str());
-  EXPECT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
+  ParseResult Parsed = parseModule(test::corpusSource(Name));
+  EXPECT_TRUE(Parsed.ok()) << Name << ": " << Parsed.Error;
   return std::move(Parsed.M);
 }
 

@@ -30,8 +30,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -44,14 +42,6 @@ bool updateGoldens() {
   return Raw && Raw[0] && Raw[0] != '0';
 }
 
-std::string readTextFile(const std::string &Path, bool &Ok) {
-  std::ifstream In(Path);
-  Ok = static_cast<bool>(In);
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
-}
-
 /// One golden artifact: compare against the checked-in file, or rewrite
 /// it when UPDATE_GOLDENS is set.
 void checkGolden(const std::string &Path, const std::string &Actual) {
@@ -59,9 +49,8 @@ void checkGolden(const std::string &Path, const std::string &Actual) {
     ASSERT_TRUE(writeTextFile(Path, Actual)) << "cannot write " << Path;
     return;
   }
-  bool Ok = false;
-  std::string Expected = readTextFile(Path, Ok);
-  ASSERT_TRUE(Ok) << Path
+  std::string Expected;
+  ASSERT_TRUE(readTextFile(Path, Expected)) << Path
                   << " is missing; regenerate with UPDATE_GOLDENS=1";
   EXPECT_EQ(Expected, Actual)
       << Path << " is stale; regenerate with UPDATE_GOLDENS=1 if the "
@@ -76,9 +65,8 @@ struct GoldenCase {
 void runGoldenCase(const GoldenCase &Case) {
   std::string InputPath =
       std::string(SXE_SOURCE_DIR) + "/examples/ir/" + Case.Stem + ".sxir";
-  bool Ok = false;
-  std::string Text = readTextFile(InputPath, Ok);
-  ASSERT_TRUE(Ok) << InputPath;
+  std::string Text;
+  ASSERT_TRUE(readTextFile(InputPath, Text)) << InputPath;
 
   ParseResult Parsed = parseModule(Text);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;

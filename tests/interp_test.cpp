@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 
 using namespace sxe;
 
@@ -700,6 +701,249 @@ TEST(InterpTest, ProfileCollection) {
   auto P = Profile.takenProbability(Branch);
   ASSERT_TRUE(P.has_value());
   EXPECT_NEAR(*P, 10.0 / 11.0, 1e-9);
+}
+
+/// A looped kernel with a call, an array and two data-dependent branches:
+/// sum over i < 16 of (i even ? triple(i*i) : -(i*i)), stored to and
+/// reloaded from an int[] before it is added.
+std::unique_ptr<Module> buildLoopedKernel() {
+  auto M = std::make_unique<Module>("m");
+  Function *Triple = M->createFunction("triple", Type::I32);
+  {
+    Reg P = Triple->addParam(Type::I32, "p");
+    IRBuilder B(Triple);
+    B.startBlock("entry");
+    B.ret(B.mul32(P, B.constI32(3)));
+  }
+  Function *F = M->createFunction("main", Type::I64);
+  IRBuilder B(F);
+  B.startBlock("entry");
+  Reg Arr = B.newArray(Type::I32, B.constI32(16), "arr");
+  Reg I = F->newReg(Type::I32, "i");
+  B.copyTo(I, B.constI32(0));
+  Reg Sum = F->newReg(Type::I64, "sum");
+  B.constTo(Sum, 0);
+  BasicBlock *Head = F->createBlock("head");
+  BasicBlock *Body = F->createBlock("body");
+  BasicBlock *Even = F->createBlock("even");
+  BasicBlock *Odd = F->createBlock("odd");
+  BasicBlock *Join = F->createBlock("join");
+  BasicBlock *Exit = F->createBlock("exit");
+  B.jmp(Head);
+  B.setBlock(Head);
+  B.br(B.cmp32(CmpPred::SLT, I, B.constI32(16)), Body, Exit);
+  B.setBlock(Body);
+  Reg Square = B.mul32(I, I, "square");
+  Reg V = F->newReg(Type::I32, "v");
+  Reg Low = B.and32(I, B.constI32(1));
+  B.br(B.cmp32(CmpPred::EQ, Low, B.constI32(0)), Even, Odd);
+  B.setBlock(Even);
+  B.callTo(V, Triple, {Square});
+  B.jmp(Join);
+  B.setBlock(Odd);
+  B.binopTo(V, Opcode::Sub, Width::W32, B.constI32(0), Square);
+  B.jmp(Join);
+  B.setBlock(Join);
+  B.arrayStore(Type::I32, Arr, I, V);
+  Reg W = B.arrayLoad(Type::I32, Arr, I, "w");
+  B.binopTo(Sum, Opcode::Add, Width::W64, Sum, B.sext(32, W));
+  B.binopTo(I, Opcode::Add, Width::W32, I, B.constI32(1));
+  B.jmp(Head);
+  B.setBlock(Exit);
+  B.ret(Sum);
+  return M;
+}
+
+/// The conditional branches of \p F, in block order.
+std::vector<const Instruction *> branchesOf(const Function &F) {
+  std::vector<const Instruction *> Branches;
+  for (const auto &BB : F.blocks())
+    for (const Instruction &I : *BB)
+      if (I.opcode() == Opcode::Br)
+        Branches.push_back(&I);
+  return Branches;
+}
+
+TEST(InterpTest, StepBudgetAtAndBelowTheInstructionCount) {
+  auto M = buildLoopedKernel();
+  ExecResult Full = runModule(*M);
+  ASSERT_TRUE(Full.ok());
+  const uint64_t Count = Full.ExecutedInstructions;
+
+  InterpOptions Exact;
+  Exact.MaxSteps = Count;
+  ExecResult AtBudget = runModule(*M, Exact);
+  EXPECT_EQ(AtBudget.Trap, TrapKind::None);
+  EXPECT_EQ(AtBudget.ExecutedInstructions, Count);
+  EXPECT_EQ(AtBudget.ReturnValue, Full.ReturnValue);
+  EXPECT_EQ(AtBudget.Cycles, Full.Cycles);
+
+  // One step short: the final ret never executes, so every earlier
+  // instruction is counted and charged, and no return value is reported.
+  InterpOptions Short;
+  Short.MaxSteps = Count - 1;
+  ExecResult BelowBudget = runModule(*M, Short);
+  EXPECT_EQ(BelowBudget.Trap, TrapKind::StepLimit);
+  EXPECT_EQ(BelowBudget.TrapMessage, "instruction budget exhausted");
+  EXPECT_EQ(BelowBudget.ExecutedInstructions, Count - 1);
+  EXPECT_EQ(BelowBudget.Cycles,
+            Full.Cycles - TargetInfo::ia64().costs().Branch);
+  EXPECT_EQ(BelowBudget.ReturnValue, 0u);
+  EXPECT_EQ(BelowBudget.ExecutedSext32, Full.ExecutedSext32);
+}
+
+TEST(InterpTest, DeepRecursionKeepsCallerRegisters) {
+  // depth(n) = n == 0 ? 0 : depth(n - 1) + 3n + (n ^ 85), with both
+  // summands computed before the call and read after it returns.
+  auto M = std::make_unique<Module>("m");
+  Function *Depth = M->createFunction("depth", Type::I64);
+  {
+    Reg N = Depth->addParam(Type::I64, "n");
+    IRBuilder B(Depth);
+    B.startBlock("entry");
+    BasicBlock *Base = Depth->createBlock("base");
+    BasicBlock *Recurse = Depth->createBlock("recurse");
+    B.br(B.cmp64(CmpPred::EQ, N, B.constI64(0)), Base, Recurse);
+    B.setBlock(Base);
+    B.ret(B.constI64(0));
+    B.setBlock(Recurse);
+    Reg Scaled = B.mul64(N, B.constI64(3), "scaled");
+    Reg Mixed = B.binop(Opcode::Xor, Width::W64, N, B.constI64(85), "mixed");
+    Reg Inner = B.call(Depth, {B.sub64(N, B.constI64(1))}, "inner");
+    B.ret(B.add64(B.add64(Inner, Scaled), Mixed));
+  }
+  Function *Main = M->createFunction("main", Type::I64);
+  {
+    Reg N = Main->addParam(Type::I64, "n");
+    IRBuilder B(Main);
+    B.startBlock("entry");
+    Reg Before = B.constI64(1000003, "before");
+    Reg R = B.call(Depth, {N}, "r");
+    B.ret(B.add64(R, Before));
+  }
+
+  // main plus depth(n)..depth(0) is n + 2 frames: n = MaxCallDepth - 2
+  // fills the call stack exactly.
+  const uint64_t Deepest = MaxCallDepth - 2;
+  uint64_t Expected = 1000003;
+  for (uint64_t N = 1; N <= Deepest; ++N)
+    Expected += 3 * N + (N ^ 85);
+  ExecResult R = runModule(*M, {}, {Deepest});
+  ASSERT_EQ(R.Trap, TrapKind::None) << R.TrapMessage;
+  EXPECT_EQ(R.ReturnValue, Expected);
+
+  ExecResult Over = runModule(*M, {}, {Deepest + 1});
+  EXPECT_EQ(Over.Trap, TrapKind::StackOverflow);
+  EXPECT_EQ(Over.TrapMessage, "call depth limit exceeded");
+}
+
+TEST(InterpTest, JavaModeCanonicalizesCallResultsAtRet) {
+  // narrow8/narrow16 return their i64 parameter as i8 / u16; the caller's
+  // i64 destinations expose what the ret handed back.
+  auto M = std::make_unique<Module>("m");
+  Function *Narrow8 = M->createFunction("narrow8", Type::I8);
+  {
+    Reg P = Narrow8->addParam(Type::I64, "p");
+    IRBuilder B(Narrow8);
+    B.startBlock("entry");
+    B.ret(P);
+  }
+  Function *Narrow16 = M->createFunction("narrow16", Type::U16);
+  {
+    Reg P = Narrow16->addParam(Type::I64, "p");
+    IRBuilder B(Narrow16);
+    B.startBlock("entry");
+    B.ret(P);
+  }
+  Function *Main = M->createFunction("main", Type::I64);
+  IRBuilder B(Main);
+  B.startBlock("entry");
+  Reg Byte = Main->newReg(Type::I64, "byte");
+  B.callTo(Byte, Narrow8, {B.constI64(0x1FF)});
+  Reg Half = Main->newReg(Type::I64, "half");
+  B.callTo(Half, Narrow16, {B.constI64(0x3FFFF)});
+  // -1 + 0xFFFF under Java semantics; 0x1FF + 0x3FFFF raw.
+  B.ret(B.add64(Byte, Half));
+
+  InterpOptions Java;
+  Java.Semantics = ExecSemantics::Java;
+  EXPECT_EQ(runModule(*M, Java).ReturnValue, 0xFFFEu);
+  EXPECT_EQ(runModule(*M).ReturnValue, 0x1FFu + 0x3FFFFu);
+}
+
+TEST(InterpTest, X86MachineModeZeroExtendsW32AndD2IResults) {
+  auto M = std::make_unique<Module>("m");
+  Function *F = M->createFunction("main", Type::I64);
+  IRBuilder B(F);
+  B.startBlock("entry");
+  Reg Diff = B.sub32(B.constI32(0), B.constI32(1), "diff"); // W32: -1.
+  Reg Wide = F->newReg(Type::I64, "wide");
+  B.copyTo(Wide, Diff);
+  Reg Conv = B.d2i(B.constF64(-2.0), "conv");
+  Reg WideConv = F->newReg(Type::I64, "wideconv");
+  B.copyTo(WideConv, Conv);
+  Reg Full = B.sub64(B.constI64(0), B.constI64(1), "full"); // W64: no mask.
+  // Bits 0-31: diff; bits 32-63: conv's upper half; plus full's top bit.
+  Reg Shifted = B.binop(Opcode::Shl, Width::W64, WideConv, B.constI64(32));
+  Reg Packed = B.binop(Opcode::Xor, Width::W64, Wide, Shifted);
+  Reg Top = B.binop(Opcode::Shr, Width::W64, Full, B.constI64(63));
+  B.ret(B.add64(Packed, Top));
+
+  InterpOptions X86;
+  X86.Target = &TargetInfo::x86_64();
+  // x86-64 zero-extends both 32-bit writes: 0xFFFFFFFF ^ (0xFFFFFFFE << 32),
+  // plus the W64 subtract's unmasked sign bit.
+  EXPECT_EQ(runModule(*M, X86).ReturnValue, 0xFFFFFFFEFFFFFFFFull + 1);
+  // IA64 leaves the full-register results: -1 ^ (-2 << 32), plus one.
+  EXPECT_EQ(runModule(*M).ReturnValue,
+            (~0ull ^ (0xFFFFFFFFFFFFFFFEull << 32)) + 1);
+}
+
+TEST(InterpTest, OneInterpreterRunsMainTwiceIdentically) {
+  auto M = buildLoopedKernel();
+  for (ExecSemantics Mode : {ExecSemantics::Machine, ExecSemantics::Java}) {
+    ProfileInfo Profile;
+    InterpOptions Options;
+    Options.Target = &TargetInfo::x86_64();
+    Options.Semantics = Mode;
+    Options.Profile = &Profile;
+    Interpreter Interp(*M, Options);
+    ExecResult First = Interp.run("main");
+    const Instruction *Loop = branchesOf(*M->findFunction("main")).front();
+    std::optional<double> FirstP = Profile.takenProbability(Loop);
+    ExecResult Second = Interp.run("main");
+    ASSERT_TRUE(First.ok());
+    EXPECT_EQ(Second.Trap, First.Trap);
+    EXPECT_EQ(Second.ReturnValue, First.ReturnValue);
+    EXPECT_EQ(Second.ExecutedInstructions, First.ExecutedInstructions);
+    EXPECT_EQ(Second.Cycles, First.Cycles);
+    EXPECT_EQ(Second.totalExecutedConversions(),
+              First.totalExecutedConversions());
+    EXPECT_EQ(Second.ExecutedSext32, First.ExecutedSext32);
+    // The second run doubles every count, so the ratios stay put.
+    EXPECT_EQ(Profile.takenProbability(Loop), FirstP);
+  }
+}
+
+TEST(InterpTest, LoopedKernelProfileIsPinned) {
+  // Pins the exact probabilities and digest a Java-semantics run records,
+  // so a change to how the interpreter collects profiles cannot move the
+  // order-determination input or the code cache's profile key.
+  auto M = buildLoopedKernel();
+  ProfileInfo Profile;
+  InterpOptions Java;
+  Java.Semantics = ExecSemantics::Java;
+  Java.Profile = &Profile;
+  ExecResult R = runModule(*M, Java);
+  ASSERT_TRUE(R.ok());
+  EXPECT_EQ(R.ReturnValue, 1000u);
+
+  std::vector<const Instruction *> Branches =
+      branchesOf(*M->findFunction("main"));
+  ASSERT_EQ(Branches.size(), 2u);
+  EXPECT_EQ(Profile.takenProbability(Branches[0]), 16.0 / 17.0); // Loop.
+  EXPECT_EQ(Profile.takenProbability(Branches[1]), 8.0 / 16.0);  // Even.
+  EXPECT_EQ(Profile.fingerprint(), 0x66ad2da8187aa609ull);
 }
 
 } // namespace

@@ -37,10 +37,8 @@
 #include "tests/TestHelpers.h"
 
 #include <chrono>
-#include <fstream>
 #include <set>
 #include <thread>
-#include <sstream>
 #include <gtest/gtest.h>
 
 using namespace sxe;
@@ -69,16 +67,6 @@ std::unique_ptr<Module> buildSmallModule(const char *ModuleName = "small",
   MB.callTo(R, F, {Arr, MB.constI32(3)});
   MB.ret(R);
   return M;
-}
-
-std::string loadCorpusSource(const std::string &Name) {
-  std::string Path =
-      std::string(SXE_SOURCE_DIR) + "/tests/corpus/" + Name + ".sxir";
-  std::ifstream In(Path);
-  EXPECT_TRUE(static_cast<bool>(In)) << Path;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
 }
 
 const char *const CorpusNames[] = {"generated_small", "generated_medium",
@@ -203,7 +191,7 @@ TEST(CodeCacheKey, SeparatesTargetsConfigsAndProfiles) {
   // empty profile hashes like the FNV basis, and that is fine as long as
   // recorded data changes the key.
   std::string EmptyKey = codeCacheKey(H, WithProfile);
-  Profile.recordBranch(SomeBranch, true);
+  Profile.addBranchCounts(SomeBranch, 1, 0);
   EXPECT_NE(EmptyKey, codeCacheKey(H, WithProfile));
 }
 
@@ -353,7 +341,7 @@ TEST(CompileService, ParallelRunMatchesSerialByteForByte) {
     for (const char *Name : CorpusNames) {
       CompileRequest Request;
       Request.Name = Name;
-      Request.Source = loadCorpusSource(Name);
+      Request.Source = test::corpusSource(Name);
       Request.Config = PipelineConfig::forVariant(Variant::All);
       CompileResult Result = Service.enqueue(std::move(Request)).get();
       ASSERT_TRUE(Result.Ok) << Name << ": " << Result.Error;
@@ -374,7 +362,7 @@ TEST(CompileService, ParallelRunMatchesSerialByteForByte) {
     for (const char *Name : CorpusNames) {
       CompileRequest Request;
       Request.Name = Name;
-      Request.Source = loadCorpusSource(Name);
+      Request.Source = test::corpusSource(Name);
       Request.Config = PipelineConfig::forVariant(Variant::All);
       Request.Hotness = static_cast<double>(Request.Source.size());
       Futures.push_back(Service.enqueue(std::move(Request)));
@@ -462,7 +450,7 @@ TEST(CompileService, StatsCountSubmittedAndCompiled) {
 //===----------------------------------------------------------------------===//
 
 TEST(SourceKeyProbe, RepeatedSourceIsServedAtEnqueue) {
-  std::string Source = loadCorpusSource("generated_small");
+  std::string Source = test::corpusSource("generated_small");
   for (unsigned Jobs : {0u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     CodeCache Cache;
@@ -506,13 +494,13 @@ TEST(SourceKeyProbe, RepeatedSourceIsServedAtEnqueue) {
 }
 
 TEST(SourceKeyProbe, NeverAliasesAcrossTargetsVariantsOrProfiles) {
-  std::string Source = loadCorpusSource("generated_small");
+  std::string Source = test::corpusSource("generated_small");
   ParseResult Parsed = parseModule(Source);
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
   ProfileInfo Profile;
   for (const Instruction &Inst :
        *Parsed.M->findFunction("main")->blocks().front()) {
-    Profile.recordBranch(&Inst, true);
+    Profile.addBranchCounts(&Inst, 1, 0);
     break;
   }
   ASSERT_FALSE(Profile.empty());
@@ -559,7 +547,7 @@ TEST(SourceKeyProbe, NeverAliasesAcrossTargetsVariantsOrProfiles) {
 }
 
 TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
-  std::string Source = loadCorpusSource("generated_small");
+  std::string Source = test::corpusSource("generated_small");
   std::string Renamed = replaceAll(Source, "%lcg.", "%rng.");
   ASSERT_NE(Source, Renamed);
 
@@ -598,7 +586,7 @@ TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
 }
 
 TEST(SourceKeyProbe, CachedSourceAfterShutdownIsRefused) {
-  std::string Source = loadCorpusSource("generated_small");
+  std::string Source = test::corpusSource("generated_small");
   for (unsigned Jobs : {0u, 1u}) {
     SCOPED_TRACE("jobs=" + std::to_string(Jobs));
     CodeCache Cache;
@@ -626,7 +614,7 @@ TEST(SourceKeyProbe, CachedSourceAfterShutdownIsRefused) {
 TEST(SourceKeyProbe, ConcurrentHitsKeepCountersExact) {
   // Hits now run on the submitting threads; the relaxed-atomic counters
   // must still add up exactly once everything has resolved.
-  std::string Source = loadCorpusSource("generated_small");
+  std::string Source = test::corpusSource("generated_small");
   CodeCache Cache;
   CompileServiceOptions Options;
   Options.Jobs = 2;

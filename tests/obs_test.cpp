@@ -43,6 +43,7 @@
 #include "pm/InstrumentedPipeline.h"
 #include "support/Json.h"
 #include "support/Timer.h"
+#include "tests/TestHelpers.h"
 
 #include <csignal>
 #include <cstdlib>
@@ -83,16 +84,6 @@ void operator delete(void *Memory, std::size_t) noexcept { std::free(Memory); }
 
 namespace {
 
-std::string loadCorpusSource(const std::string &Name) {
-  std::string Path =
-      std::string(SXE_SOURCE_DIR) + "/tests/corpus/" + Name + ".sxir";
-  std::ifstream In(Path);
-  EXPECT_TRUE(static_cast<bool>(In)) << Path;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
-}
-
 const char *const CorpusNames[] = {"generated_small", "generated_medium",
                                    "generated_large"};
 
@@ -108,7 +99,7 @@ std::string batchRemarks(unsigned Jobs, CodeCache *Cache) {
   for (const char *Name : CorpusNames) {
     CompileRequest Request;
     Request.Name = Name;
-    Request.Source = loadCorpusSource(Name);
+    Request.Source = test::corpusSource(Name);
     Request.Config = PipelineConfig::forVariant(Variant::All);
     Request.Hotness = static_cast<double>(Request.Source.size());
     Futures.push_back(Service.enqueue(std::move(Request)));
@@ -283,7 +274,7 @@ TEST(Trace, ExportIsWellFormedAndSchemaTagged) {
 }
 
 TEST(Trace, PipelineRunEmitsOnePassSpanPerPass) {
-  ParseResult Parsed = parseModule(loadCorpusSource("generated_small"));
+  ParseResult Parsed = parseModule(test::corpusSource("generated_small"));
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
   TraceCollector Trace;
   PassManagerOptions Options;
@@ -309,7 +300,7 @@ TEST(Trace, EightWorkerBatchHasMultipleThreadTracks) {
     for (const char *Name : CorpusNames) {
       CompileRequest Request;
       Request.Name = std::string(Name) + "#" + std::to_string(Round);
-      Request.Source = loadCorpusSource(Name);
+      Request.Source = test::corpusSource(Name);
       Request.Config = PipelineConfig::forVariant(Variant::All);
       Futures.push_back(Service.enqueue(std::move(Request)));
     }
@@ -365,7 +356,7 @@ TEST(Remarks, CacheHitReplaysIdenticalRemarks) {
 }
 
 TEST(Remarks, EliminationRemarksMatchStatsCounters) {
-  ParseResult Parsed = parseModule(loadCorpusSource("generated_medium"));
+  ParseResult Parsed = parseModule(test::corpusSource("generated_medium"));
   ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
   PassManagerOptions Options;
   Options.CollectRemarks = true;

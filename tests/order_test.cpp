@@ -131,10 +131,7 @@ TEST(OrderDeterminationTest, ProfileSkewsTheTiers) {
 
   // A profile that takes 'left' 95% of the time flips the order.
   ProfileInfo Profile;
-  for (int K = 0; K < 95; ++K)
-    Profile.recordBranch(Branch, true); // Left is hot.
-  for (int K = 0; K < 5; ++K)
-    Profile.recordBranch(Branch, false);
+  Profile.addBranchCounts(Branch, 95, 5); // Left is hot.
   AnalysisCache ProfiledCache(*F, TargetInfo::ia64(), &Profile);
   std::vector<Instruction *> Order = extensionsByFrequency(ProfiledCache);
   EXPECT_LT(positionOf(Order, LeftExt), positionOf(Order, RightExt));

@@ -39,7 +39,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -480,12 +479,7 @@ TEST(PersistentCache, TruncatedEntryIsACleanMiss) {
   // rename, or disk damage).
   fs::path Object = soleObjectFile(Dir.str());
   std::string Text;
-  {
-    std::ifstream In(Object);
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
-  }
+  ASSERT_TRUE(readTextFile(Object.string(), Text)) << Object;
   {
     std::ofstream Out(Object, std::ios::trunc);
     Out << Text.substr(0, Text.size() / 2);

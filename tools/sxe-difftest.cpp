@@ -20,6 +20,7 @@
 #include "fuzz/Reducer.h"
 #include "ir/IRPrinter.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -65,7 +66,8 @@ void printUsage() {
       "  --max-steps=N      interpreter step budget per run\n"
       "  --native           also run x86_64 pipelines through the native\n"
       "                     code generator and require interpreter parity\n"
-      "                     (exit 2 on a host that cannot run native code)\n"
+      "                     (exit 2 on a host that cannot run native code,\n"
+      "                     or when --targets leaves out x86_64)\n"
       "  --reduce           minimize failing modules with the greedy reducer\n"
       "  --out=DIR          directory for minimized .sxir (default '.')\n"
       "  --keep-going       test all seeds even after a failure\n"
@@ -240,6 +242,13 @@ int main(int Argc, char **Argv) {
   if (Options.Native && !NativeModule::hostSupported()) {
     std::fprintf(stderr, "sxe-difftest: --native needs an x86-64 POSIX host "
                          "that can execute emitted code\n");
+    return 2;
+  }
+  if (Options.Native && !Options.Targets.empty() &&
+      std::find(Options.Targets.begin(), Options.Targets.end(),
+                &TargetInfo::x86_64()) == Options.Targets.end()) {
+    std::fprintf(stderr, "sxe-difftest: --native runs only x86_64 "
+                         "pipelines; add x86_64 to --targets\n");
     return 2;
   }
 
