@@ -107,7 +107,7 @@ sweepCorpus(CompileService &Service, const std::vector<CorpusModule> &Corpus,
   }
   for (auto &Future : Futures) {
     CompileResult Result = Future.get();
-    if (!Result.Ok) {
+    if (!Result.ok()) {
       ++Out.Failures;
       std::fprintf(stderr, "  %s FAILED: %s\n", Result.Name.c_str(),
                    Result.Error.c_str());
@@ -603,7 +603,7 @@ int main(int argc, char **argv) {
       Request.Source = C.Source;
       Request.Config = PipelineConfig::forVariant(Variant::All);
       CompileResult Result = Service.enqueue(std::move(Request)).get();
-      if (Result.Ok)
+      if (Result.ok())
         Reference.emplace(Result.Name, Result.Code->IRText);
     }
   }

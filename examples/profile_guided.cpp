@@ -140,7 +140,7 @@ int main() {
     Request.M = cloneModule(*M);
     Request.Config = PipelineConfig::forVariant(Variant::AllPDE);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
-    if (Result.Ok)
+    if (Result.ok())
       showBlocks(Result.Code->IRText, "all, using PDE insertion (reference)");
   }
 
@@ -157,10 +157,10 @@ int main() {
                   Outcome.Warmup.ExecutedInstructions),
               Outcome.ProfileCollected ? "collected" : "empty");
 
-  if (Outcome.Unprofiled.Ok)
+  if (Outcome.Unprofiled.ok())
     showBlocks(Outcome.Unprofiled.Code->IRText,
                "tier 1: new algorithm, static frequency estimate");
-  if (Outcome.Profiled.Ok)
+  if (Outcome.Profiled.ok())
     showBlocks(Outcome.Profiled.Code->IRText,
                "tier 2: new algorithm, interpreter branch profile");
 
@@ -171,5 +171,5 @@ int main() {
       "recompile feeds the interpreter's branch profile to insertion plus\n"
       "order determination, which rebuild the extension where it is\n"
       "cheapest - the loop exit - so the join runs extension-free.\n");
-  return Outcome.Warmup.ok() && Outcome.Profiled.Ok ? 0 : 1;
+  return Outcome.Warmup.ok() && Outcome.Profiled.ok() ? 0 : 1;
 }

@@ -279,10 +279,10 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   std::vector<Remark> BatchRemarks;
   for (size_t Index = 0; Index < Futures.size(); ++Index) {
     CompileResult Result = Futures[Index].get();
-    if (Result.Ok && Options.PM.CollectRemarks)
+    if (Result.ok() && Options.PM.CollectRemarks)
       BatchRemarks.insert(BatchRemarks.end(), Result.Code->Remarks.begin(),
                           Result.Code->Remarks.end());
-    if (!Result.Ok) {
+    if (!Result.ok()) {
       ++Failures;
       std::fprintf(stderr, "  %-28s FAILED: %s\n", Result.Name.c_str(),
                    Result.Error.c_str());
@@ -292,7 +292,8 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
                  Result.Name.c_str(),
                  static_cast<unsigned long long>(
                      conversionsEliminated(Result.Code->Stats)),
-                 Result.CacheHit ? "[cache hit]" : "");
+                 Result.Outcome == CompileOutcome::MemoryHit ? "[cache hit]"
+                                                             : "");
     if (!OutDir.empty()) {
       fs::path OutPath = fs::path(OutDir) / Files[Index].filename();
       if (!writeTextFile(OutPath.string(), Result.Code->IRText)) {

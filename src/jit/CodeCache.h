@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sharded, content-addressed cache of CompiledCode artifacts, the
+/// A content-addressed cache of CompiledCode artifacts, the
 /// analogue of a JIT's per-method code cache (cf. the per-block caches in
 /// the redream/dreavm recompilers). The key is
 ///
@@ -30,11 +30,11 @@
 /// wrong artifact, with probability about 2^-64 per pair. The source key
 /// has the same strength as the structural key.
 ///
-/// Shards each carry their own mutex and LRU list, so concurrent workers
-/// only contend when they touch the same shard. Hit/miss/insert/eviction
-/// counters are atomics, surfaced by the service through the
-/// `sxe.pass-stats.v1` reporting as the `code-cache` pass
-/// (docs/OBSERVABILITY.md, docs/JIT.md).
+/// One mutex guards one map and one LRU list, so MaxEntries is exact. The
+/// service reaches the cache from its workers and from the threads that
+/// enqueue (the source-key probe): a handful of threads, each holding the
+/// lock for a hash lookup and a list splice. Hit/miss/insert/eviction
+/// counters are relaxed atomics, read back only by stats().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace sxe {
 
@@ -68,11 +67,8 @@ std::string codeCacheSourceKey(const std::string &Source,
                                const PipelineConfig &Config);
 
 struct CodeCacheOptions {
-  /// Total capacity in artifacts; split evenly across shards and
-  /// LRU-evicted per shard.
+  /// Capacity in artifacts; the least recently used beyond it is evicted.
   size_t MaxEntries = 4096;
-  /// Lock-striping factor.
-  unsigned Shards = 8;
 };
 
 /// Point-in-time counter snapshot.
@@ -84,7 +80,7 @@ struct CodeCacheStats {
   uint64_t Entries = 0;
 };
 
-/// Sharded LRU cache from codeCacheKey() strings to CompiledCode.
+/// LRU cache from codeCacheKey() strings to CompiledCode.
 class CodeCache {
 public:
   explicit CodeCache(CodeCacheOptions Options = {});
@@ -93,7 +89,7 @@ public:
   /// miss and refreshes LRU recency on hit.
   std::shared_ptr<const CompiledCode> lookup(const std::string &Key);
 
-  /// Inserts (or replaces) \p Code under \p Key, evicting the shard's
+  /// Inserts (or replaces) \p Code under \p Key, evicting the
   /// least-recently-used entries beyond capacity.
   void insert(const std::string &Key, std::shared_ptr<const CompiledCode> Code);
 
@@ -106,21 +102,14 @@ public:
   void clear();
 
 private:
-  struct Shard {
-    mutable std::mutex Mu;
-    /// Front = most recently used.
-    std::list<std::string> Lru;
-    std::unordered_map<std::string,
-                       std::pair<std::shared_ptr<const CompiledCode>,
-                                 std::list<std::string>::iterator>>
-        Map;
-  };
-
-  Shard &shardFor(const std::string &Key);
-  const Shard &shardFor(const std::string &Key) const;
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  size_t PerShardCapacity;
+  const size_t MaxEntries;
+  mutable std::mutex Mu;
+  /// Front = most recently used.
+  std::list<std::string> Lru;
+  std::unordered_map<std::string,
+                     std::pair<std::shared_ptr<const CompiledCode>,
+                               std::list<std::string>::iterator>>
+      Map;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
   std::atomic<uint64_t> Insertions{0};

@@ -3,10 +3,13 @@
 #include "jit/CompileService.h"
 
 #include "ir/IRPrinter.h"
+#include "ir/Verifier.h"
 #include "obs/TraceContext.h"
 #include "parser/Parser.h"
 #include "pm/InstrumentedPipeline.h"
 #include "support/IRHash.h"
+
+#include <optional>
 
 using namespace sxe;
 
@@ -41,6 +44,49 @@ static std::future<CompileResult> readyFuture(CompileResult Result) {
   return Promise.get_future();
 }
 
+namespace {
+
+/// Everything settling a request does per outcome, in CompileOutcome
+/// order: the outcome's name (a cache_tier event's tier field), the
+/// counter it moves, the stats() field that reads that counter back, and
+/// the lifecycle event it logs, if any.
+struct OutcomeRow {
+  const char *Name;
+  const char *Metric;
+  const char *Help;
+  uint64_t CompileServiceStats::*Stat;
+  std::optional<ObsEventKind> Event;
+};
+
+const char *const FailuresHelp =
+    "Modules that did not parse or verify, and verify-each failures";
+
+const OutcomeRow OutcomeRows[NumCompileOutcomes] = {
+    {"compiled", "sxe_compiles_total", "Pipeline runs completed",
+     &CompileServiceStats::Compiled, ObsEventKind::CacheTier},
+    {"memory", "sxe_cache_hits_total", "Requests served from the code cache",
+     &CompileServiceStats::CacheHits, ObsEventKind::CacheTier},
+    {"persistent", "sxe_persistent_hits_total",
+     "Requests served from the persistent on-disk cache",
+     &CompileServiceStats::PersistentHits, ObsEventKind::CacheTier},
+    {"invalid", "sxe_compile_failures_total", FailuresHelp,
+     &CompileServiceStats::Failed, std::nullopt},
+    {"pipeline_failed", "sxe_compile_failures_total", FailuresHelp,
+     &CompileServiceStats::Failed, std::nullopt},
+    {"deadline_missed", "sxe_deadline_misses_total",
+     "Requests whose deadline expired before a worker reached them",
+     &CompileServiceStats::DeadlineMisses, ObsEventKind::DeadlineExpire},
+    {"rejected", "sxe_rejects_total",
+     "Requests refused without compiling (shutdown or load shedding)",
+     &CompileServiceStats::Rejected, std::nullopt},
+};
+
+} // namespace
+
+const char *sxe::compileOutcomeName(CompileOutcome Outcome) {
+  return OutcomeRows[static_cast<size_t>(Outcome)].Name;
+}
+
 CompileService::CompileService(CompileServiceOptions Opts)
     : Options(std::move(Opts)) {
   if (!Options.Metrics)
@@ -48,21 +94,9 @@ CompileService::CompileService(CompileServiceOptions Opts)
   MetricsRegistry &Reg = Options.Metrics ? *Options.Metrics : *OwnMetrics;
   Metrics.Submitted = &Reg.counter("sxe_compile_submitted_total",
                                    "Compile requests submitted");
-  Metrics.Compiles =
-      &Reg.counter("sxe_compiles_total", "Pipeline runs completed");
-  Metrics.CacheHits = &Reg.counter("sxe_cache_hits_total",
-                                   "Requests served from the code cache");
-  Metrics.PersistentHits =
-      &Reg.counter("sxe_persistent_hits_total",
-                   "Requests served from the persistent on-disk cache");
-  Metrics.Failures = &Reg.counter("sxe_compile_failures_total",
-                                  "Parse or verify-each failures");
-  Metrics.Rejects = &Reg.counter(
-      "sxe_rejects_total",
-      "Requests refused without compiling (shutdown or load shedding)");
-  Metrics.DeadlineMisses = &Reg.counter(
-      "sxe_deadline_misses_total",
-      "Requests whose deadline expired before a worker reached them");
+  for (size_t Index = 0; Index < NumCompileOutcomes; ++Index)
+    Metrics.Outcomes[Index] =
+        &Reg.counter(OutcomeRows[Index].Metric, OutcomeRows[Index].Help);
   Metrics.QueueDepth =
       &Reg.gauge("sxe_queue_depth", "Compile requests currently queued");
   Metrics.CompileLatency = &Reg.histogram(
@@ -94,58 +128,51 @@ void CompileService::workerLoop(unsigned WorkerIndex) {
     CompileResult Result = compileOne(Job->Request, Job->SourceKey);
     if (Job->EnqueueNanos && PopNanos > Job->EnqueueNanos)
       Result.QueueWaitNanos = PopNanos - Job->EnqueueNanos;
-    finish(*Job, std::move(Result));
+    Job->Promise.set_value(std::move(Result));
   }
 }
 
-void CompileService::finish(QueuedCompile &Job, CompileResult Result) {
-  Job.Promise.set_value(std::move(Result));
-  {
-    std::lock_guard<std::mutex> Lock(PendingMu);
-    --Pending;
-  }
-  AllDone.notify_all();
-}
-
-CompileResult CompileService::memoryHit(const CompileRequest &Request,
-                                        uint64_t ProbeStart,
-                                        std::shared_ptr<const CompiledCode> Code,
-                                        Timer &Cost) {
+void CompileService::traceProbe(const char *Name,
+                                const CompileRequest &Request, uint64_t Start,
+                                bool Hit) {
   if (Options.Trace)
-    Options.Trace->addSpan("cache-probe", "service", ProbeStart,
-                           wallNowNanos(),
-                           traceArgs(Request, {{"hit", "true"}}));
-  Cost.stop();
+    Options.Trace->addSpan(
+        Name, "service", Start, wallNowNanos(),
+        traceArgs(Request, {{"hit", Hit ? "true" : "false"}}));
+}
+
+CompileResult CompileService::settle(const CompileRequest &Request,
+                                     CompileOutcome Outcome, Timer *Cost,
+                                     std::shared_ptr<const CompiledCode> Code,
+                                     std::string Error) {
   CompileResult Result;
   Result.Name = Request.Name;
-  Result.Ok = true;
-  Result.CacheHit = true;
+  Result.Outcome = Outcome;
   Result.Code = std::move(Code);
-  Result.WallNanos = Cost.elapsedNanos();
-  Result.CpuNanos = Cost.elapsedCpuNanos();
-  Metrics.CacheHits->inc();
-  if (Options.Events)
-    Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
-                        Request.Name, {{"tier", "memory"}}, /*Aux=*/1);
+  Result.Error = std::move(Error);
+  if (Cost) {
+    Cost->stop();
+    Result.WallNanos = Cost->elapsedNanos();
+    Result.CpuNanos = Cost->elapsedCpuNanos();
+  }
+  const OutcomeRow &Row = OutcomeRows[static_cast<size_t>(Outcome)];
+  Metrics.Outcomes[static_cast<size_t>(Outcome)]->inc();
+  if (Options.Events && Row.Event)
+    Options.Events->log(*Row.Event, requestContext(Request), Request.Name,
+                        {*Row.Event == ObsEventKind::CacheTier
+                             ? EventField("tier", Row.Name)
+                             : EventField()},
+                        static_cast<uint8_t>(Outcome));
   return Result;
 }
 
 CompileResult CompileService::compileOne(CompileRequest &Request,
                                          const std::string &SourceKey) {
-  CompileResult Result;
-  Result.Name = Request.Name;
-
   // Deadline backstop: queue wait already ate the whole budget, so even
   // a cache hit could not be delivered in time. Shed the work.
-  if (Request.DeadlineNanos && wallNowNanos() > Request.DeadlineNanos) {
-    Result.DeadlineMiss = true;
-    Result.Error = "deadline expired before compilation started";
-    Metrics.DeadlineMisses->inc();
-    if (Options.Events)
-      Options.Events->log(ObsEventKind::DeadlineExpire,
-                          requestContext(Request), Request.Name);
-    return Result;
-  }
+  if (Request.DeadlineNanos && wallNowNanos() > Request.DeadlineNanos)
+    return settle(Request, CompileOutcome::DeadlineMissed, nullptr, nullptr,
+                  "deadline expired before compilation started");
 
   Timer Cost;
   Cost.start();
@@ -153,16 +180,17 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   std::unique_ptr<Module> M = std::move(Request.M);
   if (!M) {
     ParseResult Parsed = parseModule(Request.Source);
-    if (!Parsed.ok()) {
-      Cost.stop();
-      Result.Error = "parse error: " + Parsed.Error;
-      Result.WallNanos = Cost.elapsedNanos();
-      Result.CpuNanos = Cost.elapsedCpuNanos();
-      Metrics.Failures->inc();
-      return Result;
-    }
+    if (!Parsed.ok())
+      return settle(Request, CompileOutcome::Invalid, &Cost, nullptr,
+                    "parse error: " + Parsed.Error);
     M = std::move(Parsed.M);
   }
+  // The trust boundary: a module that does not verify is never hashed,
+  // compiled or cached, so no tier can hand it on.
+  std::vector<std::string> Problems;
+  if (!verifyModule(*M, Problems))
+    return settle(Request, CompileOutcome::Invalid, &Cost, nullptr,
+                  "invalid module: " + Problems.front());
 
   // Every artifact served for a source request is also remembered under
   // its source key, so the next identical source hits at enqueue.
@@ -175,14 +203,12 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   std::string Key = codeCacheKey(InputHash, Request.Config);
   if (Options.Cache) {
     uint64_t ProbeStart = wallNowNanos();
-    if (std::shared_ptr<const CompiledCode> Hit = Options.Cache->lookup(Key)) {
+    std::shared_ptr<const CompiledCode> Hit = Options.Cache->lookup(Key);
+    traceProbe("cache-probe", Request, ProbeStart, Hit != nullptr);
+    if (Hit) {
       AliasSource(Hit);
-      return memoryHit(Request, ProbeStart, std::move(Hit), Cost);
+      return settle(Request, CompileOutcome::MemoryHit, &Cost, std::move(Hit));
     }
-    if (Options.Trace)
-      Options.Trace->addSpan("cache-probe", "service", ProbeStart,
-                             wallNowNanos(),
-                             traceArgs(Request, {{"hit", "false"}}));
   }
 
   // Tier 2: the persistent on-disk store. A hit is promoted into the
@@ -190,27 +216,13 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   if (Options.Persistent) {
     uint64_t ProbeStart = wallNowNanos();
     std::shared_ptr<const CompiledCode> Hit = Options.Persistent->lookup(Key);
-    if (Options.Trace)
-      Options.Trace->addSpan("pcache-probe", "service", ProbeStart,
-                             wallNowNanos(),
-                             traceArgs(Request,
-                                       {{"hit", Hit ? "true" : "false"}}));
+    traceProbe("pcache-probe", Request, ProbeStart, Hit != nullptr);
     if (Hit) {
       if (Options.Cache)
         Options.Cache->insert(Key, Hit);
       AliasSource(Hit);
-      Cost.stop();
-      Result.Ok = true;
-      Result.PersistentHit = true;
-      Result.Code = std::move(Hit);
-      Result.WallNanos = Cost.elapsedNanos();
-      Result.CpuNanos = Cost.elapsedCpuNanos();
-      Metrics.PersistentHits->inc();
-      if (Options.Events)
-        Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
-                            Request.Name, {{"tier", "persistent"}},
-                            /*Aux=*/2);
-      return Result;
+      return settle(Request, CompileOutcome::PersistentHit, &Cost,
+                    std::move(Hit));
     }
   }
 
@@ -227,43 +239,34 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
                            traceArgs(Request));
   Metrics.CompileLatency->observe(
       static_cast<double>(CompileEnd - CompileStart) * 1e-9, Request.TraceId);
-  Cost.stop();
-  Result.WallNanos = Cost.elapsedNanos();
-  Result.CpuNanos = Cost.elapsedCpuNanos();
 
-  if (!Run.Ok) {
-    Result.Error = "pass '" + Run.FailedPass + "' broke the module";
-    if (!Run.Problems.empty())
-      Result.Error += ": " + Run.Problems.front();
-    Metrics.Failures->inc();
-    return Result;
-  }
+  if (!Run.Ok)
+    return settle(Request, CompileOutcome::PipelineFailed, &Cost, nullptr,
+                  "pass '" + Run.FailedPass + "' broke the module" +
+                      (Run.Problems.empty() ? ""
+                                            : ": " + Run.Problems.front()));
 
   auto Code = std::make_shared<CompiledCode>();
   Code->IRText = printModule(*M);
   Code->Stats = std::move(Run.Stats);
   Code->Remarks = Run.Remarks.take();
   Code->InputIRHash = InputHash;
+  // Settled before the write-through, so the cost leaves out the disk.
+  CompileResult Result = settle(Request, CompileOutcome::Compiled, &Cost, Code);
 
   if (Options.Cache)
     Options.Cache->insert(Key, Code);
   AliasSource(Code);
   if (Options.Persistent)
     Options.Persistent->insert(Key, *Code);
-
-  Result.Ok = true;
-  Result.Code = std::move(Code);
-  Metrics.Compiles->inc();
-  if (Options.Events)
-    Options.Events->log(ObsEventKind::CacheTier, requestContext(Request),
-                        Request.Name, {{"tier", "compiled"}}, /*Aux=*/0);
   return Result;
 }
 
 std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
   Metrics.Submitted->inc();
   if (ShutDown.load(std::memory_order_acquire))
-    return readyFuture(refuse(Request));
+    return readyFuture(settle(Request, CompileOutcome::Rejected, nullptr,
+                              nullptr, "compile service is shut down"));
 
   // Tier 0: the source key. A byte-identical source seen before is
   // served right here, on the caller's thread, before any parse or
@@ -275,8 +278,11 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
     uint64_t ProbeStart = wallNowNanos();
     SourceKey = codeCacheSourceKey(Request.Source, Request.Config);
     if (std::shared_ptr<const CompiledCode> Hit =
-            Options.Cache->lookup(SourceKey))
-      return readyFuture(memoryHit(Request, ProbeStart, std::move(Hit), Cost));
+            Options.Cache->lookup(SourceKey)) {
+      traceProbe("cache-probe", Request, ProbeStart, /*Hit=*/true);
+      return readyFuture(settle(Request, CompileOutcome::MemoryHit, &Cost,
+                                std::move(Hit)));
+    }
   }
 
   if (Options.Jobs == 0) {
@@ -289,36 +295,21 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
   Job->Request = std::move(Request);
   Job->SourceKey = std::move(SourceKey);
   std::future<CompileResult> Future = Job->Promise.get_future();
-  {
-    std::lock_guard<std::mutex> Lock(PendingMu);
-    ++Pending;
-  }
   Job->EnqueueNanos = wallNowNanos();
   if (Queue.push(Job)) {
     Metrics.QueueDepth->set(static_cast<int64_t>(Queue.size()));
   } else {
     // The queue is closed (shutdown raced this enqueue): refuse politely
     // instead of leaving the future forever unready.
-    finish(*Job, refuse(Job->Request));
+    Job->Promise.set_value(settle(Job->Request, CompileOutcome::Rejected,
+                                  nullptr, nullptr,
+                                  "compile service is shut down"));
   }
   return Future;
 }
 
-CompileResult CompileService::refuse(const CompileRequest &Request) {
-  // Accounted, so shed work is visible in stats and sxe_rejects_total.
-  countRejected();
-  CompileResult Refused;
-  Refused.Name = Request.Name;
-  Refused.Rejected = true;
-  Refused.Error = "compile service is shut down";
-  return Refused;
-}
-
-void CompileService::countRejected() { Metrics.Rejects->inc(); }
-
-void CompileService::drain() {
-  std::unique_lock<std::mutex> Lock(PendingMu);
-  AllDone.wait(Lock, [this] { return Pending == 0; });
+void CompileService::countRejected() {
+  Metrics.Outcomes[static_cast<size_t>(CompileOutcome::Rejected)]->inc();
 }
 
 void CompileService::shutdown() {
@@ -334,11 +325,9 @@ void CompileService::shutdown() {
 CompileServiceStats CompileService::stats() const {
   CompileServiceStats Copy;
   Copy.Submitted = Metrics.Submitted->value();
-  Copy.Compiled = Metrics.Compiles->value();
-  Copy.CacheHits = Metrics.CacheHits->value();
-  Copy.PersistentHits = Metrics.PersistentHits->value();
-  Copy.Failed = Metrics.Failures->value();
-  Copy.Rejected = Metrics.Rejects->value();
-  Copy.DeadlineMisses = Metrics.DeadlineMisses->value();
+  // Invalid and PipelineFailed share one counter, so the second row
+  // re-reads the value the first wrote.
+  for (size_t Index = 0; Index < NumCompileOutcomes; ++Index)
+    Copy.*OutcomeRows[Index].Stat = Metrics.Outcomes[Index]->value();
   return Copy;
 }

@@ -21,11 +21,18 @@
 /// produces (fresh compile, structural memory hit, or persistent hit) is
 /// aliased under the source key so the next identical source hits.
 ///
+/// Every module, parsed or handed in, is verified before it is hashed:
+/// one that fails is settled as Invalid and reaches neither cache tier.
+///
 /// Workers park on a condition variable when idle and drain the queue on
 /// shutdown (graceful: every accepted request's future is fulfilled).
 /// With Jobs = 0 the service runs in deterministic inline mode — enqueue
 /// compiles synchronously on the caller's thread — which is the reference
 /// schedule the parallel-determinism tests compare against.
+///
+/// Every request ends in exactly one CompileOutcome, settled in one
+/// place: settle() stops the request's cost timer, moves the outcome's
+/// one counter and logs its lifecycle event (docs/JIT.md has the table).
 ///
 /// Every counter has one home. A run's PassStats travel in its
 /// CompiledCode artifact. The service counters live only in the metrics
@@ -50,11 +57,9 @@
 #include "support/Timer.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -82,14 +87,10 @@ struct CompileServiceOptions {
   /// on the enqueuing thread's track. The collector is also threaded into
   /// every pipeline run for per-pass spans.
   TraceCollector *Trace = nullptr;
-  /// Optional metrics registry (not owned). The service feeds
-  /// sxe_compile_submitted_total, sxe_compiles_total,
-  /// sxe_cache_hits_total, sxe_persistent_hits_total,
-  /// sxe_compile_failures_total, sxe_rejects_total,
-  /// sxe_deadline_misses_total, sxe_queue_depth,
-  /// sxe_compile_latency_seconds, sxe_queue_wait_seconds. Traced requests
-  /// additionally stamp their trace id as the latency histograms' bucket
-  /// exemplars. Null: the service registers them in a registry it owns.
+  /// Optional metrics registry (not owned) for the service's sxe_*
+  /// instruments (docs/OBSERVABILITY.md lists them). Traced requests stamp
+  /// their trace id as the latency histograms' bucket exemplars. Null: the
+  /// service registers them in a registry it owns.
   MetricsRegistry *Metrics = nullptr;
   /// Optional structured event log (not owned; thread-safe). The service
   /// emits deadline_expire and cache_tier lifecycle events carrying each
@@ -103,7 +104,8 @@ struct CompileServiceStats {
   uint64_t Compiled = 0;  ///< Pipeline actually ran.
   uint64_t CacheHits = 0; ///< Served from the in-memory code cache.
   uint64_t PersistentHits = 0; ///< Served from the on-disk tier.
-  uint64_t Failed = 0;    ///< Parse or verify-each failures.
+  /// Invalid modules (did not parse or verify) and verify-each failures.
+  uint64_t Failed = 0;
   /// Requests refused without compiling: enqueue after shutdown(), plus
   /// serve-layer load shedding reported through countRejected().
   uint64_t Rejected = 0;
@@ -125,11 +127,8 @@ public:
   /// Submits \p Request; the future carries the result. In inline mode,
   /// and for a source request that hits the source-key probe, the result
   /// is ready before this returns. After shutdown() the future holds a
-  /// Rejected, Ok=false result without being queued or probed.
+  /// Rejected result without being queued or probed.
   std::future<CompileResult> enqueue(CompileRequest Request);
-
-  /// Blocks until every request enqueued so far has completed.
-  void drain();
 
   /// Stops accepting work, finishes what is queued, joins the workers.
   /// Idempotent; the destructor calls it.
@@ -151,38 +150,33 @@ public:
   /// The persistent tier handed in at construction (may be null).
   PersistentCache *persistent() const { return Options.Persistent; }
 
-  unsigned jobs() const { return Options.Jobs; }
-
 private:
   void workerLoop(unsigned WorkerIndex);
-  /// Serves \p Request on the current thread: parse, structural probe,
-  /// persistent tier, pipeline. A non-empty \p SourceKey is aliased to
-  /// the artifact produced.
+  /// Serves \p Request on the current thread: parse, verify, structural
+  /// probe, persistent tier, pipeline. A non-empty \p SourceKey is
+  /// aliased to the artifact produced.
   CompileResult compileOne(CompileRequest &Request,
                            const std::string &SourceKey);
-  /// The memory-tier hit path shared by the source probe and the
-  /// structural probe: emits the hit's cache-probe span (from
-  /// \p ProbeStart) and cache_tier(memory) event, counts the hit, and
-  /// stops \p Cost into the result's wall and CPU times.
-  CompileResult memoryHit(const CompileRequest &Request, uint64_t ProbeStart,
-                          std::shared_ptr<const CompiledCode> Code,
-                          Timer &Cost);
-  /// Counts and builds the refusal of a request that arrived after
-  /// shutdown().
-  CompileResult refuse(const CompileRequest &Request);
-  void finish(QueuedCompile &Job, CompileResult Result);
+  /// Ends \p Request as \p Outcome, the one exit of every request: stops
+  /// \p Cost (null for a request that was never served) into the
+  /// result's wall and CPU times, moves the outcome's counter, logs its
+  /// lifecycle event, and fills the result.
+  CompileResult settle(const CompileRequest &Request, CompileOutcome Outcome,
+                       Timer *Cost,
+                       std::shared_ptr<const CompiledCode> Code = nullptr,
+                       std::string Error = {});
+  /// Emits a \p Name probe span from \p Start to now, tagged with \p Hit.
+  void traceProbe(const char *Name, const CompileRequest &Request,
+                  uint64_t Start, bool Hit);
 
   /// Resolved metric handles, registered once at construction so the
   /// compile path never takes the registry mutex. They are the service's
   /// only counters.
   struct MetricHandles {
     Counter *Submitted = nullptr;
-    Counter *Compiles = nullptr;
-    Counter *CacheHits = nullptr;
-    Counter *PersistentHits = nullptr;
-    Counter *Failures = nullptr;
-    Counter *Rejects = nullptr;
-    Counter *DeadlineMisses = nullptr;
+    /// Per CompileOutcome, the counter it moves (Invalid and
+    /// PipelineFailed share sxe_compile_failures_total).
+    Counter *Outcomes[NumCompileOutcomes] = {};
     Gauge *QueueDepth = nullptr;
     Histogram *CompileLatency = nullptr;
     Histogram *QueueWait = nullptr;
@@ -195,9 +189,6 @@ private:
   CompileQueue Queue;
   std::vector<std::thread> Workers;
 
-  std::mutex PendingMu;
-  std::condition_variable AllDone;
-  uint64_t Pending = 0;
   std::atomic<bool> ShutDown{false};
 };
 

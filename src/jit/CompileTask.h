@@ -29,6 +29,7 @@
 #include "pm/PassStats.h"
 #include "sxe/Pipeline.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -51,7 +52,7 @@ struct CompileRequest {
   double Hotness = 0.0;
   /// Absolute wall-clock deadline (wallNowNanos() epoch); 0 = none.
   /// A request whose deadline has already passed when a worker picks it
-  /// up fails with DeadlineMiss instead of compiling — the backstop of
+  /// up ends as DeadlineMissed instead of compiling — the backstop of
   /// the serve-layer admission control: work that can no longer be
   /// delivered in time is shed, not burned. A source-key hit at enqueue
   /// never waits for a worker, so the deadline does not apply to it.
@@ -80,24 +81,34 @@ struct CompiledCode {
   uint64_t InputIRHash = 0;
 };
 
+/// How one request ended. The three serving tiers come first, so a
+/// cache_tier event's flight-record aux byte (the outcome) reads 0/1/2.
+enum class CompileOutcome : uint8_t {
+  Compiled,       ///< The pipeline ran.
+  MemoryHit,      ///< Served from the in-memory code cache.
+  PersistentHit,  ///< Loaded from the persistent on-disk tier
+                  ///< (jit/PersistentCache.h) after an in-memory miss.
+  Invalid,        ///< The module did not parse or verify.
+  PipelineFailed, ///< Verify-each caught a pass breaking the module.
+  DeadlineMissed, ///< DeadlineNanos passed before serving started.
+  Rejected,       ///< Refused without compiling (enqueue after shutdown).
+};
+
+/// Number of CompileOutcome enumerators.
+inline constexpr size_t NumCompileOutcomes = 7;
+
+/// The outcome's lower-case name: "compiled", "memory" and "persistent"
+/// (a cache_tier event's tier field), then "invalid", "pipeline_failed",
+/// "deadline_missed" and "rejected".
+const char *compileOutcomeName(CompileOutcome Outcome);
+
 /// Outcome of one request.
 struct CompileResult {
   std::string Name;
-  bool Ok = false;
-  std::string Error; ///< Parse/verify/pipeline failure description.
-  /// True when the artifact came from the in-memory code cache without
-  /// running the pipeline.
-  bool CacheHit = false;
-  /// True when the artifact was loaded from the persistent on-disk tier
-  /// (jit/PersistentCache.h) after an in-memory miss.
-  bool PersistentHit = false;
-  /// True when the request's DeadlineNanos had passed before serving
-  /// started; no compile ran.
-  bool DeadlineMiss = false;
-  /// True when the request was refused without compiling (enqueue after
-  /// shutdown, or serve-layer load shedding).
-  bool Rejected = false;
-  /// The artifact (shared with the cache); null when !Ok.
+  /// A result no service has settled reads as refused.
+  CompileOutcome Outcome = CompileOutcome::Rejected;
+  std::string Error; ///< Why the request was not served; empty when ok().
+  /// The artifact (shared with the cache); null exactly when !ok().
   std::shared_ptr<const CompiledCode> Code;
   /// Cost of serving the request (cache probe + compile), on the worker
   /// or, for a source-key hit, on the enqueuing thread.
@@ -108,6 +119,9 @@ struct CompileResult {
   /// inline mode and for a source-key hit). The serve layer feeds these
   /// into its queue-wait p99 window for admission control.
   uint64_t QueueWaitNanos = 0;
+
+  /// True when one of the three tiers served an artifact.
+  bool ok() const { return Outcome <= CompileOutcome::PersistentHit; }
 };
 
 } // namespace sxe

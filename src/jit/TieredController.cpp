@@ -62,7 +62,7 @@ TieredOutcome TieredController::run(const Module &M,
   // through its textual form — the same bytes a cache hit or the serve
   // path would deliver — so what executes natively is exactly what the
   // pipeline shipped.
-  if (Outcome.Profiled.Ok && Options.Target == &TargetInfo::x86_64() &&
+  if (Outcome.Profiled.ok() && Options.Target == &TargetInfo::x86_64() &&
       NativeModule::hostSupported()) {
     ParseResult Parsed = parseModule(Outcome.Profiled.Code->IRText);
     if (Parsed.ok()) {

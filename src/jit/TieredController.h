@@ -78,9 +78,6 @@ public:
   TieredOutcome run(const Module &M,
                     const std::vector<uint64_t> &Args = {});
 
-  /// The branch profile collected by the last run().
-  const ProfileInfo &profile() const { return Profile; }
-
 private:
   CompileService &Service;
   TieredOptions Options;

@@ -93,7 +93,7 @@ public:
   EventLog &operator=(const EventLog &) = delete;
 
   /// Records one event stamped with the current wall clock. \p Aux is the
-  /// flight-record detail byte (tier, shed cause, ...); \p Fields are
+  /// flight-record detail byte (FlightRecord::Aux); \p Fields are
   /// copied into this log only when it retains records, in order, absent
   /// ones skipped.
   void log(ObsEventKind Kind, TraceContext Ctx, const std::string &Name,

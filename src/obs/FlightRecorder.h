@@ -71,7 +71,9 @@ struct FlightRecord {
   uint64_t TraceId = 0;
   uint64_t RequestId = 0;
   uint8_t Kind = 0;
-  uint8_t Aux = 0; ///< Kind-specific detail (tier / shed cause / error).
+  /// Kind-specific detail: a compile outcome or a reply error kind
+  /// (docs/OBSERVABILITY.md has the table).
+  uint8_t Aux = 0;
   /// Module name, truncated, sanitized to [ -~] minus '"' and '\' at
   /// record time so the dump path never escapes.
   char Name[30] = {};

@@ -325,6 +325,10 @@ bool Parser::parseInstruction(Function &F) {
     return fail("unknown mnemonic '" + quoted(Base) + "'");
 
   Instruction *Inst = F.newInstruction(*Op);
+  // The arena never runs ~Instruction; the block Inst joins does. Until
+  // then a failed parse must destroy it here, or its operands leak.
+  auto Destroy = [](Instruction *I) { I->~Instruction(); };
+  std::unique_ptr<Instruction, decltype(Destroy)> Unlinked(Inst, Destroy);
   Inst->setDest(Dest);
   const OpcodeInfo &Info = opcodeInfo(*Op);
 
@@ -465,7 +469,7 @@ bool Parser::parseInstruction(Function &F) {
   }
   }
 
-  CurrentBlock->append(Inst);
+  CurrentBlock->append(Unlinked.release());
   if (*Op == Opcode::Call) {
     CallFixups.push_back({Inst, PendingCallee});
     PendingCallee.clear();

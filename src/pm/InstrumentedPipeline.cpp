@@ -11,13 +11,11 @@ void sxe::buildPipelinePasses(PassManager &PM, const PipelineConfig &Config) {
     // "Gen use" models extension generation at the code generation phase:
     // the general optimizations run on the extension-free IR first, then
     // the extensions are placed before uses and stay.
-    if (Config.GeneralOpts)
-      PM.add(createGeneralOptsPass());
+    PM.add(createGeneralOptsPass());
     PM.add(createConversion64Pass(GenPolicy::BeforeUse));
   } else {
     PM.add(createConversion64Pass(GenPolicy::AfterDef));
-    if (Config.GeneralOpts)
-      PM.add(createGeneralOptsPass());
+    PM.add(createGeneralOptsPass());
   }
 
   switch (Config.Engine) {

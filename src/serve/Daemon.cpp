@@ -209,29 +209,35 @@ ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
   ServeReply Reply;
   Reply.QueueWaitNanos = Result.QueueWaitNanos;
   Reply.WallNanos = Result.WallNanos;
-  if (Result.Rejected) {
-    Reply.ErrorKind = ServeErrorKind::Shutdown;
-    Reply.Error = Result.Error.empty() ? "compile service is shut down"
-                                       : Result.Error;
-    return Reply;
-  }
-  if (Result.DeadlineMiss) {
+  switch (Result.Outcome) {
+  case CompileOutcome::Compiled:
+    Reply.Tier = ServeTier::Compiled;
+    break;
+  case CompileOutcome::MemoryHit:
+    Reply.Tier = ServeTier::Memory;
+    break;
+  case CompileOutcome::PersistentHit:
+    Reply.Tier = ServeTier::Persistent;
+    break;
+  case CompileOutcome::Invalid:
+    Reply.ErrorKind = ServeErrorKind::Parse;
+    break;
+  case CompileOutcome::PipelineFailed:
+    Reply.ErrorKind = ServeErrorKind::Pipeline;
+    break;
+  case CompileOutcome::DeadlineMissed:
     Reply.ErrorKind = ServeErrorKind::Deadline;
-    Reply.Error = Result.Error.empty() ? "deadline expired" : Result.Error;
-    return Reply;
+    break;
+  case CompileOutcome::Rejected:
+    Reply.ErrorKind = ServeErrorKind::Shutdown;
+    break;
   }
-  if (!Result.Ok || !Result.Code) {
-    Reply.ErrorKind = Result.Error.rfind("parse error:", 0) == 0
-                          ? ServeErrorKind::Parse
-                          : ServeErrorKind::Pipeline;
-    Reply.Error = Result.Error;
+  if (!Result.ok()) {
+    Reply.Error = std::move(Result.Error);
     return Reply;
   }
 
   Reply.Ok = true;
-  Reply.Tier = Result.PersistentHit ? ServeTier::Persistent
-               : Result.CacheHit   ? ServeTier::Memory
-                                   : ServeTier::Compiled;
   Reply.InputIRHash = Result.Code->InputIRHash;
   if (Request.WantIR)
     Reply.IRText = Result.Code->IRText;
@@ -325,8 +331,7 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
                  {{"status", Status},
                   Reply.Ok ? EventField("tier", serveTierName(Reply.Tier))
                            : EventField()},
-                 /*Aux=*/Reply.Ok ? 0
-                                  : static_cast<uint8_t>(Reply.ErrorKind));
+                 static_cast<uint8_t>(Reply.ErrorKind));
       WroteReply = writeFrame(Fd, FrameType::CompileReply,
                               encodeServeReply(Reply), WriteError);
       break;

@@ -70,7 +70,7 @@ enum class ServeErrorKind : uint8_t {
   Overload, ///< Load shed at admission (queue full or p99 over budget).
   Deadline, ///< Deadline budget expired while queued.
   Shutdown, ///< Daemon is draining; request refused.
-  Parse,    ///< The submitted IR did not parse.
+  Parse,    ///< The submitted IR did not parse or verify.
   Pipeline, ///< Verify-each caught a broken pass.
   Protocol, ///< Malformed request frame.
 };

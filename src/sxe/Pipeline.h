@@ -73,7 +73,6 @@ enum class EliminationEngine : uint8_t {
 struct PipelineConfig {
   const TargetInfo *Target = &TargetInfo::ia64();
   GenPolicy Gen = GenPolicy::AfterDef;
-  bool GeneralOpts = true; ///< Figure 5 step 2.
   EliminationEngine Engine = EliminationEngine::UdDu;
   bool EnableInsertion = false;
   bool UsePDEInsertion = false;

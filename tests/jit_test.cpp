@@ -5,18 +5,20 @@
 //   - support/IRHash is structural: stable across clones and cosmetic
 //     renames, different for different programs;
 //   - the code-cache key separates targets, configurations, and
-//     profiles — no false hits — and the sharded LRU evicts correctly;
+//     profiles — no false hits — and the LRU evicts exactly at capacity;
 //   - the compile service is deterministic: compiling the pinned corpus
 //     with 8 workers produces byte-identical IR and identical
 //     sext_eliminated counts to the serial (jobs=0) run;
 //   - worker shutdown is graceful (every accepted future resolves);
+//   - every request ends in one CompileOutcome, which moves exactly one
+//     service counter by one and logs its tier event with the outcome
+//     as the flight aux byte;
 //   - a repeated source is served at enqueue by its source key (no queue
 //     hop, no parse), never aliases another configuration, and is
 //     refused after shutdown like any other request;
 //   - the tiered controller closes the interpret -> profile -> recompile
 //     loop with a real interpreter profile;
-//   - PassStats::merge and the Timer thread-CPU clock behave (the two
-//     concurrency satellites).
+//   - the Timer thread-CPU clock behaves.
 //
 //===-----------------------------------------------------------------------------===//
 
@@ -27,6 +29,7 @@
 #include "jit/CodeCache.h"
 #include "jit/CompileQueue.h"
 #include "jit/CompileService.h"
+#include "jit/PersistentCache.h"
 #include "jit/TieredController.h"
 #include "parser/Parser.h"
 #include "pm/InstrumentedPipeline.h"
@@ -37,9 +40,14 @@
 #include "tests/TestHelpers.h"
 
 #include <chrono>
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <set>
 #include <thread>
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 using namespace sxe;
 
@@ -199,10 +207,9 @@ TEST(CodeCacheKey, SeparatesTargetsConfigsAndProfiles) {
 // CodeCache
 //===----------------------------------------------------------------------===//
 
-TEST(CodeCache, LruEvictionWithinShard) {
+TEST(CodeCache, LruEvictionIsExactAtCapacity) {
   CodeCacheOptions Options;
   Options.MaxEntries = 2;
-  Options.Shards = 1; // Single shard so capacity is exact.
   CodeCache Cache(Options);
 
   auto CodeOf = [](const char *Text) {
@@ -252,8 +259,8 @@ TEST(CodeCache, NoFalseHitsAcrossTargets) {
     Request.M = buildSmallModule();
     Request.Config = PipelineConfig::forVariant(Variant::All, *Target);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
-    ASSERT_TRUE(Result.Ok) << Result.Error;
-    EXPECT_FALSE(Result.CacheHit);
+    ASSERT_TRUE(Result.ok()) << Result.Error;
+    EXPECT_EQ(CompileOutcome::Compiled, Result.Outcome);
   }
   CodeCacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Hits, 0u);
@@ -276,9 +283,9 @@ TEST(CodeCache, HitOnRecompileIsByteIdentical) {
   };
   CompileResult First = Submit();
   CompileResult Again = Submit();
-  ASSERT_TRUE(First.Ok && Again.Ok);
-  EXPECT_FALSE(First.CacheHit);
-  EXPECT_TRUE(Again.CacheHit);
+  ASSERT_TRUE(First.ok() && Again.ok());
+  EXPECT_EQ(CompileOutcome::Compiled, First.Outcome);
+  EXPECT_EQ(CompileOutcome::MemoryHit, Again.Outcome);
   EXPECT_EQ(First.Code->IRText, Again.Code->IRText);
   EXPECT_EQ(First.Code->Stats.total("sext_eliminated"),
             Again.Code->Stats.total("sext_eliminated"));
@@ -344,7 +351,7 @@ TEST(CompileService, ParallelRunMatchesSerialByteForByte) {
       Request.Source = test::corpusSource(Name);
       Request.Config = PipelineConfig::forVariant(Variant::All);
       CompileResult Result = Service.enqueue(std::move(Request)).get();
-      ASSERT_TRUE(Result.Ok) << Name << ": " << Result.Error;
+      ASSERT_TRUE(Result.ok()) << Name << ": " << Result.Error;
       SerialIR[Name] = Result.Code->IRText;
       SerialEliminated[Name] = Result.Code->Stats.total("sext_eliminated");
     }
@@ -370,7 +377,7 @@ TEST(CompileService, ParallelRunMatchesSerialByteForByte) {
   }
   for (auto &Future : Futures) {
     CompileResult Result = Future.get();
-    ASSERT_TRUE(Result.Ok) << Result.Name << ": " << Result.Error;
+    ASSERT_TRUE(Result.ok()) << Result.Name << ": " << Result.Error;
     EXPECT_EQ(Result.Code->IRText, SerialIR[Result.Name])
         << Result.Name << ": parallel IR differs from serial";
     EXPECT_EQ(Result.Code->Stats.total("sext_eliminated"),
@@ -393,7 +400,7 @@ TEST(CompileService, GracefulShutdownResolvesEveryFuture) {
   }
   Service.shutdown(); // Queued work still drains.
   for (auto &Future : Futures)
-    EXPECT_TRUE(Future.get().Ok);
+    EXPECT_TRUE(Future.get().ok());
   EXPECT_EQ(Service.stats().Compiled, 16u);
 }
 
@@ -407,7 +414,7 @@ TEST(CompileService, EnqueueAfterShutdownIsRefusedNotHung) {
   Request.M = buildSmallModule();
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  EXPECT_FALSE(Result.Ok);
+  EXPECT_FALSE(Result.ok());
   EXPECT_NE(Result.Error.find("shut down"), std::string::npos);
 }
 
@@ -422,7 +429,7 @@ TEST(CompileService, ReportsParseFailures) {
   Request.Source = "this is not sxir";
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  EXPECT_FALSE(Result.Ok);
+  EXPECT_FALSE(Result.ok());
   EXPECT_NE(Result.Error.find("parse error"), std::string::npos);
   EXPECT_EQ(Service.stats().Failed, 1u);
   EXPECT_EQ(Metrics.counter("sxe_compile_failures_total").value(), 1u);
@@ -438,7 +445,7 @@ TEST(CompileService, StatsCountSubmittedAndCompiled) {
     Request.M = buildSmallModule("m", Bias);
     Request.Config = PipelineConfig::forVariant(Variant::All);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
-    ASSERT_TRUE(Result.Ok);
+    ASSERT_TRUE(Result.ok());
   }
   CompileServiceStats Stats = Service.stats();
   EXPECT_EQ(Stats.Submitted, 3u);
@@ -469,9 +476,9 @@ TEST(SourceKeyProbe, RepeatedSourceIsServedAtEnqueue) {
               Future.wait_for(std::chrono::seconds(0)));
     CompileResult Second = Future.get();
 
-    ASSERT_TRUE(First.Ok && Second.Ok) << First.Error << Second.Error;
-    EXPECT_FALSE(First.CacheHit);
-    EXPECT_TRUE(Second.CacheHit);
+    ASSERT_TRUE(First.ok() && Second.ok()) << First.Error << Second.Error;
+    EXPECT_EQ(CompileOutcome::Compiled, First.Outcome);
+    EXPECT_EQ(CompileOutcome::MemoryHit, Second.Outcome);
     EXPECT_EQ(First.Code.get(), Second.Code.get());
     EXPECT_EQ(0u, Second.QueueWaitNanos);
 
@@ -532,15 +539,16 @@ TEST(SourceKeyProbe, NeverAliasesAcrossTargetsVariantsOrProfiles) {
   for (const PipelineConfig &Config : Configs) {
     CompileResult Result =
         Service.enqueue(sourceRequest(Source, TraceId++, Config)).get();
-    ASSERT_TRUE(Result.Ok) << Result.Error;
-    EXPECT_FALSE(Result.CacheHit) << "aliased another configuration";
+    ASSERT_TRUE(Result.ok()) << Result.Error;
+    EXPECT_EQ(CompileOutcome::Compiled, Result.Outcome)
+        << "aliased another configuration";
     Artifacts.push_back(Result.Code);
   }
   for (size_t Index = 0; Index < 4; ++Index) {
     CompileResult Again =
         Service.enqueue(sourceRequest(Source, TraceId++, Configs[Index])).get();
-    ASSERT_TRUE(Again.Ok) << Again.Error;
-    EXPECT_TRUE(Again.CacheHit);
+    ASSERT_TRUE(Again.ok()) << Again.Error;
+    EXPECT_EQ(CompileOutcome::MemoryHit, Again.Outcome);
     EXPECT_EQ(Artifacts[Index].get(), Again.Code.get()) << "config " << Index;
   }
   EXPECT_EQ(4u, Service.stats().Compiled);
@@ -557,14 +565,14 @@ TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
   Options.Cache = &Cache;
   CompileService Service(Options);
   CompileResult First = Service.enqueue(sourceRequest(Source, 1)).get();
-  ASSERT_TRUE(First.Ok) << First.Error;
+  ASSERT_TRUE(First.ok()) << First.Error;
 
   // Second: a source-key miss, then a structural hit on the same bytes.
   CodeCacheStats Before = Cache.stats();
   CompileResult Cosmetic = Service.enqueue(sourceRequest(Renamed, 2)).get();
   CodeCacheStats After = Cache.stats();
-  ASSERT_TRUE(Cosmetic.Ok) << Cosmetic.Error;
-  EXPECT_TRUE(Cosmetic.CacheHit);
+  ASSERT_TRUE(Cosmetic.ok()) << Cosmetic.Error;
+  EXPECT_EQ(CompileOutcome::MemoryHit, Cosmetic.Outcome);
   EXPECT_EQ(First.Code.get(), Cosmetic.Code.get());
   EXPECT_EQ(First.Code->IRText, Cosmetic.Code->IRText);
   EXPECT_EQ(1u, After.Misses - Before.Misses);
@@ -578,7 +586,7 @@ TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
             Future.wait_for(std::chrono::seconds(0)));
   CompileResult Third = Future.get();
   CodeCacheStats Last = Cache.stats();
-  EXPECT_TRUE(Third.CacheHit);
+  EXPECT_EQ(CompileOutcome::MemoryHit, Third.Outcome);
   EXPECT_EQ(First.Code.get(), Third.Code.get());
   EXPECT_EQ(0u, Last.Misses - After.Misses);
   EXPECT_EQ(1u, Last.Hits - After.Hits);
@@ -596,12 +604,12 @@ TEST(SourceKeyProbe, CachedSourceAfterShutdownIsRefused) {
     Options.Cache = &Cache;
     Options.Metrics = &Metrics;
     CompileService Service(Options);
-    ASSERT_TRUE(Service.enqueue(sourceRequest(Source, 1)).get().Ok);
+    ASSERT_TRUE(Service.enqueue(sourceRequest(Source, 1)).get().ok());
     Service.shutdown();
 
     CompileResult Late = Service.enqueue(sourceRequest(Source, 2)).get();
-    EXPECT_FALSE(Late.Ok);
-    EXPECT_TRUE(Late.Rejected);
+    EXPECT_FALSE(Late.ok());
+    EXPECT_EQ(CompileOutcome::Rejected, Late.Outcome);
     EXPECT_EQ(nullptr, Late.Code);
     CompileServiceStats Stats = Service.stats();
     EXPECT_EQ(1u, Stats.Rejected);
@@ -629,7 +637,7 @@ TEST(SourceKeyProbe, ConcurrentHitsKeepCountersExact) {
         CompileResult R =
             Service.enqueue(sourceRequest(Source, 1 + T * PerThread + N))
                 .get();
-        if (!R.Ok || !R.Code)
+        if (!R.ok() || !R.Code)
           ++Bad;
       }
     });
@@ -640,6 +648,136 @@ TEST(SourceKeyProbe, ConcurrentHitsKeepCountersExact) {
   EXPECT_EQ(Threads * PerThread, Stats.Submitted);
   EXPECT_EQ(Threads * PerThread, Stats.Compiled + Stats.CacheHits);
   EXPECT_GE(Stats.Compiled, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// One outcome per request, settled once
+//===----------------------------------------------------------------------===//
+
+TEST(CompileOutcomes, EachMovesExactlyItsCounterByOne) {
+  // The counter each outcome moves, in CompileOutcome order.
+  const char *const Counters[NumCompileOutcomes] = {
+      "sxe_compiles_total",         "sxe_cache_hits_total",
+      "sxe_persistent_hits_total",  "sxe_compile_failures_total",
+      "sxe_compile_failures_total", "sxe_deadline_misses_total",
+      "sxe_rejects_total"};
+  const std::string Small = test::corpusSource("generated_small");
+  const std::string Medium = test::corpusSource("generated_medium");
+  // Parses, but `ret` carries no value in an i32 function.
+  const std::string Unverifiable = "func @main() -> i32 {\nentry:\n  ret\n}\n";
+
+  for (unsigned Jobs : {0u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    std::filesystem::path Dir =
+        std::filesystem::temp_directory_path() /
+        ("sxe-jit-test-outcomes-" + std::to_string(::getpid()) + "-" +
+         std::to_string(Jobs));
+    std::filesystem::remove_all(Dir);
+    PersistentCacheOptions DiskOptions;
+    DiskOptions.Dir = Dir.string();
+    PersistentCache Disk(DiskOptions);
+    CodeCache Memory;
+    MetricsRegistry Metrics;
+    FlightRecorder Flight;
+    EventLog Events(Flight, /*Retain=*/true);
+    CompileServiceOptions Options;
+    Options.Jobs = Jobs;
+    Options.Cache = &Memory;
+    Options.Persistent = &Disk;
+    Options.Metrics = &Metrics;
+    Options.Events = &Events;
+    CompileService Service(Options);
+
+    struct Step {
+      CompileOutcome Expected;
+      const std::string *Source;
+      uint64_t DeadlineNanos;
+      std::function<void()> Before;
+    };
+    // PipelineFailed is absent: it takes a pass that breaks a verified
+    // module, and the pipeline ships none.
+    const Step Steps[] = {
+        {CompileOutcome::Compiled, &Small, 0, {}},
+        {CompileOutcome::MemoryHit, &Small, 0, {}},
+        {CompileOutcome::PersistentHit, &Small, 0, [&] { Memory.clear(); }},
+        {CompileOutcome::Invalid, &Unverifiable, 0, {}},
+        {CompileOutcome::DeadlineMissed, &Medium, /*Long past=*/1, {}},
+        {CompileOutcome::Rejected, &Small, 0, [&] { Service.shutdown(); }},
+    };
+    for (const Step &S : Steps) {
+      const char *Name = compileOutcomeName(S.Expected);
+      SCOPED_TRACE(Name);
+      if (S.Before)
+        S.Before();
+      std::map<std::string, uint64_t> Before;
+      for (const char *Counter : Counters)
+        Before[Counter] = Metrics.counter(Counter).value();
+
+      CompileRequest Request;
+      Request.Name = Name;
+      Request.Source = *S.Source;
+      Request.Config = PipelineConfig::forVariant(Variant::All);
+      Request.DeadlineNanos = S.DeadlineNanos;
+      CompileResult Result = Service.enqueue(std::move(Request)).get();
+      EXPECT_EQ(S.Expected, Result.Outcome) << Result.Error;
+      EXPECT_EQ(Result.ok(), Result.Code != nullptr);
+      EXPECT_EQ(Result.ok(), Result.Error.empty()) << Result.Error;
+
+      const char *Moved = Counters[static_cast<size_t>(S.Expected)];
+      for (const auto &[Counter, Value] : Before)
+        EXPECT_EQ(Value + (Counter == Moved ? 1 : 0),
+                  Metrics.counter(Counter).value())
+            << Counter;
+      CompileServiceStats Stats = Service.stats();
+      EXPECT_EQ(Metrics.counter("sxe_compiles_total").value(), Stats.Compiled);
+      EXPECT_EQ(Metrics.counter("sxe_cache_hits_total").value(),
+                Stats.CacheHits);
+      EXPECT_EQ(Metrics.counter("sxe_persistent_hits_total").value(),
+                Stats.PersistentHits);
+      EXPECT_EQ(Metrics.counter("sxe_compile_failures_total").value(),
+                Stats.Failed);
+      EXPECT_EQ(Metrics.counter("sxe_deadline_misses_total").value(),
+                Stats.DeadlineMisses);
+      EXPECT_EQ(Metrics.counter("sxe_rejects_total").value(), Stats.Rejected);
+    }
+    EXPECT_EQ(std::size(Steps), Service.stats().Submitted);
+    // Only the unverified module was kept out of the persistent tier: one
+    // entry, written by the first compile.
+    EXPECT_EQ(1u, Disk.stats().Insertions);
+
+    // The three tiers log cache_tier with the outcome's name and the
+    // outcome as the flight aux byte; a deadline miss logs
+    // deadline_expire; the failures and the refusal log nothing.
+    std::map<std::string, std::string> EventOf;
+    for (const ObsEvent &E : Events.snapshot()) {
+      std::string Tier;
+      for (const auto &[Key, Value] : E.Fields)
+        if (Key == "tier")
+          Tier = Value;
+      EventOf[E.Name] = std::string(obsEventKindName(E.Kind)) + ":" + Tier;
+    }
+    EXPECT_EQ("cache_tier:compiled", EventOf["compiled"]);
+    EXPECT_EQ("cache_tier:memory", EventOf["memory"]);
+    EXPECT_EQ("cache_tier:persistent", EventOf["persistent"]);
+    EXPECT_EQ("deadline_expire:", EventOf["deadline_missed"]);
+    EXPECT_EQ(0u, EventOf.count("invalid"));
+    EXPECT_EQ(0u, EventOf.count("rejected"));
+    // A zero aux byte is left out of the dump line.
+    std::string Dump = Flight.dumpToString();
+    auto AuxOf = [&Dump](const std::string &Name) -> std::string {
+      size_t End = Dump.find("\"name\": \"" + Name + "\"");
+      if (End == std::string::npos)
+        return "missing";
+      size_t Begin = Dump.rfind('\n', End);
+      size_t Aux = Dump.find("\"aux\": ", Begin);
+      return Aux < End ? Dump.substr(Aux + 7, 1) : "0";
+    };
+    EXPECT_EQ("0", AuxOf("compiled"));
+    EXPECT_EQ("1", AuxOf("memory"));
+    EXPECT_EQ("2", AuxOf("persistent"));
+    EXPECT_EQ("5", AuxOf("deadline_missed"));
+    std::filesystem::remove_all(Dir);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -658,8 +796,8 @@ TEST(TieredController, ClosesTheMixedModeLoop) {
   TieredOutcome Outcome = Controller.run(*M);
 
   EXPECT_TRUE(Outcome.Warmup.ok());
-  ASSERT_TRUE(Outcome.Unprofiled.Ok) << Outcome.Unprofiled.Error;
-  ASSERT_TRUE(Outcome.Profiled.Ok) << Outcome.Profiled.Error;
+  ASSERT_TRUE(Outcome.Unprofiled.ok()) << Outcome.Unprofiled.Error;
+  ASSERT_TRUE(Outcome.Profiled.ok()) << Outcome.Profiled.Error;
 
   // Both tiers produce verifying modules.
   ParseResult Reparsed = parseModule(Outcome.Profiled.Code->IRText);
@@ -683,7 +821,7 @@ TEST(TieredController, ExecutesRecompiledCodeNatively) {
   TieredController Controller(Service, Options);
   TieredOutcome Outcome = Controller.run(*M);
 
-  ASSERT_TRUE(Outcome.Profiled.Ok) << Outcome.Profiled.Error;
+  ASSERT_TRUE(Outcome.Profiled.ok()) << Outcome.Profiled.Error;
   ASSERT_TRUE(Outcome.NativeExecuted);
   // The natively executed tier-2 code agrees with the tier-0 warm-up.
   EXPECT_EQ(Outcome.Native.Trap, Outcome.Warmup.Trap);
@@ -730,18 +868,18 @@ TEST(TieredController, ProfiledRecompileHasItsOwnCacheEntry) {
   TieredOutcome Outcome = Controller.run(*M);
   ASSERT_TRUE(Outcome.Warmup.ok());
   EXPECT_TRUE(Outcome.ProfileCollected);
-  ASSERT_TRUE(Outcome.Unprofiled.Ok);
-  ASSERT_TRUE(Outcome.Profiled.Ok);
+  ASSERT_TRUE(Outcome.Unprofiled.ok());
+  ASSERT_TRUE(Outcome.Profiled.ok());
 
   // Two distinct compiles, zero false cache hits between tiers.
-  EXPECT_FALSE(Outcome.Profiled.CacheHit);
+  EXPECT_EQ(CompileOutcome::Compiled, Outcome.Profiled.Outcome);
   EXPECT_EQ(Service.stats().Compiled, 2u);
   EXPECT_EQ(Cache.stats().Entries, 2u);
 
   // Re-running the same workload now hits both tiers' entries.
   TieredOutcome Again = Controller.run(*M);
-  EXPECT_TRUE(Again.Unprofiled.CacheHit);
-  EXPECT_TRUE(Again.Profiled.CacheHit);
+  EXPECT_EQ(CompileOutcome::MemoryHit, Again.Unprofiled.Outcome);
+  EXPECT_EQ(CompileOutcome::MemoryHit, Again.Profiled.Outcome);
   EXPECT_EQ(Again.Profiled.Code->IRText, Outcome.Profiled.Code->IRText);
 }
 

@@ -107,8 +107,8 @@ std::string batchRemarks(unsigned Jobs, CodeCache *Cache) {
   std::vector<Remark> All;
   for (auto &Future : Futures) {
     CompileResult Result = Future.get();
-    EXPECT_TRUE(Result.Ok) << Result.Error;
-    if (Result.Ok)
+    EXPECT_TRUE(Result.ok()) << Result.Error;
+    if (Result.ok())
       All.insert(All.end(), Result.Code->Remarks.begin(),
                  Result.Code->Remarks.end());
   }
@@ -305,7 +305,7 @@ TEST(Trace, EightWorkerBatchHasMultipleThreadTracks) {
       Futures.push_back(Service.enqueue(std::move(Request)));
     }
   for (auto &Future : Futures)
-    EXPECT_TRUE(Future.get().Ok);
+    EXPECT_TRUE(Future.get().ok());
   Service.shutdown();
 
   EXPECT_GE(Trace.threadTracks(), 2u);

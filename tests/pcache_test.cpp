@@ -96,7 +96,7 @@ std::shared_ptr<const CompiledCode> compileReference(std::string &KeyOut,
   uint64_t Hash = hashModule(*Request.M);
   KeyOut = codeCacheKey(Hash, Request.Config);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  EXPECT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_TRUE(Result.ok()) << Result.Error;
   return Result.Code;
 }
 
@@ -541,8 +541,8 @@ TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
   Request.M = buildSmallModule();
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  ASSERT_TRUE(Result.Ok) << Result.Error;
-  EXPECT_FALSE(Result.PersistentHit);
+  ASSERT_TRUE(Result.ok()) << Result.Error;
+  EXPECT_EQ(CompileOutcome::Compiled, Result.Outcome);
   EXPECT_EQ(Reference->IRText, Result.Code->IRText);
   EXPECT_GE(Cache.stats().CorruptDropped, 1u);
 }
@@ -581,8 +581,8 @@ TEST(PersistentCache, PreviousSchemaEntryIsACleanMiss) {
     Request.M = buildSmallModule();
     Request.Config = PipelineConfig::forVariant(Variant::All);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
-    ASSERT_TRUE(Result.Ok) << Result.Error;
-    EXPECT_FALSE(Result.PersistentHit);
+    ASSERT_TRUE(Result.ok()) << Result.Error;
+    EXPECT_EQ(CompileOutcome::Compiled, Result.Outcome);
     EXPECT_EQ(Reference->IRText, Result.Code->IRText);
 
     std::shared_ptr<const CompiledCode> Reloaded = Cache.lookup(Key);
@@ -617,9 +617,8 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
     Request.M = buildSmallModule();
     Request.Config = PipelineConfig::forVariant(Variant::All);
     CompileResult Result = Service.enqueue(std::move(Request)).get();
-    ASSERT_TRUE(Result.Ok) << Result.Error;
-    EXPECT_FALSE(Result.CacheHit);
-    EXPECT_FALSE(Result.PersistentHit);
+    ASSERT_TRUE(Result.ok()) << Result.Error;
+    EXPECT_EQ(CompileOutcome::Compiled, Result.Outcome);
     EXPECT_EQ(1u, Disk.stats().Insertions);
   }
 
@@ -640,9 +639,8 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
   Request.M = buildSmallModule();
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  ASSERT_TRUE(Result.Ok) << Result.Error;
-  EXPECT_TRUE(Result.PersistentHit);
-  EXPECT_FALSE(Result.CacheHit);
+  ASSERT_TRUE(Result.ok()) << Result.Error;
+  EXPECT_EQ(CompileOutcome::PersistentHit, Result.Outcome);
   EXPECT_EQ(Reference->IRText, Result.Code->IRText);
   EXPECT_EQ(remarksToJsonl(Reference->Remarks),
             remarksToJsonl(Result.Code->Remarks));
@@ -657,9 +655,8 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
   Again.M = buildSmallModule();
   Again.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Second = Service.enqueue(std::move(Again)).get();
-  ASSERT_TRUE(Second.Ok);
-  EXPECT_TRUE(Second.CacheHit);
-  EXPECT_FALSE(Second.PersistentHit);
+  ASSERT_TRUE(Second.ok());
+  EXPECT_EQ(CompileOutcome::MemoryHit, Second.Outcome);
   // And the metric matched the counter.
   EXPECT_EQ(1u, Metrics.counter("sxe_persistent_hits_total").value());
 }
@@ -712,8 +709,8 @@ TEST(CompileServiceRejects, EnqueueAfterShutdownCountsRejected) {
   Request.M = buildSmallModule();
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  EXPECT_FALSE(Result.Ok);
-  EXPECT_TRUE(Result.Rejected);
+  EXPECT_FALSE(Result.ok());
+  EXPECT_EQ(CompileOutcome::Rejected, Result.Outcome);
 
   CompileServiceStats Stats = Service.stats();
   EXPECT_EQ(1u, Stats.Rejected);

@@ -10,7 +10,9 @@
 //   - admission control: depth bound and queue-wait-p99-vs-budget gate,
 //     typed OverloadError causes, sliding-window bookkeeping;
 //   - the daemon: ping, compile replies byte-identical to the inline
-//     reference service, typed parse/protocol errors, deadline expiry
+//     reference service, typed parse/protocol errors (a module that
+//     parses but does not verify is a parse error and is never cached),
+//     deadline expiry
 //     under a saturated queue, a typed protocol reply (and a live daemon)
 //     after a frame whose number overflows, load-shed rejection sharing the
 //     service's Rejected ledger, graceful drain (every accepted request
@@ -33,6 +35,7 @@
 #include "ir/IRPrinter.h"
 #include "jit/CompileService.h"
 #include "obs/TraceContext.h"
+#include "parser/Parser.h"
 #include "serve/Admission.h"
 #include "serve/Client.h"
 #include "serve/Daemon.h"
@@ -145,7 +148,7 @@ std::string referenceIR(const std::string &Source) {
   Request.Source = Source;
   Request.Config = PipelineConfig::forVariant(Variant::All);
   CompileResult Result = Service.enqueue(std::move(Request)).get();
-  EXPECT_TRUE(Result.Ok) << Result.Error;
+  EXPECT_TRUE(Result.ok()) << Result.Error;
   return Result.Code ? Result.Code->IRText : std::string();
 }
 
@@ -476,6 +479,72 @@ TEST(ServeDaemon, PingCompileAndTypedErrors) {
 
   Daemon.stop();
   EXPECT_FALSE(fs::exists(Dir.sock()));
+}
+
+TEST(ServeDaemon, ModulesThatParseButDoNotVerifyAreRejectedAndNotCached) {
+  // Each parses; each breaks one verifier rule.
+  const std::pair<const char *, const char *> Shapes[] = {
+      {"arrayload-on-i32", "func @main() -> i32 {\n"
+                           "  reg %i: i32\n  reg %v: i32\n"
+                           "entry:\n  %i = const.i32 0\n"
+                           "  %v = arrayload.i32 %i, %i\n  ret %v\n}\n"},
+      {"call-arity", "func @f(%a: i32, %b: i32) -> i32 {\n"
+                     "entry:\n  ret %a\n}\n"
+                     "func @main() -> i32 {\n"
+                     "  reg %x: i32\n  reg %r: i32\n"
+                     "entry:\n  %x = const.i32 1\n"
+                     "  %r = call @f(%x)\n  ret %r\n}\n"},
+      {"add-on-f64", "func @main() -> i32 {\n"
+                     "  reg %d: f64\n  reg %r: i32\n"
+                     "entry:\n  %d = fconst 1.5\n"
+                     "  %r = add.w32 %d, %d\n  ret %r\n}\n"},
+      {"no-terminator", "func @main() -> i32 {\n"
+                        "  reg %x: i32\n"
+                        "entry:\n  %x = const.i32 1\n}\n"},
+      {"ret-without-value", "func @main() -> i32 {\nentry:\n  ret\n}\n"},
+      {"sext-of-arrayref", "func @main() -> i64 {\n"
+                           "  reg %n: i32\n  reg %a: arrayref\n"
+                           "  reg %r: i64\n"
+                           "entry:\n  %n = const.i32 4\n"
+                           "  %a = newarray.i32 %n\n"
+                           "  %r = sext32 %a\n  ret %r\n}\n"},
+  };
+
+  TempDir Dir("invalid");
+  ServeDaemonOptions Options;
+  Options.SocketPath = Dir.sock();
+  Options.CacheDir = Dir.file("pcache");
+  ServeDaemon Daemon(Options);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(Error)) << Error;
+  ServeClient Client;
+  ASSERT_TRUE(Client.connectTo(Dir.sock(), Error, 2000)) << Error;
+
+  for (const auto &[Name, Source] : Shapes) {
+    SCOPED_TRACE(Name);
+    ASSERT_TRUE(parseModule(Source).ok());
+    ServeRequest Request;
+    Request.Name = Name;
+    Request.Source = Source;
+    ServeReply Reply;
+    // Twice: a rejected module is not cached, so it is rejected again.
+    for (int Attempt = 0; Attempt < 2; ++Attempt) {
+      ASSERT_TRUE(Client.compile(Request, Reply, Error)) << Error;
+      EXPECT_FALSE(Reply.Ok);
+      EXPECT_EQ(ServeErrorKind::Parse, Reply.ErrorKind);
+      EXPECT_EQ(0u, Reply.Error.rfind("invalid module: ", 0)) << Reply.Error;
+    }
+  }
+
+  CompileServiceStats Stats = Daemon.service().stats();
+  EXPECT_EQ(2 * std::size(Shapes), Stats.Failed);
+  EXPECT_EQ(0u, Stats.Compiled);
+  EXPECT_EQ(0u, Stats.CacheHits);
+  EXPECT_EQ(0u, Daemon.service().persistent()->stats().Insertions);
+  EXPECT_EQ(0u, Daemon.service().cache()->stats().Entries);
+  Daemon.stop();
+  fs::path Objects = fs::path(Dir.file("pcache")) / "objects";
+  EXPECT_TRUE(!fs::exists(Objects) || fs::is_empty(Objects));
 }
 
 TEST(ServeDaemon, DeadlineExpiryUnderSaturatedQueue) {
