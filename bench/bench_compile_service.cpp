@@ -11,7 +11,8 @@
 //      serial (jobs=0) reference compile, byte for byte.
 //
 // `--daemon` switches to the serve-daemon warm-cache benchmark (plus a
-// printed warm-hit split: ping RTT, codec halves, round trip) and
+// printed warm-hit split: ping RTT, round trip, worker, codec halves,
+// source key) and
 // `--overhead[-gate=PCT]` to an A/B measurement of what request-scoped
 // tracing + the event log cost the warm serve path (CI gates at 5%).
 //
@@ -25,6 +26,7 @@
 #include "bench/BenchUtil.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
+#include "jit/CodeCache.h"
 #include "jit/CompileService.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -212,9 +214,12 @@ DaemonRun sweepDaemon(const std::string &SocketPath,
 
 /// Prints where one warm hit's round trip goes (median µs over \p Rounds
 /// passes of the corpus on one connection): the bare Ping round trip, the
-/// compile round trip, and each codec half timed on its own over the
-/// request sent and the reply received. Requests are stats-only, like the
-/// warm loops. Stdout only: the JSON report keeps its gated shape.
+/// compile round trip, the service time the reply reports (source key and
+/// cache lookup), and each piece of the daemon's and client's work timed
+/// on its own: request encode and decode, the source key, the hit's reply
+/// encode (the artifact's members spliced from its memo) and the reply
+/// decode. Requests are stats-only, like the warm loops. Stdout only: the
+/// JSON report keeps its gated shape.
 void printWarmHitSplit(const std::string &SocketPath,
                        const std::vector<CorpusModule> &Corpus,
                        unsigned Rounds) {
@@ -222,8 +227,8 @@ void printWarmHitSplit(const std::string &SocketPath,
   std::string Error;
   if (!Client.connectTo(SocketPath, Error, /*RetryMillis=*/2000))
     return;
-  enum { Ping, RoundTrip, RequestEncode, RequestDecode, ReplyEncode,
-         ReplyDecode, NumLayers };
+  enum { Ping, RoundTrip, Worker, RequestEncode, RequestDecode, SourceKey,
+         ReplyEncode, ReplyDecode, NumLayers };
   std::vector<uint64_t> Nanos[NumLayers];
   uint64_t SourceBytes = 0, ReplyBytes = 0;
   auto Time = [&Nanos](int Layer, auto &&Body) {
@@ -231,8 +236,15 @@ void printWarmHitSplit(const std::string &SocketPath,
     Body();
     Nanos[Layer].push_back(wallNowNanos() - Start);
   };
+  // Each module's artifact as the reply describes it, so the reply encode
+  // runs the daemon's hit path over a built memo.
+  std::vector<CompiledCode> Artifacts(Corpus.size());
+  ServeRequest Defaults;
+  PipelineConfig Config = PipelineConfig::forVariant(
+      Variant::All, *TargetInfo::byName(Defaults.Target));
   for (unsigned Round = 0; Round < Rounds; ++Round) {
-    for (const CorpusModule &M : Corpus) {
+    for (size_t Index = 0; Index < Corpus.size(); ++Index) {
+      const CorpusModule &M = Corpus[Index];
       ServeRequest Request;
       Request.Name = M.Name;
       Request.Source = M.Source;
@@ -240,13 +252,27 @@ void printWarmHitSplit(const std::string &SocketPath,
       ServeReply Reply;
       Time(Ping, [&] { Client.ping(Error); });
       Time(RoundTrip, [&] { Client.compile(Request, Reply, Error); });
-      std::string Payload, ReplyPayload;
+      Nanos[Worker].push_back(Reply.WallNanos);
+      CompiledCode &Code = Artifacts[Index];
+      if (Round == 0) {
+        Code.InputIRHash = Reply.InputIRHash;
+        for (const StatEntry &Entry : Reply.Stats)
+          Code.Stats.counter(Entry.Pass, Entry.Name) = Entry.Value;
+        encodeServeReply(Reply, Code, /*WantIR=*/false,
+                         /*CollectRemarks=*/false);
+      }
+      std::string Payload, ReplyPayload, Key;
       ServeRequest DecodedRequest;
       ServeReply DecodedReply;
       Time(RequestEncode, [&] { Payload = encodeServeRequest(Request); });
       Time(RequestDecode,
            [&] { decodeServeRequest(Payload, DecodedRequest, Error); });
-      Time(ReplyEncode, [&] { ReplyPayload = encodeServeReply(Reply); });
+      Time(SourceKey,
+           [&] { Key = codeCacheSourceKey(DecodedRequest.Source, Config); });
+      Time(ReplyEncode, [&] {
+        ReplyPayload = encodeServeReply(Reply, Code, /*WantIR=*/false,
+                                        /*CollectRemarks=*/false);
+      });
       Time(ReplyDecode,
            [&] { decodeServeReply(ReplyPayload, DecodedReply, Error); });
       SourceBytes += M.Source.size();
@@ -260,13 +286,14 @@ void printWarmHitSplit(const std::string &SocketPath,
   uint64_t Samples = Nanos[Ping].size();
   std::printf("warm-hit split, median us over %llu hits (%llu-byte source, "
               "%llu-byte reply on average): ping %.1f, round trip %.1f, "
-              "request encode %.1f / decode %.1f, reply encode %.1f / "
-              "decode %.1f\n",
+              "worker %.1f, request encode %.1f / decode %.1f, source key "
+              "%.1f, reply encode %.1f / decode %.1f\n",
               static_cast<unsigned long long>(Samples),
               static_cast<unsigned long long>(SourceBytes / Samples),
               static_cast<unsigned long long>(ReplyBytes / Samples),
-              Median(Ping), Median(RoundTrip), Median(RequestEncode),
-              Median(RequestDecode), Median(ReplyEncode), Median(ReplyDecode));
+              Median(Ping), Median(RoundTrip), Median(Worker),
+              Median(RequestEncode), Median(RequestDecode), Median(SourceKey),
+              Median(ReplyEncode), Median(ReplyDecode));
 }
 
 /// `--daemon`: starts an in-process ServeDaemon on a temp socket with a

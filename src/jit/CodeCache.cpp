@@ -5,17 +5,20 @@
 #include "analysis/ProfileInfo.h"
 #include "support/IRHash.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace sxe;
 
-std::string sxe::codeCacheKey(uint64_t IRHash, const PipelineConfig &Config) {
+/// Appends the configuration half of a key: every semantically relevant
+/// PipelineConfig field and the profile fingerprint.
+static void appendConfigFingerprint(std::string &Key,
+                                    const PipelineConfig &Config) {
   char Buf[256];
-  std::snprintf(
+  int Length = std::snprintf(
       Buf, sizeof(Buf),
-      "%016llx|%s|gen=%u;eng=%u;ins=%u;pde=%u;ord=%u;arr=%u;"
+      "|%s|gen=%u;eng=%u;ins=%u;pde=%u;ord=%u;arr=%u;"
       "maxlen=%08x;dum=%u;grd=%u;ind=%u;prof=%016llx",
-      static_cast<unsigned long long>(IRHash),
       Config.Target ? Config.Target->name().c_str() : "?",
       static_cast<unsigned>(Config.Gen), static_cast<unsigned>(Config.Engine),
       Config.EnableInsertion ? 1u : 0u, Config.UsePDEInsertion ? 1u : 0u,
@@ -25,14 +28,34 @@ std::string sxe::codeCacheKey(uint64_t IRHash, const PipelineConfig &Config) {
       Config.EnableInductiveArith ? 1u : 0u,
       static_cast<unsigned long long>(
           Config.Profile ? Config.Profile->fingerprint() : 0));
-  return Buf;
+  Key.append(Buf, std::min<size_t>(Length, sizeof(Buf) - 1));
 }
 
-std::string sxe::codeCacheSourceKey(const std::string &Source,
+/// Appends \p Word as 16 lowercase hex digits.
+static void appendHex64(std::string &Key, uint64_t Word) {
+  static constexpr char Digits[] = "0123456789abcdef";
+  for (int Shift = 60; Shift >= 0; Shift -= 4)
+    Key += Digits[(Word >> Shift) & 0xF];
+}
+
+std::string sxe::codeCacheKey(uint64_t IRHash, const PipelineConfig &Config) {
+  std::string Key;
+  Key.reserve(160);
+  appendHex64(Key, IRHash);
+  appendConfigFingerprint(Key, Config);
+  return Key;
+}
+
+std::string sxe::codeCacheSourceKey(std::string_view Source,
                                     const PipelineConfig &Config) {
-  StableHasher Hasher;
-  Hasher.mix(Source);
-  return "src:" + codeCacheKey(Hasher.result(), Config);
+  Hash128 Hash = hashBytes128(Source);
+  std::string Key;
+  Key.reserve(176);
+  Key += "src:";
+  appendHex64(Key, Hash.Hi);
+  appendHex64(Key, Hash.Lo);
+  appendConfigFingerprint(Key, Config);
+  return Key;
 }
 
 CodeCache::CodeCache(CodeCacheOptions Options)

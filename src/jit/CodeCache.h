@@ -18,17 +18,20 @@
 /// (the profile's digest is folded into the config fingerprint).
 ///
 /// The same cache also holds *source-key* aliases (codeCacheSourceKey):
-/// the identical config fingerprint over a hash of the raw `.sxir` bytes
-/// instead of the structural hash, tagged `src:` so it can never equal a
-/// structural key. The compile service probes it before parsing, so a
-/// repeated source is served without a parse or a structural hash.
+/// the identical config fingerprint over a 128-bit hash of the raw
+/// `.sxir` bytes (hashBytes128) instead of the structural hash, tagged
+/// `src:` so it can never equal a structural key. The compile service
+/// probes it before parsing, so a repeated source is served without a
+/// parse or a structural hash.
 ///
-/// Collision contract: the key string carries only the 64-bit FNV-1a
-/// hash, not the module or the source. Two different modules (or two
-/// different sources) whose hashes collide under the same configuration
-/// share one entry, and the second is served the first's artifact — a
-/// wrong artifact, with probability about 2^-64 per pair. The source key
-/// has the same strength as the structural key.
+/// Collision contract: a key string carries only a hash, not the module
+/// or the source. Two different modules whose 64-bit FNV-1a structural
+/// hashes collide under the same configuration share one entry, and the
+/// second is served the first's artifact: a wrong artifact, with
+/// probability about 2^-64 per pair. A source key carries all 128 bits
+/// of its hash, so two different sources share an entry with probability
+/// about 2^-128 per pair, and two sources of equal length that differ in
+/// one 8-byte word never do. Neither key keeps a copy of what it hashes.
 ///
 /// One mutex guards one map and one LRU list, so MaxEntries is exact. The
 /// service reaches the cache from its workers and from the threads that
@@ -49,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace sxe {
@@ -60,10 +64,10 @@ namespace sxe {
 std::string codeCacheKey(uint64_t IRHash, const PipelineConfig &Config);
 
 /// Builds the alias key for compiling the `.sxir` text \p Source under
-/// \p Config: `src:` followed by codeCacheKey() over a 64-bit FNV-1a hash
-/// of the source bytes. Byte-identical sources share it; any difference,
-/// cosmetic or not, gives another key.
-std::string codeCacheSourceKey(const std::string &Source,
+/// \p Config: `src:`, the 32 hex digits of hashBytes128(Source), then the
+/// configuration half of codeCacheKey(). Byte-identical sources share it;
+/// any difference, cosmetic or not, gives another key.
+std::string codeCacheSourceKey(std::string_view Source,
                                const PipelineConfig &Config);
 
 struct CodeCacheOptions {

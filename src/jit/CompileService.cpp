@@ -142,7 +142,8 @@ void CompileService::traceProbe(const char *Name,
 }
 
 CompileResult CompileService::settle(const CompileRequest &Request,
-                                     CompileOutcome Outcome, Timer *Cost,
+                                     CompileOutcome Outcome,
+                                     uint64_t StartNanos,
                                      std::shared_ptr<const CompiledCode> Code,
                                      std::string Error) {
   CompileResult Result;
@@ -150,11 +151,8 @@ CompileResult CompileService::settle(const CompileRequest &Request,
   Result.Outcome = Outcome;
   Result.Code = std::move(Code);
   Result.Error = std::move(Error);
-  if (Cost) {
-    Cost->stop();
-    Result.WallNanos = Cost->elapsedNanos();
-    Result.CpuNanos = Cost->elapsedCpuNanos();
-  }
+  if (StartNanos)
+    Result.WallNanos = wallNowNanos() - StartNanos;
   const OutcomeRow &Row = OutcomeRows[static_cast<size_t>(Outcome)];
   Metrics.Outcomes[static_cast<size_t>(Outcome)]->inc();
   if (Options.Events && Row.Event)
@@ -171,17 +169,16 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   // Deadline backstop: queue wait already ate the whole budget, so even
   // a cache hit could not be delivered in time. Shed the work.
   if (Request.DeadlineNanos && wallNowNanos() > Request.DeadlineNanos)
-    return settle(Request, CompileOutcome::DeadlineMissed, nullptr, nullptr,
+    return settle(Request, CompileOutcome::DeadlineMissed, 0, nullptr,
                   "deadline expired before compilation started");
 
-  Timer Cost;
-  Cost.start();
+  uint64_t StartNanos = wallNowNanos();
 
   std::unique_ptr<Module> M = std::move(Request.M);
   if (!M) {
     ParseResult Parsed = parseModule(Request.Source);
     if (!Parsed.ok())
-      return settle(Request, CompileOutcome::Invalid, &Cost, nullptr,
+      return settle(Request, CompileOutcome::Invalid, StartNanos, nullptr,
                     "parse error: " + Parsed.Error);
     M = std::move(Parsed.M);
   }
@@ -189,7 +186,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   // compiled or cached, so no tier can hand it on.
   std::vector<std::string> Problems;
   if (!verifyModule(*M, Problems))
-    return settle(Request, CompileOutcome::Invalid, &Cost, nullptr,
+    return settle(Request, CompileOutcome::Invalid, StartNanos, nullptr,
                   "invalid module: " + Problems.front());
 
   // Every artifact served for a source request is also remembered under
@@ -207,7 +204,8 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
     traceProbe("cache-probe", Request, ProbeStart, Hit != nullptr);
     if (Hit) {
       AliasSource(Hit);
-      return settle(Request, CompileOutcome::MemoryHit, &Cost, std::move(Hit));
+      return settle(Request, CompileOutcome::MemoryHit, StartNanos,
+                    std::move(Hit));
     }
   }
 
@@ -221,7 +219,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
       if (Options.Cache)
         Options.Cache->insert(Key, Hit);
       AliasSource(Hit);
-      return settle(Request, CompileOutcome::PersistentHit, &Cost,
+      return settle(Request, CompileOutcome::PersistentHit, StartNanos,
                     std::move(Hit));
     }
   }
@@ -241,7 +239,7 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
       static_cast<double>(CompileEnd - CompileStart) * 1e-9, Request.TraceId);
 
   if (!Run.Ok)
-    return settle(Request, CompileOutcome::PipelineFailed, &Cost, nullptr,
+    return settle(Request, CompileOutcome::PipelineFailed, StartNanos, nullptr,
                   "pass '" + Run.FailedPass + "' broke the module" +
                       (Run.Problems.empty() ? ""
                                             : ": " + Run.Problems.front()));
@@ -252,7 +250,8 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
   Code->Remarks = Run.Remarks.take();
   Code->InputIRHash = InputHash;
   // Settled before the write-through, so the cost leaves out the disk.
-  CompileResult Result = settle(Request, CompileOutcome::Compiled, &Cost, Code);
+  CompileResult Result =
+      settle(Request, CompileOutcome::Compiled, StartNanos, Code);
 
   if (Options.Cache)
     Options.Cache->insert(Key, Code);
@@ -265,23 +264,21 @@ CompileResult CompileService::compileOne(CompileRequest &Request,
 std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
   Metrics.Submitted->inc();
   if (ShutDown.load(std::memory_order_acquire))
-    return readyFuture(settle(Request, CompileOutcome::Rejected, nullptr,
-                              nullptr, "compile service is shut down"));
+    return readyFuture(settle(Request, CompileOutcome::Rejected, 0, nullptr,
+                              "compile service is shut down"));
 
   // Tier 0: the source key. A byte-identical source seen before is
   // served right here, on the caller's thread, before any parse or
   // structural hash.
   std::string SourceKey;
   if (Options.Cache && !Request.M) {
-    Timer Cost;
-    Cost.start();
     uint64_t ProbeStart = wallNowNanos();
     SourceKey = codeCacheSourceKey(Request.Source, Request.Config);
     if (std::shared_ptr<const CompiledCode> Hit =
             Options.Cache->lookup(SourceKey)) {
       traceProbe("cache-probe", Request, ProbeStart, /*Hit=*/true);
-      return readyFuture(settle(Request, CompileOutcome::MemoryHit, &Cost,
-                                std::move(Hit)));
+      return readyFuture(settle(Request, CompileOutcome::MemoryHit,
+                                ProbeStart, std::move(Hit)));
     }
   }
 
@@ -302,7 +299,7 @@ std::future<CompileResult> CompileService::enqueue(CompileRequest Request) {
     // The queue is closed (shutdown raced this enqueue): refuse politely
     // instead of leaving the future forever unready.
     Job->Promise.set_value(settle(Job->Request, CompileOutcome::Rejected,
-                                  nullptr, nullptr,
+                                  0, nullptr,
                                   "compile service is shut down"));
   }
   return Future;

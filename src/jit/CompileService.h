@@ -31,7 +31,7 @@
 /// schedule the parallel-determinism tests compare against.
 ///
 /// Every request ends in exactly one CompileOutcome, settled in one
-/// place: settle() stops the request's cost timer, moves the outcome's
+/// place: settle() reads the request's wall-clock cost, moves the outcome's
 /// one counter and logs its lifecycle event (docs/JIT.md has the table).
 ///
 /// Every counter has one home. A run's PassStats travel in its
@@ -157,12 +157,12 @@ private:
   /// aliased to the artifact produced.
   CompileResult compileOne(CompileRequest &Request,
                            const std::string &SourceKey);
-  /// Ends \p Request as \p Outcome, the one exit of every request: stops
-  /// \p Cost (null for a request that was never served) into the
-  /// result's wall and CPU times, moves the outcome's counter, logs its
-  /// lifecycle event, and fills the result.
+  /// Ends \p Request as \p Outcome, the one exit of every request: sets
+  /// the result's wall time to now minus \p StartNanos (0 for a request
+  /// that was never served, which costs nothing), moves the outcome's
+  /// counter, logs its lifecycle event, and fills the result.
   CompileResult settle(const CompileRequest &Request, CompileOutcome Outcome,
-                       Timer *Cost,
+                       uint64_t StartNanos,
                        std::shared_ptr<const CompiledCode> Code = nullptr,
                        std::string Error = {});
   /// Emits a \p Name probe span from \p Start to now, tagged with \p Hit.

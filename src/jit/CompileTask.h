@@ -29,6 +29,7 @@
 #include "pm/PassStats.h"
 #include "sxe/Pipeline.h"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -66,6 +67,49 @@ struct CompileRequest {
   uint64_t RequestId = 0;
 };
 
+/// Encodings derived from one artifact, kept with it so a repeated hit
+/// does not redo them: a fixed set of slots, each built at most once by
+/// whoever asks first and freed with the artifact. The serve daemon keeps
+/// an ok reply's artifact members here, one slot per reply shape. A copy
+/// or an assignment starts empty, since what it holds describes the
+/// artifact it was built from.
+class EncodingMemo {
+public:
+  static constexpr unsigned NumSlots = 4;
+
+  EncodingMemo() = default;
+  EncodingMemo(const EncodingMemo &) {}
+  EncodingMemo &operator=(const EncodingMemo &) {
+    clear();
+    return *this;
+  }
+  ~EncodingMemo() { clear(); }
+
+  /// The text in \p Slot, built by \p Build() if no call has built it
+  /// yet. Threads that race to build it first each call \p Build, and
+  /// all of them get the one that was published.
+  template <typename BuildFn>
+  const std::string &get(unsigned Slot, BuildFn &&Build) const {
+    if (const std::string *Text = Slots[Slot].load(std::memory_order_acquire))
+      return *Text;
+    auto Fresh = std::make_unique<const std::string>(Build());
+    const std::string *Published = nullptr;
+    if (Slots[Slot].compare_exchange_strong(Published, Fresh.get(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire))
+      return *Fresh.release();
+    return *Published;
+  }
+
+private:
+  void clear() {
+    for (auto &Slot : Slots)
+      delete Slot.exchange(nullptr, std::memory_order_acq_rel);
+  }
+
+  mutable std::atomic<const std::string *> Slots[NumSlots] = {};
+};
+
 /// The cacheable artifact of one successful compilation: everything a
 /// cache hit must reproduce byte-for-byte.
 struct CompiledCode {
@@ -79,6 +123,9 @@ struct CompiledCode {
   std::vector<Remark> Remarks;
   /// Structural hash of the *input* module (the cache key's content half).
   uint64_t InputIRHash = 0;
+  /// Encodings of the fields above, built on a hit (the serve daemon's
+  /// reply members; see encodeServeReply in serve/Protocol.h).
+  EncodingMemo Encoded;
 };
 
 /// How one request ended. The three serving tiers come first, so a
@@ -110,11 +157,9 @@ struct CompileResult {
   std::string Error; ///< Why the request was not served; empty when ok().
   /// The artifact (shared with the cache); null exactly when !ok().
   std::shared_ptr<const CompiledCode> Code;
-  /// Cost of serving the request (cache probe + compile), on the worker
-  /// or, for a source-key hit, on the enqueuing thread.
+  /// Wall-clock cost of serving the request (cache probe + compile), on
+  /// the worker or, for a source-key hit, on the enqueuing thread.
   uint64_t WallNanos = 0;
-  /// Thread-CPU cost on the serving thread.
-  uint64_t CpuNanos = 0;
   /// Time the request spent queued before a worker picked it up (0 in
   /// inline mode and for a source-key hit). The serve layer feeds these
   /// into its queue-wait p99 window for admission control.

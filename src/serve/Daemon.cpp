@@ -160,7 +160,8 @@ ServeReply ServeDaemon::errorReply(ServeErrorKind Kind, std::string Message) {
   return Reply;
 }
 
-ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
+ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx,
+                                     std::shared_ptr<const CompiledCode> &Code) {
   RequestsMetric->inc();
   std::string DisplayName = Request.Name.empty() ? "<request>" : Request.Name;
   const TargetInfo *Target = TargetInfo::byName(Request.Target);
@@ -238,13 +239,7 @@ ServeReply ServeDaemon::serveCompile(ServeRequest Request, TraceContext Ctx) {
   }
 
   Reply.Ok = true;
-  Reply.InputIRHash = Result.Code->InputIRHash;
-  if (Request.WantIR)
-    Reply.IRText = Result.Code->IRText;
-  for (const StatEntry &Entry : Result.Code->Stats.entries())
-    Reply.Stats.push_back(Entry);
-  if (Request.CollectRemarks)
-    Reply.RemarksJsonl = remarksToJsonl(Result.Code->Remarks);
+  Code = std::move(Result.Code);
   return Reply;
 }
 
@@ -289,6 +284,8 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
       break;
     case FrameType::Compile: {
       ServeReply Reply;
+      std::shared_ptr<const CompiledCode> Code;
+      bool WantIR = true, CollectRemarks = false;
       TraceContext Ctx;
       uint64_t ServeStart = wallNowNanos();
       std::string SpanName = "<request>";
@@ -308,7 +305,9 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
               NextRequestId.fetch_add(1, std::memory_order_relaxed);
           if (!Request.Name.empty())
             SpanName = Request.Name;
-          Reply = serveCompile(std::move(Request), Ctx);
+          WantIR = Request.WantIR;
+          CollectRemarks = Request.CollectRemarks;
+          Reply = serveCompile(std::move(Request), Ctx, Code);
         }
       }
       Reply.TraceId = Ctx.TraceId;
@@ -332,8 +331,11 @@ void ServeDaemon::handleConnection(int Fd, uint64_t ConnId) {
                   Reply.Ok ? EventField("tier", serveTierName(Reply.Tier))
                            : EventField()},
                  static_cast<uint8_t>(Reply.ErrorKind));
-      WroteReply = writeFrame(Fd, FrameType::CompileReply,
-                              encodeServeReply(Reply), WriteError);
+      WroteReply = writeFrame(
+          Fd, FrameType::CompileReply,
+          Code ? encodeServeReply(Reply, *Code, WantIR, CollectRemarks)
+               : encodeServeReply(Reply),
+          WriteError);
       break;
     }
     default:

@@ -146,8 +146,10 @@ private:
   void handleConnection(int Fd, uint64_t ConnId);
   /// Serves one decoded compile request end to end (admission -> service
   /// -> reply); never throws. \p Ctx is the request's resolved trace
-  /// identity (minted by the daemon when the client sent none).
-  ServeReply serveCompile(ServeRequest Request, TraceContext Ctx);
+  /// identity (minted by the daemon when the client sent none). An ok
+  /// reply's artifact comes back in \p Code, not copied into the reply.
+  ServeReply serveCompile(ServeRequest Request, TraceContext Ctx,
+                          std::shared_ptr<const CompiledCode> &Code);
   static ServeReply errorReply(ServeErrorKind Kind, std::string Message);
   /// Spans are recorded only for a trace file to hold them.
   bool tracing() const { return !Options.TraceFile.empty(); }

@@ -7,12 +7,14 @@
 
 #include "serve/Protocol.h"
 
+#include "jit/CompileTask.h"
 #include "obs/TraceContext.h"
 #include "support/Json.h"
 
 #include <cerrno>
 #include <cstring>
 
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace sxe {
@@ -86,18 +88,27 @@ static bool validFrameType(uint8_t Raw) {
          Raw <= static_cast<uint8_t>(FrameType::DumpReply);
 }
 
-static bool writeAll(int Fd, const char *Data, size_t Len,
-                     std::string &Error) {
-  size_t Done = 0;
-  while (Done < Len) {
-    ssize_t N = ::write(Fd, Data + Done, Len - Done);
+/// Writes \p Count buffers in order with as few writev calls as the
+/// socket takes, looping over partial writes.
+static bool writeAll(int Fd, iovec *Parts, int Count, std::string &Error) {
+  while (Count > 0) {
+    ssize_t N = ::writev(Fd, Parts, Count);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       Error = std::string("write: ") + std::strerror(errno);
       return false;
     }
-    Done += static_cast<size_t>(N);
+    size_t Done = static_cast<size_t>(N);
+    while (Count > 0 && Done >= Parts->iov_len) {
+      Done -= Parts->iov_len;
+      ++Parts;
+      --Count;
+    }
+    if (Count > 0) {
+      Parts->iov_base = static_cast<char *>(Parts->iov_base) + Done;
+      Parts->iov_len -= Done;
+    }
   }
   return true;
 }
@@ -139,9 +150,10 @@ bool writeFrame(int Fd, FrameType Type, const std::string &Payload,
   Header[9] = static_cast<char>((Len >> 8) & 0xFF);
   Header[10] = static_cast<char>((Len >> 16) & 0xFF);
   Header[11] = static_cast<char>((Len >> 24) & 0xFF);
-  if (!writeAll(Fd, Header, sizeof(Header), Error))
-    return false;
-  return Payload.empty() || writeAll(Fd, Payload.data(), Payload.size(), Error);
+  // One writev per frame: the peer never wakes to a header alone.
+  iovec Parts[2] = {{Header, sizeof(Header)},
+                    {const_cast<char *>(Payload.data()), Payload.size()}};
+  return writeAll(Fd, Parts, Payload.empty() ? 1 : 2, Error);
 }
 
 bool readFrame(int Fd, FrameType &Type, std::string &Payload,
@@ -272,34 +284,52 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
   return true;
 }
 
-std::string encodeServeReply(const ServeReply &Reply) {
+/// An ok reply's artifact members, as the members of a top-level object
+/// (JsonWriter::membersOf cuts them out for splicing). Empty fields are
+/// left out.
+template <typename StatRange>
+static std::string encodeReplyBody(uint64_t InputIRHash,
+                                   std::string_view IRText,
+                                   const StatRange &Stats,
+                                   std::string_view RemarksJsonl) {
   JsonWriter J;
+  J.reserve(IRText.size() + RemarksJsonl.size() + 96 * Stats.size() + 64);
+  J.beginObject();
+  J.keyValue("ir_hash", traceIdHex(InputIRHash));
+  if (!IRText.empty())
+    J.keyValue("ir", IRText);
+  if (!Stats.empty()) {
+    J.key("stats");
+    J.beginArray();
+    for (const StatEntry &Entry : Stats) {
+      J.beginObject();
+      J.keyValue("pass", Entry.Pass);
+      J.keyValue("name", Entry.Name);
+      J.keyValue("value", Entry.Value);
+      J.endObject();
+    }
+    J.endArray();
+  }
+  if (!RemarksJsonl.empty())
+    J.keyValue("remarks_jsonl", RemarksJsonl);
+  J.endObject();
+  return J.take();
+}
+
+/// Encodes \p Reply; an ok one carries \p Body, its encodeReplyBody().
+static std::string encodeReply(const ServeReply &Reply,
+                               std::string_view Body) {
+  JsonWriter J;
+  J.reserve(Body.size() + 192);
   J.beginObject();
   J.keyValue("schema", kServeSchema);
   J.keyValue("ok", Reply.Ok);
   if (!Reply.Ok) {
     J.keyValue("error_kind", serveErrorKindName(Reply.ErrorKind));
     J.keyValue("error", Reply.Error);
-  }
-  if (Reply.Ok) {
+  } else {
     J.keyValue("tier", serveTierName(Reply.Tier));
-    J.keyValue("ir_hash", traceIdHex(Reply.InputIRHash));
-    if (!Reply.IRText.empty())
-      J.keyValue("ir", Reply.IRText);
-    if (!Reply.Stats.empty()) {
-      J.key("stats");
-      J.beginArray();
-      for (const StatEntry &Entry : Reply.Stats) {
-        J.beginObject();
-        J.keyValue("pass", Entry.Pass);
-        J.keyValue("name", Entry.Name);
-        J.keyValue("value", Entry.Value);
-        J.endObject();
-      }
-      J.endArray();
-    }
-    if (!Reply.RemarksJsonl.empty())
-      J.keyValue("remarks_jsonl", Reply.RemarksJsonl);
+    J.rawMembers(JsonWriter::membersOf(Body));
   }
   if (Reply.QueueWaitNanos)
     J.keyValue("queue_wait_ns", Reply.QueueWaitNanos);
@@ -311,6 +341,28 @@ std::string encodeServeReply(const ServeReply &Reply) {
     J.keyValue("request_id", Reply.RequestId);
   J.endObject();
   return J.take();
+}
+
+std::string encodeServeReply(const ServeReply &Reply) {
+  if (!Reply.Ok)
+    return encodeReply(Reply, {});
+  return encodeReply(Reply,
+                     encodeReplyBody(Reply.InputIRHash, Reply.IRText,
+                                     Reply.Stats, Reply.RemarksJsonl));
+}
+
+std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
+                             bool WantIR, bool CollectRemarks) {
+  auto Encode = [&] {
+    return encodeReplyBody(
+        Code.InputIRHash, WantIR ? std::string_view(Code.IRText) : "",
+        Code.Stats.entries(),
+        CollectRemarks ? remarksToJsonl(Code.Remarks) : std::string());
+  };
+  if (Reply.Tier == ServeTier::Compiled)
+    return encodeReply(Reply, Encode());
+  unsigned Shape = (WantIR ? 1u : 0u) | (CollectRemarks ? 2u : 0u);
+  return encodeReply(Reply, Code.Encoded.get(Shape, Encode));
 }
 
 bool decodeServeReply(const std::string &Payload, ServeReply &Out,

@@ -43,6 +43,8 @@
 
 namespace sxe {
 
+struct CompiledCode;
+
 /// Schema tag of every frame payload.
 inline constexpr const char *kServeSchema = "sxe.serve.v1";
 
@@ -137,8 +139,9 @@ struct ServeReply {
 // Framing over a connected stream socket
 //===----------------------------------------------------------------------===//
 
-/// Writes one frame; loops over partial writes. False + \p Error on I/O
-/// failure or oversize payload.
+/// Writes one frame, header and payload in one writev; loops over partial
+/// writes. False + \p Error on I/O failure or oversize payload. Readers
+/// must not count on a frame arriving in one read.
 bool writeFrame(int Fd, FrameType Type, const std::string &Payload,
                 std::string &Error);
 
@@ -161,6 +164,18 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
                         std::string &Error);
 
 std::string encodeServeReply(const ServeReply &Reply);
+
+/// Encodes the ok reply \p Reply with \p Code's artifact members in the
+/// shape a request asked for: `ir_hash`, then `ir` when \p WantIR, the
+/// stats, and `remarks_jsonl` when \p CollectRemarks. Reply's own
+/// artifact fields are not read. The bytes equal encodeServeReply() of
+/// the reply with those fields filled. For a memory or persistent tier
+/// the members are encoded once per artifact and shape, on the first hit,
+/// kept in Code.Encoded and spliced in from there; a fresh compile
+/// encodes them and keeps nothing.
+std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
+                             bool WantIR, bool CollectRemarks);
+
 bool decodeServeReply(const std::string &Payload, ServeReply &Out,
                       std::string &Error);
 

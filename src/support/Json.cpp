@@ -2,6 +2,7 @@
 
 #include "support/Json.h"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -67,6 +68,22 @@ void JsonWriter::key(std::string_view Name) {
   appendQuoted(Out, Name);
   Out += ": ";
   AfterKey = true;
+}
+
+void JsonWriter::rawMembers(std::string_view Members) {
+  if (Members.empty())
+    return;
+  if (NeedComma.back())
+    Out += ',';
+  NeedComma.back() = true;
+  Out += Members;
+}
+
+std::string_view JsonWriter::membersOf(std::string_view Object) {
+  // "{" + members + "\n}", each member led by "\n" and the indent.
+  if (Object.size() <= 2)
+    return {};
+  return Object.substr(1, Object.size() - 3);
 }
 
 void JsonWriter::value(std::string_view Text) {
@@ -148,35 +165,39 @@ static size_t utf8SequenceLength(std::string_view Text, size_t Index) {
 //
 // Both the escaper and the string parser copy runs of bytes that need no
 // attention. Most text has no such byte for long stretches, so a run is
-// scanned eight bytes per step with word-wide (SWAR) lane tests, then
-// finished byte by byte.
+// scanned eight bytes per step with word-wide (SWAR) lane tests; the
+// lowest marked lane of the word that ends the run is the byte that
+// stops it.
 
 /// \p Byte broadcast to all eight byte lanes of a word.
 static constexpr uint64_t lanes(uint8_t Byte) {
   return 0x0101010101010101ull * Byte;
 }
 
-/// True when some byte lane of \p Word is below \p Bound (at most 0x80).
-/// Exact: a borrow only crosses into a lane above a lane that matched.
-static constexpr bool anyLaneBelow(uint64_t Word, uint8_t Bound) {
-  return ((Word - lanes(Bound)) & ~Word & lanes(0x80)) != 0;
+/// The high bit of each byte lane of \p Word below \p Bound (at most
+/// 0x80). Exact up to and including the lowest marked lane: a borrow only
+/// crosses into a lane above a lane that matched.
+static constexpr uint64_t lanesBelow(uint64_t Word, uint8_t Bound) {
+  return (Word - lanes(Bound)) & ~Word & lanes(0x80);
 }
 
-static constexpr bool anyLaneIs(uint64_t Word, uint8_t Byte) {
-  return anyLaneBelow(Word ^ lanes(Byte), 1);
+static constexpr uint64_t lanesEqual(uint64_t Word, uint8_t Byte) {
+  return lanesBelow(Word ^ lanes(Byte), 1);
 }
 
 /// Index of the first byte at or after \p Index in \p Text for which
-/// \p Stops holds, or Text.size(). \p WordStops must hold exactly for the
-/// words that contain such a byte.
-template <typename WordPred, typename BytePred>
-static size_t skipRun(std::string_view Text, size_t Index, WordPred WordStops,
+/// \p Stops holds, or Text.size(). \p WordStops marks lanes as lanesBelow
+/// does: a word's lowest marked lane is its first byte that stops the run.
+template <typename WordMask, typename BytePred>
+static size_t skipRun(std::string_view Text, size_t Index, WordMask WordStops,
                       BytePred Stops) {
   for (; Index + 8 <= Text.size(); Index += 8) {
     uint64_t Word;
     std::memcpy(&Word, Text.data() + Index, sizeof(Word));
-    if (WordStops(Word))
-      break;
+    if constexpr (std::endian::native == std::endian::big)
+      Word = __builtin_bswap64(Word);
+    if (uint64_t Marked = WordStops(Word))
+      return Index + static_cast<size_t>(std::countr_zero(Marked)) / 8;
   }
   while (Index < Text.size() &&
          !Stops(static_cast<unsigned char>(Text[Index])))
@@ -190,8 +211,8 @@ static size_t skipPlainAscii(std::string_view Text, size_t Index) {
   return skipRun(
       Text, Index,
       [](uint64_t Word) {
-        return (Word & lanes(0x80)) || anyLaneBelow(Word, 0x20) ||
-               anyLaneIs(Word, '"') || anyLaneIs(Word, '\\');
+        return (Word & lanes(0x80)) | lanesBelow(Word, 0x20) |
+               lanesEqual(Word, '"') | lanesEqual(Word, '\\');
       },
       [](unsigned char Byte) {
         return Byte < 0x20 || Byte >= 0x80 || Byte == '"' || Byte == '\\';
@@ -204,8 +225,8 @@ static size_t skipUnescaped(std::string_view Text, size_t Index) {
   return skipRun(
       Text, Index,
       [](uint64_t Word) {
-        return anyLaneBelow(Word, 0x20) || anyLaneIs(Word, '"') ||
-               anyLaneIs(Word, '\\');
+        return lanesBelow(Word, 0x20) | lanesEqual(Word, '"') |
+               lanesEqual(Word, '\\');
       },
       [](unsigned char Byte) {
         return Byte < 0x20 || Byte == '"' || Byte == '\\';
@@ -441,7 +462,12 @@ private:
 
   // Containers parse each child in place into a slot appended to their
   // own vector: a child never touches its parent's vector, so the slot
-  // stays put while the child (and its subtree) is parsed.
+  // stays put while the child (and its subtree) is parsed. A non-empty
+  // container starts with room for MinCapacity children, so the small
+  // objects that make up most documents (a stat, a span, a remark) are
+  // allocated once and never moved by regrowth.
+
+  static constexpr size_t MinCapacity = 4;
 
   bool parseObject(JsonValue &Out, unsigned Depth) {
     ++Pos; // '{'
@@ -451,6 +477,7 @@ private:
       ++Pos;
       return true;
     }
+    Members.reserve(MinCapacity);
     while (true) {
       skipWhitespace();
       auto &[Key, Value] = Members.emplace_back();
@@ -485,6 +512,7 @@ private:
       ++Pos;
       return true;
     }
+    Elements.reserve(MinCapacity);
     while (true) {
       skipWhitespace();
       if (!parseValue(Elements.emplace_back(), Depth + 1))

@@ -78,6 +78,18 @@ public:
     value(Val);
   }
 
+  /// Appends \p Members, pre-encoded members as membersOf() cuts them from
+  /// a top-level object, to the open top-level object; the result is the
+  /// text that writing those members here would give.
+  void rawMembers(std::string_view Members);
+
+  /// The members of \p Object, a top-level object this writer encoded,
+  /// without its braces: empty for "{}".
+  static std::string_view membersOf(std::string_view Object);
+
+  /// Reserves room for \p Bytes more output.
+  void reserve(size_t Bytes) { Out.reserve(Out.size() + Bytes); }
+
   /// Returns the accumulated document. All containers must be closed.
   const std::string &str() const { return Out; }
 

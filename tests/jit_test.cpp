@@ -554,6 +554,54 @@ TEST(SourceKeyProbe, NeverAliasesAcrossTargetsVariantsOrProfiles) {
   EXPECT_EQ(4u, Service.stats().Compiled);
 }
 
+TEST(SourceKeyProbe, EveryBitFlipAndAppendedByteGivesADistinctKey) {
+  // Sources of length 0-40 cover every tail of the 8-byte words and of
+  // the 32-byte stripes. Every single-bit flip at every offset, and every
+  // source with one byte appended, must get a key of its own: equal keys
+  // may only come from equal sources.
+  PipelineConfig Config = PipelineConfig::forVariant(Variant::All);
+  std::string Pattern = test::corpusSource("generated_small").substr(0, 41);
+  ASSERT_EQ(41u, Pattern.size());
+  std::map<std::string, std::string> SourceOf;
+  auto Check = [&](const std::string &Source) {
+    std::string Key = codeCacheSourceKey(Source, Config);
+    auto [It, Inserted] = SourceOf.emplace(Key, Source);
+    EXPECT_TRUE(Inserted || It->second == Source)
+        << "sources of length " << Source.size() << " and "
+        << It->second.size() << " share " << Key;
+  };
+  for (size_t Length = 0; Length <= 40; ++Length) {
+    std::string Source = Pattern.substr(0, Length);
+    Check(Source);
+    for (size_t Offset = 0; Offset < Length; ++Offset)
+      for (unsigned Bit = 0; Bit < 8; ++Bit) {
+        std::string Flipped = Source;
+        Flipped[Offset] = static_cast<char>(Flipped[Offset] ^ (1u << Bit));
+        Check(Flipped);
+      }
+    for (char Appended : {'\0', ' ', '\xff', Pattern[Length]})
+      Check(Source + Appended);
+  }
+  EXPECT_GT(SourceOf.size(), 6600u);
+
+  // The key spells out all 128 bits, and no module's source key equals
+  // its structural key.
+  std::string Key = codeCacheSourceKey(Pattern, Config);
+  EXPECT_EQ(std::string::npos,
+            Key.substr(4, 32).find_first_not_of("0123456789abcdef"))
+      << Key;
+  EXPECT_EQ('|', Key[36]) << Key;
+  for (const char *Name :
+       {"generated_small", "generated_medium", "generated_large"}) {
+    std::string Source = test::corpusSource(Name);
+    ParseResult Parsed = parseModule(Source);
+    ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+    EXPECT_NE(codeCacheSourceKey(Source, Config),
+              codeCacheKey(hashModule(*Parsed.M), Config))
+        << Name;
+  }
+}
+
 TEST(SourceKeyProbe, CosmeticVariantHitsStructurallyThenBySource) {
   std::string Source = test::corpusSource("generated_small");
   std::string Renamed = replaceAll(Source, "%lcg.", "%rng.");

@@ -69,6 +69,9 @@ thread_local size_t Allocations = 0;
 // Counting replacements of the scalar allocation functions. Every form
 // that shares the scalar delete is replaced, so a sanitizer's allocator
 // sees malloc paired with free; the array forms stay the runtime's pair.
+// The deletes stay out of line: inlined, they would show the compiler
+// free() applied to a pointer from operator new, which it reports as a
+// mismatched pair (-Wmismatched-new-delete) although both are ours.
 void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
   if (CountAllocations)
     ++Allocations;
@@ -79,8 +82,12 @@ void *operator new(std::size_t Size) {
     return Memory;
   throw std::bad_alloc();
 }
-void operator delete(void *Memory) noexcept { std::free(Memory); }
-void operator delete(void *Memory, std::size_t) noexcept { std::free(Memory); }
+[[gnu::noinline]] void operator delete(void *Memory) noexcept {
+  std::free(Memory);
+}
+[[gnu::noinline]] void operator delete(void *Memory, std::size_t) noexcept {
+  std::free(Memory);
+}
 
 namespace {
 

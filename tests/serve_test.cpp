@@ -43,6 +43,7 @@
 #include "tests/TestHelpers.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -227,6 +228,32 @@ TEST(ServeProtocol, CleanEofIsDistinguishable) {
   ::close(Fds[1]);
 }
 
+TEST(ServeProtocol, FrameWrittenOneByteAtATimeReadsBack) {
+  // A peer may send a frame in any number of writes; a reader that only
+  // worked for single-write frames would pass every other test here.
+  int Fds[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds));
+  std::string Payload = "{\"schema\":\"sxe.serve.v1\",\"ok\":true}";
+  std::string Frame = {'S', 'X', 'E', 'F',
+                       static_cast<char>(FrameType::CompileReply), 0, 0, 0,
+                       static_cast<char>(Payload.size()), 0, 0, 0};
+  Frame += Payload;
+  std::thread Writer([&] {
+    for (char Byte : Frame) {
+      ASSERT_EQ(1, ::write(Fds[0], &Byte, 1));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  FrameType Type;
+  std::string Loaded, Error;
+  EXPECT_TRUE(readFrame(Fds[1], Type, Loaded, Error)) << Error;
+  Writer.join();
+  EXPECT_EQ(FrameType::CompileReply, Type);
+  EXPECT_EQ(Payload, Loaded);
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+}
+
 //===----------------------------------------------------------------------===//
 // Payload codecs
 //===----------------------------------------------------------------------===//
@@ -323,6 +350,108 @@ TEST(ServeProtocol, ReplyRoundTripsOkAndError) {
   ASSERT_EQ(1u, Loaded.Stats.size());
   EXPECT_EQ("pde_variant", Loaded.Stats[0].Name);
   EXPECT_EQ(1u, Loaded.Stats[0].Value);
+}
+
+TEST(ServeProtocol, HitReplySplicesTheBytesOfTheFilledReply) {
+  CompileServiceOptions Options;
+  Options.Jobs = 0;
+  Options.PM.CollectRemarks = true;
+  CompileService Service(Options);
+  CompileRequest Request;
+  Request.Name = "generated_small";
+  Request.Source = test::corpusSource("generated_small");
+  Request.Config = PipelineConfig::forVariant(Variant::All);
+  CompileResult Result = Service.enqueue(std::move(Request)).get();
+  ASSERT_TRUE(Result.ok()) << Result.Error;
+  const CompiledCode &Code = *Result.Code;
+  ASSERT_FALSE(Code.Stats.entries().empty());
+  ASSERT_FALSE(Code.Remarks.empty());
+  // An artifact with nothing but its hash leaves every optional member out.
+  CompiledCode Bare;
+  Bare.InputIRHash = 42;
+  const CompiledCode *Artifacts[] = {&Code, &Bare};
+
+  for (const CompiledCode *Artifact : Artifacts)
+    for (ServeTier Tier : {ServeTier::Memory, ServeTier::Persistent,
+                           ServeTier::Compiled})
+      for (bool WantIR : {false, true})
+        for (bool CollectRemarks : {false, true}) {
+          SCOPED_TRACE(std::string(serveTierName(Tier)) + " ir=" +
+                       std::to_string(WantIR) +
+                       " remarks=" + std::to_string(CollectRemarks) +
+                       (Artifact == &Bare ? " bare" : ""));
+          ServeReply Reply;
+          Reply.Ok = true;
+          Reply.Tier = Tier;
+          Reply.QueueWaitNanos = Tier == ServeTier::Memory ? 0 : 1234;
+          Reply.WallNanos = 5678;
+          Reply.TraceId = 0x0123456789abcdefull;
+          Reply.RequestId = 9;
+          ServeReply Filled = Reply;
+          Filled.InputIRHash = Artifact->InputIRHash;
+          if (WantIR)
+            Filled.IRText = Artifact->IRText;
+          Filled.Stats.assign(Artifact->Stats.entries().begin(),
+                              Artifact->Stats.entries().end());
+          if (CollectRemarks)
+            Filled.RemarksJsonl = remarksToJsonl(Artifact->Remarks);
+          std::string Expected = encodeServeReply(Filled);
+
+          // The first hit builds the memo; the second splices from it.
+          for (int Hit = 0; Hit < 2; ++Hit)
+            EXPECT_EQ(Expected, encodeServeReply(Reply, *Artifact, WantIR,
+                                                 CollectRemarks));
+
+          ServeReply Loaded;
+          std::string Error;
+          ASSERT_TRUE(decodeServeReply(
+              encodeServeReply(Reply, *Artifact, WantIR, CollectRemarks),
+              Loaded, Error))
+              << Error;
+          EXPECT_TRUE(Loaded.Ok);
+          EXPECT_EQ(Tier, Loaded.Tier);
+          EXPECT_EQ(Filled.InputIRHash, Loaded.InputIRHash);
+          EXPECT_EQ(Filled.IRText, Loaded.IRText);
+          ASSERT_EQ(Filled.Stats.size(), Loaded.Stats.size());
+          for (size_t Index = 0; Index < Filled.Stats.size(); ++Index) {
+            EXPECT_EQ(Filled.Stats[Index].Pass, Loaded.Stats[Index].Pass);
+            EXPECT_EQ(Filled.Stats[Index].Name, Loaded.Stats[Index].Name);
+            EXPECT_EQ(Filled.Stats[Index].Value, Loaded.Stats[Index].Value);
+          }
+          EXPECT_EQ(Filled.RemarksJsonl, Loaded.RemarksJsonl);
+          EXPECT_EQ(Filled.QueueWaitNanos, Loaded.QueueWaitNanos);
+          EXPECT_EQ(Filled.WallNanos, Loaded.WallNanos);
+          EXPECT_EQ(Filled.TraceId, Loaded.TraceId);
+          EXPECT_EQ(Filled.RequestId, Loaded.RequestId);
+        }
+
+  // A copy of an artifact keeps none of the original's encodings.
+  CompiledCode Copy = Code;
+  Copy.InputIRHash = 7;
+  ServeReply Reply;
+  Reply.Ok = true;
+  Reply.Tier = ServeTier::Memory;
+  ServeReply Loaded;
+  std::string Error;
+  ASSERT_TRUE(decodeServeReply(encodeServeReply(Reply, Copy, false, false),
+                               Loaded, Error))
+      << Error;
+  EXPECT_EQ(7u, Loaded.InputIRHash);
+
+  // Concurrent first hits on one artifact race to build its memo; every
+  // one of them sends the same bytes.
+  CompiledCode Fresh = Code;
+  Reply.QueueWaitNanos = 0;
+  std::string Expected = encodeServeReply(Reply, Code, true, true);
+  std::vector<std::string> Encoded(4);
+  std::vector<std::thread> Threads;
+  for (std::string &Out : Encoded)
+    Threads.emplace_back(
+        [&] { Out = encodeServeReply(Reply, Fresh, true, true); });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  for (const std::string &Out : Encoded)
+    EXPECT_EQ(Expected, Out);
 }
 
 TEST(ServeProtocol, OutOfRangeNumbersDecodeWithoutUndefinedCasts) {

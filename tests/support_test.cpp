@@ -402,6 +402,50 @@ TEST(JsonTest, TakeMovesStringsAndBuffersOut) {
   EXPECT_TRUE(J.str().empty());
 }
 
+TEST(JsonTest, SplicedMembersEqualMembersWrittenInPlace) {
+  auto WriteMembers = [](JsonWriter &J) {
+    J.keyValue("hash", "00ff");
+    J.key("list");
+    J.beginArray();
+    J.beginObject();
+    J.keyValue("n", uint64_t{1});
+    J.endObject();
+    J.endArray();
+  };
+  JsonWriter Direct;
+  Direct.beginObject();
+  Direct.keyValue("head", true);
+  WriteMembers(Direct);
+  Direct.keyValue("tail", uint64_t{2});
+  Direct.endObject();
+
+  JsonWriter Part;
+  Part.beginObject();
+  WriteMembers(Part);
+  Part.endObject();
+  std::string Members = Part.take();
+  JsonWriter Spliced;
+  Spliced.beginObject();
+  Spliced.keyValue("head", true);
+  Spliced.rawMembers(JsonWriter::membersOf(Members));
+  Spliced.keyValue("tail", uint64_t{2});
+  Spliced.endObject();
+  EXPECT_EQ(Direct.str(), Spliced.str());
+
+  // Spliced first, or with nothing to splice.
+  JsonWriter First;
+  First.beginObject();
+  First.rawMembers(JsonWriter::membersOf(Members));
+  First.endObject();
+  EXPECT_EQ(Members, First.str());
+  EXPECT_TRUE(JsonWriter::membersOf("{}").empty());
+  JsonWriter Empty;
+  Empty.beginObject();
+  Empty.rawMembers(JsonWriter::membersOf("{}"));
+  Empty.endObject();
+  EXPECT_EQ("{}", Empty.str());
+}
+
 TEST(JsonTest, ParserAcceptsDocuments) {
   JsonValue V;
   std::string Error;
