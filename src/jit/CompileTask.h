@@ -67,16 +67,13 @@ struct CompileRequest {
   uint64_t RequestId = 0;
 };
 
-/// Encodings derived from one artifact, kept with it so a repeated hit
-/// does not redo them: a fixed set of slots, each built at most once by
-/// whoever asks first and freed with the artifact. The serve daemon keeps
-/// an ok reply's artifact members here, one slot per reply shape. A copy
-/// or an assignment starts empty, since what it holds describes the
-/// artifact it was built from.
+/// An encoding derived from one artifact, kept with it so a repeated hit
+/// does not redo it: built at most once, by whoever asks first, and
+/// freed with the artifact. The serve daemon keeps an ok reply's `stats`
+/// member here. A copy or an assignment starts empty, since what it holds
+/// describes the artifact it was built from.
 class EncodingMemo {
 public:
-  static constexpr unsigned NumSlots = 4;
-
   EncodingMemo() = default;
   EncodingMemo(const EncodingMemo &) {}
   EncodingMemo &operator=(const EncodingMemo &) {
@@ -85,29 +82,26 @@ public:
   }
   ~EncodingMemo() { clear(); }
 
-  /// The text in \p Slot, built by \p Build() if no call has built it
-  /// yet. Threads that race to build it first each call \p Build, and
-  /// all of them get the one that was published.
+  /// The kept text, built by \p Build() if no call has built it yet.
+  /// Threads that race to build it first each call \p Build, and all of
+  /// them get the one that was published.
   template <typename BuildFn>
-  const std::string &get(unsigned Slot, BuildFn &&Build) const {
-    if (const std::string *Text = Slots[Slot].load(std::memory_order_acquire))
+  const std::string &get(BuildFn &&Build) const {
+    if (const std::string *Text = Kept.load(std::memory_order_acquire))
       return *Text;
     auto Fresh = std::make_unique<const std::string>(Build());
     const std::string *Published = nullptr;
-    if (Slots[Slot].compare_exchange_strong(Published, Fresh.get(),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire))
+    if (Kept.compare_exchange_strong(Published, Fresh.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
       return *Fresh.release();
     return *Published;
   }
 
 private:
-  void clear() {
-    for (auto &Slot : Slots)
-      delete Slot.exchange(nullptr, std::memory_order_acq_rel);
-  }
+  void clear() { delete Kept.exchange(nullptr, std::memory_order_acq_rel); }
 
-  mutable std::atomic<const std::string *> Slots[NumSlots] = {};
+  mutable std::atomic<const std::string *> Kept = nullptr;
 };
 
 /// The cacheable artifact of one successful compilation: everything a
@@ -123,9 +117,9 @@ struct CompiledCode {
   std::vector<Remark> Remarks;
   /// Structural hash of the *input* module (the cache key's content half).
   uint64_t InputIRHash = 0;
-  /// Encodings of the fields above, built on a hit (the serve daemon's
-  /// reply members; see encodeServeReply in serve/Protocol.h).
-  EncodingMemo Encoded;
+  /// Stats encoded as a serve reply's `stats` member, built on the first
+  /// hit (see encodeServeReply in serve/Protocol.h).
+  EncodingMemo EncodedStats;
 };
 
 /// How one request ended. The three serving tiers come first, so a

@@ -284,20 +284,14 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
   return true;
 }
 
-/// An ok reply's artifact members, as the members of a top-level object
-/// (JsonWriter::membersOf cuts them out for splicing). Empty fields are
-/// left out.
+/// \p Stats as the `stats` member of a top-level object (JsonWriter::
+/// membersOf cuts it out for splicing); an empty object when there are
+/// none.
 template <typename StatRange>
-static std::string encodeReplyBody(uint64_t InputIRHash,
-                                   std::string_view IRText,
-                                   const StatRange &Stats,
-                                   std::string_view RemarksJsonl) {
+static std::string encodeStatsMember(const StatRange &Stats) {
   JsonWriter J;
-  J.reserve(IRText.size() + RemarksJsonl.size() + 96 * Stats.size() + 64);
+  J.reserve(96 * Stats.size() + 16);
   J.beginObject();
-  J.keyValue("ir_hash", traceIdHex(InputIRHash));
-  if (!IRText.empty())
-    J.keyValue("ir", IRText);
   if (!Stats.empty()) {
     J.key("stats");
     J.beginArray();
@@ -310,17 +304,19 @@ static std::string encodeReplyBody(uint64_t InputIRHash,
     }
     J.endArray();
   }
-  if (!RemarksJsonl.empty())
-    J.keyValue("remarks_jsonl", RemarksJsonl);
   J.endObject();
   return J.take();
 }
 
-/// Encodes \p Reply; an ok one carries \p Body, its encodeReplyBody().
-static std::string encodeReply(const ServeReply &Reply,
-                               std::string_view Body) {
+/// Encodes \p Reply; an ok one carries the artifact members given here,
+/// \p StatsMember as encodeStatsMember() wrote it. Empty members are left
+/// out.
+static std::string encodeReply(const ServeReply &Reply, uint64_t InputIRHash,
+                               std::string_view IRText,
+                               std::string_view StatsMember,
+                               std::string_view RemarksJsonl) {
   JsonWriter J;
-  J.reserve(Body.size() + 192);
+  J.reserve(IRText.size() + StatsMember.size() + RemarksJsonl.size() + 256);
   J.beginObject();
   J.keyValue("schema", kServeSchema);
   J.keyValue("ok", Reply.Ok);
@@ -329,7 +325,12 @@ static std::string encodeReply(const ServeReply &Reply,
     J.keyValue("error", Reply.Error);
   } else {
     J.keyValue("tier", serveTierName(Reply.Tier));
-    J.rawMembers(JsonWriter::membersOf(Body));
+    J.keyValue("ir_hash", traceIdHex(InputIRHash));
+    if (!IRText.empty())
+      J.keyValue("ir", IRText);
+    J.rawMembers(JsonWriter::membersOf(StatsMember));
+    if (!RemarksJsonl.empty())
+      J.keyValue("remarks_jsonl", RemarksJsonl);
   }
   if (Reply.QueueWaitNanos)
     J.keyValue("queue_wait_ns", Reply.QueueWaitNanos);
@@ -345,24 +346,22 @@ static std::string encodeReply(const ServeReply &Reply,
 
 std::string encodeServeReply(const ServeReply &Reply) {
   if (!Reply.Ok)
-    return encodeReply(Reply, {});
-  return encodeReply(Reply,
-                     encodeReplyBody(Reply.InputIRHash, Reply.IRText,
-                                     Reply.Stats, Reply.RemarksJsonl));
+    return encodeReply(Reply, 0, {}, {}, {});
+  return encodeReply(Reply, Reply.InputIRHash, Reply.IRText,
+                     encodeStatsMember(Reply.Stats), Reply.RemarksJsonl);
 }
 
 std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
                              bool WantIR, bool CollectRemarks) {
-  auto Encode = [&] {
-    return encodeReplyBody(
-        Code.InputIRHash, WantIR ? std::string_view(Code.IRText) : "",
-        Code.Stats.entries(),
-        CollectRemarks ? remarksToJsonl(Code.Remarks) : std::string());
-  };
+  auto EncodeStats = [&] { return encodeStatsMember(Code.Stats.entries()); };
+  std::string_view IRText = WantIR ? std::string_view(Code.IRText) : "";
+  std::string RemarksJsonl =
+      CollectRemarks ? remarksToJsonl(Code.Remarks) : std::string();
   if (Reply.Tier == ServeTier::Compiled)
-    return encodeReply(Reply, Encode());
-  unsigned Shape = (WantIR ? 1u : 0u) | (CollectRemarks ? 2u : 0u);
-  return encodeReply(Reply, Code.Encoded.get(Shape, Encode));
+    return encodeReply(Reply, Code.InputIRHash, IRText, EncodeStats(),
+                       RemarksJsonl);
+  return encodeReply(Reply, Code.InputIRHash, IRText,
+                     Code.EncodedStats.get(EncodeStats), RemarksJsonl);
 }
 
 bool decodeServeReply(const std::string &Payload, ServeReply &Out,

@@ -170,9 +170,10 @@ std::string encodeServeReply(const ServeReply &Reply);
 /// stats, and `remarks_jsonl` when \p CollectRemarks. Reply's own
 /// artifact fields are not read. The bytes equal encodeServeReply() of
 /// the reply with those fields filled. For a memory or persistent tier
-/// the members are encoded once per artifact and shape, on the first hit,
-/// kept in Code.Encoded and spliced in from there; a fresh compile
-/// encodes them and keeps nothing.
+/// the `stats` member is encoded once per artifact, on the first hit,
+/// kept in Code.EncodedStats and spliced in from there; `ir` and
+/// `remarks_jsonl` are encoded per reply. A fresh compile encodes
+/// everything and keeps nothing.
 std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
                              bool WantIR, bool CollectRemarks);
 

@@ -26,10 +26,11 @@
 ///
 /// The code cache's source key (jit/CodeCache.h) uses hashBytes128
 /// instead: a 128-bit hash of raw `.sxir` bytes read eight bytes at a
-/// time by four independent multiply-mix lanes, so a 6 KB source costs
-/// well under a microsecond. It is not cryptographic either; for inputs
-/// not crafted to collide, two different byte strings share a value with
-/// probability about 2^-128.
+/// time by four independent multiply-mix lanes, whose multiplies overlap:
+/// 0.52 us for a 6.1 KB source, against 1.25 us for one chain of the same
+/// step (Release, 4-vCPU Xeon VM). It is not cryptographic either; for
+/// inputs not crafted to collide, two different byte strings share a
+/// value with probability about 2^-128.
 ///
 //===----------------------------------------------------------------------===//
 
