@@ -123,13 +123,13 @@ bool writeArtifact(const std::string &Path, const std::string &Content) {
 /// Writes every requested artifact of one run. Returns false on I/O
 /// failure.
 bool writeObsArtifacts(const ObsFiles &Obs, const TraceCollector *Trace,
-                       const std::vector<Remark> &Remarks,
+                       const std::string &RemarksJsonl,
                        const MetricsRegistry *Metrics) {
   bool Ok = true;
   if (!Obs.TraceFile.empty() && Trace)
     Ok &= writeArtifact(Obs.TraceFile, Trace->toJson());
   if (!Obs.RemarksFile.empty())
-    Ok &= writeArtifact(Obs.RemarksFile, remarksToJsonl(Remarks));
+    Ok &= writeArtifact(Obs.RemarksFile, RemarksJsonl);
   if (!Obs.MetricsFile.empty() && Metrics)
     Ok &= writeArtifact(Obs.MetricsFile, Metrics->toPrometheus());
   if (!Obs.MetricsJsonFile.empty() && Metrics)
@@ -274,14 +274,15 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   }
 
   unsigned Failures = 0;
-  // Remarks concatenate in submission (Files) order, not completion
-  // order, so the stream is byte-identical for any --jobs value.
-  std::vector<Remark> BatchRemarks;
+  // One header, then each artifact's remark lines in submission (Files)
+  // order, not completion order, so the stream is byte-identical for any
+  // --jobs value.
+  const std::string Header = remarksHeaderLine();
+  std::string BatchRemarks = Header;
   for (size_t Index = 0; Index < Futures.size(); ++Index) {
     CompileResult Result = Futures[Index].get();
     if (Result.ok() && Options.PM.CollectRemarks)
-      BatchRemarks.insert(BatchRemarks.end(), Result.Code->Remarks.begin(),
-                          Result.Code->Remarks.end());
+      BatchRemarks.append(Result.Code->Remarks, Header.size());
     if (!Result.ok()) {
       ++Failures;
       std::fprintf(stderr, "  %-28s FAILED: %s\n", Result.Name.c_str(),
@@ -495,7 +496,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  if (!writeObsArtifacts(Obs, &Trace, Result.Remarks.remarks(), &Metrics))
+  if (!writeObsArtifacts(Obs, &Trace, Result.Remarks.take(), &Metrics))
     return 1;
 
   if (!Quiet)

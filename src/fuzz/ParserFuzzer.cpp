@@ -102,11 +102,12 @@ std::string mutateText(RNG &R, const std::vector<std::string> &Pool,
   return Text;
 }
 
-std::vector<std::string> buildValidPool(uint64_t FirstSeed) {
+/// Generator seeds 1-4 of the small preset.
+std::vector<std::string> buildValidPool() {
   std::vector<std::string> Pool;
   GeneratorOptions Options = GeneratorOptions::small();
-  for (uint64_t Offset = 0; Offset < 4; ++Offset) {
-    RandomModuleGenerator Gen(FirstSeed + Offset, Options);
+  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+    RandomModuleGenerator Gen(Seed, Options);
     Pool.push_back(printModule(*Gen.generate()));
   }
   return Pool;
@@ -126,8 +127,7 @@ std::string sxe::makeParserFuzzInput(RNG &R,
   case 2:
     return tokenSoup(R, Len);
   default:
-    return mutateText(R, buildValidPool(Options.ValidPoolSeed),
-                      Options.MaxBytes);
+    return mutateText(R, buildValidPool(), Options.MaxBytes);
   }
 }
 
@@ -137,7 +137,7 @@ bool sxe::runParserFuzz(uint64_t Seed, uint64_t Inputs,
   RNG R(Seed);
   std::vector<std::string> Pool;
   if (Options.MutateValid)
-    Pool = buildValidPool(Options.ValidPoolSeed);
+    Pool = buildValidPool();
   ParserFuzzStats Local;
 
   for (uint64_t Input = 0; Input < Inputs; ++Input) {

@@ -33,9 +33,8 @@
 namespace sxe {
 
 struct ParserFuzzOptions {
-  size_t MaxBytes = 2048;     ///< Upper bound on a single input's length.
-  bool MutateValid = true;    ///< Include corrupted valid-module inputs.
-  uint64_t ValidPoolSeed = 1; ///< First generator seed for the valid pool.
+  size_t MaxBytes = 2048;  ///< Upper bound on a single input's length.
+  bool MutateValid = true; ///< Include corrupted valid-module inputs.
 };
 
 struct ParserFuzzStats {

@@ -137,7 +137,7 @@ void RandomModuleGenerator::emitStatement(Scope &S, unsigned Depth) {
   };
 
   const bool HasArrays = !S.Arrays.empty();
-  const bool Wide = Options.EnableWideArith && !S.I64Vars.empty();
+  const bool Wide = !S.I64Vars.empty();
   const bool Nested = Depth > 0;
 
   auto enabled = [&](unsigned Kd) {
@@ -147,9 +147,8 @@ void RandomModuleGenerator::emitStatement(Scope &S, unsigned Depth) {
     case Acc32:
     case Copy32:
     case Shift32:
-      return true;
     case Div32:
-      return Options.EnableDivision;
+      return true;
     case ArrStore:
     case ArrLoad:
       return HasArrays;
@@ -166,9 +165,8 @@ void RandomModuleGenerator::emitStatement(Scope &S, unsigned Depth) {
     case Widen:
     case Narrow64:
     case Acc64:
-      return Wide;
     case Div64:
-      return Wide && Options.EnableDivision;
+      return Wide;
     case CallStmt:
       return Options.EnableCalls && !S.Callable.empty();
     case CharCast:
@@ -432,7 +430,7 @@ void RandomModuleGenerator::emitChecksum(Scope &S) {
 }
 
 void RandomModuleGenerator::buildHelper(Module &M, unsigned Index) {
-  const bool WidePool = Options.EnableWideArith && Options.NumI64Vars > 0;
+  const bool WidePool = Options.NumI64Vars > 0;
   Type RetTy = WidePool && R.nextChance(1, 3) ? Type::I64 : Type::I32;
   Function *F = M.createFunction("helper" + std::to_string(Index), RetTy);
 
@@ -513,20 +511,17 @@ void RandomModuleGenerator::buildMain(Module &M) {
                                ? Options.LenSpreadLog2 - 1
                                : 1,
                 "chars");
-  if (Options.EnableMixedWidthStores)
-    for (unsigned Index = 0; Index < Options.NumWideArrays; ++Index)
-      makeArray(Type::I64, Options.LenSpreadLog2 > 1
-                               ? Options.LenSpreadLog2 - 1
-                               : 1,
-                "wide");
+  for (unsigned Index = 0; Index < Options.NumWideArrays; ++Index)
+    makeArray(Type::I64, Options.LenSpreadLog2 > 1 ? Options.LenSpreadLog2 - 1
+                                                   : 1,
+              "wide");
 
   for (unsigned Index = 0; Index < Options.NumI32Vars; ++Index)
     S.I32Vars.push_back(S.K->varI32(static_cast<int32_t>(R.next()),
                                     'v' + std::to_string(Index)));
-  if (Options.EnableWideArith)
-    for (unsigned Index = 0; Index < Options.NumI64Vars; ++Index)
-      S.I64Vars.push_back(S.K->varI64(static_cast<int64_t>(R.next()),
-                                      'g' + std::to_string(Index)));
+  for (unsigned Index = 0; Index < Options.NumI64Vars; ++Index)
+    S.I64Vars.push_back(S.K->varI64(static_cast<int64_t>(R.next()),
+                                    'g' + std::to_string(Index)));
   S.Acc = S.K->varI64(0, "acc");
 
   emitBlock(S, Options.MaxDepth);

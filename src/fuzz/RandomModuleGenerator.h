@@ -64,11 +64,10 @@ struct GeneratorOptions {
   unsigned MaxHelperParams = 3;
 
   // --- Feature toggles ----------------------------------------------------
+  // 64-bit arithmetic over the i64 pool, guarded div/rem statements and
+  // i32<->i64 array crossings are always generated.
   bool EnableCalls = true;    ///< Helper functions and call statements.
-  bool EnableWideArith = true;///< 64-bit arithmetic over the i64 pool.
   bool EnableFloat = true;    ///< i2d/f*/d2i round trips.
-  bool EnableDivision = true; ///< Guarded div/rem statements.
-  bool EnableMixedWidthStores = true; ///< i32<->i64 array crossings.
   bool EnableUnsignedOps = true; ///< (char) casts, zext8 masks, trunc32 of
                                  ///< i64, and unsigned compare predicates.
 

@@ -12,6 +12,11 @@ using namespace sxe;
 
 namespace {
 
+/// Upper bound on full transformation rounds.
+constexpr unsigned MaxRounds = 32;
+/// The function that must survive reduction.
+constexpr const char *EntryFunction = "main";
+
 size_t countModuleInstructions(const Module &M) {
   size_t Count = 0;
   for (const auto &F : M.functions())
@@ -92,12 +97,12 @@ void removeUnreachableBlocks(Function &F) {
 
 /// Drops functions (other than the entry) that no remaining call
 /// references, to fixpoint.
-void dropUncalledFunctions(Module &M, const std::string &Entry) {
+void dropUncalledFunctions(Module &M) {
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (const auto &F : M.functions()) {
-      if (F->name() == Entry)
+      if (F->name() == EntryFunction)
         continue;
       bool Called = false;
       for (const auto &Caller : M.functions())
@@ -116,21 +121,18 @@ void dropUncalledFunctions(Module &M, const std::string &Entry) {
 
 class GreedyReducer {
 public:
-  GreedyReducer(const Module &Failing, const ReducePredicate &Pred,
-                const ReducerOptions &Options)
-      : Pred(Pred), Options(Options), Best(cloneModule(Failing)) {
+  GreedyReducer(const Module &Failing, const ReducePredicate &Pred)
+      : Pred(Pred), Best(cloneModule(Failing)) {
     Stats.OriginalInstructions = countModuleInstructions(Failing);
   }
 
   std::unique_ptr<Module> run() {
-    for (Stats.Rounds = 0; Stats.Rounds < Options.MaxRounds;
-         ++Stats.Rounds) {
+    for (Stats.Rounds = 0; Stats.Rounds < MaxRounds; ++Stats.Rounds) {
       bool Progress = false;
       Progress |= removeInstructionChunks();
       Progress |= collapseBranches();
       Progress |= threadJumps();
-      if (Options.ReduceConstants)
-        Progress |= narrowConstants();
+      Progress |= narrowConstants();
       if (!Progress)
         break;
     }
@@ -147,8 +149,7 @@ private:
     ++Stats.CandidatesTried;
     for (const auto &F : Candidate->functions())
       removeUnreachableBlocks(*F);
-    if (Options.ReduceFunctions)
-      dropUncalledFunctions(*Candidate, Options.EntryFunction);
+    dropUncalledFunctions(*Candidate);
     std::vector<std::string> Problems;
     if (!verifyModule(*Candidate, Problems))
       return false;
@@ -315,7 +316,6 @@ private:
   }
 
   const ReducePredicate &Pred;
-  ReducerOptions Options;
   ReductionStats Stats;
   std::unique_ptr<Module> Best;
 };
@@ -324,9 +324,8 @@ private:
 
 std::unique_ptr<Module> sxe::reduceModule(const Module &Failing,
                                           const ReducePredicate &StillInteresting,
-                                          ReducerOptions Options,
                                           ReductionStats *Stats) {
-  GreedyReducer R(Failing, StillInteresting, Options);
+  GreedyReducer R(Failing, StillInteresting);
   std::unique_ptr<Module> Result = R.run();
   if (Stats)
     *Stats = R.stats();

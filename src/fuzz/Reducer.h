@@ -15,8 +15,11 @@
 ///     then single instructions — delta-debugging style);
 ///   - collapsing conditional branches to one successor, then deleting
 ///     the blocks that become unreachable;
-///   - dropping helper functions whose last call site disappeared;
+///   - dropping helper functions whose last call site disappeared (the
+///     entry function `main` always survives);
 ///   - narrowing integer constants toward 0 / 1 / half.
+///
+/// At most 32 rounds run.
 ///
 /// Because the IR is not SSA, removing any non-terminator instruction
 /// keeps the module structurally valid (registers are declared per
@@ -41,14 +44,6 @@ namespace sxe {
 /// only.
 using ReducePredicate = std::function<bool(const Module &M)>;
 
-struct ReducerOptions {
-  unsigned MaxRounds = 32;     ///< Upper bound on full transformation rounds.
-  bool ReduceConstants = true; ///< Try narrowing integer constants.
-  bool ReduceFunctions = true; ///< Try dropping uncalled helper functions.
-  /// The entry function that must survive reduction ("main").
-  std::string EntryFunction = "main";
-};
-
 struct ReductionStats {
   size_t OriginalInstructions = 0;
   size_t ReducedInstructions = 0;
@@ -62,7 +57,6 @@ struct ReductionStats {
 /// non-null) is the smallest accepted candidate.
 std::unique_ptr<Module> reduceModule(const Module &Failing,
                                      const ReducePredicate &StillInteresting,
-                                     ReducerOptions Options = ReducerOptions(),
                                      ReductionStats *Stats = nullptr);
 
 } // namespace sxe

@@ -25,8 +25,8 @@
 #define SXE_JIT_COMPILETASK_H
 
 #include "ir/Module.h"
-#include "obs/Remarks.h"
 #include "pm/PassStats.h"
+#include "support/Json.h"
 #include "sxe/Pipeline.h"
 
 #include <atomic>
@@ -111,16 +111,43 @@ struct CompiledCode {
   std::string IRText;
   /// Per-pass named counters of the producing run.
   PassStats Stats;
-  /// Structured optimization remarks of the producing run (empty unless
-  /// the service collected remarks). Stored in the artifact so a cache
-  /// hit replays the identical remark stream.
-  std::vector<Remark> Remarks;
+  /// The producing run's remarks as one sxe.remarks.v1 JSONL stream,
+  /// rendered once by RemarkCollector::take(): the header line, then one
+  /// line per remark (the header alone unless the service collected
+  /// remarks). A reply splices these bytes, the persistent tier stores
+  /// them and a batch concatenates them; nothing parses them back.
+  std::string Remarks;
   /// Structural hash of the *input* module (the cache key's content half).
   uint64_t InputIRHash = 0;
   /// Stats encoded as a serve reply's `stats` member, built on the first
   /// hit (see encodeServeReply in serve/Protocol.h).
   EncodingMemo EncodedStats;
 };
+
+/// \p Stats as the `stats` member of a top-level object (JsonWriter::
+/// membersOf cuts it out for splicing); an empty object when there are
+/// none. The one encoder of an artifact's stats: a serve reply and a
+/// persistent-cache entry both carry these bytes.
+template <typename StatRange>
+std::string encodeStatsMember(const StatRange &Stats) {
+  JsonWriter J;
+  J.reserve(96 * Stats.size() + 16);
+  J.beginObject();
+  if (!Stats.empty()) {
+    J.key("stats");
+    J.beginArray();
+    for (const StatEntry &Entry : Stats) {
+      J.beginObject();
+      J.keyValue("pass", Entry.Pass);
+      J.keyValue("name", Entry.Name);
+      J.keyValue("value", Entry.Value);
+      J.endObject();
+    }
+    J.endArray();
+  }
+  J.endObject();
+  return J.take();
+}
 
 /// How one request ended. The three serving tiers come first, so a
 /// cache_tier event's flight-record aux byte (the outcome) reads 0/1/2.

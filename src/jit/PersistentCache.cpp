@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -24,8 +25,9 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Canonical artifact digest: FNV-1a over every field a hit must
-/// reproduce. Recomputed from the decoded artifact on load, so any bit
-/// rot in the stored payload — not just truncation — reads as corrupt.
+/// reproduce, mixed as stored. Recomputed from the decoded artifact on
+/// load, so any bit rot in the stored payload — not just truncation —
+/// reads as corrupt.
 uint64_t checksumCompiledCode(const CompiledCode &Code) {
   StableHasher H;
   H.mix(Code.IRText);
@@ -35,43 +37,57 @@ uint64_t checksumCompiledCode(const CompiledCode &Code) {
     H.mix(E.Name);
     H.mix(E.Value);
   }
-  for (const Remark &R : Code.Remarks)
-    H.mix(remarkToJsonLine(R));
+  H.mix(Code.Remarks);
   return H.result();
+}
+
+/// The shape every stored remark stream has: the sxe.remarks.v1 header
+/// line, then newline-terminated lines that each parse as a JSON object.
+/// The lines' members are not read. A missing stream reads as empty and
+/// fails for want of the header.
+bool checkRemarkStream(std::string_view Stream, std::string &Error) {
+  std::string Header = remarksHeaderLine();
+  if (Stream.substr(0, Header.size()) != Header) {
+    Error = "remark stream lacks the " + std::string(kRemarksSchema) +
+            " header";
+    return false;
+  }
+  for (size_t Pos = Header.size(); Pos < Stream.size();) {
+    size_t End = Stream.find('\n', Pos);
+    if (End == std::string_view::npos) {
+      Error = "unterminated remark line";
+      return false;
+    }
+    JsonValue Line;
+    if (!parseJson(Stream.substr(Pos, End - Pos), Line, Error)) {
+      Error = "bad remark line: " + Error;
+      return false;
+    }
+    if (!Line.isObject()) {
+      Error = "remark line is not a JSON object";
+      return false;
+    }
+    Pos = End + 1;
+  }
+  return true;
 }
 
 } // namespace
 
 std::string sxe::encodePersistentEntry(const std::string &Key,
                                        const CompiledCode &Code) {
+  std::string StatsMember = encodeStatsMember(Code.Stats.entries());
   JsonWriter J;
+  J.reserve(Code.IRText.size() + StatsMember.size() + Code.Remarks.size() +
+            Key.size() + 256);
   J.beginObject();
   J.keyValue("schema", kPCacheEntrySchema);
   J.keyValue("key", Key);
   J.keyValue("checksum", traceIdHex(checksumCompiledCode(Code)));
   J.keyValue("ir_hash", traceIdHex(Code.InputIRHash));
   J.keyValue("ir", Code.IRText);
-  J.key("stats");
-  J.beginArray();
-  for (const StatEntry &E : Code.Stats.entries()) {
-    J.beginObject();
-    J.keyValue("pass", E.Pass);
-    J.keyValue("name", E.Name);
-    J.keyValue("value", E.Value);
-    J.endObject();
-  }
-  J.endArray();
-  // Remarks as their canonical JSONL lines (minus the newline), so the
-  // replayed stream is byte-identical to the producing run's.
-  J.key("remarks");
-  J.beginArray();
-  for (const Remark &R : Code.Remarks) {
-    std::string Line = remarkToJsonLine(R);
-    if (!Line.empty() && Line.back() == '\n')
-      Line.pop_back();
-    J.value(Line);
-  }
-  J.endArray();
+  J.rawMembers(JsonWriter::membersOf(StatsMember));
+  J.keyValue("remarks_jsonl", Code.Remarks);
   J.endObject();
   return J.take();
 }
@@ -100,29 +116,17 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     return false;
   }
   Out.IRText = V.takeStringField("ir");
+  Out.Remarks = V.takeStringField("remarks_jsonl");
 
-  const JsonValue *Stats = V.find("stats");
-  if (!Stats || !Stats->isArray()) {
-    Error = "missing stats array";
-    return false;
-  }
-  for (const JsonValue &E : Stats->array())
-    Out.Stats.counter(E.stringField("pass"), E.stringField("name")) =
-        E.uint64Field("value");
-
-  const JsonValue *Remarks = V.find("remarks");
-  if (!Remarks || !Remarks->isArray()) {
-    Error = "missing remarks array";
-    return false;
-  }
-  for (const JsonValue &Line : Remarks->array()) {
-    Remark R;
-    if (!Line.isString() ||
-        !remarkFromJsonLine(Line.stringValue(), R, Error)) {
-      Error = "bad remark line: " + Error;
+  // Absent when the producing run counted nothing (encodeStatsMember).
+  if (const JsonValue *Stats = V.find("stats")) {
+    if (!Stats->isArray()) {
+      Error = "stats is not an array";
       return false;
     }
-    Out.Remarks.push_back(std::move(R));
+    for (const JsonValue &E : Stats->array())
+      Out.Stats.counter(E.stringField("pass"), E.stringField("name")) =
+          E.uint64Field("value");
   }
 
   uint64_t Stored = 0;
@@ -131,7 +135,7 @@ bool sxe::decodePersistentEntry(const std::string &Text,
     Error = "checksum mismatch";
     return false;
   }
-  return true;
+  return checkRemarkStream(Out.Remarks, Error);
 }
 
 //===----------------------------------------------------------------------===//

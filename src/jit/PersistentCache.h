@@ -15,7 +15,7 @@
 ///
 /// Directory layout (docs/JIT.md):
 ///
-///     <dir>/objects/<fnv16>.json  one sxe.pcache.v3 entry per key
+///     <dir>/objects/<fnv16>.json  one sxe.pcache.v4 entry per key
 ///
 /// The object directory is the whole store: there is no index file. At
 /// construction the cache lists objects/*.json once — each entry's size
@@ -28,9 +28,11 @@
 ///  - every write goes to `<file>.tmp` in the same directory and is
 ///    published with rename(2), so readers never observe a torn entry;
 ///  - every entry embeds its full key and an FNV-1a checksum over the
-///    artifact payload; a truncated, corrupted, mismatched, or
-///    unparseable entry loads as a miss (and is dropped), never as a
-///    wrong artifact and never as a failure — the caller just compiles;
+///    artifact payload, which holds the remark stream as the bytes a
+///    reply carries (never parsed back); a truncated, corrupted,
+///    mismatched, or unparseable entry loads as a miss (and is dropped),
+///    never as a wrong artifact and never as a failure — the caller just
+///    compiles;
 ///  - a lookup always probes the object path, so entries written by
 ///    another process after this one listed the directory are found.
 ///
@@ -60,7 +62,7 @@
 namespace sxe {
 
 /// Schema tag of the on-disk entry documents.
-inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v3";
+inline constexpr const char *kPCacheEntrySchema = "sxe.pcache.v4";
 
 struct PersistentCacheOptions {
   /// Root directory; created (with objects/) if absent. Empty disables
@@ -83,12 +85,14 @@ struct PersistentCacheStats {
   uint64_t Bytes = 0;
 };
 
-/// Serializes \p Code as one sxe.pcache.v3 entry document for \p Key.
+/// Serializes \p Code as one sxe.pcache.v4 entry document for \p Key.
 std::string encodePersistentEntry(const std::string &Key,
                                   const CompiledCode &Code);
 
 /// Parses an entry document back. Fails (with \p Error) on schema, key,
-/// or checksum mismatch and on any malformed content.
+/// or checksum mismatch, on any malformed content, and on a remark stream
+/// that does not start with the sxe.remarks.v1 header line or has a line
+/// that is not a JSON object.
 bool decodePersistentEntry(const std::string &Text, const std::string &Key,
                            CompiledCode &Out, std::string &Error);
 

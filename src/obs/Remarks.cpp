@@ -60,8 +60,9 @@ static void numField(std::string &Out, bool &First, const char *Key,
   Out += std::to_string(Value);
 }
 
-std::string sxe::remarkToJsonLine(const Remark &R) {
-  std::string Out = "{";
+/// Appends \p R's line to \p Out.
+static void appendRemarkLine(std::string &Out, const Remark &R) {
+  Out += '{';
   bool First = true;
   strField(Out, First, "pass", R.Pass);
   strField(Out, First, "function", R.Function);
@@ -93,73 +94,18 @@ std::string sxe::remarkToJsonLine(const Remark &R) {
   if (R.ArrayUsesProven)
     numField(Out, First, "array_uses_proven", R.ArrayUsesProven);
   Out += "}\n";
-  return Out;
 }
 
 std::string sxe::remarksToJsonl(const std::vector<Remark> &Remarks) {
   std::string Out = remarksHeaderLine();
   for (const Remark &R : Remarks)
-    Out += remarkToJsonLine(R);
+    appendRemarkLine(Out, R);
   return Out;
 }
 
-static bool decisionByName(const std::string &Name, RemarkDecision &Out) {
-  static const RemarkDecision All[] = {
-      RemarkDecision::Generated, RemarkDecision::Inserted,
-      RemarkDecision::Moved, RemarkDecision::Eliminated,
-      RemarkDecision::Retained};
-  for (RemarkDecision D : All)
-    if (Name == remarkDecisionName(D)) {
-      Out = D;
-      return true;
-    }
-  return false;
-}
-
-static bool analysisByName(const std::string &Name, RemarkAnalysis &Out) {
-  static const RemarkAnalysis All[] = {RemarkAnalysis::None,
-                                       RemarkAnalysis::Use,
-                                       RemarkAnalysis::Def};
-  for (RemarkAnalysis A : All)
-    if (Name == remarkAnalysisName(A)) {
-      Out = A;
-      return true;
-    }
-  return false;
-}
-
-bool sxe::remarkFromJsonLine(const std::string &Line, Remark &Out,
-                             std::string &Error) {
-  JsonValue V;
-  if (!parseJson(Line, V, Error))
-    return false;
-  if (!V.isObject()) {
-    Error = "remark line is not a JSON object";
-    return false;
-  }
-  Out = Remark();
-  Out.Pass = V.stringField("pass");
-  Out.Function = V.stringField("function");
-  Out.InstId = static_cast<uint32_t>(V.uint64Field("inst", kRemarkNoInst));
-  Out.Op = V.stringField("op");
-  if (!decisionByName(V.stringField("decision"), Out.Decision)) {
-    Error = "unknown remark decision '" + V.stringField("decision") + "'";
-    return false;
-  }
-  if (!analysisByName(V.stringField("analysis"), Out.Analysis)) {
-    Error = "unknown remark analysis '" + V.stringField("analysis") + "'";
-    return false;
-  }
-  Out.Count = V.uint64Field("count", 1);
-  Out.Reason = V.stringField("reason");
-  Out.BlockingInst =
-      static_cast<uint32_t>(V.uint64Field("blocking_inst", kRemarkNoInst));
-  Out.BlockingOp = V.stringField("blocking_op");
-  Out.SubscriptExtended = V.uint64Field("subscript_extended");
-  Out.Theorem1 = V.uint64Field("theorem1");
-  Out.Theorem2 = V.uint64Field("theorem2");
-  Out.Theorem3 = V.uint64Field("theorem3");
-  Out.Theorem4 = V.uint64Field("theorem4");
-  Out.ArrayUsesProven = V.uint64Field("array_uses_proven");
-  return true;
+std::string RemarkCollector::take() {
+  std::string Stream = remarksToJsonl(Remarks);
+  Stream.shrink_to_fit();
+  Remarks.clear();
+  return Stream;
 }

@@ -23,9 +23,11 @@
 ///
 /// Concurrency model mirrors pm/PassStats.h: a RemarkCollector instance
 /// is single-threaded by design; every concurrent pipeline run owns a
-/// private collector, and the compile service stores the finished run's
-/// remarks in the cached artifact so batch drivers can concatenate them
-/// in deterministic submission order regardless of worker count.
+/// private collector. The compile service renders the finished run's
+/// remarks once (RemarkCollector::take) and keeps that stream in the
+/// cached artifact: a serve reply splices it, the persistent tier stores
+/// it, and batch drivers concatenate it in deterministic submission order
+/// regardless of worker count. Nothing parses it back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,7 +97,10 @@ class RemarkCollector {
 public:
   void add(Remark R) { Remarks.push_back(std::move(R)); }
   const std::vector<Remark> &remarks() const { return Remarks; }
-  std::vector<Remark> take() { return std::move(Remarks); }
+  /// Renders the collected remarks as one sxe.remarks.v1 stream (the
+  /// header line alone when there are none), sized to fit, and empties
+  /// the collector.
+  std::string take();
   size_t size() const { return Remarks.size(); }
   bool empty() const { return Remarks.empty(); }
 
@@ -106,22 +111,11 @@ private:
 /// The JSONL header line (schema record), newline-terminated.
 std::string remarksHeaderLine();
 
-/// One remark as a single compact JSON line, newline-terminated. Fields
-/// with default values (empty strings, zero theorem counts, sentinel
-/// ids) are omitted so the stream stays dense.
-std::string remarkToJsonLine(const Remark &R);
-
-/// Renders a whole stream: header line plus one line per remark.
+/// Renders a whole stream: header line plus one line per remark, each a
+/// single compact JSON line, newline-terminated. Fields with default
+/// values (empty strings, zero theorem counts, sentinel ids) are omitted
+/// so the stream stays dense.
 std::string remarksToJsonl(const std::vector<Remark> &Remarks);
-
-/// Parses one remark record line (the inverse of remarkToJsonLine).
-/// Omitted fields take their defaults, unknown members are ignored, and
-/// an unknown decision/analysis name is an error. Returns false and
-/// describes the problem in \p Error on malformed input. Used by the
-/// persistent code cache to replay an artifact's remark stream across
-/// process restarts (jit/PersistentCache.h).
-bool remarkFromJsonLine(const std::string &Line, Remark &Out,
-                        std::string &Error);
 
 } // namespace sxe
 

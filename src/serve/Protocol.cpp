@@ -284,30 +284,6 @@ bool decodeServeRequest(const std::string &Payload, ServeRequest &Out,
   return true;
 }
 
-/// \p Stats as the `stats` member of a top-level object (JsonWriter::
-/// membersOf cuts it out for splicing); an empty object when there are
-/// none.
-template <typename StatRange>
-static std::string encodeStatsMember(const StatRange &Stats) {
-  JsonWriter J;
-  J.reserve(96 * Stats.size() + 16);
-  J.beginObject();
-  if (!Stats.empty()) {
-    J.key("stats");
-    J.beginArray();
-    for (const StatEntry &Entry : Stats) {
-      J.beginObject();
-      J.keyValue("pass", Entry.Pass);
-      J.keyValue("name", Entry.Name);
-      J.keyValue("value", Entry.Value);
-      J.endObject();
-    }
-    J.endArray();
-  }
-  J.endObject();
-  return J.take();
-}
-
 /// Encodes \p Reply; an ok one carries the artifact members given here,
 /// \p StatsMember as encodeStatsMember() wrote it. Empty members are left
 /// out.
@@ -355,8 +331,8 @@ std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
                              bool WantIR, bool CollectRemarks) {
   auto EncodeStats = [&] { return encodeStatsMember(Code.Stats.entries()); };
   std::string_view IRText = WantIR ? std::string_view(Code.IRText) : "";
-  std::string RemarksJsonl =
-      CollectRemarks ? remarksToJsonl(Code.Remarks) : std::string();
+  std::string_view RemarksJsonl =
+      CollectRemarks ? std::string_view(Code.Remarks) : "";
   if (Reply.Tier == ServeTier::Compiled)
     return encodeReply(Reply, Code.InputIRHash, IRText, EncodeStats(),
                        RemarksJsonl);

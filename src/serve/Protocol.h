@@ -172,8 +172,9 @@ std::string encodeServeReply(const ServeReply &Reply);
 /// the reply with those fields filled. For a memory or persistent tier
 /// the `stats` member is encoded once per artifact, on the first hit,
 /// kept in Code.EncodedStats and spliced in from there; `ir` and
-/// `remarks_jsonl` are encoded per reply. A fresh compile encodes
-/// everything and keeps nothing.
+/// `remarks_jsonl` are escaped per reply straight from the artifact's IR
+/// text and remark stream. A fresh compile encodes everything and keeps
+/// nothing.
 std::string encodeServeReply(const ServeReply &Reply, const CompiledCode &Code,
                              bool WantIR, bool CollectRemarks);
 

@@ -176,7 +176,7 @@ TEST(ReducerTest, ShrinksWhileFailurePersists) {
   };
 
   ReductionStats Stats;
-  auto Reduced = reduceModule(*Failing, StillFails, ReducerOptions(), &Stats);
+  auto Reduced = reduceModule(*Failing, StillFails, &Stats);
   ASSERT_TRUE(Reduced);
   EXPECT_LT(Stats.ReducedInstructions, Stats.OriginalInstructions);
   EXPECT_TRUE(StillFails(*Reduced));

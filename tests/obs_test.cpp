@@ -45,6 +45,7 @@
 #include "support/Timer.h"
 #include "tests/TestHelpers.h"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -111,15 +112,17 @@ std::string batchRemarks(unsigned Jobs, CodeCache *Cache) {
     Request.Hotness = static_cast<double>(Request.Source.size());
     Futures.push_back(Service.enqueue(std::move(Request)));
   }
-  std::vector<Remark> All;
+  const std::string Header = remarksHeaderLine();
+  std::string All = Header;
   for (auto &Future : Futures) {
     CompileResult Result = Future.get();
     EXPECT_TRUE(Result.ok()) << Result.Error;
-    if (Result.ok())
-      All.insert(All.end(), Result.Code->Remarks.begin(),
-                 Result.Code->Remarks.end());
+    if (Result.ok()) {
+      EXPECT_EQ(0u, Result.Code->Remarks.rfind(Header, 0));
+      All.append(Result.Code->Remarks, Header.size());
+    }
   }
-  return remarksToJsonl(All);
+  return All;
 }
 
 // --- Histograms ---------------------------------------------------------------
@@ -333,7 +336,14 @@ TEST(Remarks, SerializationOmitsDefaultsAndEscapes) {
   R.Op = "sext32";
   R.Decision = RemarkDecision::Eliminated;
   R.Analysis = RemarkAnalysis::Use;
-  std::string Line = remarkToJsonLine(R);
+  RemarkCollector Collector;
+  Collector.add(R);
+  std::string Stream = Collector.take();
+  std::string Header = remarksHeaderLine();
+  ASSERT_EQ(0u, Stream.rfind(Header, 0));
+  std::string Line = Stream.substr(Header.size());
+  ASSERT_EQ(1, std::count(Line.begin(), Line.end(), '\n'));
+  EXPECT_TRUE(Collector.empty());
   JsonValue Doc;
   std::string Error;
   ASSERT_TRUE(parseJson(Line, Doc, Error)) << Error;
@@ -342,7 +352,6 @@ TEST(Remarks, SerializationOmitsDefaultsAndEscapes) {
   EXPECT_EQ(Doc.stringField("analysis"), "use");
   EXPECT_EQ(Doc.find("count"), nullptr);    // Count == 1 omitted.
   EXPECT_EQ(Doc.find("theorem1"), nullptr); // zero omitted
-  std::string Header = remarksHeaderLine();
   ASSERT_TRUE(parseJson(Header, Doc, Error)) << Error;
   EXPECT_EQ(Doc.stringField("schema"), kRemarksSchema);
 }

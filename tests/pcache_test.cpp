@@ -12,9 +12,13 @@
 //     a byte-identical replayed remark stream, and promotes the hit into
 //     the in-memory tier;
 //   - truncated/corrupted/key-mismatched entries, and entries in the
-//     older sxe.pcache.v1 and v2 layouts, load as a clean miss (and are
-//     dropped), after which the service compiles normally; an object
+//     older sxe.pcache.v1, v2 and v3 layouts, load as a clean miss (and
+//     are dropped), after which the service compiles normally; an object
 //     another process removed is forgotten with its bytes;
+//   - the stored remark stream is checksummed bytes: a flipped byte is
+//     caught by the checksum, and a stream without the sxe.remarks.v1
+//     header or with a line that is not a JSON object reads as corrupt
+//     even under a valid checksum;
 //   - a stored count no uint64_t holds (negative, huge) reads as 0;
 //   - LRU eviction enforces the byte budget;
 //   - enqueue after shutdown() counts Rejected and feeds
@@ -40,6 +44,8 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <string_view>
+#include <vector>
 
 #include <unistd.h>
 
@@ -130,11 +136,25 @@ uint64_t objectBytesOnDisk(const std::string &Dir) {
   return Total;
 }
 
+/// The remark lines of \p Stream after its header, each with its newline.
+std::vector<std::string> remarkLines(const std::string &Stream) {
+  std::vector<std::string> Lines;
+  size_t Pos = remarksHeaderLine().size();
+  while (Pos < Stream.size()) {
+    size_t End = Stream.find('\n', Pos);
+    Lines.push_back(Stream.substr(Pos, End + 1 - Pos));
+    Pos = End + 1;
+  }
+  return Lines;
+}
+
 /// Encodes \p Code in an older entry layout, as a cache directory left
 /// behind by an older build would hold it, with a checksum that is valid
-/// for that layout. sxe.pcache.v2 marked the mode counters (`pde_variant`,
-/// `by_frequency`) as flags, in the document and in the checksum;
-/// sxe.pcache.v1 additionally carried a "legacy" aggregate object.
+/// for that layout. sxe.pcache.v3 kept the remarks as an array of
+/// per-remark lines, mixed into the checksum line by line; sxe.pcache.v2
+/// also marked the mode counters (`pde_variant`, `by_frequency`) as
+/// flags, in the document and in the checksum; sxe.pcache.v1
+/// additionally carried a "legacy" aggregate object.
 std::string encodeOldEntry(const std::string &Key, const CompiledCode &Code,
                            unsigned Version) {
   const std::pair<const char *, uint64_t> Legacy[] = {
@@ -149,9 +169,11 @@ std::string encodeOldEntry(const std::string &Key, const CompiledCode &Code,
       {"theorem3_fired", 0},     {"theorem4_fired", 0}, {"conversion_ns", 10},
       {"general_opts_ns", 20},   {"chain_creation_ns", 30},
       {"sxe_opt_ns", 40},        {"total_ns", 100}};
-  auto IsFlag = [](const StatEntry &E) {
-    return E.Name == "pde_variant" || E.Name == "by_frequency";
+  auto IsFlag = [Version](const StatEntry &E) {
+    return Version < 3 &&
+           (E.Name == "pde_variant" || E.Name == "by_frequency");
   };
+  std::vector<std::string> Lines = remarkLines(Code.Remarks);
 
   StableHasher H;
   H.mix(Code.IRText);
@@ -160,10 +182,11 @@ std::string encodeOldEntry(const std::string &Key, const CompiledCode &Code,
     H.mix(E.Pass);
     H.mix(E.Name);
     H.mix(E.Value);
-    H.mix(static_cast<uint64_t>(IsFlag(E)));
+    if (Version < 3)
+      H.mix(static_cast<uint64_t>(IsFlag(E)));
   }
-  for (const Remark &R : Code.Remarks)
-    H.mix(remarkToJsonLine(R));
+  for (const std::string &Line : Lines)
+    H.mix(Line);
   if (Version == 1)
     for (const auto &[Name, Value] : Legacy)
       H.mix(Value);
@@ -196,12 +219,8 @@ std::string encodeOldEntry(const std::string &Key, const CompiledCode &Code,
   }
   J.key("remarks");
   J.beginArray();
-  for (const Remark &R : Code.Remarks) {
-    std::string Line = remarkToJsonLine(R);
-    if (!Line.empty() && Line.back() == '\n')
-      Line.pop_back();
-    J.value(Line);
-  }
+  for (const std::string &Line : Lines)
+    J.value(std::string_view(Line).substr(0, Line.size() - 1));
   J.endArray();
   J.endObject();
   return J.take();
@@ -217,7 +236,8 @@ TEST(PersistentEntry, RoundTripsByteIdentically) {
   std::string Key;
   std::shared_ptr<const CompiledCode> Code = compileReference(Key);
   ASSERT_TRUE(Code);
-  ASSERT_FALSE(Code->Remarks.empty()) << "fixture should produce remarks";
+  ASSERT_GT(Code->Remarks.size(), remarksHeaderLine().size())
+      << "fixture should produce remarks";
 
   std::string Text = encodePersistentEntry(Key, *Code);
   CompiledCode Loaded;
@@ -236,7 +256,7 @@ TEST(PersistentEntry, RoundTripsByteIdentically) {
     ++It;
   }
   // The replayed remark stream is byte-identical.
-  EXPECT_EQ(remarksToJsonl(Code->Remarks), remarksToJsonl(Loaded.Remarks));
+  EXPECT_EQ(Code->Remarks, Loaded.Remarks);
 }
 
 TEST(PersistentEntry, RejectsKeyMismatch) {
@@ -262,11 +282,65 @@ TEST(PersistentEntry, RejectsTamperedPayload) {
   EXPECT_FALSE(decodePersistentEntry(Text, Key, Loaded, Error));
 }
 
+TEST(PersistentEntry, FlippedRemarkStreamByteFailsTheChecksum) {
+  std::string Key;
+  std::shared_ptr<const CompiledCode> Code = compileReference(Key);
+  std::string Text = encodePersistentEntry(Key, *Code);
+  // A byte inside a remark line, past the start of the stored stream.
+  size_t Stream = Text.find("\"remarks_jsonl\": ");
+  ASSERT_NE(Stream, std::string::npos);
+  size_t Pos = Text.find("elimination", Stream);
+  ASSERT_NE(Pos, std::string::npos);
+  Text[Pos] = 'E';
+  CompiledCode Loaded;
+  std::string Error;
+  EXPECT_FALSE(decodePersistentEntry(Text, Key, Loaded, Error));
+  EXPECT_EQ("checksum mismatch", Error);
+}
+
+TEST(PersistentEntry, MisshapenRemarkStreamIsCorruptUnderAValidChecksum) {
+  // The encoder checksums whatever stream the artifact holds, so each of
+  // these entries passes the checksum; the stream's shape must fail it.
+  std::string Key;
+  std::shared_ptr<const CompiledCode> Reference = compileReference(Key);
+  const std::string Header = remarksHeaderLine();
+  const std::string Lines = Reference->Remarks.substr(Header.size());
+  ASSERT_FALSE(Lines.empty());
+  const std::pair<const char *, std::string> Cases[] = {
+      {"no stream", ""},
+      {"no header", Lines},
+      {"another schema", "{\"schema\": \"sxe.events.v1\"}\n" + Lines},
+      // As long as the header, so only the header check rejects it.
+      {"another version", "{\"schema\": \"sxe.remarks.v0\"}\n" + Lines},
+      {"a line that is an array", Header + Lines + "[1, 2]\n"},
+      {"a line that is a string", Header + "\"remark\"\n" + Lines},
+      {"a line that does not parse", Header + Lines + "{\"pass\": \n"},
+      {"an unterminated line", Header + Lines + "{}"},
+  };
+  for (const auto &[What, Stream] : Cases) {
+    CompiledCode Code = *Reference;
+    Code.Remarks = Stream;
+    std::string Text = encodePersistentEntry(Key, Code);
+    CompiledCode Loaded;
+    std::string Error;
+    EXPECT_FALSE(decodePersistentEntry(Text, Key, Loaded, Error)) << What;
+    EXPECT_NE("checksum mismatch", Error) << What;
+  }
+
+  // The same checks pass the stream the service rendered.
+  CompiledCode Loaded;
+  std::string Error;
+  EXPECT_TRUE(decodePersistentEntry(encodePersistentEntry(Key, *Reference),
+                                    Key, Loaded, Error))
+      << Error;
+}
+
 TEST(PersistentEntry, OutOfRangeCountsReadAsZero) {
   // A stat stored as 0 whose text is replaced by a value no uint64_t
   // holds: the checked read gives 0 again, so the checksum still matches.
   CompiledCode Code;
   Code.IRText = "func";
+  Code.Remarks = remarksHeaderLine();
   Code.Stats.counter("pass", "zero") = 0;
   std::string Text = encodePersistentEntry("k", Code);
   size_t Pos = Text.find("\"value\": 0");
@@ -342,7 +416,7 @@ TEST(PersistentCache, SurvivesInstanceBoundary) {
   std::shared_ptr<const CompiledCode> Loaded = Reader.lookup(Key);
   ASSERT_TRUE(Loaded);
   EXPECT_EQ(Code->IRText, Loaded->IRText);
-  EXPECT_EQ(remarksToJsonl(Code->Remarks), remarksToJsonl(Loaded->Remarks));
+  EXPECT_EQ(Code->Remarks, Loaded->Remarks);
   EXPECT_EQ(1u, Reader.stats().Hits);
 }
 
@@ -548,9 +622,9 @@ TEST(PersistentCache, CorruptEntryFallsBackToCleanCompile) {
 }
 
 TEST(PersistentCache, PreviousSchemaEntryIsACleanMiss) {
-  for (unsigned Version : {1u, 2u}) {
+  for (unsigned Version : {1u, 2u, 3u}) {
     SCOPED_TRACE("sxe.pcache.v" + std::to_string(Version));
-    TempDir Dir(Version == 1 ? "v1" : "v2");
+    TempDir Dir(("v" + std::to_string(Version)).c_str());
     std::string Key;
     std::shared_ptr<const CompiledCode> Reference = compileReference(Key);
     {
@@ -642,8 +716,7 @@ TEST(PersistentCache, ServiceServesPersistentHitByteIdentically) {
   ASSERT_TRUE(Result.ok()) << Result.Error;
   EXPECT_EQ(CompileOutcome::PersistentHit, Result.Outcome);
   EXPECT_EQ(Reference->IRText, Result.Code->IRText);
-  EXPECT_EQ(remarksToJsonl(Reference->Remarks),
-            remarksToJsonl(Result.Code->Remarks));
+  EXPECT_EQ(Reference->Remarks, Result.Code->Remarks);
 
   CompileServiceStats Stats = Service.stats();
   EXPECT_EQ(1u, Stats.PersistentHits);

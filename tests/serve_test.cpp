@@ -34,6 +34,8 @@
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "jit/CompileService.h"
+#include "jit/PersistentCache.h"
+#include "obs/Remarks.h"
 #include "obs/TraceContext.h"
 #include "parser/Parser.h"
 #include "serve/Admission.h"
@@ -365,13 +367,22 @@ TEST(ServeProtocol, HitReplySplicesTheBytesOfTheFilledReply) {
   ASSERT_TRUE(Result.ok()) << Result.Error;
   const CompiledCode &Code = *Result.Code;
   ASSERT_FALSE(Code.Stats.entries().empty());
-  ASSERT_FALSE(Code.Remarks.empty());
+  ASSERT_GT(Code.Remarks.size(), remarksHeaderLine().size());
+  // The same artifact as a persistent hit after a restart: written by one
+  // tier instance, loaded by a fresh one on the same directory.
+  TempDir Dir("splice");
+  PersistentCache(PersistentCacheOptions{Dir.str()}).insert("key", Code);
+  std::shared_ptr<const CompiledCode> Restored =
+      PersistentCache(PersistentCacheOptions{Dir.str()}).lookup("key");
+  ASSERT_TRUE(Restored);
   // An artifact with nothing but its hash leaves every optional member out.
   CompiledCode Bare;
   Bare.InputIRHash = 42;
-  const CompiledCode *Artifacts[] = {&Code, &Bare};
+  // Each artifact, and the one whose fields fill the expected reply.
+  const std::pair<const CompiledCode *, const CompiledCode *> Artifacts[] = {
+      {&Code, &Code}, {Restored.get(), &Code}, {&Bare, &Bare}};
 
-  for (const CompiledCode *Artifact : Artifacts)
+  for (const auto &[Artifact, Source] : Artifacts)
     for (ServeTier Tier : {ServeTier::Memory, ServeTier::Persistent,
                            ServeTier::Compiled})
       for (bool WantIR : {false, true})
@@ -379,7 +390,9 @@ TEST(ServeProtocol, HitReplySplicesTheBytesOfTheFilledReply) {
           SCOPED_TRACE(std::string(serveTierName(Tier)) + " ir=" +
                        std::to_string(WantIR) +
                        " remarks=" + std::to_string(CollectRemarks) +
-                       (Artifact == &Bare ? " bare" : ""));
+                       (Artifact == &Bare   ? " bare"
+                        : Artifact == &Code ? ""
+                                            : " restored"));
           ServeReply Reply;
           Reply.Ok = true;
           Reply.Tier = Tier;
@@ -388,13 +401,13 @@ TEST(ServeProtocol, HitReplySplicesTheBytesOfTheFilledReply) {
           Reply.TraceId = 0x0123456789abcdefull;
           Reply.RequestId = 9;
           ServeReply Filled = Reply;
-          Filled.InputIRHash = Artifact->InputIRHash;
+          Filled.InputIRHash = Source->InputIRHash;
           if (WantIR)
-            Filled.IRText = Artifact->IRText;
-          Filled.Stats.assign(Artifact->Stats.entries().begin(),
-                              Artifact->Stats.entries().end());
+            Filled.IRText = Source->IRText;
+          Filled.Stats.assign(Source->Stats.entries().begin(),
+                              Source->Stats.entries().end());
           if (CollectRemarks)
-            Filled.RemarksJsonl = remarksToJsonl(Artifact->Remarks);
+            Filled.RemarksJsonl = Source->Remarks;
           std::string Expected = encodeServeReply(Filled);
 
           // The first hit builds the memo; the second splices from it.

@@ -208,13 +208,12 @@ void reduceAndWrite(const Module &Failing, uint64_t Seed,
                     const DiffConfig &Config, const DiffFailure &Original,
                     const ToolOptions &Options) {
   DiffStatus Wanted = Original.Status;
-  ReducerOptions RO;
   ReductionStats Stats;
   auto StillFails = [&](const Module &Candidate) {
     DiffResult R = runDifferentialTest(Candidate, Config);
     return !R.ok() && R.Failure->Status == Wanted;
   };
-  std::unique_ptr<Module> Reduced = reduceModule(Failing, StillFails, RO, &Stats);
+  std::unique_ptr<Module> Reduced = reduceModule(Failing, StillFails, &Stats);
 
   std::string Dir = Options.OutDir.empty() ? "." : Options.OutDir;
   std::error_code EC;
