@@ -306,16 +306,20 @@ int runBatch(const std::string &BatchDir, unsigned Jobs,
   }
   Elapsed.stop();
 
-  CodeCacheStats CStats = Cache.stats();
+  // The service counts each request once; the cache's own probe counters
+  // would count a compiled module twice (source-key and structural-key
+  // probes both miss).
+  CompileServiceStats SStats = Service.stats();
   double Seconds = Elapsed.elapsedSeconds();
   std::fprintf(stderr,
                "batch: %zu modules | jobs=%u | %.3fs | %.1f modules/s | "
-               "cache %llu hit / %llu miss / %llu evicted | %u failed\n",
+               "%llu compiled / %llu cache hit / %llu evicted | %u failed\n",
                Files.size(), Jobs, Seconds,
                Seconds > 0 ? static_cast<double>(Files.size()) / Seconds : 0.0,
-               static_cast<unsigned long long>(CStats.Hits),
-               static_cast<unsigned long long>(CStats.Misses),
-               static_cast<unsigned long long>(CStats.Evictions), Failures);
+               static_cast<unsigned long long>(SStats.Compiled),
+               static_cast<unsigned long long>(SStats.CacheHits),
+               static_cast<unsigned long long>(Cache.stats().Evictions),
+               Failures);
 
   if (!writeObsArtifacts(Obs, &Trace, BatchRemarks, &Metrics))
     return 1;

@@ -128,8 +128,7 @@ struct CompiledCode {
 /// membersOf cuts it out for splicing); an empty object when there are
 /// none. The one encoder of an artifact's stats: a serve reply and a
 /// persistent-cache entry both carry these bytes.
-template <typename StatRange>
-std::string encodeStatsMember(const StatRange &Stats) {
+inline std::string encodeStatsMember(const std::vector<StatEntry> &Stats) {
   JsonWriter J;
   J.reserve(96 * Stats.size() + 16);
   J.beginObject();

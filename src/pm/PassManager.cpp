@@ -43,7 +43,8 @@ bool PassManager::run(Module &M, PassContext &Ctx) {
   if (!Options.DumpDir.empty())
     std::filesystem::create_directories(Options.DumpDir);
 
-  uint64_t CensusBefore = countStaticExtensions(M).totalConversions();
+  uint64_t CensusBefore =
+      Options.VerifyEach ? countStaticExtensions(M).totalConversions() : 0;
 
   for (size_t Index = 0; Index < Passes.size(); ++Index) {
     Pass &P = *Passes[Index];

@@ -15,6 +15,10 @@
 /// do not share state (cf. redream's DEFINE_PASS_STAT, which this layer
 /// deliberately instancifies).
 ///
+/// Storage: one insertion-ordered vector, no index. Lookups scan it (a
+/// pipeline registers about 20 counters), so a bump allocates nothing
+/// once its counter exists.
+///
 /// Concurrency model: a PassStats instance is single-threaded by design.
 /// SXE_PASS_STAT stays a bare `uint64_t&` bump — no atomics on the pass
 /// hot path — because every concurrent pipeline run owns a private
@@ -28,9 +32,9 @@
 #define SXE_PM_PASSSTATS_H
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 namespace sxe {
 
@@ -46,26 +50,21 @@ class PassStats {
 public:
   /// Returns the counter cell for (\p Pass, \p Name), registering it at
   /// the end of the entry list on first use. The reference stays valid
-  /// until the registry is destroyed (entries live in a deque).
-  uint64_t &counter(const std::string &Pass, const std::string &Name);
+  /// only until the next registration: use it at once, never hold it.
+  uint64_t &counter(std::string_view Pass, std::string_view Name);
 
   /// Returns the value of (\p Pass, \p Name), or 0 if never registered.
-  uint64_t value(const std::string &Pass, const std::string &Name) const;
+  uint64_t value(std::string_view Pass, std::string_view Name) const;
 
   /// All counters in registration order.
-  const std::deque<StatEntry> &entries() const { return Entries; }
+  const std::vector<StatEntry> &entries() const { return Entries; }
 
   /// Sums every counter named \p Name across passes (e.g. the total
   /// `sext_eliminated` over elimination engines).
-  uint64_t total(const std::string &Name) const;
+  uint64_t total(std::string_view Name) const;
 
 private:
-  static std::string keyOf(const std::string &Pass, const std::string &Name) {
-    return Pass + "/" + Name;
-  }
-
-  std::deque<StatEntry> Entries;
-  std::unordered_map<std::string, size_t> Index;
+  std::vector<StatEntry> Entries;
 };
 
 /// Bumps a named counter for the current pass from inside a Pass member

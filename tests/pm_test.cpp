@@ -5,6 +5,8 @@
 //  - per-pass counters are additive across functions (running {f}, {g},
 //    and {f, g} through the same pipeline sums each counter, mode flags
 //    excepted);
+//  - the flat counter registry keeps first-use order and matches keys by
+//    content, whatever string type built them;
 //  - the elimination pass's `sext_eliminated` counter equals the
 //    before/after delta of the static extension census;
 //  - verify-each names a deliberately-broken injected pass, both for IR
@@ -155,6 +157,44 @@ TEST(PassStatsTest, CountersAdditiveAcrossFunctions) {
     EXPECT_EQ(RBoth.Stats.value(E.Pass, E.Name) >= E.Value || isModeFlag(E),
               true)
         << E.Pass << "/" << E.Name;
+}
+
+TEST(PassStatsTest, FlatRegistryKeepsFirstUseOrder) {
+  PassStats Stats;
+  Stats.counter("elimination", "sext_eliminated") += 3;
+  Stats.counter("insertion", "sext_inserted") += 2;
+  Stats.counter("elimination", "theorem1_fired") += 1;
+  Stats.counter("first-algorithm", "sext_eliminated") += 4;
+  // Bumping an existing counter neither re-registers nor reorders it.
+  Stats.counter("insertion", "sext_inserted") += 5;
+  Stats.counter("elimination", "sext_eliminated") += 1;
+
+  std::vector<std::string> Order;
+  for (const StatEntry &E : Stats.entries())
+    Order.push_back(E.Pass + "/" + E.Name);
+  EXPECT_EQ(Order, (std::vector<std::string>{
+                       "elimination/sext_eliminated",
+                       "insertion/sext_inserted",
+                       "elimination/theorem1_fired",
+                       "first-algorithm/sext_eliminated"}));
+
+  // A key built at runtime finds the entry registered from literals.
+  std::string Pass = std::string("elim") + "ination";
+  std::string Name = std::string("sext_") + "eliminated";
+  EXPECT_EQ(4u, Stats.value(Pass, Name));
+  Stats.counter(Pass, Name) += 10;
+  EXPECT_EQ(4u, Stats.entries().size());
+  EXPECT_EQ(14u, Stats.value("elimination", "sext_eliminated"));
+
+  // Unknown pairs read 0 without registering; a known name under another
+  // pass is still unknown.
+  EXPECT_EQ(0u, Stats.value("elimination", "no_such_counter"));
+  EXPECT_EQ(0u, Stats.value("insertion", "sext_eliminated"));
+  EXPECT_EQ(4u, Stats.entries().size());
+
+  EXPECT_EQ(18u, Stats.total("sext_eliminated"));
+  EXPECT_EQ(7u, Stats.total("sext_inserted"));
+  EXPECT_EQ(0u, Stats.total("no_such_counter"));
 }
 
 TEST(PassStatsTest, EliminatedEqualsStaticCensusDelta) {

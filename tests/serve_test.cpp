@@ -404,8 +404,7 @@ TEST(ServeProtocol, HitReplySplicesTheBytesOfTheFilledReply) {
           Filled.InputIRHash = Source->InputIRHash;
           if (WantIR)
             Filled.IRText = Source->IRText;
-          Filled.Stats.assign(Source->Stats.entries().begin(),
-                              Source->Stats.entries().end());
+          Filled.Stats = Source->Stats.entries();
           if (CollectRemarks)
             Filled.RemarksJsonl = Source->Remarks;
           std::string Expected = encodeServeReply(Filled);
